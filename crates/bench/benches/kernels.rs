@@ -272,7 +272,7 @@ fn bench_ber(c: &mut Criterion) {
     c.bench_function("ber_bc_n100_24f_serial", |b| {
         b.iter(|| simulate_ber_with_threads(&target, 2.5, black_box(&opts), 1))
     });
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = wi_num::par::threads();
     c.bench_function("ber_bc_n100_24f_parallel", |b| {
         b.iter(|| simulate_ber_with_threads(&target, 2.5, black_box(&opts), threads))
     });

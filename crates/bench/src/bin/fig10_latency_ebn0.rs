@@ -190,7 +190,7 @@ fn main() {
             }
             CheckRule::MinSum { alpha } => format!("normalized min-sum (alpha = {alpha})"),
         },
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        wi_num::par::threads(),
     );
     println!(
         "search: {} over [{}, {}] dB",

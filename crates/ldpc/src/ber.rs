@@ -41,20 +41,16 @@
 //! Every frame is independent: its RNG is derived from
 //! `derive_seed(seed, frame)` and its [`Gaussian`] sampler is frame local
 //! (a shared sampler's cached Box–Muller variate would leak state between
-//! frames and make results depend on simulation order). Frames are fanned
-//! out across threads in chunks, while every stopping rule — the
-//! `target_errors` / `min_frames` / `max_frames` budget of
-//! [`BerSimOptions`] *and* the CI pruning of
-//! [`SearchStrategy::ConcurrentBisection`] — is applied by a serial fold
-//! over the per-frame results **in frame order**. [`simulate_ber`] and
-//! [`search_required_ebn0`] therefore return bit-identical results for
-//! any thread count; extra frames speculatively simulated past a stopping
-//! point are discarded without being counted. Each worker reuses one
-//! [`BerWorkspace`], so the hot loop does not allocate.
-//!
-//! The thread fan-out uses `std::thread::scope` directly (the build
-//! environment cannot fetch `rayon`; the chunked scope below is the
-//! dependency-free equivalent for this embarrassingly parallel loop).
+//! frames and make results depend on simulation order). Frame batches are
+//! fanned out across threads by [`wi_num::par::ordered`] in fixed rounds,
+//! while every stopping rule — the `target_errors` / `min_frames` /
+//! `max_frames` budget of [`BerSimOptions`] *and* the CI pruning of
+//! [`SearchStrategy::ConcurrentBisection`] — is applied by its serial
+//! fold over the per-frame results **in frame order**. [`simulate_ber`]
+//! and [`search_required_ebn0`] therefore return bit-identical results
+//! for any thread count; extra frames speculatively simulated past a
+//! stopping point are discarded without being counted. Each worker
+//! reuses one [`BerWorkspace`], so the hot loop does not allocate.
 //!
 //! # Bit-identical vs statistically equivalent
 //!
@@ -72,9 +68,10 @@ use crate::window::{CoupledCode, WindowDecoder, WindowWorkspace};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use wi_num::par;
 use wi_num::rng::{derive_seed, seeded_rng, Gaussian};
 use wi_num::stats::{normal_ci, sample_variance_from_sums};
 
@@ -808,18 +805,15 @@ impl BerTarget for CachedBerTarget<'_> {
     }
 }
 
-/// Frames dispatched per worker per fan-out round. Each round spawns
-/// scoped threads (tens of µs per worker), so this must cover many frames
-/// even for ~25 µs min-sum decodes; the cost of a larger round is only
-/// the speculative frames past an early stop, which are discarded.
+/// Frames per worker per fan-out round (a serial run evaluates one batch
+/// per round). Each round is one [`par::ordered`] call spawning fresh
+/// workers (tens of µs each), so it must cover many ~25 µs min-sum
+/// decodes. The fixed rounds also keep the *evaluated* frame set
+/// independent of timing: every frame of a started round is evaluated, so
+/// a rerun at the same thread count simulates the same frames and a warm
+/// [`CachedBerTarget`] run misses nothing. Speculative frames past an
+/// early stop are discarded uncounted.
 const FRAMES_PER_WORKER: u64 = 16;
-
-/// Threads used by the auto-parallel entry points.
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// The frame-budget stop rules a single BER point runs under (the
 /// strategy-resolved view of [`BerSimOptions`] plus any search-level
@@ -885,80 +879,47 @@ fn run_target(
     extra_stop: &mut dyn FnMut(&FrameStats) -> bool,
 ) -> BerEstimate {
     let mut fold = FrameStats::default();
-    let max_frames = budget.max_frames;
-    let width = target.batch_width().clamp(1, MAX_LANES);
-
+    let width = target.batch_width().clamp(1, MAX_LANES) as u64;
     // More workers than the simulation can ever have frames is pure
     // workspace-allocation waste.
-    let threads = threads.min(max_frames.max(1).try_into().unwrap_or(usize::MAX));
-
-    if threads <= 1 {
-        // One batch of frames per round, folded in frame order with the
-        // stop rules checked after every frame — frames speculatively
-        // decoded past the stopping point are discarded uncounted,
-        // exactly like the parallel path below, so batching cannot move
-        // any stopping decision.
-        let mut ws = BerWorkspace::new();
-        let mut slots = [FrameStats::default(); MAX_LANES];
-        'serial: while keep_going(&fold, &budget, extra_stop) {
-            let first = fold.frames;
-            let len = (max_frames - first).min(width as u64) as usize;
-            let out = &mut slots[..len];
-            target.eval_frames_each(&mut ws, ebn0_db, seed, first, out);
-            for frame_stats in out.iter() {
-                fold.merge(frame_stats);
-                if !keep_going(&fold, &budget, extra_stop) {
-                    break 'serial;
-                }
-            }
-        }
-        return BerEstimate::from_stats(fold);
-    }
-
-    let chunk_target = threads as u64 * FRAMES_PER_WORKER;
+    let threads = threads.clamp(1, budget.max_frames.max(1).try_into().unwrap_or(usize::MAX));
+    let round = if threads == 1 {
+        width
+    } else {
+        threads as u64 * FRAMES_PER_WORKER
+    };
     // One workspace per worker for the whole simulation, not per round —
     // a decode fully reinitializes its workspace, so reuse cannot leak
     // state between frames.
     let mut workspaces: Vec<BerWorkspace> = (0..threads).map(|_| BerWorkspace::new()).collect();
-    let mut results: Vec<FrameStats> = Vec::new();
-    'mc: while keep_going(&fold, &budget, extra_stop) {
-        let chunk_len = chunk_target.min(max_frames - fold.frames) as usize;
+    let mut stopped = !keep_going(&fold, &budget, extra_stop);
+    while !stopped {
         let base = fold.frames;
-        results.clear();
-        results.resize(chunk_len, FrameStats::default());
-        let per_worker = chunk_len.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((w, slice), ws) in results
-                .chunks_mut(per_worker)
-                .enumerate()
-                .zip(workspaces.iter_mut())
-            {
-                let first = base + (w * per_worker) as u64;
-                scope.spawn(move || {
-                    // Each worker walks its slice in batch-width chunks;
-                    // per-frame purity makes the grouping invisible in
-                    // the results.
-                    let mut i = 0;
-                    while i < slice.len() {
-                        let len = (slice.len() - i).min(width);
-                        target.eval_frames_each(
-                            ws,
-                            ebn0_db,
-                            seed,
-                            first + i as u64,
-                            &mut slice[i..i + len],
-                        );
-                        i += len;
+        let end = base + round.min(budget.max_frames - base);
+        // Item `k` is the round's `k`-th batch. The fold checks the stop
+        // rules after every frame and skips the frames past the stop, so
+        // neither batching nor scheduling can move a stopping decision.
+        par::ordered(
+            &mut workspaces,
+            (end - base).div_ceil(width) as usize,
+            |ws, k| {
+                let first = base + k as u64 * width;
+                let len = (end - first).min(width) as usize;
+                let mut out = [FrameStats::default(); MAX_LANES];
+                target.eval_frames_each(ws, ebn0_db, seed, first, &mut out[..len]);
+                (out, len)
+            },
+            |_, (out, len)| {
+                for frame_stats in &out[..len] {
+                    if stopped {
+                        break;
                     }
-                });
-            }
-        });
-        for frame_stats in &results {
-            fold.merge(frame_stats);
-            if !keep_going(&fold, &budget, extra_stop) {
-                break 'mc;
-            }
-        }
+                    fold.merge(frame_stats);
+                    stopped = !keep_going(&fold, &budget, extra_stop);
+                }
+                ControlFlow::Continue(())
+            },
+        );
     }
     BerEstimate::from_stats(fold)
 }
@@ -982,11 +943,11 @@ pub fn fill_frame_llrs(llr: &mut [f64], sigma: f64, seed: u64, frame: u64) {
     }
 }
 
-/// Monte-Carlo BER of `target` at `ebn0_db`, fanning frames out over all
-/// available cores. Bit-identical to a serial run at the same options
-/// (see the module docs).
+/// Monte-Carlo BER of `target` at `ebn0_db`, fanning frames out over
+/// [`par::threads`] workers. Bit-identical to a serial run at the same
+/// options (see the module docs).
 pub fn simulate_ber(target: &dyn BerTarget, ebn0_db: f64, opts: &BerSimOptions) -> BerEstimate {
-    simulate_ber_with_threads(target, ebn0_db, opts, auto_threads())
+    simulate_ber_with_threads(target, ebn0_db, opts, par::threads())
 }
 
 /// [`simulate_ber`] with an explicit worker-thread count (1 = the serial
@@ -1022,7 +983,7 @@ pub fn ber_curve(
     grid: &[f64],
     opts: &BerSimOptions,
 ) -> Vec<(f64, BerEstimate)> {
-    ber_curve_with_threads(target, grid, opts, auto_threads())
+    ber_curve_with_threads(target, grid, opts, par::threads())
 }
 
 /// [`ber_curve`] with an explicit worker-thread count.
@@ -1380,7 +1341,7 @@ fn ci_classified(fold: &FrameStats, target_ber: f64, ci_z: f64) -> bool {
 }
 
 /// Searches the smallest Eb/N0 at which `target` reaches `target_ber`,
-/// fanning work out over all available cores. See [`SearchConfig`] for
+/// fanning work out over [`par::threads`] workers. See [`SearchConfig`] for
 /// the strategies; results are deterministic and thread-count invariant
 /// for every strategy.
 ///
@@ -1394,7 +1355,7 @@ pub fn search_required_ebn0(
     opts: &BerSimOptions,
     search: &SearchConfig,
 ) -> SearchReport {
-    search_required_ebn0_with_threads(target, target_ber, opts, search, auto_threads())
+    search_required_ebn0_with_threads(target, target_ber, opts, search, par::threads())
 }
 
 /// [`search_required_ebn0`] with an explicit worker-thread count.
@@ -1542,29 +1503,22 @@ fn concurrent_bisection(
         // No point probing finer than the remaining bracket needs.
         let useful = ((hi - lo) / search.tol_db).ceil() as usize;
         let k = search.probes_per_round.min(useful.saturating_sub(1)).max(1);
-        let mut round: Vec<(f64, Option<BerEstimate>)> = (1..=k)
-            .map(|i| (lo + (hi - lo) * i as f64 / (k + 1) as f64, None))
+        let points: Vec<f64> = (1..=k)
+            .map(|i| lo + (hi - lo) * i as f64 / (k + 1) as f64)
             .collect();
-        let probe_threads = (threads / k).max(1);
-        std::thread::scope(|scope| {
-            for slot in round.iter_mut() {
-                let ebn0_db = slot.0;
-                let classify = &classify;
-                scope.spawn(move || {
-                    slot.1 = Some(classify(ebn0_db, probe_threads));
-                });
-            }
-        });
-        let round: Vec<(f64, BerEstimate)> = round
-            .into_iter()
-            .map(|(e, est)| (e, est.expect("probe thread completed")))
-            .collect();
-        for &(ebn0_db, est) in &round {
-            report.record(ebn0_db, est);
-        }
+        par::ordered(
+            &mut vec![(); threads.clamp(1, k)],
+            k,
+            |_, i| classify(points[i], (threads / k).max(1)),
+            |i, est| {
+                report.record(points[i], est);
+                ControlFlow::Continue(())
+            },
+        );
         // Monotone-BER bracket update: the leftmost at-or-below-target
         // probe becomes the new hi; its left neighbour (above target by
         // leftmost-ness) the new lo.
+        let round = &report.curve[report.curve.len() - k..];
         match round.iter().position(|&(_, est)| est.ber <= target_ber) {
             Some(i) => {
                 hi = round[i].0;

@@ -21,8 +21,8 @@
 //! * [`traffic`] — the [`traffic::TrafficPattern`] generators (uniform,
 //!   hotspot, transpose, bit-reversal, nearest-neighbour), all
 //!   seed-deterministic.
-//! * [`mod@sweep`] — multi-replication latency-vs-rate sweeps fanned out over
-//!   scoped threads, bit-identical at any thread count, reporting
+//! * [`mod@sweep`] — multi-replication latency-vs-rate sweeps fanned out by
+//!   `wi_num::par::ordered`, bit-identical at any thread count, reporting
 //!   mean/stderr/saturation-knee per rate.
 //! * [`fault`] — per-link error injection ([`fault::LinkErrorModel`]) and
 //!   ARQ recovery ([`fault::ArqConfig`]): seed-deterministic per-hop
@@ -48,8 +48,8 @@ use traffic::TrafficKind;
 pub use engine::Engine;
 pub use fault::{ArqConfig, BurstModel, FaultConfig, LinkErrorModel};
 pub use sweep::{
-    sweep, sweep_engine, sweep_engine_with_threads, sweep_policies, sweep_serial,
-    sweep_with_threads, RatePoint, SweepConfig, SweepResult,
+    sweep, sweep_engine, sweep_engine_with_threads, sweep_policies, sweep_with_threads, RatePoint,
+    SweepConfig, SweepResult,
 };
 
 /// Service-time distribution of the link servers.

@@ -6,12 +6,13 @@
 //! replications**, and the saturation knee of the resulting curve. Every
 //! replication derives its own seed from the master seed via
 //! [`derive_seed`] (stream = flat task index), so the work can be fanned
-//! out across scoped threads in any order and at any thread count while
+//! out across threads in any order and at any thread count while
 //! staying **bit-identical** to the serial path — the same contract
-//! `wi_ldpc::ber::simulate_ber` keeps for Monte-Carlo BER. The
-//! fan-out uses `std::thread::scope` directly (no `rayon` in the build
-//! environment); each worker owns one reusable [`Engine`], so the only
-//! per-task cost beyond simulation is writing one [`DesResult`] slot.
+//! `wi_ldpc::ber::simulate_ber` keeps for Monte-Carlo BER. The fan-out is
+//! [`wi_num::par::ordered`]: workers claim replications one at a time,
+//! so a slow near-knee replication holds up only its own worker, and
+//! each worker owns one reusable [`Engine`]. Results fold into the
+//! per-rate accumulators in task order.
 //!
 //! The **saturation knee** is the first rate whose point either failed a
 //! majority of its replications (event-limit overruns — the DES symptom
@@ -22,10 +23,12 @@
 //! when short runs still drain within the event budget.
 
 use super::engine::Engine;
-use super::{DesConfig, DesResult};
+use super::DesConfig;
 use crate::routing::RoutingKind;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
+use wi_num::par;
 use wi_num::rng::derive_seed;
 use wi_num::stats::Running;
 
@@ -89,25 +92,8 @@ pub struct SweepResult {
     pub saturation_knee: Option<f64>,
 }
 
-/// Threads used by the auto-parallel entry point: the `WI_TEST_THREADS`
-/// environment variable when set to a positive integer (the CI matrix
-/// runs the suite at 1 and 4 to exercise the thread-invariance contract
-/// end to end), otherwise all available cores.
-fn auto_threads() -> usize {
-    if let Ok(s) = std::env::var("WI_TEST_THREADS") {
-        if let Ok(n) = s.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs the sweep, fanning replications out over all available cores.
-/// Bit-identical to [`sweep_serial`] at the same configuration.
+/// Runs the sweep, fanning replications out over [`par::threads`]
+/// workers. Bit-identical to `sweep_with_threads(topo, config, 1)`.
 ///
 /// # Example
 ///
@@ -136,12 +122,7 @@ fn auto_threads() -> usize {
 ///
 /// See [`sweep_with_threads`].
 pub fn sweep(topo: &Topology, config: &SweepConfig) -> SweepResult {
-    sweep_with_threads(topo, config, auto_threads())
-}
-
-/// Serial reference path of [`sweep`] (single thread, no fan-out).
-pub fn sweep_serial(topo: &Topology, config: &SweepConfig) -> SweepResult {
-    sweep_with_threads(topo, config, 1)
+    sweep_with_threads(topo, config, par::threads())
 }
 
 /// [`sweep`] with an explicit worker-thread count.
@@ -159,7 +140,7 @@ pub fn sweep_with_threads(topo: &Topology, config: &SweepConfig, threads: usize)
 }
 
 /// Runs the sweep on clones of a caller-built prototype engine, fanning
-/// replications out over all available cores — the entry point for
+/// replications out over [`par::threads`] workers — the entry point for
 /// engines around custom route tables ([`Engine::with_table`]): pillar
 /// meshes and hybrid wired+wireless boards from [`crate::icdb`], whose
 /// tables [`sweep`] could not rebuild from a policy alone.
@@ -168,7 +149,7 @@ pub fn sweep_with_threads(topo: &Topology, config: &SweepConfig, threads: usize)
 ///
 /// See [`sweep_engine_with_threads`].
 pub fn sweep_engine(proto: &Engine, config: &SweepConfig) -> SweepResult {
-    sweep_engine_with_threads(proto, config, auto_threads())
+    sweep_engine_with_threads(proto, config, par::threads())
 }
 
 /// [`sweep_engine`] with an explicit worker-thread count. Bit-identical
@@ -202,68 +183,45 @@ pub fn sweep_engine_with_threads(
     );
 
     let reps = config.replications;
-    let tasks: Vec<DesConfig> = config
-        .rates
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, &rate)| {
-            (0..reps).map(move |rep| DesConfig {
-                injection_rate: rate,
-                seed: derive_seed(config.base.seed, (ri * reps + rep) as u64),
+    let tasks = config.rates.len() * reps;
+    // Per rate: the completed replications' latencies, retries, drops.
+    let mut acc = vec![(Running::new(), 0, 0); config.rates.len()];
+    // Task `i` is replication `i % reps` of rate `i / reps`, seeded by its
+    // flat index; one engine per worker for the whole sweep.
+    par::ordered(
+        &mut vec![proto.clone(); threads.clamp(1, tasks)],
+        tasks,
+        |engine, i| {
+            engine.run(&DesConfig {
+                injection_rate: config.rates[i / reps],
+                seed: derive_seed(config.base.seed, i as u64),
                 ..config.base
             })
-        })
-        .collect();
-
-    let mut results: Vec<Option<DesResult>> = vec![None; tasks.len()];
-    let threads = threads.clamp(1, tasks.len());
-    if threads <= 1 {
-        let mut engine = proto.clone();
-        for (slot, cfg) in results.iter_mut().zip(&tasks) {
-            *slot = Some(engine.run(cfg));
-        }
-    } else {
-        let per_worker = tasks.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slots, cfgs) in results.chunks_mut(per_worker).zip(tasks.chunks(per_worker)) {
-                scope.spawn(move || {
-                    // One engine per worker for the whole sweep.
-                    let mut engine = proto.clone();
-                    for (slot, cfg) in slots.iter_mut().zip(cfgs) {
-                        *slot = Some(engine.run(cfg));
-                    }
-                });
-            }
-        });
-    }
-
-    // Serial fold in task order — the thread count cannot affect anything
-    // from here on.
-    let mut points = Vec::with_capacity(config.rates.len());
-    for (ri, &rate) in config.rates.iter().enumerate() {
-        let mut acc = Running::new();
-        let mut completed = 0usize;
-        let mut retries = 0u64;
-        let mut dropped = 0usize;
-        for rep in 0..reps {
-            let r = results[ri * reps + rep].expect("every task ran");
+        },
+        |i, r| {
+            let (latency, retries, dropped) = &mut acc[i / reps];
             if r.completed {
-                acc.push(r.mean_latency);
-                completed += 1;
+                latency.push(r.mean_latency);
             }
-            retries += r.retries;
-            dropped += r.dropped;
-        }
-        points.push(RatePoint {
+            *retries += r.retries;
+            *dropped += r.dropped;
+            ControlFlow::Continue(())
+        },
+    );
+    let points: Vec<RatePoint> = config
+        .rates
+        .iter()
+        .zip(acc)
+        .map(|(&rate, (latency, retries, dropped))| RatePoint {
             rate,
-            mean_latency: acc.mean(),
-            stderr: acc.stderr(),
-            completed,
+            mean_latency: latency.mean(),
+            stderr: latency.stderr(),
+            completed: latency.count() as usize,
             replications: reps,
             retries,
             dropped,
-        });
-    }
+        })
+        .collect();
 
     let baseline = points
         .iter()
@@ -333,7 +291,7 @@ mod tests {
     fn parallel_sweep_matches_serial_bit_for_bit() {
         let topo = Topology::mesh2d(4, 4);
         let cfg = SweepConfig::new(vec![0.05, 0.2, 0.5, 0.9], 3, quick_base(0x5EED));
-        let serial = sweep_serial(&topo, &cfg);
+        let serial = sweep_with_threads(&topo, &cfg, 1);
         for threads in [2, 3, 8, 64] {
             let par = sweep_with_threads(&topo, &cfg, threads);
             assert_eq!(serial, par, "thread count {threads} changed the sweep");
@@ -413,7 +371,7 @@ mod tests {
                 ..quick_base(0xFA17)
             },
         );
-        let serial = sweep_serial(&topo, &cfg);
+        let serial = sweep_with_threads(&topo, &cfg, 1);
         assert!(
             serial.points.iter().all(|p| p.retries > 0),
             "faulty sweep must record retries"

@@ -14,6 +14,8 @@
 //!   4-ASK capacity curve).
 //! * [`optimize`] — a dependency-free Nelder–Mead simplex optimizer (ISI
 //!   filter design).
+//! * [`par`] — the ordered thread fan-out behind every parallel
+//!   Monte-Carlo and sweep path, and the one worker-count source.
 //! * [`rng`] — Box–Muller Gaussian sampling on top of any [`rand::Rng`].
 //! * [`db`] — decibel/linear/dBm conversions used throughout the link budget.
 //! * [`fit`] — ordinary least squares line fitting (pathloss exponent fits).
@@ -35,6 +37,7 @@ pub mod fft;
 pub mod fit;
 pub mod integrate;
 pub mod optimize;
+pub mod par;
 pub mod rng;
 pub mod special;
 pub mod stats;

@@ -164,16 +164,16 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         &["spec", "store", "threads", "max-cells", "out"],
         &["quick"],
     )?;
-    let spec = load_spec(opts.require("spec")?, opts.has("quick"))?;
-    let mut store = open_store(&opts)?;
     let run_opts = RunOptions {
-        threads: opts.parsed("threads")?.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
+        threads: match opts.parsed("threads")? {
+            Some(0) => return Err(format!("--threads must be at least 1\n{USAGE}")),
+            Some(n) => n,
+            None => wi_num::par::threads(),
+        },
         max_cells: opts.parsed("max-cells")?,
     };
+    let spec = load_spec(opts.require("spec")?, opts.has("quick"))?;
+    let mut store = open_store(&opts)?;
     let summary = run(&spec, &mut store, &run_opts).map_err(|e| e.to_string())?;
     eprintln!(
         "sweep `{}`: {} cells, {} cached, {} executed{}; frame cache {} hits / {} misses",

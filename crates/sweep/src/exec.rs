@@ -8,8 +8,10 @@
 //!   eval)` — inner Monte-Carlo runs use the `derive_seed` discipline
 //!   and are thread-invariant, and the executor pins them to one inner
 //!   thread per cell (parallelism comes from cell fan-out);
-//! * workers claim cells from an atomic counter — *which* worker runs a
-//!   cell affects nothing but wall-clock;
+//! * workers claim cells through [`wi_num::par::ordered`] — *which*
+//!   worker runs a cell affects nothing but wall-clock — and results are
+//!   stored in expansion order, so the store's `cells-*.jsonl` shards
+//!   are byte-identical at any thread count;
 //! * [`fold`] renders exclusively from stored records in expansion
 //!   order, so the folded output is byte-identical at any thread count
 //!   and any interruption/resume schedule (the resume proptest kills a
@@ -20,13 +22,14 @@ use crate::json::{obj, Json};
 use crate::spec::{cell_key, coding_target_hash, Cell, EvalSpec, SweepSpec};
 use crate::store::{CellKey, CellRecord, ResultStore};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 use wi_ldpc::ber::{
     search_required_ebn0_with_threads, BerSimOptions, CachedBerTarget, CoupledBerTarget,
     SearchOutcome, SearchReport,
 };
 use wi_noc::des::{sweep_with_threads, DesConfig, SweepConfig, SweepResult};
+use wi_num::par;
 
 /// Executor knobs.
 #[derive(Clone, Copy, Debug)]
@@ -41,9 +44,7 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: par::threads(),
             max_cells: None,
         }
     }
@@ -110,9 +111,10 @@ impl From<std::io::Error> for RunError {
 
 /// Expands `spec`, executes every cell not already stored (up to
 /// `opts.max_cells`), and returns what happened. Results land in
-/// `store` as they complete — killing the process mid-run loses at
-/// most the cells in flight, and a later `run` picks up exactly where
-/// this one stopped.
+/// `store` in expansion order, each as soon as every earlier cell's has
+/// — killing the process mid-run loses the cells in flight plus any
+/// finished cells queued behind an unfinished earlier one, and a later
+/// `run` recomputes exactly those.
 pub fn run(
     spec: &SweepSpec,
     store: &mut ResultStore,
@@ -145,33 +147,20 @@ pub fn run(
         Ok(cache)
     };
 
-    let next = AtomicUsize::new(0);
-    let sink: Mutex<(&mut ResultStore, Option<std::io::Error>)> = Mutex::new((store, None));
-    let threads = opts.threads.max(1).min(batch.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = batch.get(i) else { break };
-                let record = match evaluate(cell, &spec.eval, &cache_for) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let mut sink = sink.lock().unwrap();
-                        sink.1.get_or_insert(e);
-                        break;
-                    }
-                };
-                let mut sink = sink.lock().unwrap();
-                if let Err(e) = sink.0.put(record) {
-                    sink.1.get_or_insert(e);
-                    break;
-                }
-            });
-        }
-    });
-    if let Some(e) = sink.into_inner().unwrap().1 {
-        return Err(RunError::Io(e));
-    }
+    let mut stored = Ok(());
+    par::ordered(
+        &mut vec![(); opts.threads.max(1)],
+        batch.len(),
+        |_, i| evaluate(batch[i], &spec.eval, &cache_for),
+        |_, record| {
+            stored = record.and_then(|r| store.put(r));
+            match stored {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(_) => ControlFlow::Break(()),
+            }
+        },
+    );
+    stored?;
 
     let (mut frame_hits, mut frame_misses) = (0, 0);
     for cache in caches.into_inner().unwrap().values() {

@@ -34,6 +34,57 @@ fn spec() -> SweepSpec {
     }
 }
 
+/// Every `cells-*.jsonl` shard of the store at `dir`, sorted by name.
+fn cell_shards(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut shards: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_string();
+            name.starts_with("cells-")
+                .then(|| (name, std::fs::read(&path).unwrap()))
+        })
+        .collect();
+    shards.sort();
+    shards
+}
+
+/// Records land in expansion order, so a run writes the same bytes into
+/// every cell shard at any thread count. Only cell shards are compared:
+/// the frame caches of `ebn0_search` cells (none here) are appended
+/// concurrently by the inner searches of different cells.
+#[test]
+fn cell_shards_are_byte_identical_at_any_thread_count() {
+    let spec = SweepSpec {
+        axes: vec![
+            spec().axes[0].clone(),
+            Axis {
+                field: "routing".into(),
+                values: vec!["dor".into(), "o1turn".into()],
+            },
+        ],
+        seeds: vec![1, 2, 3, 4],
+        ..spec()
+    };
+    let mut stores = Vec::new();
+    for threads in [1, 4] {
+        let dir =
+            std::env::temp_dir().join(format!("wi_sweep_shards_{}_{threads}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ResultStore::open(&dir).unwrap();
+        let opts = RunOptions {
+            threads,
+            max_cells: None,
+        };
+        assert_eq!(run(&spec, &mut store, &opts).unwrap().executed, 24);
+        drop(store);
+        stores.push(cell_shards(&dir));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(stores[0].len() > 1, "the spec must span several shards");
+    assert_eq!(stores[0], stores[1]);
+}
+
 /// The fresh single-shot fold every interrupted schedule must match.
 fn expected() -> &'static str {
     static EXPECTED: OnceLock<String> = OnceLock::new();

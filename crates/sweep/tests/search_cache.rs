@@ -1,12 +1,17 @@
 //! Acceptance check for the frame-evaluation store: a fig10-style
 //! required-Eb/N0 search run twice against the same on-disk store must
-//! serve at least 90 % of frame evaluations from the store on the
-//! second run (in practice: all of them) and produce a byte-identical
-//! `SearchReport` rendering — the cache may change wall-clock only,
-//! never a number.
+//! serve every frame evaluation of the second run from the store and
+//! produce a byte-identical `SearchReport` rendering — the cache may
+//! change wall-clock only, never a number.
+//!
+//! Zero warm misses holds because the BER driver evaluates the same
+//! frames on every run at a given thread count: its fixed fan-out rounds
+//! make the speculative frames past an early stop independent of thread
+//! timing. Both the serial and a threaded driver are pinned.
 
 use wi_ldpc::ber::{
-    search_required_ebn0, BerSimOptions, CachedBerTarget, CoupledBerTarget, SearchConfig,
+    search_required_ebn0_with_threads, BerSimOptions, CachedBerTarget, CoupledBerTarget,
+    SearchConfig,
 };
 use wi_ldpc::decoder::CheckRule;
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
@@ -14,7 +19,7 @@ use wi_sweep::exec::render_search_report;
 use wi_sweep::{coupled_target_hash, StoreFrameCache};
 
 #[test]
-fn second_search_through_the_store_hits_90_percent_and_renders_identically() {
+fn second_search_through_the_store_misses_nothing_and_renders_identically() {
     let (n, window, iters) = (15usize, 4usize, 12usize);
     let check_rule = CheckRule::min_sum();
     // fig10 conventions: termination length 20, code seed 0xCC00 + n.
@@ -31,36 +36,42 @@ fn second_search_through_the_store_hits_90_percent_and_renders_identically() {
         tol_db: 0.5,
         ..SearchConfig::default()
     };
-    let dir = std::env::temp_dir().join(format!("wi_sweep_fig10_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let hash = coupled_target_hash(n, window, iters, &check_rule);
 
-    let mut runs = Vec::new();
-    for _ in 0..2 {
-        // A fresh target, workspace and cache each time — only the
-        // store directory persists between "processes".
-        let cache = StoreFrameCache::open(&dir, hash).unwrap();
-        let decoder = WindowDecoder::new(window, iters).with_rule(check_rule);
-        let target = CoupledBerTarget::new(&code, decoder).with_batch(4);
-        let cached = CachedBerTarget::new(&target, &cache);
-        let report = search_required_ebn0(&cached, 1e-2, &opts, &search);
-        runs.push((render_search_report(&report), cache.counters()));
-    }
+    let mut texts = Vec::new();
+    for threads in [1, 4] {
+        let dir =
+            std::env::temp_dir().join(format!("wi_sweep_fig10_{}_{threads}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            // A fresh target, workspace and cache each time — only the
+            // store directory persists between "processes".
+            let cache = StoreFrameCache::open(&dir, hash).unwrap();
+            let decoder = WindowDecoder::new(window, iters).with_rule(check_rule);
+            let target = CoupledBerTarget::new(&code, decoder).with_batch(4);
+            let cached = CachedBerTarget::new(&target, &cache);
+            let report = search_required_ebn0_with_threads(&cached, 1e-2, &opts, &search, threads);
+            runs.push((render_search_report(&report), cache.counters()));
+        }
 
-    let (cold_text, (cold_hits, cold_misses)) = &runs[0];
-    let (warm_text, (warm_hits, warm_misses)) = &runs[1];
-    assert_eq!(*cold_hits, 0, "nothing to hit on the first run");
-    assert!(*cold_misses > 0);
-    let warm_rate = *warm_hits as f64 / (*warm_hits + *warm_misses) as f64;
-    assert!(
-        warm_rate >= 0.90,
-        "second run must be >=90% store-served, got {warm_rate:.3} \
-         ({warm_hits} hits / {warm_misses} misses)"
-    );
-    assert_eq!(
-        cold_text, warm_text,
-        "cached search must render byte-identically"
-    );
-    assert!(cold_text.contains("\"outcome\""));
-    std::fs::remove_dir_all(&dir).unwrap();
+        let (cold_text, (cold_hits, cold_misses)) = &runs[0];
+        let (warm_text, (warm_hits, warm_misses)) = &runs[1];
+        assert_eq!(*cold_hits, 0, "nothing to hit on the first run");
+        assert!(*cold_misses > 0);
+        assert_eq!(
+            *warm_misses, 0,
+            "second run at {threads} threads must be fully store-served \
+             ({warm_hits} hits / {warm_misses} misses)"
+        );
+        assert!(*warm_hits > 0);
+        assert_eq!(
+            cold_text, warm_text,
+            "cached search must render byte-identically"
+        );
+        assert!(cold_text.contains("\"outcome\""));
+        texts.push(cold_text.clone());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert_eq!(texts[0], texts[1], "the search must be thread-invariant");
 }

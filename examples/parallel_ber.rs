@@ -58,8 +58,8 @@ fn main() {
         assert_eq!(par, serial, "parallel run diverged from serial");
     }
     println!(
-        "\n{} hardware threads available on this host; speedup tracks the",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        "\n{} worker threads by default on this host; speedup tracks the",
+        wireless_interconnect::num::par::threads()
     );
     println!("core count because frames are independent and workspaces are per-worker.");
 }

@@ -230,9 +230,12 @@ fn bench_ldpc(c: &mut Criterion) {
         b.iter(|| wd.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
     });
     // Batched window decoding: 8 frames slide the window in lockstep
-    // (fixed iteration schedule — no masking needed; divide by 8 for the
-    // per-frame cost). Min-sum is the rule the batch path exists to
-    // accelerate, so the scalar/batched pair is measured on it.
+    // (divide by 8 for the per-frame cost). Each iteration recomputes a
+    // check only on lanes whose inputs changed and a position stops at
+    // its fixed point, which saves the most under the transcendental
+    // exact rule and the φ-table rule; min-sum, vectorized across lanes,
+    // gains the least. The scalar/batched pair is measured on min-sum,
+    // and the batched decoder under all three rules.
     let wd_ms = WindowDecoder::new(4, 20).with_rule(CheckRule::min_sum());
     c.bench_function("window_decode_minsum_n25_l10", |b| {
         b.iter(|| wd_ms.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
@@ -248,14 +251,24 @@ fn bench_ldpc(c: &mut Criterion) {
         })
         .collect();
     let mut wbws = WindowBatchWorkspace::new(cc.code(), 8);
-    c.bench_function("window_decode_batch8_n25_l10", |b| {
-        b.iter(|| {
-            for (lane, llr) in cc_frames.iter().enumerate() {
-                wbws.set_lane_llr(lane, black_box(llr));
-            }
-            wd_ms.decode_batch(&mut wbws, &cc);
-        })
-    });
+    for (name, rule) in [
+        ("window_decode_batch8_n25_l10", CheckRule::min_sum()),
+        ("window_decode_exact_batch8_n25_l10", CheckRule::SumProduct),
+        (
+            "window_decode_table_batch8_n25_l10",
+            CheckRule::sum_product_table(),
+        ),
+    ] {
+        let wd_batch = WindowDecoder::new(4, 20).with_rule(rule);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for (lane, llr) in cc_frames.iter().enumerate() {
+                    wbws.set_lane_llr(lane, black_box(llr));
+                }
+                wd_batch.decode_batch(&mut wbws, &cc);
+            })
+        });
+    }
 }
 
 fn bench_ber(c: &mut Criterion) {

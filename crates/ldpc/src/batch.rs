@@ -22,13 +22,28 @@
 //!   function of `(channel, c2v)`; a converged lane therefore only needs
 //!   its posterior/hard **writes** masked (a conditional select of the
 //!   old value — never an arithmetic blend, which would rewrite `-0.0`
-//!   to `+0.0`). The check kernels themselves run unmasked: a frozen
-//!   lane's messages keep updating but are never observed again.
-//! * **No masking needed** ([`WindowDecoder::decode_batch`]): the window
-//!   decoder runs a *fixed* iteration count with a lane-independent
-//!   schedule (activation, window sweep, decide-and-pin are structurally
-//!   identical across lanes), so a straight lane-wise transcription of
-//!   the scalar operation sequence is already bit-identical.
+//!   to `+0.0`). The check kernels take the active lanes as their mask:
+//!   a frozen lane's messages are never observed again, so it stops
+//!   paying for `tanh`/`atanh` or φ lookups.
+//! * **Recompute only what changed** ([`WindowDecoder::decode_batch`]):
+//!   the window decoder runs a *fixed* iteration count with a
+//!   lane-independent schedule (activation, window sweep, decide-and-pin
+//!   are structurally identical across lanes), and decided blocks are
+//!   pinned at `±LLR_CLAMP`, so many checks see the same inputs
+//!   iteration after iteration. A check's c2v is a pure function of its
+//!   v2c inputs, so the decoder keeps `seen`, per edge and lane, the v2c
+//!   value the current c2v was computed from, and recomputes a check
+//!   only on lanes where some input differs from it bit for bit
+//!   (`kernel::changed_lanes_batch`). An activated check has its c2v
+//!   cleared and `seen` set to `+∞`, which no clamped v2c can equal.
+//!   A flooding iteration is a pure function of the v2c array, so once
+//!   no check changed on any lane the position has reached its fixed
+//!   point, and the remaining iterations are skipped. The first
+//!   iteration of a position always runs: under the reuse schedule the
+//!   inputs can be unchanged while the posterior still has to take in
+//!   the block pinned at the previous position. Skipped work would have
+//!   produced the same bits, so every lane stays bit-identical to the
+//!   scalar decoder, which runs every iteration and stays the oracle.
 //!
 //! The BER layer ([`crate::ber`]) drives these decoders through
 //! `BerTarget::eval_frames_each` in chunks of the target's batch width
@@ -40,8 +55,8 @@ use crate::decoder::{
     update_checks_batch, BpDecoder, CheckRule, DecodeStatus, DecoderWorkspace, LLR_CLAMP,
 };
 use crate::kernel::{
-    clamp_batch, gather_clamp_batch, hard_decisions_batch, masked_commit_batch, scatter_add_batch,
-    v2c_update_batch, PhiTable,
+    changed_lanes_batch, clamp_batch, gather_clamp_batch, hard_decisions_batch,
+    masked_commit_batch, scatter_add_batch, v2c_update_batch, PhiTable,
 };
 use crate::window::{CoupledCode, WindowDecoder};
 
@@ -122,6 +137,9 @@ pub struct BatchWorkspace {
     post_new: Vec<f64>,
     /// Hard decisions as per-variable lane bitmasks (bit `l` = lane `l`).
     hard: Vec<u8>,
+    /// Per-check lane masks handed to the check kernels: the active
+    /// lanes, so converged lanes stop recomputing their messages.
+    masks: Vec<u8>,
     /// Check-kernel scratch, `[degree][lane]`.
     scratch: Vec<f64>,
     /// Sum-product forward partial products, `[degree + 1][lane]`.
@@ -171,6 +189,7 @@ impl BatchWorkspace {
         self.posterior.resize(n * lanes, 0.0);
         self.post_new.resize(n * lanes, 0.0);
         self.hard.resize(n, 0);
+        self.masks.resize(code.num_checks(), 0);
         self.scratch.resize(d * lanes, 0.0);
         self.fwd.resize((d + 1) * lanes, 1.0);
         self.scalar.ensure(code);
@@ -286,6 +305,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let posterior = chunks_mut::<L>(&mut ws.posterior);
     let post_new = chunks_mut::<L>(&mut ws.post_new);
     let hard = &mut ws.hard[..];
+    let masks = &mut ws.masks[..];
     let scratch = chunks_mut::<L>(&mut ws.scratch);
     let fwd = chunks_mut::<L>(&mut ws.fwd);
 
@@ -325,12 +345,15 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
             }
         }
 
-        // Check update runs unmasked: frozen lanes' messages drift but
-        // are never observed (posterior/hard below select the old value).
+        // Check update on the active lanes only: frozen lanes' c2v stay
+        // as they were and are never observed again (posterior/hard below
+        // select the old value), so they stop paying for the kernel.
+        masks.fill(active);
         update_checks_batch::<L>(
             offsets,
             0,
             n_checks,
+            masks,
             config.check_rule,
             &ws.phi,
             v2c,
@@ -394,6 +417,13 @@ pub struct WindowBatchWorkspace {
     v2c: Vec<f64>,
     /// Check-to-variable messages, `[edge][lane]`.
     c2v: Vec<f64>,
+    /// The v2c inputs each active check's current c2v was computed from,
+    /// `[edge][lane]`; `+∞` (which no clamped v2c can equal) right after
+    /// activation, when c2v is cleared rather than computed.
+    seen: Vec<f64>,
+    /// Per-check lane masks of the coming check update: lanes whose v2c
+    /// moved since their c2v was computed.
+    masks: Vec<u8>,
     /// Whether each check holds valid persisted messages (lane-shared).
     active: Vec<bool>,
     /// Posterior per variable, `[variable][lane]`.
@@ -438,6 +468,8 @@ impl WindowBatchWorkspace {
         self.llr.resize(n * lanes, 0.0);
         self.v2c.resize(e * lanes, 0.0);
         self.c2v.resize(e * lanes, 0.0);
+        self.seen.resize(e * lanes, f64::INFINITY);
+        self.masks.resize(code.num_checks(), 0);
         self.active.resize(code.num_checks(), false);
         self.posterior.resize(n * lanes, 0.0);
         self.hard.resize(n, 0);
@@ -484,12 +516,12 @@ impl WindowBatchWorkspace {
 
 impl WindowDecoder {
     /// Window-decodes the `ws.lanes()` frames previously loaded with
-    /// [`WindowBatchWorkspace::set_lane_llr`] in SIMD lockstep. The
-    /// window decoder's fixed iteration count and lane-independent
-    /// schedule need no convergence masking: each lane's decisions are
-    /// bit-identical to
+    /// [`WindowBatchWorkspace::set_lane_llr`] in SIMD lockstep. Each
+    /// lane's decisions are bit-identical to
     /// [`decode_in_place`](WindowDecoder::decode_in_place) on that
-    /// lane's LLRs.
+    /// lane's LLRs, although a check is recomputed only on lanes whose
+    /// inputs changed and a window position ends at its fixed point (see
+    /// the module docs).
     ///
     /// # Panics
     ///
@@ -515,7 +547,8 @@ impl WindowDecoder {
 }
 
 /// Monomorphized batched window decode: the scalar
-/// [`WindowDecoder::decode_in_place`] operation sequence per lane.
+/// [`WindowDecoder::decode_in_place`] operation sequence per lane, less
+/// the check updates whose inputs did not change.
 fn window_decode_batch_impl<const L: usize>(
     decoder: &WindowDecoder,
     code: &CoupledCode,
@@ -530,6 +563,8 @@ fn window_decode_batch_impl<const L: usize>(
     let llr = chunks_mut::<L>(&mut ws.llr);
     let v2c = chunks_mut::<L>(&mut ws.v2c);
     let c2v = chunks_mut::<L>(&mut ws.c2v);
+    let seen = chunks_mut::<L>(&mut ws.seen);
+    let masks = &mut ws.masks[..];
     let posterior = chunks_mut::<L>(&mut ws.posterior);
     let active = &mut ws.active[..];
     let hard = &mut ws.hard[..];
@@ -547,7 +582,8 @@ fn window_decode_batch_impl<const L: usize>(
         }
 
         // Activate newly entered checks: v2c from the current working
-        // LLRs, c2v cleared.
+        // LLRs, c2v cleared — computed from no input, so `seen` is set to
+        // a value no v2c can take.
         for c in check_lo..check_hi {
             if !active[c] {
                 active[c] = true;
@@ -555,17 +591,29 @@ fn window_decode_batch_impl<const L: usize>(
                 let hi = offsets[c + 1] as usize;
                 gather_clamp_batch(&edge_var[lo..hi], llr, &mut v2c[lo..hi]);
                 c2v[lo..hi].fill([0.0; L]);
+                seen[lo..hi].fill([f64::INFINITY; L]);
             }
         }
         let edge_lo = offsets[check_lo] as usize;
         let edge_hi = offsets[check_hi] as usize;
 
         posterior.copy_from_slice(llr);
-        for _ in 0..decoder.iterations {
+        for it in 0..decoder.iterations {
+            // A flooding iteration is a pure function of v2c (the working
+            // LLRs are fixed within a position). Once no check's inputs
+            // moved, the iteration would reproduce the previous one bit
+            // for bit, and so would every later one: stop. The first
+            // iteration always runs, because the posterior still has to
+            // take in the LLRs pinned since the last position.
+            let changed = changed_lanes_batch(offsets, check_lo, check_hi, v2c, seen, masks);
+            if changed == 0 && it > 0 {
+                break;
+            }
             update_checks_batch::<L>(
                 offsets,
                 check_lo,
                 check_hi,
+                masks,
                 decoder.check_rule,
                 &ws.phi,
                 v2c,

@@ -247,13 +247,17 @@ pub(crate) fn update_checks(
 
 /// Lane-array counterpart of [`update_checks`] for the inter-frame
 /// batched decoders (`crate::batch`): same per-rule dispatch, with
-/// messages in `[edge][lane]` structure-of-arrays layout. Each lane is
-/// bit-identical to [`update_checks`] on that lane's messages.
+/// messages in `[edge][lane]` structure-of-arrays layout. `masks[c]` is
+/// the lane bitmask of check `c` to recompute; lanes outside it may keep
+/// their c2v (see the batched kernels in [`crate::kernel`]). Each
+/// recomputed lane is bit-identical to [`update_checks`] on that lane's
+/// messages.
 #[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub(crate) fn update_checks_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
+    masks: &[u8],
     rule: CheckRule,
     phi: &PhiTable,
     v2c: &[[f64; L]],
@@ -263,13 +267,17 @@ pub(crate) fn update_checks_batch<const L: usize>(
 ) {
     match rule {
         CheckRule::SumProduct => {
-            kernel::sum_product_exact_batch(offsets, check_lo, check_hi, v2c, c2v, scratch, fwd);
+            kernel::sum_product_exact_batch(
+                offsets, check_lo, check_hi, masks, v2c, c2v, scratch, fwd,
+            );
         }
         CheckRule::SumProductTable { .. } => {
-            kernel::sum_product_table_batch(offsets, check_lo, check_hi, phi, v2c, c2v, scratch);
+            kernel::sum_product_table_batch(
+                offsets, check_lo, check_hi, masks, phi, v2c, c2v, scratch,
+            );
         }
         CheckRule::MinSum { alpha } => {
-            kernel::min_sum_batch(offsets, check_lo, check_hi, alpha, v2c, c2v);
+            kernel::min_sum_batch(offsets, check_lo, check_hi, masks, alpha, v2c, c2v);
         }
     }
 }

@@ -569,6 +569,18 @@ fn min_sum_check8_slices(alpha: f64, m: &[f64], out: &mut [f64]) {
 // branch-free (conditional *selects*, never arithmetic blends — a blend
 // like `m·new + (1−m)·old` would turn `-0.0` into `+0.0` and break
 // bit-identity) so stable-rust LLVM auto-vectorizes them over `[f64; L]`.
+//
+// The three check kernels take per-check lane masks, `masks[c]` bit `l`
+// set when lane `l` of check `c` must be recomputed. A check's c2v is a
+// pure function of its v2c inputs, so a caller that knows a lane's
+// inputs are unchanged since its c2v was computed may leave it out and
+// keep the same bits.
+
+/// A lane bitmask as per-lane flags.
+#[inline]
+fn lane_flags<const L: usize>(mask: u8) -> [bool; L] {
+    core::array::from_fn(|lane| (mask >> lane) & 1 == 1)
+}
 
 /// Lane-array normalized min-sum over checks `check_lo..check_hi`:
 /// the batched counterpart of [`min_sum`], with `v2c`/`c2v` in
@@ -576,15 +588,24 @@ fn min_sum_check8_slices(alpha: f64, m: &[f64], out: &mut [f64]) {
 /// fixed-trip-count fast path (the lane generalization of
 /// [`min_sum_unrolled8`]); every lane is bit-identical to
 /// [`min_sum_scalar`] on that lane's messages.
+///
+/// Checks whose `masks[c]` is empty are skipped and keep their c2v. A
+/// check with any lane set is recomputed on every lane: the kernel is
+/// vectorized across lanes, and an unmasked lane with unchanged inputs
+/// recomputes the value it already holds.
 pub fn min_sum_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
+    masks: &[u8],
     alpha: f64,
     v2c: &[[f64; L]],
     c2v: &mut [[f64; L]],
 ) {
     for c in check_lo..check_hi {
+        if masks[c] == 0 {
+            continue;
+        }
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
         if hi - lo == 8 {
@@ -652,25 +673,38 @@ fn min_sum_check_lanes<const L: usize>(alpha: f64, m: &[[f64; L]], out: &mut [[f
 /// Lane-array exact sum-product over checks `check_lo..check_hi`: the
 /// batched counterpart of [`sum_product_exact`], with forward/backward
 /// `tanh` partial products per lane. The per-lane `tanh`/`atanh` calls
-/// keep this kernel transcendental-bound (it does not vectorize), but
-/// every lane remains bit-identical to the scalar kernel — the batched
-/// path's contract under `CheckRule::SumProduct`. `tanhs`/`fwd` are
-/// scratch of `max_check_degree` (+1 for `fwd`) lane-array entries.
+/// make this kernel transcendental-bound (it does not vectorize), so it
+/// makes them only on the lanes set in `masks[c]`; the other lanes keep
+/// their c2v. Every recomputed lane is bit-identical to the scalar
+/// kernel — the batched path's contract under `CheckRule::SumProduct`.
+/// `tanhs`/`fwd` are scratch of `max_check_degree` (+1 for `fwd`)
+/// lane-array entries.
+#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub fn sum_product_exact_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
+    masks: &[u8],
     v2c: &[[f64; L]],
     c2v: &mut [[f64; L]],
     tanhs: &mut [[f64; L]],
     fwd: &mut [[f64; L]],
 ) {
     for c in check_lo..check_hi {
+        if masks[c] == 0 {
+            continue;
+        }
+        let on = lane_flags::<L>(masks[c]);
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
         let deg = hi - lo;
+        // Skipped lanes keep stale (finite, |t| ≤ 1) scratch, so the
+        // products below stay finite; their results are never stored.
         for (t, mj) in tanhs[..deg].iter_mut().zip(&v2c[lo..hi]) {
             for lane in 0..L {
+                if !on[lane] {
+                    continue;
+                }
                 let m = mj[lane];
                 t[lane] = if m >= TANH_SAT {
                     TANH_CLAMP
@@ -691,8 +725,10 @@ pub fn sum_product_exact_batch<const L: usize>(
         let mut bwd = [1.0f64; L];
         for j in (0..deg).rev() {
             for lane in 0..L {
-                c2v[lo + j][lane] =
-                    (2.0 * (fwd[j][lane] * bwd[lane]).atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
+                if on[lane] {
+                    c2v[lo + j][lane] =
+                        (2.0 * (fwd[j][lane] * bwd[lane]).atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
+                }
                 bwd[lane] *= tanhs[j][lane];
             }
         }
@@ -704,12 +740,15 @@ pub fn sum_product_exact_batch<const L: usize>(
 /// is a per-lane scalar lookup (no hardware gather on stable rust), but
 /// the accumulate/scatter arithmetic around it is lane-parallel; each
 /// lane performs exactly the scalar kernel's evaluation order, so lanes
-/// are bit-identical to [`sum_product_table`]. `phis` is scratch of
-/// `max_check_degree` lane-array entries.
+/// are bit-identical to [`sum_product_table`]. Only the lanes set in
+/// `masks[c]` are looked up and written; the others keep their c2v.
+/// `phis` is scratch of `max_check_degree` lane-array entries.
+#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub fn sum_product_table_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
+    masks: &[u8],
     phi: &PhiTable,
     v2c: &[[f64; L]],
     c2v: &mut [[f64; L]],
@@ -717,6 +756,10 @@ pub fn sum_product_table_batch<const L: usize>(
 ) {
     let floor = phi_gather_floor();
     for c in check_lo..check_hi {
+        if masks[c] == 0 {
+            continue;
+        }
+        let on = lane_flags::<L>(masks[c]);
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
         let deg = hi - lo;
@@ -724,6 +767,9 @@ pub fn sum_product_table_batch<const L: usize>(
         let mut sign_prod = [1.0f64; L];
         for (p, mj) in phis[..deg].iter_mut().zip(&v2c[lo..hi]) {
             for lane in 0..L {
+                if !on[lane] {
+                    continue;
+                }
                 let m = mj[lane];
                 let a = phi.eval(m.abs()).max(floor);
                 p[lane] = a;
@@ -738,6 +784,9 @@ pub fn sum_product_table_batch<const L: usize>(
         for (j, mj) in (0..deg).zip(&v2c[lo..hi]) {
             let oj = &mut c2v[lo + j];
             for lane in 0..L {
+                if !on[lane] {
+                    continue;
+                }
                 let m = mj[lane];
                 // Same domain clamp as the scalar kernel: cancellation
                 // can push the extrinsic φ-sum a hair below zero.
@@ -821,6 +870,43 @@ pub fn v2c_update_batch<const L: usize>(
     }
 }
 
+/// Change detection ahead of a masked check update: for each check in
+/// `check_lo..check_hi`, sets `masks[c]` bit `l` when any of the check's
+/// v2c messages on lane `l` differs bit for bit from `seen`, the inputs
+/// its current c2v was computed from, then copies `v2c` into `seen` for
+/// the coming update. Bits, not values, are compared, so `-0.0` against
+/// `+0.0` counts as a change. Returns the union of the masks: zero when
+/// no check changed.
+#[inline(never)]
+pub(crate) fn changed_lanes_batch<const L: usize>(
+    offsets: &[u32],
+    check_lo: usize,
+    check_hi: usize,
+    v2c: &[[f64; L]],
+    seen: &mut [[f64; L]],
+    masks: &mut [u8],
+) -> u8 {
+    let mut any = 0u8;
+    for c in check_lo..check_hi {
+        let lo = offsets[c] as usize;
+        let hi = offsets[c + 1] as usize;
+        let mut diff = [0u64; L];
+        for (m, s) in v2c[lo..hi].iter().zip(&mut seen[lo..hi]) {
+            for lane in 0..L {
+                diff[lane] |= m[lane].to_bits() ^ s[lane].to_bits();
+            }
+            *s = *m;
+        }
+        let mut mask = 0u8;
+        for (lane, d) in diff.iter().enumerate() {
+            mask |= u8::from(*d != 0) << lane;
+        }
+        masks[c] = mask;
+        any |= mask;
+    }
+    any
+}
+
 /// Hard decisions from committed posteriors: `hard[i]` bit `l` set when
 /// `posterior[i][l] < 0.0`.
 #[inline(never)]
@@ -847,7 +933,7 @@ pub fn masked_commit_batch<const L: usize>(
     posterior: &mut [[f64; L]],
     hard: &mut [u8],
 ) {
-    let act: [bool; L] = core::array::from_fn(|lane| (active >> lane) & 1 == 1);
+    let act = lane_flags::<L>(active);
     for ((p, pn), h) in posterior.iter_mut().zip(post_new).zip(hard.iter_mut()) {
         let mut bits = 0u8;
         for lane in 0..L {
@@ -985,6 +1071,99 @@ mod tests {
             min_sum_check_scalar(0.75, &m, &mut slow);
             assert_eq!(fast, slow, "inputs {m:?}");
         }
+    }
+
+    type BatchedKernel = fn(&[u32], &[u8], &[[f64; 4]], &mut [[f64; 4]]);
+
+    /// The three batched check kernels behind one signature, over two
+    /// checks (degree 8, then degree 5) of 4 lanes.
+    fn batched_kernels() -> [(&'static str, BatchedKernel); 3] {
+        [
+            ("exact", |offsets, masks, v2c, c2v| {
+                let mut tanhs = [[0.0; 4]; 8];
+                let mut fwd = [[0.0; 4]; 9];
+                sum_product_exact_batch(offsets, 0, 2, masks, v2c, c2v, &mut tanhs, &mut fwd);
+            }),
+            ("table", |offsets, masks, v2c, c2v| {
+                let mut phis = [[0.0; 4]; 8];
+                let phi = PhiTable::new(7);
+                sum_product_table_batch(offsets, 0, 2, masks, &phi, v2c, c2v, &mut phis);
+            }),
+            ("minsum", |offsets, masks, v2c, c2v| {
+                min_sum_batch(offsets, 0, 2, masks, 0.8, v2c, c2v);
+            }),
+        ]
+    }
+
+    const MASK_OFFSETS: [u32; 3] = [0, 8, 13];
+    const SENTINEL: f64 = 1234.5;
+
+    fn random_lane_messages(seed: u64) -> Vec<[f64; 4]> {
+        let mut rng = seeded_rng(seed);
+        (0..13)
+            .map(|_| core::array::from_fn(|_| (rng.gen::<f64>() - 0.5) * 12.0))
+            .collect()
+    }
+
+    #[test]
+    fn batched_kernels_with_an_empty_mask_leave_c2v_untouched() {
+        let v2c = random_lane_messages(11);
+        for (name, kernel) in batched_kernels() {
+            let mut c2v = vec![[SENTINEL; 4]; 13];
+            kernel(&MASK_OFFSETS, &[0, 0], &v2c, &mut c2v);
+            assert!(
+                c2v.iter().flatten().all(|&m| m == SENTINEL),
+                "{name}: an empty mask wrote c2v"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_kernels_with_a_one_lane_mask_write_that_lane_exactly() {
+        let v2c = random_lane_messages(12);
+        for (name, kernel) in batched_kernels() {
+            let mut full = vec![[SENTINEL; 4]; 13];
+            kernel(&MASK_OFFSETS, &[0b1111, 0b1111], &v2c, &mut full);
+            for lane in 0..4 {
+                let mut c2v = vec![[SENTINEL; 4]; 13];
+                // Lane `lane` of the degree-8 check only.
+                kernel(&MASK_OFFSETS, &[1 << lane, 0], &v2c, &mut c2v);
+                for (e, (got, want)) in c2v.iter().zip(&full).enumerate() {
+                    for l in 0..4 {
+                        if e < 8 && l == lane {
+                            assert_eq!(got[l].to_bits(), want[l].to_bits(), "{name} e{e} l{l}");
+                        } else if e < 8 && name == "minsum" {
+                            // Min-sum recomputes every lane of a check
+                            // with any lane set: the same values.
+                            assert_eq!(got[l].to_bits(), want[l].to_bits(), "{name} e{e} l{l}");
+                        } else {
+                            assert_eq!(got[l], SENTINEL, "{name} wrote e{e} l{l}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn changed_lanes_flags_bit_differences_and_catches_up() {
+        let offsets = [0u32, 2, 4];
+        let v2c = [[1.0, -0.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]];
+        let mut seen = v2c;
+        seen[0][1] = 0.0; // +0.0 against -0.0 is a change
+        seen[3][0] = f64::INFINITY;
+        let mut masks = [0xAAu8; 2];
+        assert_eq!(
+            changed_lanes_batch(&offsets, 0, 2, &v2c, &mut seen, &mut masks),
+            0b11
+        );
+        assert_eq!(masks, [0b10, 0b01]);
+        assert_eq!(seen, v2c, "seen catches up with v2c");
+        assert_eq!(
+            changed_lanes_batch(&offsets, 0, 2, &v2c, &mut seen, &mut masks),
+            0
+        );
+        assert_eq!(masks, [0, 0]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests pinning the inter-frame batched decoders to the scalar
 //! paths **bit for bit**: random block and coupled codes, all four check
 //! rules, lane counts {1, 4, 8}, ragged tails (frame counts not divisible
-//! by the batch width) and mixed-convergence batches where lanes stop at
-//! different iterations.
+//! by the batch width), mixed-convergence batches where lanes stop at
+//! different iterations, and window decodes long and clean enough that
+//! positions reach their fixed point under both window schedules.
 
 use proptest::prelude::*;
 use wi_ldpc::batch::{BatchWorkspace, WindowBatchWorkspace};
@@ -86,13 +87,25 @@ proptest! {
         term_length in 4usize..9,
         code_seed in 0u64..500,
         noise_seed in 0u64..500,
-        sigma in 0.6f64..1.1,
+        sigma in 0.45f64..1.1,
         rule_selector in 0u8..4,
         lanes_selector in 0u8..3,
-        window in 3usize..5,
+        window_selector in 0usize..64,
+        iterations in 8usize..64,
+        reuse_selector in 0u8..2,
     ) {
+        // Windows from mcc + 1 up to L + mcc (the last positions then
+        // activate no new rows), and up to 63 iterations, so clean
+        // frames reach the fixed-point exit under both schedules.
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
-        let decoder = WindowDecoder::new(window, 8).with_rule(rule_from_selector(rule_selector));
+        let mcc = code.memory();
+        let window = mcc + 1 + window_selector % term_length;
+        let decoder = if reuse_selector == 1 {
+            WindowDecoder::with_reuse(window, iterations)
+        } else {
+            WindowDecoder::new(window, iterations)
+        }
+        .with_rule(rule_from_selector(rule_selector));
         let lanes = lanes_from_selector(lanes_selector);
 
         let frames: Vec<Vec<f64>> = (0..lanes)

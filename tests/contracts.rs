@@ -6,12 +6,22 @@
 //! `wi_num::par::ordered` and folds the results serially in item order,
 //! so the Monte-Carlo BER estimate, a DES rate sweep and a sweep-service
 //! run must come out identical at any worker count.
+//!
+//! Engine ≡ oracle: each lane of the batched LDPC decoders
+//! (`wi_ldpc::batch`) must equal the scalar decoder on that frame, bit
+//! for bit, including where lanes converge at different iterations and
+//! where a window position stops at its fixed point.
 
+use std::collections::BTreeSet;
 use wireless_interconnect::ldpc::ber::{simulate_ber_with_threads, BerSimOptions, BlockBerTarget};
-use wireless_interconnect::ldpc::decoder::BpConfig;
-use wireless_interconnect::ldpc::LdpcCode;
+use wireless_interconnect::ldpc::decoder::{
+    awgn_llrs, BpConfig, BpDecoder, CheckRule, DecoderWorkspace,
+};
+use wireless_interconnect::ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use wireless_interconnect::ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
 use wireless_interconnect::noc::des::{sweep_with_threads, DesConfig, SweepConfig};
 use wireless_interconnect::noc::topology::Topology;
+use wireless_interconnect::num::rng::{seeded_rng, Gaussian};
 use wireless_interconnect::sweep::exec::{fold, run, RunOptions};
 use wireless_interconnect::sweep::spec::{Axis, EvalSpec, SweepSpec};
 use wireless_interconnect::sweep::store::ResultStore;
@@ -86,4 +96,90 @@ fn sweep_run_stores_and_folds_identically_at_any_thread_count() {
         outputs.push((fold(&spec, &store).unwrap(), records));
     }
     assert_eq!(outputs[0], outputs[1]);
+}
+
+/// The three check rules, each with its own kernel.
+const RULES: [CheckRule; 3] = [
+    CheckRule::SumProduct,
+    CheckRule::MinSum { alpha: 0.8 },
+    CheckRule::SumProductTable { bits: 7 },
+];
+
+/// Channel LLRs of the all-zero codeword over BPSK/AWGN, one frame per
+/// lane.
+fn lane_frames(n: usize, sigma: f64, seed: u64) -> Vec<Vec<f64>> {
+    (0..8)
+        .map(|lane| {
+            let mut rng = seeded_rng(seed + lane);
+            let mut gauss = Gaussian::new();
+            let rx: Vec<f64> = (0..n)
+                .map(|_| 1.0 + gauss.sample_with(&mut rng, 0.0, sigma))
+                .collect();
+            awgn_llrs(&rx, sigma)
+        })
+        .collect()
+}
+
+#[test]
+fn batched_window_decoder_matches_scalar_per_lane() {
+    // 40 iterations on fairly clean frames, so positions stop at their
+    // fixed point; the last position activates no new rows, so under the
+    // reuse schedule it can start with every check unchanged.
+    let code = CoupledCode::paper_cc(8, 5, 0xC0DE);
+    let n = code.code().len();
+    let frames = lane_frames(n, 0.5, 0x3A00);
+    let mut bws = WindowBatchWorkspace::new(code.code(), 8);
+    let mut ws = WindowWorkspace::new(code.code());
+    for rule in RULES {
+        for decoder in [WindowDecoder::new(4, 40), WindowDecoder::with_reuse(4, 40)] {
+            let decoder = decoder.with_rule(rule);
+            for (lane, llr) in frames.iter().enumerate() {
+                bws.set_lane_llr(lane, llr);
+            }
+            decoder.decode_batch(&mut bws, &code);
+            for (lane, llr) in frames.iter().enumerate() {
+                decoder.decode_in_place(&mut ws, &code, llr);
+                let batched: Vec<bool> = (0..n).map(|v| bws.hard_bit(v, lane)).collect();
+                assert_eq!(batched, ws.hard(), "{decoder:?} lane {lane}");
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_bp_decoder_matches_scalar_per_lane() {
+    let code = LdpcCode::paper_block(20, 77);
+    let frames = lane_frames(code.len(), 0.7, 0x3B00);
+    let mut bws = BatchWorkspace::new(&code, 8);
+    let mut ws = DecoderWorkspace::new(&code);
+    for rule in RULES {
+        let decoder = BpDecoder::new(
+            &code,
+            BpConfig {
+                max_iterations: 40,
+                check_rule: rule,
+            },
+        );
+        for (lane, llr) in frames.iter().enumerate() {
+            bws.set_lane_llr(lane, llr);
+        }
+        decoder.decode_batch(&mut bws);
+        let mut iterations = BTreeSet::new();
+        for (lane, llr) in frames.iter().enumerate() {
+            let status = decoder.decode_in_place(&mut ws, llr);
+            iterations.insert(status.iterations);
+            assert_eq!(bws.status(lane), status, "{rule:?} lane {lane}");
+            for (v, p) in ws.posterior().iter().enumerate() {
+                assert_eq!(
+                    bws.posterior_at(v, lane).to_bits(),
+                    p.to_bits(),
+                    "{rule:?} lane {lane} var {v}"
+                );
+            }
+        }
+        assert!(
+            iterations.len() >= 3,
+            "{rule:?}: lanes must converge at different iterations, got {iterations:?}"
+        );
+    }
 }

@@ -87,8 +87,9 @@ fn bench_des_routing(c: &mut Criterion) {
         })
     });
     // The same table built through the interconnect database's per-class
-    // route programs — bit-identical output (pinned by tests), so any gap
-    // to the bench above is pure construction overhead.
+    // route programs — the same policy walker and bit-identical output
+    // (pinned by tests), so the gap to the bench above is the per-hop
+    // link lookup: closed-form arithmetic instead of a table read.
     c.bench_function("route_class_table_4x4x4_valiant8", |b| {
         b.iter(|| {
             ClassRouter::new(ExpandedGrid::mesh3d(4, 4, 4), RoutingKind::valiant()).to_route_table()

@@ -4,7 +4,7 @@
 //! re-runs the three designers from scratch (tens of seconds) and prints
 //! fresh taps alongside their objective values.
 
-use wi_bench::{fmt, has_flag, print_table};
+use wi_bench::{fmt, has_flag, help_flag, print_table};
 use wi_quantrx::design::{
     design_suboptimal, optimize_sequence, optimize_symbolwise, DesignOptions,
 };
@@ -12,7 +12,20 @@ use wi_quantrx::filter::IsiFilter;
 use wi_quantrx::modulation::AskModulation;
 use wi_quantrx::presets;
 
+const USAGE: &str = "\
+fig5_isi_filters — impulse responses of the four ISI filter designs (Fig. 5)
+
+USAGE:
+    fig5_isi_filters [FLAGS]
+
+FLAGS:
+    --optimize           re-run the three filter designers from scratch
+                         (tens of seconds) instead of printing the shipped
+                         pre-optimized taps
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let (sym, seq, sub): (IsiFilter, IsiFilter, IsiFilter) = if has_flag("--optimize") {
         let modu = AskModulation::four_ask();
         let opts = DesignOptions::default();

@@ -4,7 +4,7 @@
 //! Default uses 30k Monte-Carlo symbols for the two sequence-estimation
 //! curves; `--full` uses 200k.
 
-use wi_bench::{fmt, has_flag, print_table};
+use wi_bench::{fmt, has_flag, help_flag, print_table};
 use wi_quantrx::info_rate::{
     no_oversampling_rate, sequence_information_rate, snr_db_to_sigma, symbolwise_information_rate,
     unquantized_ask_capacity, SequenceRateOptions,
@@ -13,7 +13,20 @@ use wi_quantrx::modulation::AskModulation;
 use wi_quantrx::presets;
 use wi_quantrx::trellis::ChannelTrellis;
 
+const USAGE: &str = "\
+fig6_info_rates — information rates of 4-ASK with 5x oversampling and
+1-bit quantization (Fig. 6)
+
+USAGE:
+    fig6_info_rates [FLAGS]
+
+FLAGS:
+    --full               200k Monte-Carlo symbols for the two
+                         sequence-estimation curves (default 30k)
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let modu = AskModulation::four_ask();
     let seq_trellis = ChannelTrellis::new(&modu, &presets::sequence_filter());
     let sym_trellis = ChannelTrellis::new(&modu, &presets::symbolwise_filter());

@@ -80,13 +80,36 @@ pub fn forbid_both(a: &str, b: &str) {
 }
 
 /// Prints `usage` and exits when the CLI was invoked with `--help` or
-/// `-h`. Call this before any expensive work so every bin answers
-/// `--help` instantly.
+/// `-h`; exits via [`die`], naming the argument, when an argument starts
+/// with `--` but is not a flag `usage` lists as a whole word. Call this
+/// before any expensive work so every bin answers `--help` instantly and
+/// a misspelled flag never starts a run with the defaults.
 pub fn help_flag(usage: &str) {
     if has_flag("--help") || has_flag("-h") {
         println!("{usage}");
         std::process::exit(0);
     }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(usage, &args) {
+        die(&format!("unknown flag {flag:?}"));
+    }
+}
+
+/// The first argument starting with `--` that `usage` does not list, if
+/// any. A flag is listed when it appears in `usage` as a whole word, so a
+/// listed `--sum-product-table` does not admit `--sum-product`.
+/// `--help` always passes; values (`hotspot:0:0.2`, `0.05,0.15`, `-h`)
+/// are never checked.
+fn unknown_flag<'a>(usage: &str, args: &'a [String]) -> Option<&'a str> {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '-';
+    let listed = |flag: &str| {
+        usage
+            .match_indices(flag)
+            .any(|(i, _)| !usage[..i].ends_with(word) && !usage[i + flag.len()..].starts_with(word))
+    };
+    args.iter()
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && *a != "--help" && !listed(a))
 }
 
 /// Value of a `--flag value` pair, if present.
@@ -238,6 +261,33 @@ mod tests {
     #[should_panic(expected = "ragged table row")]
     fn ragged_rows_panic() {
         print_table("demo", &["a", "b"], &[vec!["1".into()]]);
+    }
+
+    #[test]
+    fn unknown_flags_are_named_and_values_pass() {
+        let usage = "\
+FLAGS:
+    --routing <policy>   dor, o1turn, ...
+    --sum-product-table  phi-table kernel
+    --rates <csv>        e.g. 0.05,0.15
+    --help, -h           print this help";
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let ok = args(&[
+            "--routing",
+            "hotspot:0:0.2",
+            "--rates",
+            "0.05,0.15",
+            "--sum-product-table",
+            "--help",
+            "-h",
+        ]);
+        assert_eq!(unknown_flag(usage, &ok), None);
+        let typo = args(&["--routing", "adaptive", "--routng", "adaptive"]);
+        assert_eq!(unknown_flag(usage, &typo), Some("--routng"));
+        let prefix = args(&["--sum-product"]);
+        assert_eq!(unknown_flag(usage, &prefix), Some("--sum-product"));
+        let suffix = args(&["--product-table"]);
+        assert_eq!(unknown_flag(usage, &suffix), Some("--product-table"));
     }
 
     #[test]

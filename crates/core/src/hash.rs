@@ -22,7 +22,10 @@
 //! **Versioning:** [`StableHasher::new`] seeds the state with
 //! [`HASH_SCHEMA_VERSION`]. Bump that constant whenever a hashed type
 //! gains, loses or reorders fields — old store entries then miss (and are
-//! recomputed) instead of aliasing a different configuration.
+//! recomputed) instead of aliasing a different configuration. Every
+//! struct impl destructures `let Self { … }` without `..`, so a field
+//! added to a hashed type fails to compile here until it is hashed or
+//! skipped by name; the tests pin literal hash values.
 
 use crate::config::{
     BoardConfig, CodingConfig, NocWorkloadConfig, ReceiverModel, StackConfig, SystemConfig,
@@ -134,19 +137,31 @@ pub trait StableHash {
 
 impl StableHash for StackConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_usize(self.cores_x);
-        h.write_usize(self.cores_y);
-        h.write_usize(self.layers);
-        h.write_usize(self.concentration);
-        h.write_f64(self.clock_ghz);
+        let Self {
+            cores_x,
+            cores_y,
+            layers,
+            concentration,
+            clock_ghz,
+        } = *self;
+        h.write_usize(cores_x);
+        h.write_usize(cores_y);
+        h.write_usize(layers);
+        h.write_usize(concentration);
+        h.write_f64(clock_ghz);
     }
 }
 
 impl StableHash for BoardConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_usize(self.stacks_x);
-        h.write_usize(self.stacks_y);
-        h.write_f64(self.pitch_m);
+        let Self {
+            stacks_x,
+            stacks_y,
+            pitch_m,
+        } = *self;
+        h.write_usize(stacks_x);
+        h.write_usize(stacks_y);
+        h.write_f64(pitch_m);
     }
 }
 
@@ -183,12 +198,20 @@ impl StableHash for ReceiverModel {
 
 impl StableHash for WirelessLinkConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_f64(self.carrier_hz);
-        h.write_f64(self.bandwidth_hz);
-        h.write_f64(self.tx_power_dbm);
-        self.beamforming.stable_hash(h);
-        self.polarization.stable_hash(h);
-        self.receiver.stable_hash(h);
+        let Self {
+            carrier_hz,
+            bandwidth_hz,
+            tx_power_dbm,
+            beamforming,
+            polarization,
+            receiver,
+        } = self;
+        h.write_f64(*carrier_hz);
+        h.write_f64(*bandwidth_hz);
+        h.write_f64(*tx_power_dbm);
+        beamforming.stable_hash(h);
+        polarization.stable_hash(h);
+        receiver.stable_hash(h);
     }
 }
 
@@ -220,27 +243,46 @@ impl StableHash for SearchStrategy {
 
 impl StableHash for SearchConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        self.strategy.stable_hash(h);
-        h.write_f64(self.lo_db);
-        h.write_f64(self.hi_db);
-        h.write_f64(self.tol_db);
-        h.write_usize(self.probes_per_round);
-        h.write_usize(self.grid_points);
-        h.write_f64(self.ci_z);
-        h.write_u64(self.max_frames);
+        let Self {
+            strategy,
+            lo_db,
+            hi_db,
+            tol_db,
+            probes_per_round,
+            grid_points,
+            ci_z,
+            max_frames,
+        } = self;
+        strategy.stable_hash(h);
+        h.write_f64(*lo_db);
+        h.write_f64(*hi_db);
+        h.write_f64(*tol_db);
+        h.write_usize(*probes_per_round);
+        h.write_usize(*grid_points);
+        h.write_f64(*ci_z);
+        h.write_u64(*max_frames);
     }
 }
 
 impl StableHash for CodingConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_usize(self.lifting);
-        h.write_usize(self.window);
-        h.write_usize(self.iterations);
-        self.check_rule.stable_hash(h);
-        self.search.stable_hash(h);
-        // `batch` is deliberately NOT hashed: every batch width produces
-        // bit-identical per-frame results (the wi_ldpc::batch contract),
-        // so two configs differing only in batch width share one cell.
+        let Self {
+            lifting,
+            window,
+            iterations,
+            check_rule,
+            search,
+            // Deliberately NOT hashed: every batch width produces
+            // bit-identical per-frame results (the wi_ldpc::batch
+            // contract), so two configs differing only in batch width
+            // share one cell.
+            batch: _,
+        } = self;
+        h.write_usize(*lifting);
+        h.write_usize(*window);
+        h.write_usize(*iterations);
+        check_rule.stable_hash(h);
+        search.stable_hash(h);
     }
 }
 
@@ -326,43 +368,73 @@ impl StableHash for BurstModel {
 
 impl StableHash for ArqConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u64(self.max_retries as u64);
-        h.write_f64(self.timeout);
-        h.write_f64(self.backoff);
+        let Self {
+            max_retries,
+            timeout,
+            backoff,
+        } = *self;
+        h.write_u64(max_retries as u64);
+        h.write_f64(timeout);
+        h.write_f64(backoff);
     }
 }
 
 impl StableHash for FaultConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        self.model.stable_hash(h);
-        h.write_f64(self.stuck_fraction);
-        h.write_f64(self.stuck_p);
-        self.burst.stable_hash(h);
-        self.arq.stable_hash(h);
+        let Self {
+            model,
+            stuck_fraction,
+            stuck_p,
+            burst,
+            arq,
+        } = self;
+        model.stable_hash(h);
+        h.write_f64(*stuck_fraction);
+        h.write_f64(*stuck_p);
+        burst.stable_hash(h);
+        arq.stable_hash(h);
     }
 }
 
 impl StableHash for NocWorkloadConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        self.traffic.stable_hash(h);
-        self.routing.stable_hash(h);
-        h.write_usize(self.vcs);
-        self.service.stable_hash(h);
-        h.write_usize(self.replications);
-        h.write_f64(self.injection_rate);
-        self.fault.stable_hash(h);
+        let Self {
+            traffic,
+            routing,
+            vcs,
+            service,
+            replications,
+            injection_rate,
+            fault,
+        } = self;
+        traffic.stable_hash(h);
+        routing.stable_hash(h);
+        h.write_usize(*vcs);
+        service.stable_hash(h);
+        h.write_usize(*replications);
+        h.write_f64(*injection_rate);
+        fault.stable_hash(h);
     }
 }
 
 impl StableHash for SystemConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_usize(self.boards);
-        h.write_f64(self.board_spacing_m);
-        self.board.stable_hash(h);
-        self.stack.stable_hash(h);
-        self.link.stable_hash(h);
-        self.coding.stable_hash(h);
-        self.noc.stable_hash(h);
+        let Self {
+            boards,
+            board_spacing_m,
+            board,
+            stack,
+            link,
+            coding,
+            noc,
+        } = self;
+        h.write_usize(*boards);
+        h.write_f64(*board_spacing_m);
+        board.stable_hash(h);
+        stack.stable_hash(h);
+        link.stable_hash(h);
+        coding.stable_hash(h);
+        noc.stable_hash(h);
     }
 }
 
@@ -438,7 +510,9 @@ mod tests {
         // A known pinned value guards accidental schema drift: if this
         // fails without a deliberate HASH_SCHEMA_VERSION bump, the
         // encoding changed and every committed store just went stale.
-        let paper = SystemConfig::paper_default().config_hash();
-        assert_eq!(paper, SystemConfig::paper_default().config_hash());
+        assert_eq!(
+            SystemConfig::paper_default().config_hash(),
+            0x5781_773f_ea4f_3d7f
+        );
     }
 }

@@ -17,9 +17,11 @@
 //! than a prose re-statement of them:
 //!
 //! * [`ChannelDepGraph::for_policy`] walks every (router pair, choice)
-//!   route of [`crate::routing::policy_route_routers`] and applies the
-//!   per-policy VC allocation rule (O1TURN: one VC per permutation;
-//!   Valiant/RLB: one per dimension-order leg). For
+//!   route through the crate's one policy walker (the routes
+//!   [`crate::routing::policy_route_routers`] and the route tables
+//!   return) and applies the per-policy VC allocation rule (O1TURN: one
+//!   VC per permutation; Valiant/RLB: one per dimension-order leg, the
+//!   walker reporting where the first leg ends). For
 //!   [`crate::routing::RoutingKind::Adaptive`] there is no stored route,
 //!   so the builder enumerates the *transition relation* instead: for
 //!   every (src, dst) pair it adds an edge for every pair of consecutive
@@ -39,9 +41,7 @@
 //! able to fail.
 
 use crate::icdb::HybridBoards;
-use crate::routing::{
-    adaptive_network, policy_route_routers, rlb_intermediate, valiant_intermediate, RoutingKind,
-};
+use crate::routing::{adaptive_network, walk_topology, RoutingKind};
 use crate::topology::Topology;
 use std::collections::HashSet;
 
@@ -75,9 +75,14 @@ impl ChannelDepGraph {
 
     /// Adds the dependency chain of one stored route under a per-hop VC
     /// allocation function.
-    fn add_route(&mut self, links: &[usize], vc_of: impl Fn(usize) -> usize) {
+    fn add_route(&mut self, links: &[u32], vc_of: impl Fn(usize) -> usize) {
         for (hop, window) in links.windows(2).enumerate() {
-            self.add_dep(window[0], vc_of(hop), window[1], vc_of(hop + 1));
+            self.add_dep(
+                window[0] as usize,
+                vc_of(hop),
+                window[1] as usize,
+                vc_of(hop + 1),
+            );
         }
     }
 
@@ -105,26 +110,18 @@ impl ChannelDepGraph {
     /// and applies its VC allocation rule.
     fn add_oblivious_routes(&mut self, topo: &Topology, kind: RoutingKind) {
         let r = topo.num_routers();
+        let mut links = Vec::new();
         for s in 0..r {
             for d in 0..r {
                 if s == d {
                     continue;
                 }
                 for c in 0..kind.choices() {
-                    let path = policy_route_routers(topo, kind, s, d, c);
-                    let leg1 = match kind {
-                        // One VC per dimension-order leg: the switch
-                        // happens at the intermediate, so its position
-                        // along the route is the leg-1 hop count.
-                        RoutingKind::Valiant { .. } => {
-                            topo.router_distance(s, valiant_intermediate(r, s, d, c))
-                        }
-                        RoutingKind::RlbValiant { .. } => topo.router_distance(
-                            s,
-                            topo.router_at(rlb_intermediate(topo.coord(s), topo.coord(d), c)),
-                        ),
-                        _ => 0,
-                    };
+                    links.clear();
+                    // One VC per dimension-order leg: the switch happens
+                    // at the Valiant/RLB intermediate, after the walk's
+                    // first leg.
+                    let leg1 = walk_topology(topo, kind, s, d, c, &mut links);
                     let vc_of = |hop: usize| match kind {
                         RoutingKind::DimensionOrder => 0,
                         // One VC per permutation: each fixed-order
@@ -135,7 +132,7 @@ impl ChannelDepGraph {
                         }
                         RoutingKind::Adaptive => unreachable!("handled via transitions"),
                     };
-                    self.add_route(&path.links, vc_of);
+                    self.add_route(&links, vc_of);
                 }
             }
         }
@@ -156,14 +153,15 @@ impl ChannelDepGraph {
                 if here[dim] == target[dim] {
                     continue;
                 }
+                let positive = here[dim] < target[dim];
                 let mut next = here;
-                if here[dim] < target[dim] {
+                if positive {
                     next[dim] += 1;
                 } else {
                     next[dim] -= 1;
                 }
                 let link = topo
-                    .link_between(topo.router_at(here), topo.router_at(next))
+                    .step_link(topo.router_at(here), dim, positive)
                     .expect("adaptive routing needs the full mesh neighborhood");
                 *slot = Some((link, next));
             }

@@ -8,8 +8,10 @@
 //!
 //! * **No per-packet route allocation.** Routes come from a prebuilt
 //!   [`RouteTable`] in flat CSR form; a lookup is two array reads instead
-//!   of the two `Vec` allocations plus per-hop `HashMap` probes of
-//!   [`crate::routing::route`].
+//!   of the per-hop walk and two `Vec` allocations of
+//!   [`crate::routing::route`]. The adaptive policy, which has no stored
+//!   route, reads each productive link from the topology's unit-step
+//!   table ([`Topology::step_link`]).
 //! * **No per-event allocation.** An event is packed *inside* its
 //!   16-byte heap entry (tag bit + module/packet index in the low bits),
 //!   so the unbounded side `Vec<Event>` of the reference simulator
@@ -261,38 +263,11 @@ pub struct Engine {
     /// wire), so this is visibility + tie-break state, not extra servers.
     vc_free: Vec<f64>,
     ej_free: Vec<f64>,
-    /// `nbr_link[router·6 + 2·dim + positive]` — the unit-distance mesh
-    /// link leaving `router` along `dim` in that direction, `u32::MAX`
-    /// when absent. Lets the adaptive hot loop enumerate productive links
-    /// with array reads instead of `HashMap` probes. Express links that
-    /// skip routers (hybrid radio chains) never enter the table.
-    nbr_link: Vec<u32>,
     /// Per-link static error probability, precomputed per run from the
     /// fault config (all zeros when faults are off).
     link_p: Vec<f64>,
     /// Per-link retransmission counts (drives `worst_link_retries`).
     link_retries: Vec<u64>,
-}
-
-/// Builds the [`Engine::nbr_link`] neighbor table for a topology.
-fn neighbor_links(topo: &Topology) -> Vec<u32> {
-    let mut nbr = vec![u32::MAX; topo.num_routers() * 6];
-    'links: for (l, link) in topo.links().iter().enumerate() {
-        let a = topo.coord(link.src);
-        let b = topo.coord(link.dst);
-        let mut step: Option<(usize, bool)> = None;
-        for dim in 0..3 {
-            match a[dim].abs_diff(b[dim]) {
-                0 => {}
-                1 if step.is_none() => step = Some((dim, a[dim] < b[dim])),
-                _ => continue 'links,
-            }
-        }
-        if let Some((dim, positive)) = step {
-            nbr[link.src * 6 + 2 * dim + usize::from(positive)] = l as u32;
-        }
-    }
-    nbr
 }
 
 impl Engine {
@@ -328,7 +303,6 @@ impl Engine {
             link_free: vec![0.0; topo.num_links()],
             vc_free: Vec::new(),
             ej_free: vec![0.0; topo.num_modules()],
-            nbr_link: neighbor_links(topo),
             link_p: vec![0.0; topo.num_links()],
             link_retries: vec![0; topo.num_links()],
         }
@@ -367,7 +341,6 @@ impl Engine {
             link_free: vec![0.0; topo.num_links()],
             vc_free: Vec::new(),
             ej_free: vec![0.0; topo.num_modules()],
-            nbr_link: neighbor_links(topo),
             link_p: vec![0.0; topo.num_links()],
             link_retries: vec![0; topo.num_links()],
         }
@@ -419,7 +392,6 @@ impl Engine {
             link_free,
             vc_free,
             ej_free,
-            nbr_link,
             link_p,
             link_retries,
         } = self;
@@ -602,8 +574,9 @@ impl Engine {
                             if here[dim] == target[dim] {
                                 continue;
                             }
-                            let positive = here[dim] < target[dim];
-                            let cand = nbr_link[cur * 6 + 2 * dim + usize::from(positive)] as usize;
+                            let cand = topo
+                                .step_link(cur, dim, here[dim] < target[dim])
+                                .expect("adaptive routing needs the full mesh neighborhood");
                             let key = (
                                 link_free[cand].max(now),
                                 vc_free[cand * vcs + p.vc as usize].max(now),

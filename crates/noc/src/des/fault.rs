@@ -37,6 +37,7 @@
 //! heap, and the per-packet attempt counter in the slab tells the next
 //! `Ready` what to do.
 
+use crate::icdb::grid::is_boundary;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -132,14 +133,8 @@ impl LinkErrorModel {
 /// the topology's grid — the "edge antenna" class of
 /// [`LinkErrorModel::EdgeCenter`].
 pub fn is_edge_link(topo: &Topology, link: usize) -> bool {
-    let l = topo.links()[link];
-    is_boundary(topo, l.src) || is_boundary(topo, l.dst)
-}
-
-fn is_boundary(topo: &Topology, router: usize) -> bool {
-    let [x, y, z] = topo.coord(router);
-    let [dx, dy, dz] = topo.dims();
-    x == 0 || x + 1 == dx || y == 0 || y + 1 == dy || (dz > 1 && (z == 0 || z + 1 == dz))
+    let (l, dims) = (topo.links()[link], topo.dims());
+    is_boundary(dims, topo.coord(l.src)) || is_boundary(dims, topo.coord(l.dst))
 }
 
 /// Transient degradation episodes layered on top of the base model.

@@ -26,11 +26,13 @@
 //! the bit-identical contract extends to faulty runs.
 //!
 //! Adaptive routing is re-materialized naively too: every hop re-derives
-//! the productive candidate links through per-hop
-//! [`Topology::link_between`] `HashMap` probes (no neighbor table) and
-//! applies the same pure (server-free, vc-free, link id) comparison the
-//! engine's arena loop uses — congestion-aware decisions never touch the
-//! RNG, so the bit-identical contract survives them.
+//! the productive candidate links from the packet's coordinates, one
+//! [`Topology::step_link`] lookup per unfinished dimension, and applies
+//! the same pure (server-free, vc-free, link id) comparison the engine's
+//! arena loop uses — congestion-aware decisions never touch the RNG, so
+//! the bit-identical contract survives them. The engine reads the same
+//! unit-step table, so that table is checked on its own against the
+//! closed-form [`crate::icdb::ExpandedGrid::link_id`].
 
 use super::fault::corrupt_unit;
 use super::{DesConfig, DesResult, ServiceDistribution};
@@ -226,10 +228,9 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                     // still occupies the link for the full service time.
                     let l = if adaptive {
                         // Naive re-derivation of the congestion-aware
-                        // choice: probe every productive neighbor through
-                        // the topology's link map and apply the same pure
-                        // (server-free, vc-free, link id) order the arena
-                        // engine computes from its neighbor table.
+                        // choice: look up every productive neighbor link
+                        // and apply the same pure (server-free, vc-free,
+                        // link id) order the arena engine computes.
                         let cur = packets[packet].cur_router;
                         let here = topo.coord(cur);
                         let target = topo.coord(topo.router_of(packets[packet].dst_module));
@@ -239,14 +240,8 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                             if here[dim] == target[dim] {
                                 continue;
                             }
-                            let mut next = here;
-                            if here[dim] < target[dim] {
-                                next[dim] += 1;
-                            } else {
-                                next[dim] -= 1;
-                            }
                             let cand = topo
-                                .link_between(cur, topo.router_at(next))
+                                .step_link(cur, dim, here[dim] < target[dim])
                                 .expect("adaptive routing needs the full mesh neighborhood");
                             let key = (
                                 link_free[cand].max(now),

@@ -16,23 +16,25 @@
 //!   KiB, independent of any grid's dimensions.
 //! * [`ExpandedGrid`] — a grid as `(database, dims)`: routers, tile
 //!   classes and **link ids in closed form**, no per-router storage.
-//!   [`ExpandedGrid::to_topology`] materializes the legacy structure
-//!   bit-identically for the DES engines.
-//! * [`ClassRouter`] — per-tile-class route programs for all four
-//!   [`RoutingKind`](crate::routing::RoutingKind)s, replacing the CSR
+//!   [`ExpandedGrid::to_topology`] is the one mesh link builder: the
+//!   regular [`Topology`](crate::topology::Topology) constructors
+//!   materialize through it for the DES engines.
+//! * [`ClassRouter`] — per-tile-class route programs for every
+//!   [`RoutingKind`](crate::routing::RoutingKind), replacing the CSR
 //!   on the scalable path; [`ClassRouter::to_route_table`] rebuilds the
-//!   legacy table bit for bit where consumers still want it.
+//!   table bit for bit where consumers still want it.
 //! * [`HybridBoards`] — wired meshes per board plus wireless express
 //!   links between boards, routed wired-then-radio-then-wired, consumed
 //!   by the unchanged DES/analytic stack through
 //!   [`Engine::with_table`](crate::des::Engine::with_table) and
 //!   [`AnalyticModel::with_table`](crate::analytic::AnalyticModel::with_table).
 //!
-//! The compatibility contract — expanded-grid structures are
-//! bit-identical to the legacy builders on every grid both can express
-//! — is pinned here at 3 seeds × 2 topologies × 4 routing kinds through
-//! the full DES engine, and link-for-link on random meshes by the
-//! proptest in `tests/properties.rs`.
+//! The compatibility contract — closed-form route programs drive the
+//! DES exactly like the tables the policy walker builds from the
+//! topology's unit-step links — is pinned here at 3 seeds × 2
+//! topologies × 4 routing kinds through the full DES engine, and
+//! link-for-link on random meshes by the proptest in
+//! `tests/properties.rs`.
 
 pub mod db;
 pub mod grid;
@@ -54,12 +56,12 @@ mod tests {
     use crate::topology::Topology;
     use std::sync::Arc;
 
-    /// The compatibility pinning of the ISSUE's acceptance criteria:
-    /// the expanded-grid path (grid → topology, class router → table)
-    /// must drive the DES engine to **bit-identical** results vs the
-    /// legacy builders, across 3 seeds × 2 topologies × 4 routing
-    /// kinds — the same axes `des::engine_matches_reference_under_all_
-    /// routing_policies` pins engine-vs-oracle.
+    /// The compatibility pinning: the closed-form path (class router →
+    /// table) must drive the DES engine to **bit-identical** results vs
+    /// the tables `simulate` builds from the topology's unit-step links,
+    /// across 3 seeds × 2 topologies × 4 routing kinds — the same axes
+    /// `des::engine_matches_reference_under_all_routing_policies` pins
+    /// engine-vs-oracle.
     #[test]
     fn expanded_grid_des_is_bit_identical_to_legacy_path() {
         let kinds = [

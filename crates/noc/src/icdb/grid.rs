@@ -5,11 +5,13 @@
 //! [`crate::topology::Topology`]: it answers the same queries — router
 //! raster, coordinates, link ids, per-link classes — from closed-form
 //! arithmetic over `(dims, tile class)` instead of materialized `Vec`s,
-//! so a 10⁶-router grid costs the same few hundred bytes as a 4×4. The
-//! link-id arithmetic reproduces the legacy builder's numbering exactly
-//! (pinned by tests and the equivalence proptest), which is what lets
-//! [`ExpandedGrid::to_topology`] hand bit-identical graphs to the DES
-//! engines. The numbering scheme itself is derived in `docs/TOPOLOGY.md`.
+//! so a 10⁶-router grid costs the same few hundred bytes as a 4×4.
+//! [`ExpandedGrid::to_topology`] is the one mesh link builder — the
+//! regular [`Topology`] constructors call it — and the closed-form
+//! link-id arithmetic reproduces its list order exactly (pinned by tests
+//! here, by the topology's unit-step table and by the route-table
+//! proptest). The numbering scheme itself is derived in
+//! `docs/TOPOLOGY.md`.
 
 use super::db::{AxisPorts, InterconnectDb, LinkClassId, Placement, TileClassId};
 use crate::topology::{Link, Topology, TopologyKind};
@@ -164,19 +166,15 @@ impl ExpandedGrid {
     /// same predicate the fault layer's edge/center link classes use
     /// (`crate::des::fault`), with a flat z axis never counting.
     pub fn is_boundary(&self, coord: [usize; 3]) -> bool {
-        let [nx, ny, nz] = self.dims;
-        coord[0] == 0
-            || coord[0] + 1 == nx
-            || coord[1] == 0
-            || coord[1] + 1 == ny
-            || (nz > 1 && (coord[2] == 0 || coord[2] + 1 == nz))
+        is_boundary(self.dims, coord)
     }
 
     /// Directed link id from the router at `coord` to its neighbor in
     /// direction `positive` along `axis`, in closed form — no link list
-    /// is consulted, yet the id equals the legacy builder's numbering.
+    /// is consulted, yet the id equals the link's position in
+    /// [`ExpandedGrid::to_topology`]'s list.
     ///
-    /// The legacy builder visits routers in raster order, pushing a
+    /// `to_topology` visits routers in raster order, pushing a
     /// forward/reverse pair per present positive port in axis order, so
     /// the id is `2 ·` (positive-port pairs of all earlier routers) `+
     /// 2 ·` (this tile's earlier-axis pairs, from the tile class's slot
@@ -278,12 +276,14 @@ impl ExpandedGrid {
             .collect()
     }
 
-    /// Materializes the grid as a legacy [`Topology`] — link list
-    /// generated from the grid's own arithmetic, bit-identical to the
-    /// corresponding [`Topology`] builder (pinned by tests). This is the
-    /// compatibility bridge for the DES engines, fault injection and the
-    /// analytic model; it costs O(routers + links) like the legacy
-    /// builder, so reserve it for grids small enough to simulate.
+    /// Materializes the grid as a [`Topology`] — the one mesh link
+    /// builder: [`Topology::mesh3d`] and its siblings call it. Routers
+    /// in raster order, each pushing a forward/reverse pair per present
+    /// positive port in axis order, so every link's position in the
+    /// list is the closed-form [`ExpandedGrid::link_id`] (pinned by
+    /// tests against an independent raster-loop oracle). It costs
+    /// O(routers + links), so reserve it for grids small enough to
+    /// simulate.
     pub fn to_topology(&self) -> Topology {
         let [nx, ny, nz] = self.dims;
         let mut links = Vec::with_capacity(self.num_links());
@@ -314,20 +314,82 @@ impl ExpandedGrid {
     }
 }
 
+/// Whether `coord` lies on the boundary of a `dims` grid, a flat z axis
+/// never counting — the one boundary predicate behind every edge/center
+/// link classification: [`ExpandedGrid::is_boundary`],
+/// `crate::des::fault::is_edge_link` and
+/// [`HybridBoards::link_class`](crate::icdb::HybridBoards::link_class).
+pub(crate) fn is_boundary(dims: [usize; 3], coord: [usize; 3]) -> bool {
+    let [nx, ny, nz] = dims;
+    coord[0] == 0
+        || coord[0] + 1 == nx
+        || coord[1] == 0
+        || coord[1] + 1 == ny
+        || (nz > 1 && (coord[2] == 0 || coord[2] + 1 == nz))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Router;
 
-    fn legacy(grid: &ExpandedGrid) -> Topology {
+    /// The raster loop the regular `Topology` builders ran before they
+    /// became [`ExpandedGrid::to_topology`]: routers z-major, and per
+    /// router a forward/reverse link pair for each neighbor at +x, +y,
+    /// +z. Returns the routers, the links and each module's router.
+    fn raster_oracle(grid: &ExpandedGrid) -> (Vec<Router>, Vec<Link>, Vec<usize>) {
         let [nx, ny, nz] = grid.dims();
-        match grid.kind() {
-            TopologyKind::Mesh2D => Topology::mesh2d(nx, ny),
-            TopologyKind::StarMesh => Topology::star_mesh(nx, ny, grid.concentration()),
-            TopologyKind::Mesh3D => Topology::mesh3d(nx, ny, nz),
-            TopologyKind::CiliatedMesh3D => {
-                Topology::ciliated_mesh3d(nx, ny, nz, grid.concentration())
+        let mut routers = Vec::new();
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    routers.push(Router { coord: [x, y, z] });
+                }
             }
         }
+        let index = |x: usize, y: usize, z: usize| x + nx * (y + ny * z);
+        let mut links = Vec::new();
+        for z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let here = index(x, y, z);
+                    if x + 1 < nx {
+                        links.push(Link {
+                            src: here,
+                            dst: index(x + 1, y, z),
+                        });
+                        links.push(Link {
+                            src: index(x + 1, y, z),
+                            dst: here,
+                        });
+                    }
+                    if y + 1 < ny {
+                        links.push(Link {
+                            src: here,
+                            dst: index(x, y + 1, z),
+                        });
+                        links.push(Link {
+                            src: index(x, y + 1, z),
+                            dst: here,
+                        });
+                    }
+                    if z + 1 < nz {
+                        links.push(Link {
+                            src: here,
+                            dst: index(x, y, z + 1),
+                        });
+                        links.push(Link {
+                            src: index(x, y, z + 1),
+                            dst: here,
+                        });
+                    }
+                }
+            }
+        }
+        let modules = (0..routers.len())
+            .flat_map(|r| std::iter::repeat_n(r, grid.concentration()))
+            .collect();
+        (routers, links, modules)
     }
 
     fn grids() -> Vec<ExpandedGrid> {
@@ -348,13 +410,12 @@ mod tests {
     fn materialization_matches_legacy_builders_exactly() {
         for grid in grids() {
             let got = grid.to_topology();
-            let want = legacy(&grid);
-            assert_eq!(got.kind(), want.kind());
-            assert_eq!(got.dims(), want.dims());
-            assert_eq!(got.concentration(), want.concentration());
-            assert_eq!(got.routers(), want.routers());
-            assert_eq!(got.links(), want.links(), "{:?}", grid.dims());
-            let modules: Vec<usize> = (0..want.num_modules()).map(|m| want.router_of(m)).collect();
+            let (routers, links, modules) = raster_oracle(&grid);
+            assert_eq!(got.kind(), grid.kind());
+            assert_eq!(got.dims(), grid.dims());
+            assert_eq!(got.concentration(), grid.concentration());
+            assert_eq!(got.routers(), &routers[..]);
+            assert_eq!(got.links(), &links[..], "{:?}", grid.dims());
             let got_modules: Vec<usize> =
                 (0..got.num_modules()).map(|m| got.router_of(m)).collect();
             assert_eq!(got_modules, modules);
@@ -364,10 +425,10 @@ mod tests {
     #[test]
     fn closed_form_counts_match_legacy() {
         for grid in grids() {
-            let t = legacy(&grid);
-            assert_eq!(grid.num_routers(), t.num_routers());
-            assert_eq!(grid.num_modules(), t.num_modules());
-            assert_eq!(grid.num_links(), t.num_links(), "{:?}", grid.dims());
+            let (routers, links, modules) = raster_oracle(&grid);
+            assert_eq!(grid.num_routers(), routers.len());
+            assert_eq!(grid.num_modules(), modules.len());
+            assert_eq!(grid.num_links(), links.len(), "{:?}", grid.dims());
         }
     }
 
@@ -379,35 +440,44 @@ mod tests {
             ExpandedGrid::mesh3d(5, 3, 2),
             ExpandedGrid::mesh3d(2, 2, 2),
         ] {
-            let t = legacy(&grid);
+            let t = grid.to_topology();
             let [nx, ny, nz] = grid.dims();
             for z in 0..nz {
                 for y in 0..ny {
                     for x in 0..nx {
                         let coord = [x, y, z];
-                        let here = t.router_at(coord);
+                        let here = grid.router_at(coord);
                         for axis in 0..3 {
                             for positive in [true, false] {
-                                let mut n = coord;
+                                let got = t.step_link(here, axis, positive);
                                 let present = if positive {
                                     coord[axis] + 1 < grid.dims()[axis]
                                 } else {
                                     coord[axis] > 0
                                 };
                                 if !present {
+                                    assert_eq!(got, None, "{coord:?} axis {axis} {positive}");
                                     continue;
                                 }
+                                let mut n = coord;
                                 if positive {
                                     n[axis] += 1;
                                 } else {
                                     n[axis] -= 1;
                                 }
-                                let want = t.link_between(here, t.router_at(n)).unwrap();
+                                let want = grid.link_id(coord, axis, positive);
                                 assert_eq!(
-                                    grid.link_id(coord, axis, positive),
-                                    want,
+                                    got,
+                                    Some(want),
                                     "{coord:?} axis {axis} positive {positive} in {:?}",
                                     grid.dims()
+                                );
+                                assert_eq!(
+                                    t.links()[want],
+                                    Link {
+                                        src: here,
+                                        dst: grid.router_at(n)
+                                    }
                                 );
                             }
                         }

@@ -15,7 +15,8 @@
 //! [`AnalyticModel::with_table`](crate::analytic::AnalyticModel::with_table).
 
 use super::db::{InterconnectDb, LinkClass, LinkClassId, Medium, Placement};
-use crate::routing::{route_routers, RouteTable, RoutingKind};
+use super::grid::is_boundary;
+use crate::routing::{walk_topology, RouteTable, RoutingKind};
 use crate::topology::{Link, Topology, TopologyKind};
 use std::sync::Arc;
 
@@ -251,12 +252,7 @@ impl HybridBoards {
         }
         let (bs, bd) = (self.board_of(src), self.board_of(dst));
         let append_wired = |a: usize, b: usize, out: &mut Vec<u32>| {
-            out.extend(
-                route_routers(&self.topo, a, b)
-                    .links
-                    .iter()
-                    .map(|&l| l as u32),
-            );
+            walk_topology(&self.topo, RoutingKind::DimensionOrder, a, b, 0, out);
         };
         if bs == bd {
             append_wired(src, dst, out);
@@ -288,7 +284,8 @@ impl HybridBoards {
     pub fn link_class(&self, id: usize) -> LinkClassId {
         let l = self.topo.links()[id];
         let (ca, cb) = (self.topo.coord(l.src), self.topo.coord(l.dst));
-        let edge = is_global_boundary(&self.topo, ca) || is_global_boundary(&self.topo, cb);
+        let dims = self.topo.dims();
+        let edge = is_boundary(dims, ca) || is_boundary(dims, cb);
         if id < self.wired_links {
             let axis = (0..3)
                 .find(|&a| ca[a] != cb[a])
@@ -318,17 +315,6 @@ impl HybridBoards {
             .filter(|&(_, n)| n > 0)
             .collect()
     }
-}
-
-/// Boundary predicate on the *global* grid, matching the fault layer's
-/// edge/center link classes (`crate::des::fault::is_edge_link`).
-fn is_global_boundary(topo: &Topology, coord: [usize; 3]) -> bool {
-    let [dx, dy, dz] = topo.dims();
-    coord[0] == 0
-        || coord[0] + 1 == dx
-        || coord[1] == 0
-        || coord[1] + 1 == dy
-        || (dz > 1 && (coord[2] == 0 || coord[2] + 1 == dz))
 }
 
 #[cfg(test)]
@@ -433,6 +419,33 @@ mod tests {
             .map(|&(id, _)| h.db().link_classes()[id].medium)
             .collect();
         assert!(media.contains(&Medium::Wired) && media.contains(&Medium::Wireless));
+    }
+
+    #[test]
+    fn census_places_edge_and_center_links() {
+        // Two 4×4×3 boards make an 8×4×3 global grid: center links join
+        // routers with x in 1..=6, y in 1..=2 and z = 1 (the x pair
+        // straddling the board gap is a radio, not a wire). The radio
+        // sites sit at (2, 1, 1), interior, and (2, 3, 1), on the y
+        // boundary.
+        let h = HybridBoards::with_radio_count(2, [4, 4, 3], 2);
+        let census: Vec<(&str, usize)> = h
+            .link_census()
+            .into_iter()
+            .map(|(id, n)| (h.db().link_classes()[id].name.as_str(), n))
+            .collect();
+        assert_eq!(
+            census,
+            [
+                ("WIRE_X_EDGE", 128),
+                ("WIRE_X_CENTER", 16),
+                ("WIRE_Y_EDGE", 132),
+                ("WIRE_Y_CENTER", 12),
+                ("WIRE_Z_EDGE", 128),
+                ("RADIO_X_SPAN4_EDGE", 2),
+                ("RADIO_X_SPAN4_CENTER", 2),
+            ]
+        );
     }
 
     #[test]

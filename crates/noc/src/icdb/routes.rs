@@ -3,20 +3,19 @@
 //!
 //! The legacy [`RouteTable`] stores every (router pair, choice) route —
 //! O(routers² · choices) memory, which dies around 10³ routers. A
-//! [`ClassRouter`] stores nothing: it re-derives any route on demand as
-//! a coordinate walk whose per-hop link ids come from the expanded
-//! grid's closed-form arithmetic ([`ExpandedGrid::link_id`]), i.e. from
-//! the tile class's slot table plus prefix counts. The walk replays
-//! [`crate::routing::policy_route_routers`] step for step, so the routes
-//! are link-for-link identical (pinned by tests here and the proptest in
+//! [`ClassRouter`] stores nothing: it re-derives any route on demand
+//! through the crate's one policy walker, taking each hop's link id from
+//! the expanded grid's closed-form arithmetic ([`ExpandedGrid::link_id`],
+//! i.e. the tile class's slot table plus prefix counts) where
+//! [`RouteTable::with_policy`] reads the topology's unit-step table.
+//! Same walker, two independent link lookups: the routes are
+//! link-for-link identical (pinned by tests here and the proptest in
 //! `tests/properties.rs`), and [`ClassRouter::to_route_table`] produces
 //! a table bit-identical to [`RouteTable::with_policy`] for consumers
 //! that still want the CSR.
 
 use super::grid::ExpandedGrid;
-use crate::routing::{
-    rlb_intermediate, valiant_intermediate, RouteTable, RoutingKind, O1TURN_ORDERS,
-};
+use crate::routing::{walk_route, RouteTable, RoutingKind, Step};
 
 /// Per-tile-class route programs for one policy over one expanded grid.
 /// O(1) memory regardless of grid size; cheap to clone.
@@ -59,91 +58,10 @@ impl ClassRouter {
     ///
     /// Panics if a router or the choice is out of range.
     pub fn route_routers_into(&self, src: usize, dst: usize, choice: usize, out: &mut Vec<u32>) {
-        assert!(
-            choice < self.kind.choices(),
-            "choice {choice} out of range for {} ({} choices)",
-            self.kind.name(),
-            self.kind.choices()
-        );
-        if src == dst {
-            // Touch the bounds check that `coord` would otherwise do.
-            assert!(src < self.grid.num_routers(), "router {src} out of range");
-            return;
-        }
-        match self.kind {
-            RoutingKind::Valiant { .. } => {
-                let mid = valiant_intermediate(self.grid.num_routers(), src, dst, choice);
-                let here = self.walk(self.grid.coord(src), self.grid.coord(mid), [0, 1, 2], out);
-                self.walk(here, self.grid.coord(dst), [0, 1, 2], out);
-            }
-            RoutingKind::RlbValiant { .. } => {
-                let mid = rlb_intermediate(self.grid.coord(src), self.grid.coord(dst), choice);
-                let here = self.walk(self.grid.coord(src), mid, [0, 1, 2], out);
-                self.walk(here, self.grid.coord(dst), [0, 1, 2], out);
-            }
-            RoutingKind::O1Turn => {
-                self.walk(
-                    self.grid.coord(src),
-                    self.grid.coord(dst),
-                    O1TURN_ORDERS[choice],
-                    out,
-                );
-            }
-            // Adaptive's route *program* is its dimension-order escape
-            // route, matching `RouteTable::with_policy` — hop-by-hop
-            // adaptivity lives in the DES engines, not the table layer.
-            RoutingKind::DimensionOrder | RoutingKind::Adaptive => {
-                self.walk(self.grid.coord(src), self.grid.coord(dst), [0, 1, 2], out);
-            }
-        }
-    }
-
-    /// Ordered minimal walk from `from` to `to`, appending closed-form
-    /// link ids; returns the final coordinate (= `to`).
-    fn walk(
-        &self,
-        mut from: [usize; 3],
-        to: [usize; 3],
-        order: [usize; 3],
-        out: &mut Vec<u32>,
-    ) -> [usize; 3] {
-        for dim in order {
-            while from[dim] != to[dim] {
-                let positive = from[dim] < to[dim];
-                out.push(self.grid.link_id(from, dim, positive) as u32);
-                if positive {
-                    from[dim] += 1;
-                } else {
-                    from[dim] -= 1;
-                }
-            }
-        }
-        from
-    }
-
-    /// Hop count of route `choice` between two routers without
-    /// materializing links: the Manhattan distance, via the Valiant
-    /// intermediate for that policy.
-    pub fn hops(&self, src: usize, dst: usize, choice: usize) -> usize {
-        if src == dst {
-            return 0;
-        }
-        let a = self.grid.coord(src);
-        let b = self.grid.coord(dst);
-        let manhattan =
-            |p: [usize; 3], q: [usize; 3]| (0..3).map(|i| p[i].abs_diff(q[i])).sum::<usize>();
-        match self.kind {
-            RoutingKind::Valiant { .. } => {
-                let mid = self.grid.coord(valiant_intermediate(
-                    self.grid.num_routers(),
-                    src,
-                    dst,
-                    choice,
-                ));
-                manhattan(a, mid) + manhattan(mid, b)
-            }
-            _ => manhattan(a, b),
-        }
+        let grid = &self.grid;
+        let link_id = |s: Step| Some(grid.link_id(s.coord, s.axis, s.positive));
+        walk_route(grid.dims(), self.kind, src, dst, choice, link_id, out)
+            .expect("closed-form link ids resolve every in-grid step");
     }
 
     /// Materializes the full legacy CSR table through the route
@@ -199,7 +117,6 @@ mod tests {
                                 .map(|&l| l as u32)
                                 .collect();
                             assert_eq!(got, want, "{} ({s},{d},{c})", kind.name());
-                            assert_eq!(got.len(), router.hops(s, d, c));
                         }
                     }
                 }

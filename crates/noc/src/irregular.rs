@@ -60,7 +60,7 @@ impl PillarMesh3d {
     pub fn new(x: usize, y: usize, z: usize, pitch: usize) -> Self {
         assert!(pitch > 0, "pillar pitch must be positive");
         let grid = ExpandedGrid::mesh3d(x, y, z);
-        // Materialize the sparse link list in the legacy builder's
+        // Materialize the sparse link list in `ExpandedGrid::to_topology`'s
         // (z, y, x)-raster order so planar link ids coincide with the
         // full mesh's wherever both exist.
         let mut links = Vec::new();

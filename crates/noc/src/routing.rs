@@ -325,6 +325,130 @@ impl Path {
     }
 }
 
+/// One unit step of a route walk: leave `router`, at grid coordinate
+/// `coord`, along `axis` — toward the larger coordinate when `positive`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Step {
+    pub(crate) router: usize,
+    pub(crate) coord: [usize; 3],
+    pub(crate) axis: usize,
+    pub(crate) positive: bool,
+}
+
+/// Walks choice `choice` of `kind` from router `src` to router `dst` of
+/// a `dims` raster (z-major, like [`Topology::router_at`]), appending
+/// each unit step's link id, taken from `link`, to `out`.
+///
+/// This is the one place a route's Valiant/RLB intermediate and O1TURN
+/// visit order are picked: the [`RouteTable`] builder, [`policy_route`]
+/// and its siblings, [`all_pairs_routable_with`], the deadlock checker,
+/// the hybrid boards' wired legs and the icdb route programs all walk
+/// through it, differing only in where a step's link id comes from.
+/// Same-router pairs walk nothing under every policy — a packet that
+/// never enters the mesh takes no detour. Adaptive walks its
+/// dimension-order escape route (what the analytic model charges and
+/// the route programs serve; the DES engines route it hop by hop).
+///
+/// Returns the hop count of the first leg — up to the Valiant/RLB
+/// intermediate, the whole route otherwise — or the first step `link`
+/// cannot resolve.
+///
+/// # Panics
+///
+/// Panics if a router or the choice is out of range.
+pub(crate) fn walk_route(
+    dims: [usize; 3],
+    kind: RoutingKind,
+    src: usize,
+    dst: usize,
+    choice: usize,
+    mut link: impl FnMut(Step) -> Option<usize>,
+    out: &mut Vec<u32>,
+) -> Result<usize, Step> {
+    assert!(
+        choice < kind.choices(),
+        "choice {choice} out of range for {} ({} choices)",
+        kind.name(),
+        kind.choices()
+    );
+    let [nx, ny, nz] = dims;
+    let routers = nx * ny * nz;
+    assert!(
+        src < routers && dst < routers,
+        "router pair ({src}, {dst}) out of range for {routers} routers"
+    );
+    if src == dst {
+        return Ok(0);
+    }
+    let coord = |r: usize| [r % nx, (r / nx) % ny, r / (nx * ny)];
+    let to = coord(dst);
+    let mut here = Step {
+        router: src,
+        coord: coord(src),
+        axis: 0,
+        positive: false,
+    };
+    let (mid, order) = match kind {
+        RoutingKind::Valiant { .. } => (
+            coord(valiant_intermediate(routers, src, dst, choice)),
+            [0, 1, 2],
+        ),
+        RoutingKind::RlbValiant { .. } => (rlb_intermediate(here.coord, to, choice), [0, 1, 2]),
+        RoutingKind::O1Turn => (to, O1TURN_ORDERS[choice]),
+        RoutingKind::DimensionOrder | RoutingKind::Adaptive => (to, [0, 1, 2]),
+    };
+    let stride = [1, nx, nx * ny];
+    let start = out.len();
+    let mut first_leg = 0;
+    for (leg, target) in [mid, to].into_iter().enumerate() {
+        for axis in order {
+            while here.coord[axis] != target[axis] {
+                here.axis = axis;
+                here.positive = here.coord[axis] < target[axis];
+                out.push(link(here).ok_or(here)? as u32);
+                if here.positive {
+                    here.coord[axis] += 1;
+                    here.router += stride[axis];
+                } else {
+                    here.coord[axis] -= 1;
+                    here.router -= stride[axis];
+                }
+            }
+        }
+        if leg == 0 {
+            first_leg = out.len() - start;
+        }
+    }
+    Ok(first_leg)
+}
+
+/// [`walk_route`] over `topo`'s unit-step links
+/// ([`Topology::step_link`]).
+///
+/// # Panics
+///
+/// Panics if a router or the choice is out of range, or if the topology
+/// lacks a link the route needs.
+pub(crate) fn walk_topology(
+    topo: &Topology,
+    kind: RoutingKind,
+    src: usize,
+    dst: usize,
+    choice: usize,
+    out: &mut Vec<u32>,
+) -> usize {
+    let step_link = |s: Step| topo.step_link(s.router, s.axis, s.positive);
+    walk_route(topo.dims(), kind, src, dst, choice, step_link, out).unwrap_or_else(|s| {
+        panic!(
+            "no link leaves router {} along axis {} ({}) for the {} route",
+            s.router,
+            s.axis,
+            if s.positive { "+" } else { "-" },
+            kind.name()
+        )
+    })
+}
+
 /// Computes the dimension-order route between two modules.
 ///
 /// # Panics
@@ -332,9 +456,7 @@ impl Path {
 /// Panics if either module is out of range or if the topology lacks a link
 /// the route needs (possible only for hand-edited irregular topologies).
 pub fn route(topo: &Topology, src_module: usize, dst_module: usize) -> Path {
-    let src = topo.router_of(src_module);
-    let dst = topo.router_of(dst_module);
-    route_routers(topo, src, dst)
+    policy_route(topo, RoutingKind::DimensionOrder, src_module, dst_module, 0)
 }
 
 /// Dimension-order route between two routers.
@@ -343,48 +465,7 @@ pub fn route(topo: &Topology, src_module: usize, dst_module: usize) -> Path {
 ///
 /// See [`route`].
 pub fn route_routers(topo: &Topology, src: usize, dst: usize) -> Path {
-    route_routers_ordered(topo, src, dst, [0, 1, 2])
-}
-
-/// Minimal route between two routers resolving the grid dimensions in the
-/// given visit order (`[0, 1, 2]` is plain dimension-order routing; the
-/// other permutations are the O1TURN alternatives).
-///
-/// # Panics
-///
-/// See [`route`].
-pub fn route_routers_ordered(topo: &Topology, src: usize, dst: usize, order: [usize; 3]) -> Path {
-    let mut path = Path {
-        routers: vec![src],
-        links: Vec::new(),
-    };
-    extend_ordered(topo, src, dst, order, &mut path);
-    path
-}
-
-/// Walks the ordered minimal route from `src` to `dst`, appending to
-/// `path` (whose last router must be `src`).
-fn extend_ordered(topo: &Topology, src: usize, dst: usize, order: [usize; 3], path: &mut Path) {
-    let mut here = topo.coord(src);
-    let target = topo.coord(dst);
-    for dim in order {
-        while here[dim] != target[dim] {
-            let mut next = here;
-            if here[dim] < target[dim] {
-                next[dim] += 1;
-            } else {
-                next[dim] -= 1;
-            }
-            let a = topo.router_at(here);
-            let b = topo.router_at(next);
-            let link = topo
-                .link_between(a, b)
-                .unwrap_or_else(|| panic!("no link {a} -> {b} for dimension-order route"));
-            path.links.push(link);
-            path.routers.push(b);
-            here = next;
-        }
-    }
+    policy_route_routers(topo, RoutingKind::DimensionOrder, src, dst, 0)
 }
 
 /// Materializes choice `choice` of policy `kind` between two routers:
@@ -405,52 +486,13 @@ pub fn policy_route_routers(
     dst: usize,
     choice: usize,
 ) -> Path {
-    let mut path = Path {
-        routers: Vec::new(),
-        links: Vec::new(),
-    };
-    policy_route_into(topo, kind, src, dst, choice, &mut path);
-    path
-}
-
-/// [`policy_route_routers`] into a caller-owned `path` (cleared first) —
-/// lets the table builder reuse one scratch path across all
-/// (pair, choice) walks instead of allocating two `Vec`s per route.
-fn policy_route_into(
-    topo: &Topology,
-    kind: RoutingKind,
-    src: usize,
-    dst: usize,
-    choice: usize,
-    path: &mut Path,
-) {
-    assert!(
-        choice < kind.choices(),
-        "choice {choice} out of range for {} ({} choices)",
-        kind.name(),
-        kind.choices()
-    );
-    path.routers.clear();
-    path.links.clear();
-    path.routers.push(src);
-    if src == dst {
-        return;
-    }
-    match kind {
-        RoutingKind::Valiant { .. } => {
-            let mid = valiant_intermediate(topo.num_routers(), src, dst, choice);
-            extend_ordered(topo, src, mid, [0, 1, 2], path);
-            extend_ordered(topo, mid, dst, [0, 1, 2], path);
-        }
-        RoutingKind::RlbValiant { .. } => {
-            let mid = topo.router_at(rlb_intermediate(topo.coord(src), topo.coord(dst), choice));
-            extend_ordered(topo, src, mid, [0, 1, 2], path);
-            extend_ordered(topo, mid, dst, [0, 1, 2], path);
-        }
-        // Adaptive materializes its dimension-order escape route — the
-        // route the analytic model charges and the route-program layer
-        // serves; the DES engines route hop by hop instead.
-        _ => extend_ordered(topo, src, dst, choice_order(kind, choice), path),
+    let mut links = Vec::new();
+    walk_topology(topo, kind, src, dst, choice, &mut links);
+    let mut routers = vec![src];
+    routers.extend(links.iter().map(|&l| topo.links()[l as usize].dst));
+    Path {
+        routers,
+        links: links.into_iter().map(|l| l as usize).collect(),
     }
 }
 
@@ -477,11 +519,12 @@ pub fn policy_route(
 
 /// All-pairs routes of one [`RoutingKind`] in flat CSR form.
 ///
-/// [`route`] allocates two `Vec`s per call, which made it the allocation
-/// hot spot of the discrete-event simulator (one call per injected
-/// packet). A `RouteTable` walks every *router* pair once per **choice**
-/// at build time and stores the link ids contiguously, so a lookup is two
-/// array reads and a slice — no allocation, no per-hop `HashMap` probe.
+/// [`route`] walks the path and allocates two `Vec`s per call, which
+/// made it the allocation hot spot of the discrete-event simulator (one
+/// call per injected packet). A `RouteTable` walks every *router* pair
+/// once per **choice** at build time — one unit-step table read per hop
+/// ([`Topology::step_link`]) — and stores the link ids contiguously, so
+/// a lookup is two array reads and a slice: no allocation, no walk.
 /// Module pairs sharing a router map to an empty slice, exactly like
 /// [`route`].
 ///
@@ -533,13 +576,8 @@ impl RouteTable {
     /// Panics if the policy is invalid ([`RoutingKind::problem`]) or the
     /// topology lacks a link some route needs.
     pub fn with_policy(topo: &Topology, kind: RoutingKind) -> Self {
-        let mut scratch = Path {
-            routers: Vec::new(),
-            links: Vec::new(),
-        };
         Self::from_routes(topo, kind, |a, b, c, out| {
-            policy_route_into(topo, kind, a, b, c, &mut scratch);
-            out.extend(scratch.links.iter().map(|&l| l as u32));
+            walk_topology(topo, kind, a, b, c, out);
         })
     }
 
@@ -714,16 +752,6 @@ impl RouteTable {
     }
 }
 
-/// Dimension visit order of one route choice: the O1TURN permutation for
-/// that policy, plain X-Y-Z for everything else (Valiant applies it to
-/// both legs).
-fn choice_order(kind: RoutingKind, choice: usize) -> [usize; 3] {
-    match kind {
-        RoutingKind::O1Turn => O1TURN_ORDERS[choice],
-        _ => [0, 1, 2],
-    }
-}
-
 /// Checks that dimension-order routing can serve every module pair of the
 /// topology (true for all regular meshes; useful for irregular variants).
 pub fn all_pairs_routable(topo: &Topology) -> bool {
@@ -735,47 +763,16 @@ pub fn all_pairs_routable(topo: &Topology) -> bool {
 /// topology has.
 pub fn all_pairs_routable_with(topo: &Topology, kind: RoutingKind) -> bool {
     let n = topo.num_routers();
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            for c in 0..kind.choices() {
-                let waypoints: [usize; 2] = match kind {
-                    RoutingKind::Valiant { .. } => [valiant_intermediate(n, s, d, c), d],
-                    RoutingKind::RlbValiant { .. } => [
-                        topo.router_at(rlb_intermediate(topo.coord(s), topo.coord(d), c)),
-                        d,
-                    ],
-                    // Adaptive's escape route is the dimension-order one.
-                    _ => [d, d],
-                };
-                let order = choice_order(kind, c);
-                let mut here = topo.coord(s);
-                for target_router in waypoints {
-                    let target = topo.coord(target_router);
-                    for dim in order {
-                        while here[dim] != target[dim] {
-                            let mut next = here;
-                            if here[dim] < target[dim] {
-                                next[dim] += 1;
-                            } else {
-                                next[dim] -= 1;
-                            }
-                            if topo
-                                .link_between(topo.router_at(here), topo.router_at(next))
-                                .is_none()
-                            {
-                                return false;
-                            }
-                            here = next;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    true
+    let mut scratch = Vec::new();
+    let step_link = |s: Step| topo.step_link(s.router, s.axis, s.positive);
+    (0..n).all(|s| {
+        (0..n).all(|d| {
+            (0..kind.choices()).all(|c| {
+                scratch.clear();
+                walk_route(topo.dims(), kind, s, d, c, step_link, &mut scratch).is_ok()
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -832,7 +829,8 @@ mod tests {
         let t = Topology::mesh3d(4, 4, 4);
         let s = t.router_at([0, 0, 0]);
         let d = t.router_at([2, 2, 2]);
-        let p = route_routers_ordered(&t, s, d, [2, 1, 0]);
+        // Choice 5 of O1TURN visits the axes in the order [2, 1, 0].
+        let p = policy_route_routers(&t, RoutingKind::O1Turn, s, d, 5);
         let coords: Vec<[usize; 3]> = p.routers.iter().map(|&r| t.coord(r)).collect();
         // Z changes first, then Y, then X.
         assert_eq!(coords[1], [0, 0, 1]);

@@ -7,8 +7,8 @@
 //! concentrated variants: several modules share one router, trading network
 //! size against router radix — exactly the trade-off §IV analyzes.
 
+use crate::icdb::ExpandedGrid;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which of the paper's topology families a [`Topology`] belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,8 +51,10 @@ pub struct Topology {
     /// `module_router[m]` is the router module `m` attaches to.
     module_router: Vec<usize>,
     links: Vec<Link>,
+    /// `step[router·6 + 2·axis + positive]` — the link leaving `router`
+    /// by one unit step along `axis`, `u32::MAX` when absent.
     #[serde(skip)]
-    link_index: HashMap<(usize, usize), usize>,
+    step: Vec<u32>,
 }
 
 impl Topology {
@@ -63,7 +65,7 @@ impl Topology {
     ///
     /// Panics if either dimension is zero.
     pub fn mesh2d(x: usize, y: usize) -> Self {
-        Self::build(TopologyKind::Mesh2D, [x, y, 1], 1)
+        ExpandedGrid::mesh2d(x, y).to_topology()
     }
 
     /// Builds a star-mesh: `x × y` routers with `concentration` modules
@@ -73,7 +75,7 @@ impl Topology {
     ///
     /// Panics if a dimension or the concentration is zero.
     pub fn star_mesh(x: usize, y: usize, concentration: usize) -> Self {
-        Self::build(TopologyKind::StarMesh, [x, y, 1], concentration)
+        ExpandedGrid::star_mesh(x, y, concentration).to_topology()
     }
 
     /// Builds a 3D mesh of `x × y × z` routers, one module each
@@ -83,7 +85,7 @@ impl Topology {
     ///
     /// Panics if any dimension is zero.
     pub fn mesh3d(x: usize, y: usize, z: usize) -> Self {
-        Self::build(TopologyKind::Mesh3D, [x, y, z], 1)
+        ExpandedGrid::mesh3d(x, y, z).to_topology()
     }
 
     /// Builds a ciliated 3D mesh: `x × y × z` routers with `concentration`
@@ -93,93 +95,20 @@ impl Topology {
     ///
     /// Panics if any dimension or the concentration is zero.
     pub fn ciliated_mesh3d(x: usize, y: usize, z: usize, concentration: usize) -> Self {
-        Self::build(TopologyKind::CiliatedMesh3D, [x, y, z], concentration)
-    }
-
-    fn build(kind: TopologyKind, dims: [usize; 3], concentration: usize) -> Self {
-        assert!(
-            dims.iter().all(|&d| d > 0),
-            "all dimensions must be positive, got {dims:?}"
-        );
-        assert!(concentration > 0, "concentration must be positive");
-        let [nx, ny, nz] = dims;
-        let n_routers = nx * ny * nz;
-        let mut routers = Vec::with_capacity(n_routers);
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    routers.push(Router { coord: [x, y, z] });
-                }
-            }
-        }
-        let index = |x: usize, y: usize, z: usize| x + nx * (y + ny * z);
-
-        let mut links = Vec::new();
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let here = index(x, y, z);
-                    if x + 1 < nx {
-                        links.push(Link {
-                            src: here,
-                            dst: index(x + 1, y, z),
-                        });
-                        links.push(Link {
-                            src: index(x + 1, y, z),
-                            dst: here,
-                        });
-                    }
-                    if y + 1 < ny {
-                        links.push(Link {
-                            src: here,
-                            dst: index(x, y + 1, z),
-                        });
-                        links.push(Link {
-                            src: index(x, y + 1, z),
-                            dst: here,
-                        });
-                    }
-                    if z + 1 < nz {
-                        links.push(Link {
-                            src: here,
-                            dst: index(x, y, z + 1),
-                        });
-                        links.push(Link {
-                            src: index(x, y, z + 1),
-                            dst: here,
-                        });
-                    }
-                }
-            }
-        }
-
-        let module_router: Vec<usize> = (0..n_routers)
-            .flat_map(|r| std::iter::repeat_n(r, concentration))
-            .collect();
-
-        let link_index = links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| ((l.src, l.dst), i))
-            .collect();
-
-        Topology {
-            kind,
-            dims,
-            concentration,
-            routers,
-            module_router,
-            links,
-            link_index,
-        }
+        ExpandedGrid::ciliated_mesh3d(x, y, z, concentration).to_topology()
     }
 
     /// Builds a topology over the standard raster of routers (`dims`,
     /// z-major like [`Topology::mesh3d`]) from an explicit directed link
-    /// list — the materialization entry point for database-expanded
-    /// grids ([`crate::icdb`]) whose link sets the four regular builders
-    /// cannot express: pillar meshes with sparse vertical links and
-    /// hybrid wired+wireless board grids with express radio links.
+    /// list — the one constructor. The four regular builders reach it
+    /// through [`ExpandedGrid::to_topology`]; pillar meshes with sparse
+    /// vertical links and hybrid wired+wireless board grids with express
+    /// radio links pass their own lists.
+    ///
+    /// The list is indexed once into the unit-step table behind
+    /// [`Topology::step_link`]. A link that is not a unit step (a radio
+    /// link spanning a board pitch) stays out of the table; of two links
+    /// making the same step, the later one wins.
     ///
     /// # Panics
     ///
@@ -206,19 +135,27 @@ impl Topology {
                 }
             }
         }
-        for l in &links {
+        assert!(
+            links.len() < u32::MAX as usize,
+            "{} links exceed the u32 link-id capacity",
+            links.len()
+        );
+        let mut step = vec![u32::MAX; n_routers * 6];
+        for (id, l) in links.iter().enumerate() {
             assert!(
                 l.src < n_routers && l.dst < n_routers,
                 "link {l:?} outside the {n_routers}-router raster"
             );
+            let (a, b) = (routers[l.src].coord, routers[l.dst].coord);
+            let mut moved = (0..3).filter(|&axis| a[axis] != b[axis]);
+            if let (Some(axis), None) = (moved.next(), moved.next()) {
+                if a[axis].abs_diff(b[axis]) == 1 {
+                    step[l.src * 6 + 2 * axis + usize::from(a[axis] < b[axis])] = id as u32;
+                }
+            }
         }
         let module_router: Vec<usize> = (0..n_routers)
             .flat_map(|r| std::iter::repeat_n(r, concentration))
-            .collect();
-        let link_index = links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| ((l.src, l.dst), i))
             .collect();
         Topology {
             kind,
@@ -227,7 +164,7 @@ impl Topology {
             routers,
             module_router,
             links,
-            link_index,
+            step,
         }
     }
 
@@ -280,9 +217,19 @@ impl Topology {
         self.module_router[m]
     }
 
-    /// Link id for the directed router pair, if a link exists.
-    pub fn link_between(&self, src: usize, dst: usize) -> Option<usize> {
-        self.link_index.get(&(src, dst)).copied()
+    /// Id of the link leaving `router` by one unit step along `axis`
+    /// (toward the larger coordinate when `positive`), if the topology
+    /// has one. One array read; express links that skip routers are
+    /// not unit steps and never returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router is out of range.
+    #[inline]
+    pub fn step_link(&self, router: usize, axis: usize, positive: bool) -> Option<usize> {
+        assert!(axis < 3, "axis {axis} out of range");
+        let id = self.step[router * 6 + 2 * axis + usize::from(positive)];
+        (id != u32::MAX).then_some(id as usize)
     }
 
     /// Grid coordinate of a router.
@@ -356,8 +303,15 @@ mod tests {
     fn links_are_bidirectional_pairs() {
         let t = Topology::mesh3d(3, 3, 3);
         for l in t.links() {
-            assert!(
-                t.link_between(l.dst, l.src).is_some(),
+            let (a, b) = (t.coord(l.src), t.coord(l.dst));
+            let axis = (0..3).find(|&i| a[i] != b[i]).unwrap();
+            let reverse = t.step_link(l.dst, axis, b[axis] < a[axis]);
+            assert_eq!(
+                reverse.map(|r| t.links()[r]),
+                Some(Link {
+                    src: l.dst,
+                    dst: l.src
+                }),
                 "missing reverse of {l:?}"
             );
         }

@@ -609,6 +609,22 @@ mod tests {
     }
 
     #[test]
+    fn store_key_hashes_are_pinned() {
+        // Literal store keys: a hashed field added, dropped or reordered
+        // without a HASH_SCHEMA_VERSION bump changes one of these, and
+        // every committed store and frame cache would silently miss.
+        assert_eq!(tiny_spec().eval.eval_hash(), 0x73b2_7510_aa39_cb3f);
+        assert_eq!(
+            coupled_target_hash(25, 4, 50, &CheckRule::SumProduct),
+            0x5b16_dedc_c2a9_6a74
+        );
+        assert_eq!(
+            block_target_hash(100, 50, &CheckRule::min_sum()),
+            0x31e4_43c7_59d3_5c90
+        );
+    }
+
+    #[test]
     fn target_hash_ignores_throughput_knobs() {
         let mut a = SystemConfig::paper_default().coding;
         let mut b = a;

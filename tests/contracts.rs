@@ -10,16 +10,24 @@
 //! Engine ≡ oracle: each lane of the batched LDPC decoders
 //! (`wi_ldpc::batch`) must equal the scalar decoder on that frame, bit
 //! for bit, including where lanes converge at different iterations and
-//! where a window position stops at its fixed point.
+//! where a window position stops at its fixed point. The scalar CSR
+//! decoder must equal `decoder::reference`, the arena DES engine must
+//! equal `des::reference` under every routing policy and under faults,
+//! and the table-driven route walk (`Topology::step_link`) must equal
+//! the closed-form icdb route programs (`ExpandedGrid::link_id`).
 
 use std::collections::BTreeSet;
 use wireless_interconnect::ldpc::ber::{simulate_ber_with_threads, BerSimOptions, BlockBerTarget};
 use wireless_interconnect::ldpc::decoder::{
-    awgn_llrs, BpConfig, BpDecoder, CheckRule, DecoderWorkspace,
+    awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace,
 };
 use wireless_interconnect::ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
 use wireless_interconnect::ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
-use wireless_interconnect::noc::des::{sweep_with_threads, DesConfig, SweepConfig};
+use wireless_interconnect::noc::des::{
+    reference as des_reference, sweep_with_threads, DesConfig, Engine, FaultConfig, SweepConfig,
+};
+use wireless_interconnect::noc::icdb::{ClassRouter, ExpandedGrid};
+use wireless_interconnect::noc::routing::{RouteTable, RoutingKind};
 use wireless_interconnect::noc::topology::Topology;
 use wireless_interconnect::num::rng::{seeded_rng, Gaussian};
 use wireless_interconnect::sweep::exec::{fold, run, RunOptions};
@@ -181,5 +189,98 @@ fn batched_bp_decoder_matches_scalar_per_lane() {
             iterations.len() >= 3,
             "{rule:?}: lanes must converge at different iterations, got {iterations:?}"
         );
+    }
+}
+
+#[test]
+fn csr_bp_decoder_matches_reference_oracle() {
+    let code = LdpcCode::paper_block(20, 77);
+    let frames = lane_frames(code.len(), 0.7, 0x3C00);
+    for rule in RULES {
+        let config = BpConfig {
+            max_iterations: 30,
+            check_rule: rule,
+        };
+        let decoder = BpDecoder::new(&code, config);
+        for (frame, llr) in frames.iter().take(3).enumerate() {
+            assert_eq!(
+                decoder.decode(llr),
+                bp_reference::decode(&code, config, llr),
+                "{rule:?} frame {frame}"
+            );
+        }
+    }
+}
+
+/// One policy of each kind the engine routes differently: table walks
+/// in one and several orders, two-leg detours, and the per-hop adaptive
+/// scan.
+const POLICIES: [RoutingKind; 5] = [
+    RoutingKind::DimensionOrder,
+    RoutingKind::O1Turn,
+    RoutingKind::Valiant { choices: 3 },
+    RoutingKind::RlbValiant { choices: 3 },
+    RoutingKind::Adaptive,
+];
+
+#[test]
+fn des_engine_matches_reference_oracle() {
+    let topo = Topology::mesh3d(3, 3, 2);
+    let base = DesConfig {
+        injection_rate: 0.2,
+        warmup_packets: 100,
+        measured_packets: 600,
+        seed: 0xD35,
+        ..DesConfig::default()
+    };
+    for routing in POLICIES {
+        let cfg = DesConfig { routing, ..base };
+        assert_eq!(
+            Engine::with_routing(&topo, routing).run(&cfg),
+            des_reference::simulate(&topo, &cfg),
+            "{}",
+            routing.name()
+        );
+    }
+    // Corrupted hops retransmit under ARQ; adaptive retries re-run the
+    // scan over the topology's unit-step links.
+    let faulty = DesConfig {
+        routing: RoutingKind::Adaptive,
+        fault: FaultConfig::uniform(0.05),
+        ..base
+    };
+    let got = Engine::with_routing(&topo, faulty.routing).run(&faulty);
+    assert!(got.retries > 0, "faults must cause retries");
+    assert_eq!(got, des_reference::simulate(&topo, &faulty));
+}
+
+#[test]
+fn route_tables_match_closed_form_route_programs() {
+    let topo = Topology::mesh3d(3, 3, 2);
+    let grid = ExpandedGrid::mesh3d(3, 3, 2);
+    for kind in POLICIES {
+        assert_eq!(
+            RouteTable::with_policy(&topo, kind),
+            ClassRouter::new(grid.clone(), kind).to_route_table(),
+            "{}",
+            kind.name()
+        );
+    }
+    for router in 0..grid.num_routers() {
+        let coord = grid.coord(router);
+        for axis in 0..3 {
+            for positive in [false, true] {
+                let present = if positive {
+                    coord[axis] + 1 < grid.dims()[axis]
+                } else {
+                    coord[axis] > 0
+                };
+                assert_eq!(
+                    topo.step_link(router, axis, positive),
+                    present.then(|| grid.link_id(coord, axis, positive)),
+                    "{coord:?} axis {axis} positive {positive}"
+                );
+            }
+        }
     }
 }

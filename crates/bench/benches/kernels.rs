@@ -119,6 +119,15 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("bp_decode_minsum_n200", |b| {
         b.iter(|| minsum.decode_in_place(&mut ws, black_box(&llr)))
     });
+    // The same frame on the one-lane batched engine (`L = 1`), which
+    // `--batch 1` and the narrow remainder of a BER slice run.
+    let mut bws1 = BatchWorkspace::new(&code, 1);
+    c.bench_function("bp_decode_batch1_n200", |b| {
+        b.iter(|| {
+            bws1.set_lane_llr(0, black_box(&llr));
+            minsum.decode_batch(&mut bws1);
+        })
+    });
     c.bench_function("bp_decode_naive_minsum_n200", |b| {
         b.iter(|| reference::decode(&code, minsum_config, black_box(&llr)))
     });
@@ -240,6 +249,25 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("window_decode_minsum_n25_l10", |b| {
         b.iter(|| wd_ms.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
     });
+    // The same frame on the one-lane batched window engine (`L = 1`)
+    // under each rule, beside the scalar rows above.
+    let mut wbws1 = WindowBatchWorkspace::new(cc.code(), 1);
+    for (name, rule) in [
+        ("window_decode_minsum_batch1_n25_l10", CheckRule::min_sum()),
+        ("window_decode_exact_batch1_n25_l10", CheckRule::SumProduct),
+        (
+            "window_decode_table_batch1_n25_l10",
+            CheckRule::sum_product_table(),
+        ),
+    ] {
+        let wd_lane = WindowDecoder::new(4, 20).with_rule(rule);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                wbws1.set_lane_llr(0, black_box(&llr_cc));
+                wd_lane.decode_batch(&mut wbws1, &cc);
+            })
+        });
+    }
     let cc_frames: Vec<Vec<f64>> = (0..8)
         .map(|lane| {
             let mut rng = seeded_rng(200 + lane);
@@ -291,16 +319,17 @@ fn bench_ber(c: &mut Criterion) {
     });
 
     // The whole-probe payoff of inter-frame batching: one fixed-budget
-    // BER evaluation with the scalar (batch-1) target vs the full-width
-    // batched default, min-sum (the rule the batch path accelerates).
-    // Results are bit-identical; the ratio is the BER-harness speedup.
+    // BER evaluation with the batch-1 target (one frame at a time on the
+    // one-lane engine) vs the full-width batched default, min-sum (the
+    // rule the batch path accelerates). Results are bit-identical; the
+    // ratio is the BER-harness speedup.
     let minsum_config = BpConfig {
         check_rule: CheckRule::min_sum(),
         ..BpConfig::default()
     };
-    let scalar_target = BlockBerTarget::new(&code, minsum_config, 0.5).with_batch(1);
-    c.bench_function("ber_eval_scalar_n100_24f", |b| {
-        b.iter(|| simulate_ber_with_threads(&scalar_target, 2.5, black_box(&opts), 1))
+    let batch1_target = BlockBerTarget::new(&code, minsum_config, 0.5).with_batch(1);
+    c.bench_function("ber_eval_batch1_n100_24f", |b| {
+        b.iter(|| simulate_ber_with_threads(&batch1_target, 2.5, black_box(&opts), 1))
     });
     let batched_target = BlockBerTarget::new(&code, minsum_config, 0.5).with_batch(8);
     c.bench_function("ber_eval_batch_vs_scalar", |b| {

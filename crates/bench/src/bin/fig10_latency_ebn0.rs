@@ -75,8 +75,8 @@ FLAGS:
                          Carlo frames each worker decodes in lockstep
                          through the vectorized lane kernels (1, 2, 4 or
                          8; default 8). Bit-identical per frame at every
-                         width -- a pure throughput knob (1 = the scalar
-                         decoders)
+                         width -- a pure throughput knob (1 = one frame
+                         at a time)
     --store <dir>        persist every (seed, frame, Eb/N0) frame
                          evaluation in a wi_sweep result-store directory
                          and reuse any already stored -- a re-run of the

@@ -269,10 +269,14 @@ mod tests {
     fn fer_curve_is_invariant_under_batch_width() {
         // The purity contract ("frame f is a function of (seed, f)") made
         // the FER cache reusable; inter-frame batching must not bend it.
-        // The batch-1 target is the pre-batching scalar path, so equality
-        // here is the byte-identical pre/post-batching regression pin.
+        // The oracle decodes every frame alone with the scalar window
+        // decoder, so equality at every width — batch 1 included, which
+        // runs the one-lane batched engine — pins the batched path to
+        // the pre-batching results.
+        use wi_ldpc::ber::{ebn0_db_to_sigma, fill_frame_llrs};
+        use wi_ldpc::window::{WindowDecoder, WindowWorkspace};
         let code = CoupledCode::paper_cc(10, 8, 0xC051);
-        let decoder = wi_ldpc::window::WindowDecoder::new(3, 8);
+        let decoder = WindowDecoder::new(3, 8);
         let opts = BerSimOptions {
             target_errors: u64::MAX,
             max_frames: 30,
@@ -280,12 +284,24 @@ mod tests {
             seed: 0xC051,
         };
         let grid = [0.0, 3.0, 6.0];
-        let scalar = FerCurve::measure(
-            &CoupledBerTarget::new(&code, decoder).with_batch(1),
-            &grid,
-            &opts,
+        let mut ws = WindowWorkspace::new(code.code());
+        let mut llr = vec![0.0; code.code().len()];
+        let scalar = FerCurve::from_points(
+            grid.iter()
+                .map(|&ebn0_db| {
+                    let sigma = ebn0_db_to_sigma(ebn0_db, code.design_rate());
+                    let failed = (0..opts.max_frames)
+                        .filter(|&frame| {
+                            fill_frame_llrs(&mut llr, sigma, opts.seed, frame);
+                            decoder.decode_in_place(&mut ws, &code, &llr);
+                            ws.hard().contains(&true)
+                        })
+                        .count();
+                    (ebn0_db, failed as f64 / opts.max_frames as f64)
+                })
+                .collect(),
         );
-        for batch in [2usize, 4, 8] {
+        for batch in [1usize, 2, 4, 8] {
             let batched = FerCurve::measure(
                 &CoupledBerTarget::new(&code, decoder).with_batch(batch),
                 &grid,

@@ -46,9 +46,13 @@
 //!   scalar decoder, which runs every iteration and stays the oracle.
 //!
 //! The BER layer ([`crate::ber`]) drives these decoders through
-//! `BerTarget::eval_frames_each` in chunks of the target's batch width
-//! with a scalar ragged tail, so search strategies, thread fan-out and
-//! the co-sim FER cache inherit the speedup with unchanged results.
+//! `BerTarget::eval_frames_each`: full batches of the target's width,
+//! then the remainder at the widest supported width that fits (4, then
+//! 2, then 1). Every frame a BER run decodes, at `--batch 1` too, runs
+//! this engine, so search strategies, thread fan-out and the co-sim FER
+//! cache inherit the speedup with unchanged results. The scalar decoders
+//! remain the oracles the lanes are tested against and the BP straggler
+//! bail-out below.
 
 use crate::code::LdpcCode;
 use crate::decoder::{

@@ -42,15 +42,21 @@
 //! `derive_seed(seed, frame)` and its [`Gaussian`] sampler is frame local
 //! (a shared sampler's cached Box–Muller variate would leak state between
 //! frames and make results depend on simulation order). Frame batches are
-//! fanned out across threads by [`wi_num::par::ordered`] in fixed rounds,
+//! fanned out across threads by [`wi_num::par::ordered`] in rounds,
 //! while every stopping rule — the `target_errors` / `min_frames` /
 //! `max_frames` budget of [`BerSimOptions`] *and* the CI pruning of
 //! [`SearchStrategy::ConcurrentBisection`] — is applied by its serial
 //! fold over the per-frame results **in frame order**. [`simulate_ber`]
 //! and [`search_required_ebn0`] therefore return bit-identical results
 //! for any thread count; extra frames speculatively simulated past a
-//! stopping point are discarded without being counted. Each worker
-//! reuses one [`BerWorkspace`], so the hot loop does not allocate.
+//! stopping point are discarded without being counted. Up to
+//! `min_frames`, where no rule can stop, a round runs exactly to that
+//! floor, so nothing below it is speculative; each round is dealt as
+//! full-width batches plus a last wave split evenly over the workers.
+//! Which frames a round evaluates depends only on where the fold stands,
+//! the thread count and the batch width, so a rerun evaluates the same
+//! frames. Each worker reuses one [`BerWorkspace`], so the hot loop does
+//! not allocate.
 //!
 //! # Bit-identical vs statistically equivalent
 //!
@@ -63,8 +69,8 @@
 
 use crate::batch::{lanes_problem, BatchWorkspace, WindowBatchWorkspace, DEFAULT_LANES, MAX_LANES};
 use crate::code::LdpcCode;
-use crate::decoder::{BpConfig, BpDecoder, DecoderWorkspace};
-use crate::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use crate::decoder::{BpConfig, BpDecoder};
+use crate::window::{CoupledCode, WindowDecoder};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
@@ -109,6 +115,26 @@ impl Default for BerSimOptions {
             min_frames: 8,
             seed: 0xBE5,
         }
+    }
+}
+
+impl BerSimOptions {
+    /// Returns every problem with the frame budget (empty when valid),
+    /// alongside [`SearchConfig::problems`]: a zero `max_frames` makes
+    /// every estimate read BER 0 from no frames, and a `min_frames` above
+    /// `max_frames` is a floor the cap never lets the run reach.
+    pub fn problems(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        if self.max_frames == 0 {
+            problems.push("max_frames must be at least 1".into());
+        }
+        if self.min_frames > self.max_frames {
+            problems.push(format!(
+                "min_frames {} exceeds max_frames {}",
+                self.min_frames, self.max_frames
+            ));
+        }
+        problems
     }
 }
 
@@ -294,11 +320,12 @@ pub trait BerTarget: Sync {
     ) -> FrameStats;
 
     /// Widest frame batch [`eval_frames_each`](BerTarget::eval_frames_each)
-    /// decodes in lockstep (1 = scalar only).
+    /// decodes in lockstep (1 = one frame at a time).
     ///
-    /// The Monte-Carlo driver sizes its per-worker chunks by this so
-    /// batched targets see full-width batches; the value is advisory —
-    /// `eval_frames_each` must accept any slice length.
+    /// The Monte-Carlo driver sizes its per-worker pieces by this so
+    /// batched targets see full-width batches wherever the round allows;
+    /// the value is advisory — `eval_frames_each` must accept any slice
+    /// length.
     fn batch_width(&self) -> usize {
         1
     }
@@ -354,6 +381,94 @@ fn fold_frames_each<T: BerTarget + ?Sized>(
     stats
 }
 
+/// The lane workspace of one of the batched decoders, as the batched
+/// targets drive it.
+trait LaneWorkspace: Default + Send + 'static {
+    fn ensure(&mut self, code: &LdpcCode, lanes: usize);
+    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]);
+    fn lane_error_count(&self, lane: usize) -> u64;
+}
+
+impl LaneWorkspace for BatchWorkspace {
+    fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
+        BatchWorkspace::ensure(self, code, lanes);
+    }
+
+    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
+        BatchWorkspace::set_lane_llr(self, lane, llr);
+    }
+
+    fn lane_error_count(&self, lane: usize) -> u64 {
+        BatchWorkspace::lane_error_count(self, lane)
+    }
+}
+
+impl LaneWorkspace for WindowBatchWorkspace {
+    fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
+        WindowBatchWorkspace::ensure(self, code, lanes);
+    }
+
+    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
+        WindowBatchWorkspace::set_lane_llr(self, lane, llr);
+    }
+
+    fn lane_error_count(&self, lane: usize) -> u64 {
+        WindowBatchWorkspace::lane_error_count(self, lane)
+    }
+}
+
+/// Concrete scratch a batched target keeps inside a [`BerWorkspace`]:
+/// one frame's channel LLRs and one lane workspace per supported width
+/// (indexed by `log2` of the width), each built on first use, so
+/// switching between the full width and a narrower remainder never
+/// resizes a buffer.
+#[derive(Default)]
+struct LaneState<W> {
+    llr: Vec<f64>,
+    by_width: [Option<W>; 4],
+}
+
+/// Simulates `out.len()` consecutive frames on the lane engine: full
+/// batches of `width` frames, then what is left at the widest supported
+/// width that fits (4, then 2, then 1). `frame_llrs(llr, i)` fills the
+/// channel LLRs of the `i`-th frame and `decode` decodes one loaded
+/// batch. Every lane is bit-identical to a one-frame decode, so the way
+/// a slice splits into batches is invisible in the results.
+fn eval_in_lanes<W: LaneWorkspace>(
+    ws: &mut BerWorkspace,
+    code: &LdpcCode,
+    width: usize,
+    frame_llrs: impl Fn(&mut [f64], usize),
+    decode: impl Fn(&mut W),
+    out: &mut [FrameStats],
+) {
+    let n = code.len();
+    let state = ws.state(LaneState::<W>::default);
+    state.llr.resize(n, 0.0);
+    let mut i = 0;
+    while i < out.len() {
+        let left = out.len() - i;
+        let lanes = if left >= width {
+            width
+        } else {
+            1 << left.ilog2()
+        };
+        let batch = state.by_width[lanes.ilog2() as usize].get_or_insert_with(W::default);
+        batch.ensure(code, lanes);
+        for lane in 0..lanes {
+            frame_llrs(&mut state.llr, i + lane);
+            batch.set_lane_llr(lane, &state.llr);
+        }
+        decode(batch);
+        for (lane, slot) in out[i..i + lanes].iter_mut().enumerate() {
+            let mut stats = FrameStats::default();
+            stats.push_frame(n as u64, batch.lane_error_count(lane));
+            *slot = stats;
+        }
+        i += lanes;
+    }
+}
+
 /// [`BerTarget`] for a BP-decoded LDPC block code over AWGN/BPSK.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockBerTarget<'a> {
@@ -384,7 +499,10 @@ impl<'a> BlockBerTarget<'a> {
         }
     }
 
-    /// Sets the inter-frame batch width (1 = scalar decoding only).
+    /// Sets the inter-frame batch width: frames are decoded in lockstep
+    /// in batches of `batch`, and a shorter remainder at the widest
+    /// supported width that fits (1 = one frame at a time, still on the
+    /// lane engine).
     ///
     /// Any width produces bit-identical per-frame results; the knob only
     /// trades vector-lane utilization against per-frame latency.
@@ -400,13 +518,6 @@ impl<'a> BlockBerTarget<'a> {
         self.batch = batch;
         self
     }
-}
-
-/// Concrete scratch a [`BlockBerTarget`] keeps inside a [`BerWorkspace`].
-struct BlockState {
-    ws: DecoderWorkspace,
-    batch: BatchWorkspace,
-    llr: Vec<f64>,
 }
 
 impl BerTarget for BlockBerTarget<'_> {
@@ -441,44 +552,15 @@ impl BerTarget for BlockBerTarget<'_> {
         out: &mut [FrameStats],
     ) {
         let sigma = ebn0_db_to_sigma(ebn0_db, self.rate);
-        let n = self.code.len();
-        let lanes = self.batch;
         let decoder = BpDecoder::new(self.code, self.config);
-        let state = ws.state(|| BlockState {
-            ws: DecoderWorkspace::new(self.code),
-            batch: BatchWorkspace::new(self.code, lanes),
-            llr: vec![0.0; n],
-        });
-        state.ws.ensure(self.code);
-        state.llr.resize(n, 0.0);
-        // Full-width batches decode in lockstep; the ragged tail (and the
-        // whole slice when `batch` is 1) takes the scalar decoder. Both
-        // paths are bit-identical per frame, so the split is invisible.
-        let mut i = 0;
-        if lanes > 1 && out.len() >= lanes {
-            state.batch.ensure(self.code, lanes);
-            while out.len() - i >= lanes {
-                for lane in 0..lanes {
-                    fill_frame_llrs(&mut state.llr, sigma, seed, first + (i + lane) as u64);
-                    state.batch.set_lane_llr(lane, &state.llr);
-                }
-                decoder.decode_batch(&mut state.batch);
-                for lane in 0..lanes {
-                    let mut stats = FrameStats::default();
-                    stats.push_frame(n as u64, state.batch.lane_error_count(lane));
-                    out[i + lane] = stats;
-                }
-                i += lanes;
-            }
-        }
-        for (j, slot) in out.iter_mut().enumerate().skip(i) {
-            fill_frame_llrs(&mut state.llr, sigma, seed, first + j as u64);
-            decoder.decode_in_place(&mut state.ws, &state.llr);
-            let errors = state.ws.hard().iter().filter(|&&b| b).count() as u64;
-            let mut stats = FrameStats::default();
-            stats.push_frame(n as u64, errors);
-            *slot = stats;
-        }
+        eval_in_lanes::<BatchWorkspace>(
+            ws,
+            self.code,
+            self.batch,
+            |llr, i| fill_frame_llrs(llr, sigma, seed, first + i as u64),
+            |batch| decoder.decode_batch(batch),
+            out,
+        );
     }
 }
 
@@ -514,7 +596,10 @@ impl<'a> CoupledBerTarget<'a> {
         }
     }
 
-    /// Sets the inter-frame batch width (1 = scalar decoding only).
+    /// Sets the inter-frame batch width: frames are decoded in lockstep
+    /// in batches of `batch`, and a shorter remainder at the widest
+    /// supported width that fits (1 = one frame at a time, still on the
+    /// lane engine).
     ///
     /// Any width produces bit-identical per-frame results; the knob only
     /// trades vector-lane utilization against per-frame latency.
@@ -530,14 +615,6 @@ impl<'a> CoupledBerTarget<'a> {
         self.batch = batch;
         self
     }
-}
-
-/// Concrete scratch a [`CoupledBerTarget`] keeps inside a
-/// [`BerWorkspace`].
-struct CoupledState {
-    ws: WindowWorkspace,
-    batch: WindowBatchWorkspace,
-    llr: Vec<f64>,
 }
 
 impl BerTarget for CoupledBerTarget<'_> {
@@ -572,45 +649,14 @@ impl BerTarget for CoupledBerTarget<'_> {
         out: &mut [FrameStats],
     ) {
         let sigma = ebn0_db_to_sigma(ebn0_db, self.code.design_rate());
-        let n = self.code.code().len();
-        let lanes = self.batch;
-        let state = ws.state(|| CoupledState {
-            ws: WindowWorkspace::new(self.code.code()),
-            batch: WindowBatchWorkspace::new(self.code.code(), lanes),
-            llr: vec![0.0; n],
-        });
-        state.ws.ensure(self.code.code());
-        state.llr.resize(n, 0.0);
-        // Full-width batches slide the window over all lanes in lockstep
-        // (the decode pins target blocks in the workspace's LLRs, so every
-        // lane is reloaded before each batch); the ragged tail takes the
-        // scalar window decoder. Both paths are bit-identical per frame.
-        let mut i = 0;
-        if lanes > 1 && out.len() >= lanes {
-            state.batch.ensure(self.code.code(), lanes);
-            while out.len() - i >= lanes {
-                for lane in 0..lanes {
-                    fill_frame_llrs(&mut state.llr, sigma, seed, first + (i + lane) as u64);
-                    state.batch.set_lane_llr(lane, &state.llr);
-                }
-                self.decoder.decode_batch(&mut state.batch, self.code);
-                for lane in 0..lanes {
-                    let mut stats = FrameStats::default();
-                    stats.push_frame(n as u64, state.batch.lane_error_count(lane));
-                    out[i + lane] = stats;
-                }
-                i += lanes;
-            }
-        }
-        for (j, slot) in out.iter_mut().enumerate().skip(i) {
-            fill_frame_llrs(&mut state.llr, sigma, seed, first + j as u64);
-            self.decoder
-                .decode_in_place(&mut state.ws, self.code, &state.llr);
-            let errors = state.ws.hard().iter().filter(|&&b| b).count() as u64;
-            let mut stats = FrameStats::default();
-            stats.push_frame(n as u64, errors);
-            *slot = stats;
-        }
+        eval_in_lanes::<WindowBatchWorkspace>(
+            ws,
+            self.code.code(),
+            self.batch,
+            |llr, i| fill_frame_llrs(llr, sigma, seed, first + i as u64),
+            |batch| self.decoder.decode_batch(batch, self.code),
+            out,
+        );
     }
 }
 
@@ -805,15 +851,73 @@ impl BerTarget for CachedBerTarget<'_> {
     }
 }
 
-/// Frames per worker per fan-out round (a serial run evaluates one batch
-/// per round). Each round is one [`par::ordered`] call spawning fresh
-/// workers (tens of µs each), so it must cover many ~25 µs min-sum
-/// decodes. The fixed rounds also keep the *evaluated* frame set
-/// independent of timing: every frame of a started round is evaluated, so
-/// a rerun at the same thread count simulates the same frames and a warm
+/// Frames per worker per speculative fan-out round — a round that starts
+/// once the fold has reached `min_frames`, where a stop rule may fire on
+/// any frame (a serial run evaluates one batch per such round). Each
+/// round is one [`par::ordered`] call spawning fresh workers (tens of µs
+/// each), so it must cover many ~25 µs min-sum decodes. Every frame of a
+/// started round is evaluated, and a round's frames depend only on where
+/// the fold stands, the thread count and the batch width, so a rerun at
+/// the same thread count simulates the same frames and a warm
 /// [`CachedBerTarget`] run misses nothing. Speculative frames past an
 /// early stop are discarded uncounted.
 const FRAMES_PER_WORKER: u64 = 16;
+
+/// How one fan-out round of frames `base..end` is dealt to the workers:
+/// whole waves of `threads` full-width batches, then the last partial
+/// wave split into `threads` near-equal contiguous pieces of at most
+/// `width` frames, so no worker decodes a full batch while the others
+/// idle. Piece `k` is item `k` of the round's [`par::ordered`] call.
+#[derive(Clone, Copy, Debug)]
+struct Round {
+    base: u64,
+    width: u64,
+    /// Full-width batches in the whole waves.
+    batches: u64,
+    /// Frames per tail piece before the remainder is spread.
+    tail_len: u64,
+    /// Tail pieces that take one extra frame (the first ones).
+    tail_extra: u64,
+    /// Non-empty tail pieces.
+    tail_pieces: u64,
+}
+
+impl Round {
+    fn new(base: u64, end: u64, threads: u64, width: u64) -> Self {
+        let wave = threads * width;
+        let tail = (end - base) % wave;
+        let tail_len = tail / threads;
+        let tail_extra = tail % threads;
+        Round {
+            base,
+            width,
+            batches: (end - base) / wave * threads,
+            tail_len,
+            tail_extra,
+            tail_pieces: if tail_len > 0 { threads } else { tail_extra },
+        }
+    }
+
+    /// Pieces in the round.
+    fn pieces(&self) -> usize {
+        (self.batches + self.tail_pieces) as usize
+    }
+
+    /// `(first frame, frames)` of piece `k`.
+    fn piece(&self, k: usize) -> (u64, usize) {
+        let k = k as u64;
+        if k < self.batches {
+            return (self.base + k * self.width, self.width as usize);
+        }
+        let j = k - self.batches;
+        let first =
+            self.base + self.batches * self.width + j * self.tail_len + j.min(self.tail_extra);
+        (
+            first,
+            (self.tail_len + u64::from(j < self.tail_extra)) as usize,
+        )
+    }
+}
 
 /// The frame-budget stop rules a single BER point runs under (the
 /// strategy-resolved view of [`BerSimOptions`] plus any search-level
@@ -869,7 +973,11 @@ fn keep_going(
 /// The stop rules are evaluated serially in frame order over the
 /// fanned-out results, so the returned estimate is identical for every
 /// `threads` value — extra frames speculatively simulated past the
-/// stopping point are discarded without being counted.
+/// stopping point are discarded without being counted. No stop rule can
+/// fire below `min(min_frames, max_frames)`, so while the fold is below
+/// that floor the round runs exactly up to it and nothing is
+/// speculative; after it, rounds of [`FRAMES_PER_WORKER`] frames per
+/// worker (one batch when serial) run until a rule fires.
 fn run_target(
     target: &dyn BerTarget,
     ebn0_db: f64,
@@ -883,7 +991,8 @@ fn run_target(
     // More workers than the simulation can ever have frames is pure
     // workspace-allocation waste.
     let threads = threads.clamp(1, budget.max_frames.max(1).try_into().unwrap_or(usize::MAX));
-    let round = if threads == 1 {
+    let floor = budget.min_frames.min(budget.max_frames);
+    let speculative = if threads == 1 {
         width
     } else {
         threads as u64 * FRAMES_PER_WORKER
@@ -895,16 +1004,20 @@ fn run_target(
     let mut stopped = !keep_going(&fold, &budget, extra_stop);
     while !stopped {
         let base = fold.frames;
-        let end = base + round.min(budget.max_frames - base);
-        // Item `k` is the round's `k`-th batch. The fold checks the stop
-        // rules after every frame and skips the frames past the stop, so
-        // neither batching nor scheduling can move a stopping decision.
+        let end = if base < floor {
+            floor
+        } else {
+            base + speculative.min(budget.max_frames - base)
+        };
+        let round = Round::new(base, end, threads as u64, width);
+        // The fold checks the stop rules after every frame and skips the
+        // frames past the stop, so neither the dealing nor scheduling can
+        // move a stopping decision.
         par::ordered(
             &mut workspaces,
-            (end - base).div_ceil(width) as usize,
+            round.pieces(),
             |ws, k| {
-                let first = base + k as u64 * width;
-                let len = (end - first).min(width) as usize;
+                let (first, len) = round.piece(k);
                 let mut out = [FrameStats::default(); MAX_LANES];
                 target.eval_frames_each(ws, ebn0_db, seed, first, &mut out[..len]);
                 (out, len)
@@ -1845,6 +1958,55 @@ mod tests {
         assert_eq!(problems.len(), 3, "{problems:?}");
         assert_eq!(bad.problem().as_deref(), Some(problems[0].as_str()));
         assert!(SearchConfig::default().problems().is_empty());
+    }
+
+    #[test]
+    fn sim_options_report_empty_and_inverted_budgets() {
+        assert!(BerSimOptions::default().problems().is_empty());
+        let exact = BerSimOptions {
+            min_frames: 24,
+            max_frames: 24,
+            ..BerSimOptions::default()
+        };
+        assert!(exact.problems().is_empty());
+        let empty = BerSimOptions {
+            max_frames: 0,
+            min_frames: 0,
+            ..BerSimOptions::default()
+        };
+        assert_eq!(empty.problems(), ["max_frames must be at least 1"]);
+        let inverted = BerSimOptions {
+            max_frames: 5,
+            ..BerSimOptions::default()
+        };
+        assert_eq!(inverted.problems(), ["min_frames 8 exceeds max_frames 5"]);
+    }
+
+    /// Every piece of a round as `(first, len)`.
+    fn dealt(base: u64, end: u64, threads: u64, width: u64) -> Vec<(u64, usize)> {
+        let round = Round::new(base, end, threads, width);
+        (0..round.pieces()).map(|k| round.piece(k)).collect()
+    }
+
+    #[test]
+    fn rounds_deal_whole_waves_then_an_even_tail() {
+        assert_eq!(dealt(0, 20, 2, 8), [(0, 8), (8, 8), (16, 2), (18, 2)]);
+        assert_eq!(dealt(0, 20, 1, 8), [(0, 8), (8, 8), (16, 4)]);
+        assert_eq!(dealt(0, 20, 4, 8), [(0, 5), (5, 5), (10, 5), (15, 5)]);
+        assert_eq!(dealt(52, 60, 2, 8), [(52, 4), (56, 4)]);
+        assert_eq!(dealt(7, 10, 4, 8), [(7, 1), (8, 1), (9, 1)]);
+        assert_eq!(dealt(0, 7, 3, 2), [(0, 2), (2, 2), (4, 2), (6, 1)]);
+        assert_eq!(dealt(3, 3, 2, 8), []);
+        for (base, end, threads, width) in [(0, 48, 3, 8), (20, 52, 2, 8), (5, 77, 5, 4)] {
+            let pieces = dealt(base, end, threads, width);
+            let mut next = base;
+            for &(first, len) in &pieces {
+                assert_eq!(first, next, "pieces must tile the round");
+                assert!(len >= 1 && len as u64 <= width);
+                next += len as u64;
+            }
+            assert_eq!(next, end);
+        }
     }
 
     #[test]

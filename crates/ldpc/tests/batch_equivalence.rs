@@ -1,13 +1,20 @@
 //! Property tests pinning the inter-frame batched decoders to the scalar
 //! paths **bit for bit**: random block and coupled codes, all four check
-//! rules, lane counts {1, 4, 8}, ragged tails (frame counts not divisible
-//! by the batch width), mixed-convergence batches where lanes stop at
-//! different iterations, and window decodes long and clean enough that
-//! positions reach their fixed point under both window schedules.
+//! rules, lane counts {1, 4, 8}, ragged slices at the BER-target level
+//! (lengths up to twice the batch width plus 7, which the targets decode
+//! as full batches plus narrower remainder batches), mixed-convergence
+//! batches where lanes stop at different iterations, and window decodes
+//! long and clean enough that positions reach their fixed point under
+//! both window schedules. The target-level tests compare against a
+//! per-frame `decode_in_place` fold, not against a batch-1 target, since
+//! a batch-1 target runs the one-lane batched engine.
 
 use proptest::prelude::*;
 use wi_ldpc::batch::{BatchWorkspace, WindowBatchWorkspace};
-use wi_ldpc::ber::{BerTarget, BerWorkspace, BlockBerTarget, CoupledBerTarget};
+use wi_ldpc::ber::{
+    ebn0_db_to_sigma, fill_frame_llrs, BerTarget, BerWorkspace, BlockBerTarget, CoupledBerTarget,
+    FrameStats,
+};
 use wi_ldpc::decoder::{BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
 use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
 use wi_ldpc::LdpcCode;
@@ -36,6 +43,63 @@ fn rule_from_selector(selector: u8) -> CheckRule {
 /// The lane counts the satellite pins: scalar-width, half and full batch.
 fn lanes_from_selector(selector: u8) -> usize {
     [1, 4, 8][selector as usize % 3]
+}
+
+/// The scalar oracle of the target-level tests: frames `first..first +
+/// count` at noise level `sigma`, each filled by `fill_frame_llrs` and
+/// decoded alone by `decode`, which returns the frame's bit errors.
+fn scalar_frames(
+    n: usize,
+    sigma: f64,
+    seed: u64,
+    first: u64,
+    count: usize,
+    mut decode: impl FnMut(&[f64]) -> u64,
+) -> Vec<FrameStats> {
+    let mut llr = vec![0.0; n];
+    (first..first + count as u64)
+        .map(|frame| {
+            fill_frame_llrs(&mut llr, sigma, seed, frame);
+            let mut stats = FrameStats::default();
+            stats.push_frame(n as u64, decode(&llr));
+            stats
+        })
+        .collect()
+}
+
+/// Checks `target` against the scalar oracle `want` for frames from
+/// `first`: one `eval_frames_each` call over the whole slice, then the
+/// slice cut in two at a point picked by `split_selector` on the same
+/// workspace (so it switches lane widths between calls), then the
+/// `eval_frames` fold.
+fn check_target(
+    target: &dyn BerTarget,
+    ebn0_db: f64,
+    seed: u64,
+    first: u64,
+    want: &[FrameStats],
+    split_selector: usize,
+) -> Result<(), TestCaseError> {
+    let mut ws = BerWorkspace::new();
+    let mut got = vec![FrameStats::default(); want.len()];
+    target.eval_frames_each(&mut ws, ebn0_db, seed, first, &mut got);
+    prop_assert_eq!(&got[..], want);
+
+    let split = split_selector % (want.len() + 1);
+    let (head, tail) = got.split_at_mut(split);
+    head.fill(FrameStats::default());
+    tail.fill(FrameStats::default());
+    target.eval_frames_each(&mut ws, ebn0_db, seed, first, head);
+    target.eval_frames_each(&mut ws, ebn0_db, seed, first + split as u64, tail);
+    prop_assert_eq!(&got[..], want);
+
+    let mut total = FrameStats::default();
+    for stats in want {
+        total.merge(stats);
+    }
+    let frames = first..first + want.len() as u64;
+    prop_assert_eq!(target.eval_frames(&mut ws, ebn0_db, seed, frames), total);
+    Ok(())
 }
 
 proptest! {
@@ -133,22 +197,30 @@ proptest! {
         seed in 0u64..1000,
         ebn0_db in 1.0f64..4.0,
         first in 0u64..10,
-        count in 1u64..21,
+        count_selector in 0usize..1000,
+        split_selector in 0usize..1000,
+        rule_selector in 0u8..4,
         lanes_selector in 0u8..3,
     ) {
-        // Target-level ragged tails: frame ranges deliberately not a
-        // multiple of the batch width must produce the same FrameStats
-        // fold as the scalar (batch-1) target, frame for frame.
+        // Target-level ragged slices: lengths up to 2 × width + 7, so a
+        // slice holds full batches plus every narrower remainder width,
+        // must give each frame exactly what the scalar decoder gives it.
         let code = LdpcCode::paper_block(lifting, code_seed);
-        let config = BpConfig { max_iterations: 25, ..BpConfig::default() };
+        let config = BpConfig {
+            max_iterations: 25,
+            check_rule: rule_from_selector(rule_selector),
+        };
         let lanes = lanes_from_selector(lanes_selector);
-        let batched = BlockBerTarget::new(&code, config, 0.5).with_batch(lanes);
-        let scalar = BlockBerTarget::new(&code, config, 0.5).with_batch(1);
-        let mut ws = BerWorkspace::new();
-        let frames = first..first + count;
-        let got = batched.eval_frames(&mut ws, ebn0_db, seed, frames.clone());
-        let want = scalar.eval_frames(&mut ws, ebn0_db, seed, frames);
-        prop_assert_eq!(got, want);
+        let target = BlockBerTarget::new(&code, config, 0.5).with_batch(lanes);
+        let count = 1 + count_selector % (2 * lanes + 7);
+        let decoder = BpDecoder::new(&code, config);
+        let mut ws = DecoderWorkspace::new(&code);
+        let sigma = ebn0_db_to_sigma(ebn0_db, 0.5);
+        let want = scalar_frames(code.len(), sigma, seed, first, count, |llr| {
+            decoder.decode_in_place(&mut ws, llr);
+            ws.hard().iter().filter(|&&b| b).count() as u64
+        });
+        check_target(&target, ebn0_db, seed, first, &want, split_selector)?;
     }
 
     #[test]
@@ -158,18 +230,23 @@ proptest! {
         code_seed in 0u64..500,
         seed in 0u64..1000,
         ebn0_db in 1.0f64..4.0,
-        count in 1u64..14,
+        count_selector in 0usize..1000,
+        split_selector in 0usize..1000,
+        rule_selector in 0u8..4,
         lanes_selector in 0u8..3,
     ) {
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
-        let decoder = WindowDecoder::new(3, 8).with_rule(CheckRule::min_sum());
+        let decoder = WindowDecoder::new(3, 8).with_rule(rule_from_selector(rule_selector));
         let lanes = lanes_from_selector(lanes_selector);
-        let batched = CoupledBerTarget::new(&code, decoder).with_batch(lanes);
-        let scalar = CoupledBerTarget::new(&code, decoder).with_batch(1);
-        let mut ws = BerWorkspace::new();
-        let got = batched.eval_frames(&mut ws, ebn0_db, seed, 0..count);
-        let want = scalar.eval_frames(&mut ws, ebn0_db, seed, 0..count);
-        prop_assert_eq!(got, want);
+        let target = CoupledBerTarget::new(&code, decoder).with_batch(lanes);
+        let count = 1 + count_selector % (2 * lanes + 7);
+        let mut ws = WindowWorkspace::new(code.code());
+        let sigma = ebn0_db_to_sigma(ebn0_db, code.design_rate());
+        let want = scalar_frames(code.code().len(), sigma, seed, 0, count, |llr| {
+            decoder.decode_in_place(&mut ws, &code, llr);
+            ws.hard().iter().filter(|&&b| b).count() as u64
+        });
+        check_target(&target, ebn0_db, seed, 0, &want, split_selector)?;
     }
 
     #[test]

@@ -100,10 +100,11 @@ fn bisection_strategy_reproduces_the_closure_ladder() {
 
 /// A fig10 `--quick`-style search (same seed, frame budget, tolerance
 /// and grid as the CI smoke preset, on miniature codes) must report
-/// byte-identically at every batch width: the batch-1 target is the
-/// pre-batching scalar path, so this is the regression pin that
-/// inter-frame batching left every probe, frame count and estimate of
-/// the search untouched.
+/// byte-identically at every batch width: the batch-1 target decodes
+/// one frame at a time (on the one-lane engine, which
+/// `batch_equivalence.rs` pins to the scalar decoders frame by frame),
+/// so this is the regression pin that inter-frame batching left every
+/// probe, frame count and estimate of the search untouched.
 #[test]
 fn search_report_is_invariant_under_batch_width() {
     let opts = BerSimOptions {

@@ -14,6 +14,7 @@
 //! so a spec file reads like the command lines it replaces.
 
 use crate::json::{obj, Json};
+use wi_ldpc::ber::BerSimOptions;
 use wi_ldpc::decoder::CheckRule;
 use wi_noc::des::traffic::TrafficKind;
 use wi_noc::routing::RoutingKind;
@@ -226,12 +227,38 @@ impl SweepSpec {
         if self.seeds.is_empty() {
             problems.push("spec needs at least one seed".into());
         }
-        if let EvalSpec::NocKnee { rates, .. } = &self.eval {
-            if rates.is_empty() {
-                problems.push("noc_knee eval needs at least one rate".into());
+        match &self.eval {
+            EvalSpec::Ebn0Search {
+                target_ber,
+                target_errors,
+                max_frames,
+                min_frames,
+            } => {
+                // `!(a && b)` so a NaN target fails too.
+                if !(*target_ber > 0.0 && *target_ber < 1.0) {
+                    problems.push(format!(
+                        "ebn0_search target_ber {target_ber} must be in (0, 1)"
+                    ));
+                }
+                let opts = BerSimOptions {
+                    target_errors: *target_errors,
+                    max_frames: *max_frames,
+                    min_frames: *min_frames,
+                    ..BerSimOptions::default()
+                };
+                problems.extend(
+                    opts.problems()
+                        .into_iter()
+                        .map(|p| format!("ebn0_search {p}")),
+                );
             }
-            if rates.iter().any(|&r| r <= 0.0) {
-                problems.push("noc_knee rates must be positive".into());
+            EvalSpec::NocKnee { rates, .. } => {
+                if rates.is_empty() {
+                    problems.push("noc_knee eval needs at least one rate".into());
+                }
+                if rates.iter().any(|&r| r <= 0.0) {
+                    problems.push("noc_knee rates must be positive".into());
+                }
             }
         }
         for axis in &self.axes {
@@ -578,6 +605,45 @@ mod tests {
         assert_eq!(bad_axis, 1, "{problems:?}");
         let hotspot = problems.iter().filter(|p| p.contains("9999")).count();
         assert_eq!(hotspot, 2, "{problems:?}");
+    }
+
+    fn search_spec(target_ber: f64, max_frames: u64, min_frames: u64) -> SweepSpec {
+        SweepSpec {
+            eval: EvalSpec::Ebn0Search {
+                target_ber,
+                target_errors: 60,
+                max_frames,
+                min_frames,
+            },
+            ..tiny_spec()
+        }
+    }
+
+    #[test]
+    fn expansion_rejects_unusable_search_budgets() {
+        assert!(search_spec(0.02, 24, 8).expand().is_ok());
+        assert!(search_spec(1e-5, 8, 8).expand().is_ok());
+        let problems = search_spec(0.02, 0, 0).expand().unwrap_err();
+        assert_eq!(
+            problems,
+            ["ebn0_search max_frames must be at least 1"],
+            "{problems:?}"
+        );
+        let problems = search_spec(0.02, 5, 8).expand().unwrap_err();
+        assert_eq!(
+            problems,
+            ["ebn0_search min_frames 8 exceeds max_frames 5"],
+            "{problems:?}"
+        );
+        for bad in [0.0, -0.1, 1.0, 2.0, f64::NAN] {
+            let problems = search_spec(bad, 24, 8).expand().unwrap_err();
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains("target_ber"), "{problems:?}");
+        }
+        // Budget problems join the grid's other problems in one report.
+        let mut spec = search_spec(0.0, 0, 0);
+        spec.seeds.clear();
+        assert_eq!(spec.expand().unwrap_err().len(), 3);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! change wall-clock only, never a number.
 //!
 //! Zero warm misses holds because the BER driver evaluates the same
-//! frames on every run at a given thread count: its fixed fan-out rounds
-//! make the speculative frames past an early stop independent of thread
-//! timing. Both the serial and a threaded driver are pinned.
+//! frames on every run at a given thread count: each fan-out round's
+//! frames depend only on where the in-order fold stands, the thread count
+//! and the batch width, never on thread timing, so the speculative frames
+//! past an early stop are the same every time. Both the serial and a
+//! threaded driver are pinned.
 
 use wi_ldpc::ber::{
     search_required_ebn0_with_threads, BerSimOptions, CachedBerTarget, CoupledBerTarget,

@@ -5,7 +5,10 @@
 //! Thread invariance: every parallel path fans its work out through
 //! `wi_num::par::ordered` and folds the results serially in item order,
 //! so the Monte-Carlo BER estimate, a DES rate sweep and a sweep-service
-//! run must come out identical at any worker count.
+//! run must come out identical at any worker count. The BER driver must
+//! also decode no frame below `min_frames` that it will not count, and
+//! the same frames on every run at a given worker count (which is what
+//! lets a warm frame cache miss nothing).
 //!
 //! Engine ≡ oracle: each lane of the batched LDPC decoders
 //! (`wi_ldpc::batch`) must equal the scalar decoder on that frame, bit
@@ -17,7 +20,12 @@
 //! the closed-form icdb route programs (`ExpandedGrid::link_id`).
 
 use std::collections::BTreeSet;
-use wireless_interconnect::ldpc::ber::{simulate_ber_with_threads, BerSimOptions, BlockBerTarget};
+use std::ops::Range;
+use std::sync::Mutex;
+use wireless_interconnect::ldpc::ber::{
+    simulate_ber_with_threads, BerEstimate, BerSimOptions, BerTarget, BerWorkspace, BlockBerTarget,
+    FrameStats,
+};
 use wireless_interconnect::ldpc::decoder::{
     awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace,
 };
@@ -45,15 +53,124 @@ fn ber_estimate_is_thread_invariant_with_a_mid_round_stop() {
         seed: 0x5107,
     };
     let serial = simulate_ber_with_threads(&target, 1.5, &opts, 1);
-    // The error budget runs out inside a batch, so both the serial driver
-    // (one 8-frame batch per round) and the threaded one (48 frames per
-    // round at 3 workers) must discard speculatively decoded frames.
+    // The first round of either driver ends at min_frames; after it the
+    // serial driver runs one 8-frame batch per round and the threaded one
+    // 48 frames per round at 3 workers (two waves of three 8-frame
+    // batches). The error budget runs out inside a batch, so both must
+    // discard speculatively decoded frames.
     assert!(
-        serial.frames < opts.max_frames && !serial.frames.is_multiple_of(8),
+        serial.frames < opts.max_frames && !(serial.frames - opts.min_frames).is_multiple_of(8),
         "the stop must land mid-batch, got {} frames",
         serial.frames
     );
     assert_eq!(simulate_ber_with_threads(&target, 1.5, &opts, 3), serial);
+}
+
+/// A [`BerTarget`] that forwards to `inner` and logs every frame it
+/// evaluates, counted or not.
+struct LoggingTarget<'a> {
+    inner: &'a dyn BerTarget,
+    frames: Mutex<Vec<u64>>,
+}
+
+impl BerTarget for LoggingTarget<'_> {
+    fn bits_per_frame(&self) -> u64 {
+        self.inner.bits_per_frame()
+    }
+
+    fn rate(&self) -> f64 {
+        self.inner.rate()
+    }
+
+    fn eval_frames(
+        &self,
+        ws: &mut BerWorkspace,
+        ebn0_db: f64,
+        seed: u64,
+        frames: Range<u64>,
+    ) -> FrameStats {
+        self.frames.lock().unwrap().extend(frames.clone());
+        self.inner.eval_frames(ws, ebn0_db, seed, frames)
+    }
+
+    fn batch_width(&self) -> usize {
+        self.inner.batch_width()
+    }
+
+    fn eval_frames_each(
+        &self,
+        ws: &mut BerWorkspace,
+        ebn0_db: f64,
+        seed: u64,
+        first: u64,
+        out: &mut [FrameStats],
+    ) {
+        self.frames
+            .lock()
+            .unwrap()
+            .extend(first..first + out.len() as u64);
+        self.inner.eval_frames_each(ws, ebn0_db, seed, first, out);
+    }
+}
+
+/// One BER estimate of `target` and every frame it evaluated, sorted.
+fn logged_estimate(
+    target: &dyn BerTarget,
+    ebn0_db: f64,
+    opts: &BerSimOptions,
+    threads: usize,
+) -> (BerEstimate, Vec<u64>) {
+    let logging = LoggingTarget {
+        inner: target,
+        frames: Mutex::new(Vec::new()),
+    };
+    let est = simulate_ber_with_threads(&logging, ebn0_db, opts, threads);
+    let mut frames = logging.frames.into_inner().unwrap();
+    frames.sort_unstable();
+    (est, frames)
+}
+
+#[test]
+fn ber_rounds_end_at_min_frames_and_evaluate_a_fixed_frame_set() {
+    let code = LdpcCode::paper_block(20, 0xC0);
+    let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
+    assert_eq!(target.batch_width(), 8);
+    // Far below the waterfall one frame meets the one-error budget, so
+    // the stop fires at min_frames. Nothing below min_frames can stop,
+    // so no frame past it may be evaluated: 20 frames at 8 lanes, not
+    // the 24 of 8-frame rounds or the 32 of a 2 × 16-frame round. At 3
+    // workers the 20 frames split unevenly (7, 7, 6), so every frame
+    // must still be dealt exactly once.
+    let at_floor = BerSimOptions {
+        target_errors: 1,
+        max_frames: 200,
+        min_frames: 20,
+        seed: 0x51,
+    };
+    let past_floor = BerSimOptions {
+        target_errors: 30,
+        max_frames: 200,
+        min_frames: 4,
+        seed: 0x5107,
+    };
+    for threads in [1, 2, 3, 4] {
+        let (est, frames) = logged_estimate(&target, -2.0, &at_floor, threads);
+        assert_eq!(est.frames, 20, "{threads} threads");
+        assert_eq!(frames, (0..20).collect::<Vec<_>>(), "{threads} threads");
+        assert_eq!(
+            logged_estimate(&target, -2.0, &at_floor, threads),
+            (est, frames)
+        );
+        // Past the floor the rounds speculate; a rerun at the same thread
+        // count must still evaluate exactly the same frames.
+        let first = logged_estimate(&target, 1.5, &past_floor, threads);
+        assert!(first.1.len() as u64 > first.0.frames, "{threads} threads");
+        assert_eq!(
+            logged_estimate(&target, 1.5, &past_floor, threads),
+            first,
+            "{threads} threads"
+        );
+    }
 }
 
 #[test]

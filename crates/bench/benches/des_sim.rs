@@ -57,11 +57,12 @@ fn bench_des_faulty(c: &mut Criterion) {
 
 fn bench_des_routing(c: &mut Criterion) {
     // The arena engine under each routing policy on the paper's winning
-    // 4x4x4 3D mesh — the multi-route tables must not slow the hot loop
-    // (selection is one hash; routes stay flat-CSR), though Valiant's
-    // longer detour paths do honest extra hops. Adaptive is the one
-    // policy with per-hop work (a ≤3-candidate queue-state scan instead
-    // of a CSR lookup) — its gap to dor prices that scan.
+    // 4x4x4 3D mesh. Oblivious packets step their route programs (a
+    // route choice is one hash, a hop a few coordinate compares and one
+    // unit-step read), so the multi-route policies must not slow the hot
+    // loop, though Valiant's longer detour paths do honest extra hops.
+    // Adaptive hops scan up to three candidate links' queue state
+    // instead — its gap to dor prices that scan.
     let topo = Topology::mesh3d(4, 4, 4);
     for routing in [
         RoutingKind::DimensionOrder,
@@ -80,7 +81,20 @@ fn bench_des_routing(c: &mut Criterion) {
             |b| b.iter(|| engine.run(black_box(&cfg))),
         );
     }
-    // Table construction is the per-policy setup cost sweeps pay once.
+    // The 512-router hot loop, where an all-pairs valiant:8 table (about
+    // 200 MiB) missed cache on nearly every route lookup; the engine
+    // holds no table.
+    let fig8b = Topology::mesh3d(8, 8, 8);
+    let cfg = DesConfig {
+        routing: RoutingKind::valiant(),
+        ..DesConfig::default()
+    };
+    let mut engine = Engine::with_routing(&fig8b, cfg.routing);
+    c.bench_function("des_sim_engine_8x8x8_valiant_20k", |b| {
+        b.iter(|| engine.run(black_box(&cfg)))
+    });
+    // Building the all-pairs table: what the analytic model, icdb tables
+    // and the oracles pay per policy. The engine builds none.
     c.bench_function("route_table_build_4x4x4_valiant8", |b| {
         b.iter(|| {
             wi_noc::routing::RouteTable::with_policy(black_box(&topo), RoutingKind::valiant())

@@ -8,9 +8,10 @@
 //! `--routing <dor|o1turn|valiant[:k]|rlb[:k]|adaptive>` (implies `--des`; the analytic
 //! columns stay dimension-order). `--routing all` prints the
 //! policy-per-topology saturation-knee summary instead of the latency
-//! table — at 512 modules the per-policy route tables are large (the
-//! Valiant table is `2k ×` the dimension-order one), so expect this mode
-//! to take minutes. The adversarial recovery measured at 64 modules
+//! table: ten full 512-module sweeps (five policies × two meshes), about
+//! 10 min on a 2-vCPU Intel Xeon. The DES builds no route tables — each
+//! packet steps its route program — so that time is all simulation, at
+//! a peak of ~240 MiB. The adversarial recovery measured at 64 modules
 //! (fig8a doc table) persists at scale: O1TURN lifts the 8×8×8 mesh's
 //! transpose/bit-reversal knees above dimension-order's while matching
 //! it under uniform load.
@@ -34,15 +35,16 @@ USAGE:
 FLAGS:
     --des                cross-validate every printed rate with the
                          discrete-event simulator (adds a `DES +-2se`
-                         column per topology; minutes at 512 modules)
+                         column per topology; ~1.5 min at 512
+                         modules on 2 cores)
     --traffic <kind>     DES traffic pattern: uniform (default),
                          hotspot[:node:frac], transpose, bitrev, neighbor
     --routing <policy>   routing policy of the DES sweeps (implies
                          --des): dor, o1turn, valiant[:k], rlb[:k],
                          adaptive;
                          `all` prints the policy-per-topology knee
-                         summary instead of the latency table (minutes:
-                         the 512-module Valiant table is large)
+                         summary instead of the latency table (~10 min
+                         on 2 cores: ten 512-module sweeps)
     --reps <k>           DES replications per rate (default 3)
     --rates <csv>        override the injection-rate grid, e.g.
                          0.05,0.15,0.25

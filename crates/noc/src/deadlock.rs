@@ -19,7 +19,8 @@
 //! * [`ChannelDepGraph::for_policy`] walks every (router pair, choice)
 //!   route through the crate's one policy walker (the routes
 //!   [`crate::routing::policy_route_routers`] and the route tables
-//!   return) and applies the per-policy VC allocation rule (O1TURN: one
+//!   return, and the DES engine's route programs step) and applies the
+//!   per-policy VC allocation rule (O1TURN: one
 //!   VC per permutation; Valiant/RLB: one per dimension-order leg, the
 //!   walker reporting where the first leg ends). For
 //!   [`crate::routing::RoutingKind::Adaptive`] there is no stored route,

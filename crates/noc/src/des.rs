@@ -2,8 +2,8 @@
 //!
 //! Ref \[14\] validates its analytic queueing model against simulation;
 //! this module plays that role here. It simulates the same system the
-//! analytic model describes — Poisson packet injection, precomputed
-//! routes (dimension-order by default; O1TURN/Valiant via
+//! analytic model describes — Poisson packet injection, oblivious routes
+//! (dimension-order by default; O1TURN/Valiant/RLB via
 //! [`crate::routing::RoutingKind`]), one FIFO server per directed link
 //! plus one per ejection port, and a fixed pipeline delay per traversed
 //! router — so the two can be compared number-for-number in tests and
@@ -12,9 +12,10 @@
 //! The module is organised like the PR-1 decoder stack:
 //!
 //! * [`engine`] — the arena-based event engine: packets in a recycled
-//!   slab, events packed into integer-keyed heap entries, routes from a
-//!   prebuilt [`crate::routing::RouteTable`]; zero allocation in the
-//!   steady-state loop.
+//!   slab, events packed into integer-keyed heap entries, and each
+//!   packet stepping its [`crate::routing::RouteProgram`] hop by hop —
+//!   no route table, unless the engine is built around one for an
+//!   irregular topology; zero allocation in the steady-state loop.
 //! * [`mod@reference`] — the original per-event-allocating simulator,
 //!   retained as the correctness oracle (bit-identical to the engine for
 //!   the default uniform/exponential configuration; pinned by tests).
@@ -72,8 +73,8 @@ pub struct DesConfig {
     pub injection_rate: f64,
     /// Destination pattern of the injected packets.
     pub traffic: TrafficKind,
-    /// Routing policy: routes come from a per-policy
-    /// [`crate::routing::RouteTable`]; multi-route policies pick per
+    /// Routing policy: packets step its route programs
+    /// ([`crate::routing::RouteProgram`]); multi-route policies pick per
     /// packet via the deterministic [`crate::routing::route_choice`] hash.
     pub routing: RoutingKind,
     /// Router timing (shared with the analytic model).
@@ -193,8 +194,8 @@ mod tests {
 
     #[test]
     fn engine_matches_reference_under_all_routing_policies() {
-        // The policy tables and the per-packet route-choice hash must keep
-        // the arena engine bit-identical to the naive oracle (which
+        // The route programs and the per-packet route-choice hash must
+        // keep the arena engine bit-identical to the naive oracle (which
         // re-materializes the chosen route per packet) for every policy.
         for kind in [
             RoutingKind::DimensionOrder,

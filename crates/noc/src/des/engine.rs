@@ -1,17 +1,21 @@
 //! Arena-based discrete-event engine — the allocation-free hot path.
 //!
 //! Same simulated system as [`crate::des::reference`] (Poisson injection,
-//! deterministic dimension-order routes, one FIFO server per directed
-//! link plus one per ejection port, fixed pipeline delay per traversed
-//! router), re-architected the way PR 1's `DecoderWorkspace` re-
-//! architected the decoder:
+//! per-policy routes, one FIFO server per directed link plus one per
+//! ejection port, fixed pipeline delay per traversed router), re-
+//! architected the way PR 1's `DecoderWorkspace` re-architected the
+//! decoder:
 //!
-//! * **No per-packet route allocation.** Routes come from a prebuilt
-//!   [`RouteTable`] in flat CSR form; a lookup is two array reads instead
-//!   of the per-hop walk and two `Vec` allocations of
-//!   [`crate::routing::route`]. The adaptive policy, which has no stored
-//!   route, reads each productive link from the topology's unit-step
-//!   table ([`Topology::step_link`]).
+//! * **No route storage.** A packet carries its route's
+//!   [`RouteProgram`] — its current router, leg target and axis order —
+//!   instead of a route: each hop is a few coordinate compares and one
+//!   read of the topology's unit-step table ([`Topology::step_link`]),
+//!   with no per-packet `Vec` as in [`crate::routing::route`] and no
+//!   all-pairs table, so memory stays O(links + packets in flight) at
+//!   any router count. The adaptive policy reads each productive link
+//!   from the same unit-step table. Only engines built around a prebuilt
+//!   [`RouteTable`] ([`Engine::with_table`]: hybrid boards, pillar
+//!   meshes, icdb tables) read routes from its flat CSR buffer.
 //! * **No per-event allocation.** An event is packed *inside* its
 //!   16-byte heap entry (tag bit + module/packet index in the low bits),
 //!   so the unbounded side `Vec<Event>` of the reference simulator
@@ -29,8 +33,8 @@
 //!
 //! An [`Engine`] is reusable: [`Engine::run`] resets the arenas without
 //! releasing their capacity, so replication sweeps
-//! ([`mod@crate::des::sweep`]) pay the route-table build once per worker and
-//! allocate nothing per replication in the steady state.
+//! ([`mod@crate::des::sweep`]) allocate nothing per replication in the
+//! steady state, and a run under another policy rebuilds nothing.
 //!
 //! For the default uniform/exponential configuration the engine consumes
 //! the RNG in exactly the reference order and is therefore **bit-
@@ -41,7 +45,9 @@
 use super::fault::corrupt_unit;
 use super::traffic::{TrafficCtx, TrafficPattern};
 use super::{DesConfig, DesResult, ServiceDistribution};
-use crate::routing::{adaptive_network, route_choice, RouteTable, RoutingKind};
+use crate::routing::{
+    adaptive_network, assert_unit_steps, route_choice, RouteProgram, RouteTable, RoutingKind,
+};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -188,9 +194,10 @@ impl EventHeap {
     }
 }
 
-/// Per-packet state in the arena. Routes are *not* stored here — the
-/// slot carries the packet's precomputed range within the shared
-/// [`RouteTable`]'s flat link buffer.
+/// Per-packet state in the arena. Routes are *not* stored here: a packet
+/// carries its route program's state (current router, leg target, axis
+/// order), or — on an [`Engine::with_table`] engine running the table's
+/// policy — its position in the table's flat link buffer.
 #[derive(Clone, Copy, Debug)]
 struct PacketSlot {
     t_inject: f64,
@@ -198,8 +205,9 @@ struct PacketSlot {
     /// layer's per-packet corruption hash agrees with the reference
     /// oracle (whose packet index *is* the ordinal).
     pkt: u64,
-    /// Start of the route in [`RouteTable::flat_links`].
-    route_lo: u32,
+    /// The packet's current router; for a table-routed packet, the index
+    /// of its next link in [`RouteTable::flat_links`] instead.
+    at: u32,
     /// Hops remaining (counts down to the ejection stage).
     remaining: u32,
     /// Total hops of the route (`hops - remaining` is the current hop
@@ -208,6 +216,10 @@ struct PacketSlot {
     /// ARQ retransmissions already spent on the current hop.
     attempt: u32,
     dst: u32,
+    /// The rest of an oblivious route: its leg target and axis order.
+    /// Adaptive packets take only its hop count, and table-routed ones
+    /// leave it at the default.
+    program: RouteProgram,
     /// Virtual channel, fixed at injection. For adaptive routing this is
     /// the packet's Linder–Harden virtual network
     /// ([`adaptive_network`]); oblivious policies keep VC bookkeeping out
@@ -219,9 +231,9 @@ struct PacketSlot {
 
 /// A reusable simulation engine bound to one topology.
 ///
-/// Construction precomputes the route table and traffic context (the
-/// only allocations proportional to topology size); [`Engine::run`]
-/// recycles every buffer across calls.
+/// Construction builds the traffic context and the arenas (allocations
+/// proportional to the topology's modules and links, never to router
+/// pairs); [`Engine::run`] recycles every buffer across calls.
 ///
 /// # Example
 ///
@@ -244,13 +256,16 @@ struct PacketSlot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Engine {
-    /// Kept so a [`Engine::run`] whose config asks for a different
-    /// [`RoutingKind`] can rebuild the route table.
+    /// Its unit-step table is the link source of every hop not read from
+    /// `table`.
     topo: Topology,
-    /// Shared behind an [`Arc`]: sweep workers clone the prototype engine,
-    /// and the (potentially large — `choices ×` the dimension-order size)
-    /// policy table is read-only during a run, so clones share one copy.
-    routes: Arc<RouteTable>,
+    /// The policy of the last run — before the first, the one the engine
+    /// was built for.
+    routing: RoutingKind,
+    /// The prebuilt table of an [`Engine::with_table`] engine, read by
+    /// runs under its policy. Shared behind an [`Arc`]: sweep workers
+    /// clone the prototype engine, and the table is read-only.
+    table: Option<Arc<RouteTable>>,
     ctx: TrafficCtx,
     num_links: usize,
     heap: EventHeap,
@@ -271,53 +286,53 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine for `topo` with dimension-order routes, routing
-    /// all router pairs once.
+    /// Builds an engine for `topo` with dimension-order routing.
     ///
     /// # Panics
     ///
-    /// Panics if the topology has fewer than two modules or lacks a link
-    /// some dimension-order route needs.
+    /// Panics if the topology has fewer than two modules or lacks a unit
+    /// step of its raster (see [`Engine::with_routing`]).
     pub fn new(topo: &Topology) -> Self {
         Self::with_routing(topo, RoutingKind::DimensionOrder)
     }
 
-    /// Builds an engine for `topo` with the route table of `routing`
-    /// prematerialized (a [`Engine::run`] whose config asks for another
-    /// policy still works — it rebuilds the table first).
+    /// Builds an engine for `topo` that routes every packet by its
+    /// policy's [`RouteProgram`] — under `routing`, or whatever policy a
+    /// later [`Engine::run`] asks for. No route table is built.
+    ///
+    /// The programs step along the topology's unit-step links, so
+    /// construction checks in O(routers) that every unit step inside the
+    /// raster has one: the engine fails here, not mid-run. That is
+    /// exactly routability for dimension-order, O1TURN, RLB and adaptive
+    /// routing (a neighbour pair's only minimal route is the direct
+    /// step), and sufficient for Valiant.
     ///
     /// # Panics
     ///
     /// Panics if the topology has fewer than two modules, the policy is
-    /// invalid, or the topology lacks a link some route needs.
+    /// invalid, or the topology lacks a unit step (naming the router,
+    /// axis and direction) — pillar meshes and hybrid boards do; build
+    /// those around their own tables with [`Engine::with_table`].
     pub fn with_routing(topo: &Topology, routing: RoutingKind) -> Self {
         assert!(topo.num_modules() >= 2, "need at least two modules");
-        Engine {
-            topo: topo.clone(),
-            routes: Arc::new(RouteTable::with_policy(topo, routing)),
-            ctx: TrafficCtx::new(topo),
-            num_links: topo.num_links(),
-            heap: EventHeap::default(),
-            packets: Vec::new(),
-            free: Vec::new(),
-            link_free: vec![0.0; topo.num_links()],
-            vc_free: Vec::new(),
-            ej_free: vec![0.0; topo.num_modules()],
-            link_p: vec![0.0; topo.num_links()],
-            link_retries: vec![0; topo.num_links()],
+        if let Some(problem) = routing.problem() {
+            panic!("invalid routing policy: {problem}");
         }
+        assert_unit_steps(topo, routing);
+        Self::build(topo, routing, None)
     }
 
     /// Builds an engine around a prebuilt route table — the entry point
     /// for database-expanded grids ([`crate::icdb`]) and irregular
-    /// topologies whose tables come from
-    /// [`RouteTable::from_routes`] rather than the mesh policy walker.
+    /// topologies whose tables come from [`RouteTable::from_routes`]
+    /// rather than the mesh policy programs.
     ///
-    /// [`Engine::run`] keeps the given table as long as
-    /// `config.routing == table.kind()`; a config asking for a different
-    /// policy falls back to rebuilding via the mesh walker, which panics
-    /// on topologies (pillar meshes, hybrid boards) the walker cannot
-    /// route — so pass configs whose routing matches the table.
+    /// [`Engine::run`] reads the table as long as
+    /// `config.routing == table.kind()`. A config asking for another
+    /// policy routes by [`RouteProgram`]s instead, after the unit-step
+    /// check [`Engine::with_routing`] makes at construction — which
+    /// panics on topologies (pillar meshes, hybrid boards) the programs
+    /// cannot route, so pass configs whose routing matches the table.
     ///
     /// # Panics
     ///
@@ -330,9 +345,14 @@ impl Engine {
             topo.num_modules(),
             "route table module count does not match the topology"
         );
+        Self::build(topo, routes.kind(), Some(routes))
+    }
+
+    fn build(topo: &Topology, routing: RoutingKind, table: Option<Arc<RouteTable>>) -> Self {
         Engine {
             topo: topo.clone(),
-            routes,
+            routing,
+            table,
             ctx: TrafficCtx::new(topo),
             num_links: topo.num_links(),
             heap: EventHeap::default(),
@@ -346,21 +366,27 @@ impl Engine {
         }
     }
 
-    /// Routing policy of the engine's current route table.
+    /// Routing policy of the engine's last run; before the first, the
+    /// policy it was built for (its table's, for [`Engine::with_table`]).
     pub fn routing(&self) -> RoutingKind {
-        self.routes.kind()
+        self.routing
     }
 
     /// Runs one simulation, reusing the engine's arenas.
     ///
-    /// Changing `config.routing` between runs rebuilds the route table
-    /// (the one non-recycled cost); runs sharing a policy — every
-    /// replication of a sweep — pay it once.
+    /// Any policy runs without a rebuild: packets step their
+    /// [`RouteProgram`]s, adaptive packets scan their productive links,
+    /// and an [`Engine::with_table`] engine reads its table under the
+    /// table's policy. Such an engine asked for another policy first
+    /// checks that every unit step of its topology has a link, before
+    /// the first event.
     ///
     /// # Panics
     ///
-    /// Panics if the injection rate is not positive or the traffic
-    /// pattern / routing policy is invalid for this topology.
+    /// Panics if the injection rate is not positive, the traffic pattern
+    /// / routing policy / fault or VC config is invalid for this
+    /// topology, or a table engine's topology lacks a unit step the
+    /// requested policy needs.
     pub fn run(&mut self, config: &DesConfig) -> DesResult {
         assert!(
             config.injection_rate > 0.0,
@@ -374,16 +400,25 @@ impl Engine {
         if let Some(problem) = config.fault.problem() {
             panic!("invalid fault config: {problem}");
         }
+        if let Some(problem) = config.routing.problem() {
+            panic!("invalid routing policy: {problem}");
+        }
         if let Some(problem) = config.routing.vc_problem(config.vcs) {
             panic!("invalid vc config: {problem}");
         }
-        if self.routes.kind() != config.routing {
-            self.routes = Arc::new(RouteTable::with_policy(&self.topo, config.routing));
+        if self
+            .table
+            .as_ref()
+            .is_some_and(|t| t.kind() != config.routing)
+        {
+            assert_unit_steps(&self.topo, config.routing);
         }
+        self.routing = config.routing;
 
         let Engine {
             topo,
-            routes,
+            routing: _,
+            table,
             ctx,
             num_links,
             heap,
@@ -395,9 +430,13 @@ impl Engine {
             link_p,
             link_retries,
         } = self;
-        let routes: &RouteTable = routes;
-        let route_choices = routes.num_choices();
+        let route_choices = config.routing.choices();
         let adaptive = config.routing == RoutingKind::Adaptive;
+        // The table, when this run reads one (adaptive runs scan instead).
+        let table: Option<&RouteTable> = table
+            .as_deref()
+            .filter(|t| !adaptive && t.kind() == config.routing);
+        let dims = topo.dims();
         let vcs = if config.vcs == 0 {
             config.routing.safe_vcs()
         } else {
@@ -487,31 +526,40 @@ impl Engine {
                 let dst = config.traffic.dest(module, ctx, &mut rng);
                 let measured = injected >= config.warmup_packets && injected < total_tracked;
                 let choice = route_choice(config.seed, injected as u64, module, dst, route_choices);
-                // Adaptive packets carry no precomputed route: `route_lo`
-                // holds the *current router* instead of a table offset,
-                // and the hop budget is the Manhattan distance (adaptive
-                // routing is minimal). The VC is the packet's virtual
-                // network, fixed here for its whole life.
-                let (route_lo, hops, vc) = if adaptive {
-                    let src_r = topo.router_of(module);
-                    let dst_r = topo.router_of(dst);
-                    (
-                        src_r as u32,
-                        topo.router_distance(src_r, dst_r) as u32,
-                        adaptive_network(topo.coord(src_r), topo.coord(dst_r)) as u8,
-                    )
+                // A table-routed packet starts at its route's span in the
+                // flat link buffer; every other packet at its source
+                // router with its route program. Adaptive packets take
+                // only the program's hop count, the Manhattan distance
+                // (adaptive routing is minimal), and their VC: the
+                // virtual network, fixed here for the packet's life.
+                let src_r = topo.router_of(module);
+                let dst_r = topo.router_of(dst);
+                let (at, hops, program) = match table {
+                    Some(table) => {
+                        let span = table.span_choice(module, dst, choice);
+                        (span.start, span.len(), RouteProgram::default())
+                    }
+                    None => {
+                        let coord = |r| topo.coord(r);
+                        let (program, [first, second], _) =
+                            RouteProgram::plan(dims, config.routing, src_r, dst_r, choice, coord);
+                        (src_r, first + second, program)
+                    }
+                };
+                let vc = if adaptive {
+                    adaptive_network(topo.coord(src_r), topo.coord(dst_r)) as u8
                 } else {
-                    let span = routes.span_choice(module, dst, choice);
-                    (span.start as u32, span.len() as u32, 0u8)
+                    0
                 };
                 let slot = PacketSlot {
                     t_inject: now,
                     pkt: injected as u64,
-                    route_lo,
-                    remaining: hops,
-                    hops,
+                    at: at as u32,
+                    remaining: hops as u32,
+                    hops: hops as u32,
                     attempt: 0,
                     dst: dst as u32,
+                    program,
                     vc,
                     measured,
                 };
@@ -554,8 +602,11 @@ impl Engine {
                     // Inter-router link stage. A corrupted transmission
                     // still occupies the link for the full service time
                     // (the receiver only detects the bad frame on
-                    // arrival).
-                    let l = if adaptive {
+                    // arrival). `next_at` is where the packet stands once
+                    // across; it and the stepped `program` are kept only
+                    // if the hop succeeds, so a retry takes the same step.
+                    let mut program = p.program;
+                    let (l, next_at) = if adaptive {
                         // Congestion-aware choice among the productive
                         // links (one per unfinished dimension): ascending
                         // (server-free, vc-free, link id). A pure
@@ -565,7 +616,7 @@ impl Engine {
                         // lowest link id, i.e. dimension order at low
                         // load; an ARQ retry re-runs the scan and may
                         // steer around the congestion it just hit.
-                        let cur = p.route_lo as usize;
+                        let cur = p.at as usize;
                         let here = topo.coord(cur);
                         let target = topo.coord(topo.router_of(p.dst as usize));
                         let mut best = usize::MAX;
@@ -587,9 +638,22 @@ impl Engine {
                                 best = cand;
                             }
                         }
-                        best
+                        (best, topo.links()[best].dst as u32)
+                    } else if let Some(table) = table {
+                        (table.flat_links()[p.at as usize] as usize, p.at + 1)
                     } else {
-                        routes.flat_links()[p.route_lo as usize] as usize
+                        // The first step of the route program's next run;
+                        // the unit-step check at construction (or before
+                        // this run, for a table engine) guarantees its link.
+                        let cur = p.at as usize;
+                        let dst_r = topo.router_of(p.dst as usize);
+                        let (axis, positive, _) = program
+                            .next_run(topo.coord(cur), dst_r, |r| topo.coord(r))
+                            .expect("a packet with hops left has a next run");
+                        let l = topo
+                            .step_link(cur, axis, positive)
+                            .expect("every unit step has a link");
+                        (l, topo.links()[l].dst as u32)
                     };
                     let start = now.max(link_free[l]);
                     let finish = start + svc;
@@ -609,12 +673,8 @@ impl Engine {
                                 < p_err
                     };
                     if !corrupted {
-                        if adaptive {
-                            // Advance to the link's downstream router.
-                            packets[pid].route_lo = topo.links()[l].dst as u32;
-                        } else {
-                            packets[pid].route_lo += 1;
-                        }
+                        packets[pid].at = next_at;
+                        packets[pid].program = program;
                         packets[pid].remaining -= 1;
                         packets[pid].attempt = 0;
                         // Next router pipeline, then next queue.
@@ -740,11 +800,20 @@ mod tests {
         assert_eq!(a, simulate(&topo, &cfg));
     }
 
+    /// One policy of each kind the engine routes differently.
+    const POLICIES: [RoutingKind; 5] = [
+        RoutingKind::DimensionOrder,
+        RoutingKind::O1Turn,
+        RoutingKind::Valiant { choices: 8 },
+        RoutingKind::RlbValiant { choices: 3 },
+        RoutingKind::Adaptive,
+    ];
+
     #[test]
-    fn engine_rebuilds_table_when_policy_changes() {
-        // One engine must serve configs with different routing kinds,
-        // rebuilding the table on the transition and matching a fresh
-        // engine built for that policy directly.
+    fn policy_switch_matches_a_fresh_engine() {
+        // One engine serves configs with different routing kinds — table
+        // engines included — and each run matches a fresh engine built
+        // for that policy.
         let topo = Topology::mesh3d(3, 3, 3);
         let base = DesConfig {
             warmup_packets: 200,
@@ -752,14 +821,38 @@ mod tests {
             ..DesConfig::default()
         };
         let mut engine = Engine::new(&topo);
+        let mut tabled = Engine::with_table(&topo, Arc::new(RouteTable::new(&topo)));
         for routing in [
             RoutingKind::O1Turn,
             RoutingKind::valiant(),
+            RoutingKind::Adaptive,
             RoutingKind::DimensionOrder,
         ] {
             let cfg = DesConfig { routing, ..base };
+            let want = Engine::with_routing(&topo, routing).run(&cfg);
+            assert_eq!(engine.run(&cfg), want, "{}", routing.name());
+            assert_eq!(engine.routing(), routing);
+            assert_eq!(tabled.run(&cfg), want, "table engine, {}", routing.name());
+        }
+    }
+
+    #[test]
+    fn with_table_matches_with_routing_bit_for_bit() {
+        // An engine around an icdb table reads the CSR; one without steps
+        // route programs. Same routes, same runs.
+        use crate::icdb::{ClassRouter, ExpandedGrid};
+        let topo = Topology::mesh3d(3, 3, 3);
+        for routing in POLICIES {
+            let cfg = DesConfig {
+                routing,
+                warmup_packets: 200,
+                measured_packets: 2_000,
+                ..DesConfig::default()
+            };
+            let table = ClassRouter::new(ExpandedGrid::mesh3d(3, 3, 3), routing).to_route_table();
+            let table = Arc::new(table);
             assert_eq!(
-                engine.run(&cfg),
+                Engine::with_table(&topo, table).run(&cfg),
                 Engine::with_routing(&topo, routing).run(&cfg),
                 "{}",
                 routing.name()
@@ -768,19 +861,42 @@ mod tests {
     }
 
     #[test]
-    fn with_table_matches_with_routing_bit_for_bit() {
-        let topo = Topology::mesh3d(3, 3, 3);
-        let cfg = DesConfig {
+    #[should_panic(expected = "no link leaves router")]
+    fn with_routing_rejects_a_pillar_mesh_at_construction() {
+        // Only every second column carries vertical links.
+        let pillar = crate::irregular::PillarMesh3d::new(4, 4, 2, 2);
+        Engine::with_routing(pillar.topology(), RoutingKind::DimensionOrder);
+    }
+
+    #[test]
+    #[should_panic(expected = "along axis 0 (+) for the o1turn route")]
+    fn hybrid_engine_asked_for_o1turn_fails_before_the_first_event() {
+        // The +x steps across the board gap are radio links spanning a
+        // board pitch, not unit steps.
+        let h = crate::icdb::HybridBoards::with_radio_count(2, [4, 4, 2], 1);
+        let mut engine = Engine::with_table(h.topology(), Arc::new(h.route_table()));
+        engine.run(&DesConfig {
             routing: RoutingKind::O1Turn,
+            ..DesConfig::default()
+        });
+    }
+
+    #[test]
+    fn with_routing_scales_past_any_route_table() {
+        // 4096 routers under valiant:8: an all-pairs table would hold
+        // 4096² · 8 routes (about 16 GiB); the engine holds none and still
+        // matches the table-free oracle bit for bit.
+        let topo = Topology::mesh3d(16, 16, 16);
+        let cfg = DesConfig {
+            routing: RoutingKind::valiant(),
+            injection_rate: 0.002,
             warmup_packets: 200,
-            measured_packets: 2_000,
+            measured_packets: 1_000,
             ..DesConfig::default()
         };
-        let table = Arc::new(RouteTable::with_policy(&topo, RoutingKind::O1Turn));
-        assert_eq!(
-            Engine::with_table(&topo, table).run(&cfg),
-            Engine::with_routing(&topo, RoutingKind::O1Turn).run(&cfg)
-        );
+        let got = Engine::with_routing(&topo, cfg.routing).run(&cfg);
+        assert!(got.completed && got.delivered == 1_000);
+        assert_eq!(got, crate::des::reference::simulate(&topo, &cfg));
     }
 
     #[test]

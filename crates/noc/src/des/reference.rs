@@ -16,7 +16,7 @@
 //! Routing policies **are** implemented — the oracle picks the same
 //! per-packet [`route_choice`] the engine does and then re-materializes
 //! the chosen route naively with [`policy_route`], so the `des` module
-//! tests can pin the engine's policy tables bit-for-bit.
+//! tests can pin the engine's route programs bit-for-bit.
 //!
 //! The fault/ARQ path of [`crate::des::fault`] is re-materialized here
 //! in the same naive style: per-hop error probabilities are recomputed

@@ -132,9 +132,9 @@ pub fn sweep(topo: &Topology, config: &SweepConfig) -> SweepResult {
 /// Panics if `rates` is empty, `replications` is zero, or any rate is
 /// not positive.
 pub fn sweep_with_threads(topo: &Topology, config: &SweepConfig, threads: usize) -> SweepResult {
-    // Route the topology once under the sweep's policy; workers clone the
-    // prototype (sharing its route table through an `Arc`) instead of
-    // re-walking all router pairs per replication.
+    // Check the topology's unit steps once; workers clone the prototype,
+    // whose packets step their route programs, so no replication builds
+    // anything proportional to router pairs.
     let proto = Engine::with_routing(topo, config.base.routing);
     sweep_engine_with_threads(&proto, config, threads)
 }
@@ -143,7 +143,7 @@ pub fn sweep_with_threads(topo: &Topology, config: &SweepConfig, threads: usize)
 /// replications out over [`par::threads`] workers — the entry point for
 /// engines around custom route tables ([`Engine::with_table`]): pillar
 /// meshes and hybrid wired+wireless boards from [`crate::icdb`], whose
-/// tables [`sweep`] could not rebuild from a policy alone.
+/// routes no policy's route programs can step.
 ///
 /// # Panics
 ///
@@ -159,9 +159,9 @@ pub fn sweep_engine(proto: &Engine, config: &SweepConfig) -> SweepResult {
 ///
 /// Panics if `rates` is empty, `replications` is zero, any rate is not
 /// positive, or `config.base.routing` differs from the prototype's
-/// routing policy (a mismatch would silently rebuild the table per
-/// worker — or panic outright on topologies the mesh walker cannot
-/// route).
+/// routing policy (a table engine would silently route by program
+/// instead of its table — or panic in every worker on topologies the
+/// programs cannot route).
 pub fn sweep_engine_with_threads(
     proto: &Engine,
     config: &SweepConfig,
@@ -179,7 +179,7 @@ pub fn sweep_engine_with_threads(
     assert_eq!(
         proto.routing(),
         config.base.routing,
-        "sweep routing policy does not match the prototype engine's table"
+        "sweep routing policy does not match the prototype engine's policy"
     );
 
     let reps = config.replications;
@@ -388,7 +388,7 @@ mod tests {
         // prototype built from the topology must reproduce `sweep`
         // exactly — including around a prebuilt table (the icdb /
         // hybrid-board path).
-        use crate::routing::RouteTable;
+        use crate::icdb::{ClassRouter, ExpandedGrid};
         use std::sync::Arc;
         let topo = Topology::mesh3d(3, 3, 2);
         let cfg = SweepConfig::new(
@@ -402,7 +402,8 @@ mod tests {
         let want = sweep(&topo, &cfg);
         let proto = Engine::with_routing(&topo, RoutingKind::O1Turn);
         assert_eq!(sweep_engine(&proto, &cfg), want);
-        let table = Arc::new(RouteTable::with_policy(&topo, RoutingKind::O1Turn));
+        let grid = ExpandedGrid::mesh3d(3, 3, 2);
+        let table = Arc::new(ClassRouter::new(grid, RoutingKind::O1Turn).to_route_table());
         let tabled = Engine::with_table(&topo, table);
         assert_eq!(sweep_engine_with_threads(&tabled, &cfg, 4), want);
     }

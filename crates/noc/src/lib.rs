@@ -8,9 +8,10 @@
 //! (Figs. 7–8).
 //!
 //! * [`topology`] — the four topology families of Fig. 7 as graphs.
-//! * [`routing`] — deterministic dimension-order routing, including the
-//!   all-pairs [`routing::RouteTable`] in flat CSR form that feeds both
-//!   the analytic model and the simulator's hot loop.
+//! * [`routing`] — dimension-order, O1TURN, Valiant, RLB and adaptive
+//!   routing: per-route [`routing::RouteProgram`]s the simulator steps
+//!   hop by hop, and the all-pairs [`routing::RouteTable`] in flat CSR
+//!   form that feeds the analytic model.
 //! * [`analytic`] — the queueing-theory latency model (per-link M/M/1
 //!   servers over exact routed flows), calibrated once against the paper's
 //!   published low-load latencies and saturation points.

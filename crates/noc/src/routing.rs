@@ -35,14 +35,18 @@
 //!   channel-dependency graph over (link, VC) nodes is acyclic, which
 //!   `wi_noc::deadlock` machine-checks.
 //!
-//! Every policy but `Adaptive` is **precomputed**:
-//! [`RouteTable::with_policy`] stores the whole choice set per router pair
-//! in flat CSR form, so the simulator's hot loop stays allocation-free,
-//! and a packet selects its route with the deterministic hash
-//! [`route_choice`] — no RNG draws, which keeps the arena engine
-//! bit-identical to the naive oracle under every policy. `Adaptive`
-//! decisions are likewise pure functions of queue state shared between
-//! the engine and the oracle (never the RNG), so the same contract holds.
+//! Every policy but `Adaptive` is **oblivious**: choice `c` of a router
+//! pair is one [`RouteProgram`] — a leg target and an axis order,
+//! stepped hop by hop from the current router — so a route is a pure
+//! function of `(src, dst, c)` and needs no storage. The DES engine
+//! steps the programs of the packets in flight; [`RouteTable::with_policy`]
+//! materializes every (router pair, choice) route in flat CSR form for
+//! the analytic model, icdb tables and the oracles. A packet selects its
+//! route with the deterministic hash [`route_choice`] — no RNG draws,
+//! which keeps the arena engine bit-identical to the naive oracle under
+//! every policy. `Adaptive` decisions are likewise pure functions of
+//! queue state shared between the engine and the oracle (never the RNG),
+//! so the same contract holds.
 
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -73,9 +77,9 @@ const VALIANT_SALT: u64 = 0x5EED_0420_0DD5_5A1F;
 const RLB_SALT: u64 = 0x0DD5_5A1F_5EED_0420;
 
 /// A routing policy (serde-able plain data, for configuration types and
-/// CLI flags). All but [`RoutingKind::Adaptive`] are oblivious and
-/// precomputed into a [`RouteTable`]; `Adaptive` decisions happen per hop
-/// in the simulator from live queue state.
+/// CLI flags). All but [`RoutingKind::Adaptive`] are oblivious: each
+/// route is a [`RouteProgram`] of `(src, dst, choice)`; `Adaptive`
+/// decisions happen per hop in the simulator from live queue state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingKind {
     /// Deterministic X-then-Y-then-Z routing: one route per pair.
@@ -84,25 +88,25 @@ pub enum RoutingKind {
     /// One minimal route per dimension-order permutation
     /// ([`O1TURN_ORDERS`]); packets randomize over the six.
     O1Turn,
-    /// Valiant randomized routing: `choices` precomputed routes per pair,
-    /// each via a random intermediate router with two dimension-order legs.
+    /// Valiant randomized routing: `choices` routes per pair, each via a
+    /// random intermediate router with two dimension-order legs.
     Valiant {
-        /// Precomputed intermediate routers per pair.
+        /// Intermediate routers per pair.
         choices: usize,
     },
     /// Randomized local balancing: Valiant with the intermediate hashed
     /// inside the src–dst bounding box ([`rlb_intermediate`]), so both
     /// dimension-order legs together stay minimal.
     RlbValiant {
-        /// Precomputed intermediate routers per pair.
+        /// Intermediate routers per pair.
         choices: usize,
     },
     /// Congestion-aware fully adaptive minimal routing over
     /// Linder–Harden-style virtual networks ([`adaptive_network`]). Its
-    /// [`RouteTable`] stores the dimension-order escape route per pair
-    /// (what the analytic model and route-program consumers see); the
-    /// DES engines ignore the table and pick the least-loaded productive
-    /// link per hop.
+    /// route program and [`RouteTable`] hold the dimension-order escape
+    /// route per pair (what the analytic model and route-program
+    /// consumers see); the DES engines pick the least-loaded productive
+    /// link per hop instead.
     Adaptive,
 }
 
@@ -328,26 +332,222 @@ impl Path {
 /// One unit step of a route walk: leave `router`, at grid coordinate
 /// `coord`, along `axis` — toward the larger coordinate when `positive`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Step {
-    pub(crate) router: usize,
-    pub(crate) coord: [usize; 3],
-    pub(crate) axis: usize,
-    pub(crate) positive: bool,
+pub struct Step {
+    /// The router the step leaves.
+    pub router: usize,
+    /// Its grid coordinate.
+    pub coord: [usize; 3],
+    /// The axis the step moves along.
+    pub axis: usize,
+    /// Whether it moves toward the larger coordinate.
+    pub positive: bool,
 }
 
-/// Walks choice `choice` of `kind` from router `src` to router `dst` of
-/// a `dims` raster (z-major, like [`Topology::router_at`]), appending
-/// each unit step's link id, taken from `link`, to `out`.
+/// Route `choice` of a policy between two routers, as a program stepped
+/// hop by hop: the router its current leg heads for and the order it
+/// visits the axes in.
 ///
-/// This is the one place a route's Valiant/RLB intermediate and O1TURN
-/// visit order are picked: the [`RouteTable`] builder, [`policy_route`]
-/// and its siblings, [`all_pairs_routable_with`], the deadlock checker,
-/// the hybrid boards' wired legs and the icdb route programs all walk
-/// through it, differing only in where a step's link id comes from.
-/// Same-router pairs walk nothing under every policy — a packet that
-/// never enters the mesh takes no detour. Adaptive walks its
-/// dimension-order escape route (what the analytic model charges and
-/// the route programs serve; the DES engines route it hop by hop).
+/// [`RouteProgram::new`] is the one place a route's Valiant/RLB
+/// intermediate and O1TURN visit order are picked, and
+/// [`RouteProgram::next_run`] the one place its next straight run — and
+/// so its next unit step — is. [`walk_route`] is a loop over the runs;
+/// the DES engine ([`crate::des::Engine`]) keeps one program per packet
+/// in flight instead of a stored route and takes one step of the next
+/// run per hop. (The default program heads for router 0 in
+/// dimension order; the engine leaves it in the slots of packets it
+/// routes from a table.)
+///
+/// ```
+/// use wi_noc::routing::{RouteProgram, RoutingKind};
+/// use wi_noc::topology::Topology;
+///
+/// let topo = Topology::mesh3d(4, 4, 4);
+/// let (src, dst) = (0, 63);
+/// let (mut program, [first, second]) =
+///     RouteProgram::new(topo.dims(), RoutingKind::O1Turn, src, dst, 5);
+/// assert_eq!(first + second, 9, "O1TURN is minimal");
+/// let mut here = src;
+/// let coord = |r| topo.coord(r);
+/// while let Some((axis, positive, _)) = program.next_run(coord(here), dst, coord) {
+///     let link = topo.step_link(here, axis, positive).unwrap();
+///     here = topo.links()[link].dst;
+/// }
+/// assert_eq!(here, dst);
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteProgram {
+    /// The router the current leg heads for: the Valiant/RLB
+    /// intermediate until the route reaches it, the destination after
+    /// (and from the start under single-leg policies).
+    leg_target: u32,
+    /// The axis visit order, an index into [`O1TURN_ORDERS`].
+    order: u8,
+}
+
+impl RouteProgram {
+    /// The program of choice `choice` of `kind` from router `src` to
+    /// router `dst` of a `dims` raster (z-major, like
+    /// [`Topology::router_at`]), with the hop counts of its two legs: up
+    /// to the Valiant/RLB intermediate and on from it. Single-leg
+    /// policies walk their whole route as the first leg. Same-router
+    /// pairs get `[0, 0]` under every policy — a packet that never
+    /// enters the mesh takes no detour. Adaptive gets its
+    /// dimension-order escape route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a router or the choice is out of range.
+    pub fn new(
+        dims: [usize; 3],
+        kind: RoutingKind,
+        src: usize,
+        dst: usize,
+        choice: usize,
+    ) -> (Self, [usize; 2]) {
+        let (program, legs, _) =
+            Self::plan(dims, kind, src, dst, choice, |r| raster_coord(dims, r));
+        (program, legs)
+    }
+
+    /// [`RouteProgram::new`] with router coordinates taken from `coord`,
+    /// plus the coordinates of `src`, the first leg's target and `dst`.
+    #[inline]
+    pub(crate) fn plan(
+        dims: [usize; 3],
+        kind: RoutingKind,
+        src: usize,
+        dst: usize,
+        choice: usize,
+        coord: impl Fn(usize) -> [usize; 3],
+    ) -> (Self, [usize; 2], [[usize; 3]; 3]) {
+        assert!(
+            choice < kind.choices(),
+            "choice {choice} out of range for {} ({} choices)",
+            kind.name(),
+            kind.choices()
+        );
+        let [nx, ny, nz] = dims;
+        let routers = nx * ny * nz;
+        assert!(
+            src < routers && dst < routers,
+            "router pair ({src}, {dst}) out of range for {routers} routers"
+        );
+        let (from, to) = (coord(src), coord(dst));
+        let (mid, at_mid, order) = match kind {
+            _ if src == dst => (dst, to, 0),
+            RoutingKind::Valiant { .. } => {
+                let mid = valiant_intermediate(routers, src, dst, choice);
+                (mid, coord(mid), 0)
+            }
+            RoutingKind::RlbValiant { .. } => {
+                let [x, y, z] = rlb_intermediate(from, to, choice);
+                (x + nx * (y + ny * z), [x, y, z], 0)
+            }
+            RoutingKind::O1Turn => (dst, to, choice),
+            RoutingKind::DimensionOrder | RoutingKind::Adaptive => (dst, to, 0),
+        };
+        let distance = |a: [usize; 3], b: [usize; 3]| -> usize {
+            (0..3).map(|axis| a[axis].abs_diff(b[axis])).sum()
+        };
+        let program = RouteProgram {
+            leg_target: u32::try_from(mid).expect("router index exceeds u32"),
+            order: order as u8,
+        };
+        let legs = [distance(from, at_mid), distance(at_mid, to)];
+        (program, legs, [from, at_mid, to])
+    }
+
+    /// The router the current leg heads for.
+    pub fn leg_target(&self) -> usize {
+        self.leg_target as usize
+    }
+
+    /// The straight run the route takes next from the router at
+    /// coordinate `at` toward router `dst` (the destination the program
+    /// was built for), as `(axis, positive, len)`: `len` unit steps along
+    /// `axis`, toward the larger coordinate when `positive`, up to the
+    /// leg target's coordinate on that axis. `coord` maps a router to its
+    /// coordinate and is asked only for leg targets.
+    ///
+    /// The run's axis is the first, in the program's order, on which `at`
+    /// differs from the leg target. At the leg target the next leg heads
+    /// for `dst` — a switch that depends on `at` alone, so asking again
+    /// from the same router (an ARQ retry at the intermediate) gives the
+    /// same answer. `None` once the route has arrived.
+    #[inline]
+    pub fn next_run(
+        &mut self,
+        at: [usize; 3],
+        dst: usize,
+        coord: impl Fn(usize) -> [usize; 3],
+    ) -> Option<(usize, bool, usize)> {
+        let mut to = coord(self.leg_target as usize);
+        let mut differs = differing_axes(at, to);
+        if differs == 0 {
+            if self.leg_target as usize == dst {
+                return None;
+            }
+            self.leg_target = dst as u32;
+            to = coord(dst);
+            differs = differing_axes(at, to);
+        }
+        // Branch-free selection: which axis a run takes is data, not
+        // control flow, so a hop costs no mispredicted branch.
+        let axis = usize::from(FIRST_AXIS[usize::from(self.order)][differs]);
+        let below = usize::from(at[0] < to[0])
+            | usize::from(at[1] < to[1]) << 1
+            | usize::from(at[2] < to[2]) << 2;
+        let len = (0..3)
+            .map(|a| usize::from(a == axis) * at[a].abs_diff(to[a]))
+            .sum();
+        Some((axis, below >> axis & 1 == 1, len))
+    }
+}
+
+/// Grid coordinate of router `r` of a `dims` raster (z-major, like
+/// [`Topology::router_at`]).
+#[inline]
+fn raster_coord(dims: [usize; 3], r: usize) -> [usize; 3] {
+    let (row, plane) = (r / dims[0], r / dims[0] / dims[1]);
+    [r - row * dims[0], row - plane * dims[1], plane]
+}
+
+/// Bit `i` set when coordinates `a` and `b` differ on axis `i`.
+#[inline]
+fn differing_axes(a: [usize; 3], b: [usize; 3]) -> usize {
+    usize::from(a[0] != b[0]) | usize::from(a[1] != b[1]) << 1 | usize::from(a[2] != b[2]) << 2
+}
+
+/// `FIRST_AXIS[o][m]`: the first axis of visit order `o`
+/// ([`O1TURN_ORDERS`]) whose bit is set in the axis mask `m`.
+const FIRST_AXIS: [[u8; 8]; 6] = {
+    let mut table = [[0u8; 8]; 6];
+    let mut o = 0;
+    while o < 6 {
+        let mut m = 1;
+        while m < 8 {
+            let order = O1TURN_ORDERS[o];
+            let mut i = 0;
+            while m >> order[i] & 1 == 0 {
+                i += 1;
+            }
+            table[o][m] = order[i] as u8;
+            m += 1;
+        }
+        o += 1;
+    }
+    table
+};
+
+/// Walks choice `choice` of `kind` from router `src` to router `dst` of
+/// a `dims` raster (z-major, like [`Topology::router_at`]) — a loop over
+/// its [`RouteProgram`] — appending each unit step's link id, taken from
+/// `link`, to `out`.
+///
+/// The [`RouteTable`] builder, [`policy_route`] and its siblings,
+/// [`all_pairs_routable_with`], the deadlock checker, the hybrid boards'
+/// wired legs and the icdb route programs all walk through it, differing
+/// only in where a step's link id comes from.
 ///
 /// Returns the hop count of the first leg — up to the Valiant/RLB
 /// intermediate, the whole route otherwise — or the first step `link`
@@ -356,7 +556,7 @@ pub(crate) struct Step {
 /// # Panics
 ///
 /// Panics if a router or the choice is out of range.
-pub(crate) fn walk_route(
+pub fn walk_route(
     dims: [usize; 3],
     kind: RoutingKind,
     src: usize,
@@ -365,61 +565,49 @@ pub(crate) fn walk_route(
     mut link: impl FnMut(Step) -> Option<usize>,
     out: &mut Vec<u32>,
 ) -> Result<usize, Step> {
-    assert!(
-        choice < kind.choices(),
-        "choice {choice} out of range for {} ({} choices)",
-        kind.name(),
-        kind.choices()
-    );
-    let [nx, ny, nz] = dims;
-    let routers = nx * ny * nz;
-    assert!(
-        src < routers && dst < routers,
-        "router pair ({src}, {dst}) out of range for {routers} routers"
-    );
-    if src == dst {
-        return Ok(0);
-    }
-    let coord = |r: usize| [r % nx, (r / nx) % ny, r / (nx * ny)];
-    let to = coord(dst);
+    let (mut program, [first_leg, second_leg], [from, mid, to]) =
+        RouteProgram::plan(dims, kind, src, dst, choice, |r| raster_coord(dims, r));
+    let stride = [1, dims[0], dims[0] * dims[1]];
     let mut here = Step {
         router: src,
-        coord: coord(src),
+        coord: from,
         axis: 0,
         positive: false,
     };
-    let (mid, order) = match kind {
-        RoutingKind::Valiant { .. } => (
-            coord(valiant_intermediate(routers, src, dst, choice)),
-            [0, 1, 2],
-        ),
-        RoutingKind::RlbValiant { .. } => (rlb_intermediate(here.coord, to, choice), [0, 1, 2]),
-        RoutingKind::O1Turn => (to, O1TURN_ORDERS[choice]),
-        RoutingKind::DimensionOrder | RoutingKind::Adaptive => (to, [0, 1, 2]),
-    };
-    let stride = [1, nx, nx * ny];
-    let start = out.len();
-    let mut first_leg = 0;
-    for (leg, target) in [mid, to].into_iter().enumerate() {
-        for axis in order {
-            while here.coord[axis] != target[axis] {
-                here.axis = axis;
-                here.positive = here.coord[axis] < target[axis];
-                out.push(link(here).ok_or(here)? as u32);
-                if here.positive {
-                    here.coord[axis] += 1;
-                    here.router += stride[axis];
-                } else {
-                    here.coord[axis] -= 1;
-                    here.router -= stride[axis];
-                }
+    // The program asks only for its leg targets: the intermediate, then
+    // the destination.
+    let leg_coord = |r: usize| if r == dst { to } else { mid };
+    let mut left = first_leg + second_leg;
+    while left > 0 {
+        let (axis, positive, len) = program
+            .next_run(here.coord, dst, leg_coord)
+            .expect("a route with hops left has a next run");
+        left -= len;
+        here.axis = axis;
+        here.positive = positive;
+        for _ in 0..len {
+            out.push(link(here).ok_or(here)? as u32);
+            if positive {
+                here.coord[axis] += 1;
+                here.router += stride[axis];
+            } else {
+                here.coord[axis] -= 1;
+                here.router -= stride[axis];
             }
-        }
-        if leg == 0 {
-            first_leg = out.len() - start;
         }
     }
     Ok(first_leg)
+}
+
+/// The panic of a route that needs a step the topology lacks.
+fn missing_step(s: Step, kind: RoutingKind) -> ! {
+    panic!(
+        "no link leaves router {} along axis {} ({}) for the {} route",
+        s.router,
+        s.axis,
+        if s.positive { "+" } else { "-" },
+        kind.name()
+    )
 }
 
 /// [`walk_route`] over `topo`'s unit-step links
@@ -438,15 +626,43 @@ pub(crate) fn walk_topology(
     out: &mut Vec<u32>,
 ) -> usize {
     let step_link = |s: Step| topo.step_link(s.router, s.axis, s.positive);
-    walk_route(topo.dims(), kind, src, dst, choice, step_link, out).unwrap_or_else(|s| {
-        panic!(
-            "no link leaves router {} along axis {} ({}) for the {} route",
-            s.router,
-            s.axis,
-            if s.positive { "+" } else { "-" },
-            kind.name()
-        )
-    })
+    walk_route(topo.dims(), kind, src, dst, choice, step_link, out)
+        .unwrap_or_else(|s| missing_step(s, kind))
+}
+
+/// Checks, in one O(routers) pass over the unit-step table, that every
+/// unit step inside `topo`'s raster has a link — what stepping the
+/// [`RouteProgram`]s of `kind` needs. For dimension-order, O1TURN, RLB
+/// and adaptive routing this is exactly routability, since a neighbour
+/// pair's only minimal route is the direct step; for Valiant it is
+/// sufficient.
+///
+/// # Panics
+///
+/// Panics naming the first router, axis and direction that lacks a link.
+pub(crate) fn assert_unit_steps(topo: &Topology, kind: RoutingKind) {
+    let dims = topo.dims();
+    for router in 0..topo.num_routers() {
+        let coord = topo.coord(router);
+        for axis in 0..3 {
+            for positive in [false, true] {
+                let inside = if positive {
+                    coord[axis] + 1 < dims[axis]
+                } else {
+                    coord[axis] > 0
+                };
+                if inside && topo.step_link(router, axis, positive).is_none() {
+                    let s = Step {
+                        router,
+                        coord,
+                        axis,
+                        positive,
+                    };
+                    missing_step(s, kind);
+                }
+            }
+        }
+    }
 }
 
 /// Computes the dimension-order route between two modules.
@@ -519,14 +735,16 @@ pub fn policy_route(
 
 /// All-pairs routes of one [`RoutingKind`] in flat CSR form.
 ///
-/// [`route`] walks the path and allocates two `Vec`s per call, which
-/// made it the allocation hot spot of the discrete-event simulator (one
-/// call per injected packet). A `RouteTable` walks every *router* pair
-/// once per **choice** at build time — one unit-step table read per hop
-/// ([`Topology::step_link`]) — and stores the link ids contiguously, so
-/// a lookup is two array reads and a slice: no allocation, no walk.
-/// Module pairs sharing a router map to an empty slice, exactly like
-/// [`route`].
+/// [`route`] walks the path and allocates two `Vec`s per call. A
+/// `RouteTable` walks every *router* pair once per **choice** at build
+/// time — one unit-step table read per hop ([`Topology::step_link`]) —
+/// and stores the link ids contiguously, so a lookup is two array reads
+/// and a slice: no allocation, no walk. That costs
+/// O(routers² · choices) memory; the analytic model, the icdb, hybrid
+/// and pillar-mesh tables and the oracles pay it, while the DES engine
+/// steps [`RouteProgram`]s and reads a table only when built around one
+/// ([`crate::des::Engine::with_table`]). Module pairs sharing a router
+/// map to an empty slice, exactly like [`route`].
 ///
 /// The stored route of pair `(a, b)` at choice `c` is identical, link for
 /// link, to [`policy_route_routers`]`(topo, kind, a, b, c)` — and for

@@ -329,9 +329,9 @@ fn csr_bp_decoder_matches_reference_oracle() {
     }
 }
 
-/// One policy of each kind the engine routes differently: table walks
-/// in one and several orders, two-leg detours, and the per-hop adaptive
-/// scan.
+/// One policy of each kind the engine routes differently: route
+/// programs in one and several orders, two-leg detours, and the per-hop
+/// adaptive scan.
 const POLICIES: [RoutingKind; 5] = [
     RoutingKind::DimensionOrder,
     RoutingKind::O1Turn,
@@ -342,7 +342,6 @@ const POLICIES: [RoutingKind; 5] = [
 
 #[test]
 fn des_engine_matches_reference_oracle() {
-    let topo = Topology::mesh3d(3, 3, 2);
     let base = DesConfig {
         injection_rate: 0.2,
         warmup_packets: 100,
@@ -350,25 +349,44 @@ fn des_engine_matches_reference_oracle() {
         seed: 0xD35,
         ..DesConfig::default()
     };
-    for routing in POLICIES {
-        let cfg = DesConfig { routing, ..base };
+    // The mesh, and a star mesh whose modules share routers: a packet
+    // between two modules of one router takes no detour.
+    for topo in [Topology::mesh3d(3, 3, 2), Topology::star_mesh(3, 2, 3)] {
+        for routing in POLICIES {
+            let cfg = DesConfig { routing, ..base };
+            assert_eq!(
+                Engine::with_routing(&topo, routing).run(&cfg),
+                des_reference::simulate(&topo, &cfg),
+                "{} on {:?}",
+                routing.name(),
+                topo.kind()
+            );
+        }
+    }
+    // Corrupted hops retransmit under ARQ. Adaptive retries re-run the
+    // scan over the topology's unit-step links; a Valiant retry at the
+    // intermediate must switch legs once, and the corruption hash's hop
+    // index (`hops - remaining` in the engine) must follow the oracle's.
+    let topo = Topology::mesh3d(3, 3, 2);
+    for routing in [RoutingKind::Adaptive, RoutingKind::Valiant { choices: 3 }] {
+        let faulty = DesConfig {
+            routing,
+            fault: FaultConfig::uniform(0.05),
+            ..base
+        };
+        let got = Engine::with_routing(&topo, routing).run(&faulty);
+        assert!(
+            got.retries > 0,
+            "{}: faults must cause retries",
+            routing.name()
+        );
         assert_eq!(
-            Engine::with_routing(&topo, routing).run(&cfg),
-            des_reference::simulate(&topo, &cfg),
-            "{}",
+            got,
+            des_reference::simulate(&topo, &faulty),
+            "faulty {}",
             routing.name()
         );
     }
-    // Corrupted hops retransmit under ARQ; adaptive retries re-run the
-    // scan over the topology's unit-step links.
-    let faulty = DesConfig {
-        routing: RoutingKind::Adaptive,
-        fault: FaultConfig::uniform(0.05),
-        ..base
-    };
-    let got = Engine::with_routing(&topo, faulty.routing).run(&faulty);
-    assert!(got.retries > 0, "faults must cause retries");
-    assert_eq!(got, des_reference::simulate(&topo, &faulty));
 }
 
 #[test]

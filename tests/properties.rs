@@ -11,7 +11,8 @@ use wireless_interconnect::noc::analytic::{AnalyticModel, RouterParams};
 use wireless_interconnect::noc::deadlock::ChannelDepGraph;
 use wireless_interconnect::noc::icdb::{ClassRouter, ExpandedGrid, HybridBoards};
 use wireless_interconnect::noc::routing::{
-    all_pairs_routable_with, route, valiant_intermediate, RouteTable, RoutingKind,
+    all_pairs_routable_with, rlb_intermediate, route, valiant_intermediate, walk_route,
+    RouteProgram, RouteTable, RoutingKind, Step,
 };
 use wireless_interconnect::noc::topology::Topology;
 use wireless_interconnect::quantrx::filter::IsiFilter;
@@ -200,6 +201,34 @@ proptest! {
     }
 
     #[test]
+    fn route_programs_step_the_walked_routes(
+        nx in 1usize..5,
+        ny in 1usize..5,
+        nz in 1usize..4,
+        policy_idx in 0usize..5,
+        choices in 1usize..6,
+    ) {
+        // Stepped hop by hop the way the DES engine steps it, every
+        // (src, dst, choice) program takes exactly the walked route and
+        // switches legs where the walk's first leg ends.
+        let topo = Topology::mesh3d(nx, ny, nz);
+        let kind = match policy_idx {
+            0 => RoutingKind::DimensionOrder,
+            1 => RoutingKind::O1Turn,
+            2 => RoutingKind::Valiant { choices },
+            3 => RoutingKind::RlbValiant { choices },
+            _ => RoutingKind::Adaptive,
+        };
+        for s in 0..topo.num_routers() {
+            for d in 0..topo.num_routers() {
+                for c in 0..kind.choices() {
+                    program_steps_match_walk(&topo, kind, s, d, c)?;
+                }
+            }
+        }
+    }
+
+    #[test]
     fn channel_dependency_graphs_are_acyclic(
         nx in 2usize..5,
         ny in 2usize..5,
@@ -304,5 +333,99 @@ proptest! {
         let trellis = ChannelTrellis::new(&AskModulation::four_ask(), &filter);
         let r = symbolwise_information_rate(&trellis, snr_db_to_sigma(snr));
         prop_assert!((0.0..=2.0 + 1e-9).contains(&r), "rate {}", r);
+    }
+}
+
+/// Steps route `c` of `kind` from router `s` to `d` as the DES engine
+/// does — one step of the next run per hop, coordinates from the
+/// topology, each link from its unit-step table, every step asked twice
+/// as an ARQ retry would — and checks its links, hop counts and leg
+/// switch against [`walk_route`].
+fn program_steps_match_walk(
+    topo: &Topology,
+    kind: RoutingKind,
+    s: usize,
+    d: usize,
+    c: usize,
+) -> Result<(), TestCaseError> {
+    let mut walked = Vec::new();
+    let step_link = |st: Step| topo.step_link(st.router, st.axis, st.positive);
+    let first_leg = walk_route(topo.dims(), kind, s, d, c, step_link, &mut walked)
+        .map_err(|st| TestCaseError::Fail(format!("walk lacks a link at {st:?}")))?;
+    let (mut program, [leg1, leg2]) = RouteProgram::new(topo.dims(), kind, s, d, c);
+    let coord = |r: usize| topo.coord(r);
+    let mid = program.leg_target();
+    let mut switched_at = (mid == d).then_some(leg1);
+    let (mut here, mut stepped) = (s, Vec::new());
+    loop {
+        let mut retry = program;
+        let retried = retry.next_run(topo.coord(here), d, coord);
+        let Some((axis, positive, len)) = program.next_run(topo.coord(here), d, coord) else {
+            break;
+        };
+        prop_assert!(len > 0, "{} ({s},{d}) choice {c}: empty run", kind.name());
+        prop_assert_eq!(retried, Some((axis, positive, len)));
+        prop_assert_eq!(retry, program);
+        if switched_at.is_none() && program.leg_target() != mid {
+            switched_at = Some(stepped.len());
+        }
+        let link = topo.step_link(here, axis, positive);
+        prop_assert!(link.is_some(), "no step {axis} {positive} from {here}");
+        let link = link.unwrap();
+        stepped.push(link as u32);
+        here = topo.links()[link].dst;
+    }
+    let what = format!("{} ({s},{d}) choice {c} via {mid}", kind.name());
+    prop_assert!(stepped == walked, "{what}: {stepped:?} != {walked:?}");
+    prop_assert_eq!(here, d);
+    prop_assert_eq!(program.leg_target(), d);
+    prop_assert!(leg1 == first_leg, "{what}: first leg {leg1} != {first_leg}");
+    prop_assert_eq!(leg1 + leg2, walked.len());
+    prop_assert!(
+        switched_at == Some(first_leg),
+        "{what}: legs switched at {switched_at:?}, walk's first leg is {first_leg}"
+    );
+    Ok(())
+}
+
+#[test]
+fn route_programs_handle_an_intermediate_at_either_end() {
+    // Valiant and RLB intermediates that coincide with the source (an
+    // empty first leg) or with the destination (an empty second leg).
+    let topo = Topology::mesh3d(3, 3, 2);
+    let r = topo.num_routers();
+    for kind in [
+        RoutingKind::Valiant { choices: 8 },
+        RoutingKind::RlbValiant { choices: 8 },
+    ] {
+        let mid = |s: usize, d: usize, c: usize| match kind {
+            RoutingKind::Valiant { .. } => valiant_intermediate(r, s, d, c),
+            _ => topo.router_at(rlb_intermediate(topo.coord(s), topo.coord(d), c)),
+        };
+        let (mut at_src, mut at_dst) = (0, 0);
+        for s in 0..r {
+            for d in (0..r).filter(|&d| d != s) {
+                for c in 0..kind.choices() {
+                    let m = mid(s, d, c);
+                    if m == s || m == d {
+                        program_steps_match_walk(&topo, kind, s, d, c).unwrap();
+                        let (program, legs) = RouteProgram::new(topo.dims(), kind, s, d, c);
+                        assert_eq!(program.leg_target(), m);
+                        if m == s {
+                            assert_eq!(legs[0], 0, "empty first leg");
+                            at_src += 1;
+                        } else {
+                            assert_eq!(legs[1], 0, "empty second leg");
+                            at_dst += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            at_src > 0 && at_dst > 0,
+            "{}: {at_src} / {at_dst} cases",
+            kind.name()
+        );
     }
 }

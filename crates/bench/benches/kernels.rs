@@ -10,7 +10,8 @@ use wi_channel::vna::SyntheticVna;
 use wi_ldpc::ber::{ebn0_db_to_sigma, simulate_ber_with_threads, BerSimOptions, BlockBerTarget};
 use wi_ldpc::decoder::{awgn_llrs, reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
 use wi_ldpc::kernel::{
-    min_sum_scalar, min_sum_unrolled8, sum_product_exact, sum_product_table, PhiTable,
+    min_sum_scalar, min_sum_unrolled8, sum_product_exact, sum_product_exact_batch,
+    sum_product_table, ExactBatchScratch, PhiTable,
 };
 use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
 use wi_ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
@@ -177,6 +178,35 @@ fn bench_ldpc(c: &mut Criterion) {
             )
         })
     });
+    // The lane-array exact kernel on 8 frames of messages like the above
+    // (divide by 8 for the per-frame cost): every lane masked in, then
+    // alternate lanes only, as when converged or unchanged lanes drop
+    // out. Its own stream, so the rows below keep their inputs.
+    let (mut rng8, mut gauss8) = (seeded_rng(8), Gaussian::new());
+    let v2c8: Vec<[f64; 8]> = (0..code.num_edges())
+        .map(|_| core::array::from_fn(|_| gauss8.sample_with(&mut rng8, 0.0, 4.0)))
+        .collect();
+    let mut c2v8 = vec![[0.0f64; 8]; code.num_edges()];
+    let mut exact8 = ExactBatchScratch::new(code.num_edges(), code.max_check_degree(), 8);
+    for (name, mask) in [
+        ("check_sumproduct_exact_batch8_deg8", 0xFFu8),
+        ("check_sumproduct_exact_batch8_half_deg8", 0x55),
+    ] {
+        let masks = vec![mask; n_checks];
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                sum_product_exact_batch(
+                    offsets,
+                    0,
+                    n_checks,
+                    &masks,
+                    black_box(&v2c8),
+                    &mut c2v8,
+                    &mut exact8,
+                )
+            })
+        });
+    }
     let phi = PhiTable::new(7);
     c.bench_function("check_sumproduct_table_deg8", |b| {
         b.iter(|| {
@@ -241,9 +271,9 @@ fn bench_ldpc(c: &mut Criterion) {
     // Batched window decoding: 8 frames slide the window in lockstep
     // (divide by 8 for the per-frame cost). Each iteration recomputes a
     // check only on lanes whose inputs changed and a position stops at
-    // its fixed point, which saves the most under the transcendental
-    // exact rule and the φ-table rule; min-sum, vectorized across lanes,
-    // gains the least. The scalar/batched pair is measured on min-sum,
+    // its fixed point, which saves the most under the exact and φ-table
+    // rules, whose per-edge evaluations dominate; min-sum gains the
+    // least. The scalar/batched pair is measured on min-sum,
     // and the batched decoder under all three rules.
     let wd_ms = WindowDecoder::new(4, 20).with_rule(CheckRule::min_sum());
     c.bench_function("window_decode_minsum_n25_l10", |b| {

@@ -60,7 +60,7 @@ use crate::decoder::{
 };
 use crate::kernel::{
     changed_lanes_batch, clamp_batch, gather_clamp_batch, hard_decisions_batch,
-    masked_commit_batch, scatter_add_batch, v2c_update_batch, PhiTable,
+    masked_commit_batch, scatter_add_batch, v2c_update_batch, ExactBatchScratch, PhiTable,
 };
 use crate::window::{CoupledCode, WindowDecoder};
 
@@ -144,10 +144,11 @@ pub struct BatchWorkspace {
     /// Per-check lane masks handed to the check kernels: the active
     /// lanes, so converged lanes stop recomputing their messages.
     masks: Vec<u8>,
-    /// Check-kernel scratch, `[degree][lane]`.
+    /// φ-table kernel scratch, `[degree][lane]`.
     scratch: Vec<f64>,
-    /// Sum-product forward partial products, `[degree + 1][lane]`.
-    fwd: Vec<f64>,
+    /// Exact sum-product kernel scratch: per-edge `tanh` factors and its
+    /// gather lists.
+    exact: ExactBatchScratch,
     /// φ lookup table (built lazily, only for the table rule).
     phi: PhiTable,
     /// Scalar decoder workspace for the straggler bail-out.
@@ -195,7 +196,7 @@ impl BatchWorkspace {
         self.hard.resize(n, 0);
         self.masks.resize(code.num_checks(), 0);
         self.scratch.resize(d * lanes, 0.0);
-        self.fwd.resize((d + 1) * lanes, 1.0);
+        self.exact.ensure(e, d, lanes);
         self.scalar.ensure(code);
         self.lane_llr.resize(n, 0.0);
     }
@@ -311,7 +312,6 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let hard = &mut ws.hard[..];
     let masks = &mut ws.masks[..];
     let scratch = chunks_mut::<L>(&mut ws.scratch);
-    let fwd = chunks_mut::<L>(&mut ws.fwd);
 
     // v2c from the clamped channel; posterior/hard from the raw channel —
     // the scalar decoder's exact initialization.
@@ -363,7 +363,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
             v2c,
             c2v,
             scratch,
-            fwd,
+            &mut ws.exact,
         );
 
         // Posterior accumulation into the scratch buffer (the in-place
@@ -434,10 +434,11 @@ pub struct WindowBatchWorkspace {
     posterior: Vec<f64>,
     /// Hard decisions as per-variable lane bitmasks.
     hard: Vec<u8>,
-    /// Check-kernel scratch, `[degree][lane]`.
+    /// φ-table kernel scratch, `[degree][lane]`.
     scratch: Vec<f64>,
-    /// Sum-product forward partial products, `[degree + 1][lane]`.
-    fwd: Vec<f64>,
+    /// Exact sum-product kernel scratch: per-edge `tanh` factors and its
+    /// gather lists.
+    exact: ExactBatchScratch,
     /// φ lookup table (built lazily, only for the table rule).
     phi: PhiTable,
 }
@@ -478,7 +479,7 @@ impl WindowBatchWorkspace {
         self.posterior.resize(n * lanes, 0.0);
         self.hard.resize(n, 0);
         self.scratch.resize(d * lanes, 0.0);
-        self.fwd.resize((d + 1) * lanes, 1.0);
+        self.exact.ensure(e, d, lanes);
     }
 
     /// The lane count the workspace is sized for.
@@ -573,7 +574,7 @@ fn window_decode_batch_impl<const L: usize>(
     let active = &mut ws.active[..];
     let hard = &mut ws.hard[..];
     let scratch = chunks_mut::<L>(&mut ws.scratch);
-    let fwd = chunks_mut::<L>(&mut ws.fwd);
+    let exact = &mut ws.exact;
 
     hard.fill(0);
     active.fill(false);
@@ -623,7 +624,7 @@ fn window_decode_batch_impl<const L: usize>(
                 v2c,
                 c2v,
                 scratch,
-                fwd,
+                exact,
             );
             posterior.copy_from_slice(llr);
             scatter_add_batch(

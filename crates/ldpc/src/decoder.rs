@@ -28,7 +28,7 @@
 //! exact sum-product is what `tests/phi_table.rs` bounds instead).
 
 use crate::code::LdpcCode;
-use crate::kernel::{self, PhiTable};
+use crate::kernel::{self, ExactBatchScratch, PhiTable};
 use serde::{Deserialize, Serialize};
 
 /// Maximum message magnitude (log-likelihood ratios are clamped here).
@@ -251,7 +251,8 @@ pub(crate) fn update_checks(
 /// the lane bitmask of check `c` to recompute; lanes outside it may keep
 /// their c2v (see the batched kernels in [`crate::kernel`]). Each
 /// recomputed lane is bit-identical to [`update_checks`] on that lane's
-/// messages.
+/// messages. `scratch` holds `max_check_degree` lane-array entries (the
+/// table rule's), and `exact` is sized for the code at `L` lanes.
 #[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub(crate) fn update_checks_batch<const L: usize>(
     offsets: &[u32],
@@ -263,13 +264,11 @@ pub(crate) fn update_checks_batch<const L: usize>(
     v2c: &[[f64; L]],
     c2v: &mut [[f64; L]],
     scratch: &mut [[f64; L]],
-    fwd: &mut [[f64; L]],
+    exact: &mut ExactBatchScratch,
 ) {
     match rule {
         CheckRule::SumProduct => {
-            kernel::sum_product_exact_batch(
-                offsets, check_lo, check_hi, masks, v2c, c2v, scratch, fwd,
-            );
+            kernel::sum_product_exact_batch(offsets, check_lo, check_hi, masks, v2c, c2v, exact);
         }
         CheckRule::SumProductTable { .. } => {
             kernel::sum_product_table_batch(
@@ -467,12 +466,15 @@ pub fn awgn_llrs(received: &[f64], sigma: f64) -> Vec<f64> {
 /// two engines produce bit-identical [`DecodeResult`]s under every
 /// [`CheckRule`] (the table rule shares the same [`PhiTable`] evaluation,
 /// so engine equivalence stays exact even though the *rule* is only
-/// accuracy-tested against exact sum-product), and the `bp_decode_*`
-/// benches measure the speedup against it.
+/// accuracy-tested against exact sum-product; the exact rule shares the
+/// [`wi_num::fdlibm`] `tanh` and `atanh`, so it does not depend on the
+/// host libm), and the `bp_decode_*` benches measure the speedup against
+/// it.
 pub mod reference {
     use super::{BpConfig, CheckRule, DecodeResult, LLR_CLAMP};
     use crate::code::LdpcCode;
     use crate::kernel::{PhiTable, TANH_CLAMP};
+    use wi_num::fdlibm;
 
     /// Decodes `channel_llr` with the naive nested-`Vec` engine.
     ///
@@ -497,8 +499,9 @@ pub mod reference {
             .collect();
         let mut posterior: Vec<f64> = channel_llr.to_vec();
         let mut hard: Vec<bool> = channel_llr.iter().map(|&l| l < 0.0).collect();
-        // The oracle shares the engine's φ table so the two stay
-        // bit-identical under the table rule as well.
+        // The oracle shares the engine's φ table, and its tanh and atanh
+        // ports, so the two stay bit-identical under every rule on any
+        // host libm.
         let phi = match config.check_rule {
             CheckRule::SumProductTable { bits } => Some(PhiTable::new(bits)),
             _ => None,
@@ -516,7 +519,7 @@ pub mod reference {
                     CheckRule::SumProduct => {
                         let tanhs: Vec<f64> = v2c[c]
                             .iter()
-                            .map(|&m| (m / 2.0).tanh().clamp(-TANH_CLAMP, TANH_CLAMP))
+                            .map(|&m| fdlibm::tanh(m / 2.0).clamp(-TANH_CLAMP, TANH_CLAMP))
                             .collect();
                         let mut fwd = vec![1.0; deg + 1];
                         for j in 0..deg {
@@ -525,7 +528,7 @@ pub mod reference {
                         let mut bwd = 1.0;
                         for j in (0..deg).rev() {
                             let excl = fwd[j] * bwd;
-                            c2v[c][j] = (2.0 * excl.atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
+                            c2v[c][j] = (2.0 * fdlibm::atanh(excl)).clamp(-LLR_CLAMP, LLR_CLAMP);
                             bwd *= tanhs[j];
                         }
                     }

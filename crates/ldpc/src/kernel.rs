@@ -9,7 +9,11 @@
 //! experiment) can measure them in isolation:
 //!
 //! * [`sum_product_exact`] — the exact `tanh`/`atanh` forward/backward
-//!   kernel of PR 1, bit-identical to the naive reference oracle.
+//!   kernel, bit-identical to the naive reference oracle. Both
+//!   transcendentals come from [`wi_num::fdlibm`], a branch-free port of
+//!   glibc's routines that equals the host libm bit for bit and runs
+//!   eight evaluations at a time in vector registers, so the exact rule
+//!   is no longer bound by per-edge libm calls.
 //! * [`sum_product_table`] — the same check update expressed through the
 //!   involutive φ-function `φ(x) = −ln tanh(x/2)` and evaluated from a
 //!   precomputed [`PhiTable`]: no transcendentals in the loop, accuracy
@@ -30,11 +34,11 @@
 //!
 //! because φ is its own inverse on `(0, ∞)`. One table evaluation per
 //! edge on the gather pass and one on the scatter pass replace the
-//! `tanh`/`atanh` pair that makes the exact kernel transcendental-bound
-//! (see the ROADMAP item this subsystem closes, and
-//! `docs/ARCHITECTURE.md` for where it sits in the workspace).
+//! exact kernel's `tanh`/`atanh` pair (see `docs/ARCHITECTURE.md` for
+//! where the table sits in the workspace).
 
 use crate::decoder::LLR_CLAMP;
+use wi_num::fdlibm;
 
 /// Upper edge of the φ-table input domain. Decoder messages are clamped
 /// to `±LLR_CLAMP`, so magnitudes never exceed this; φ-sums beyond it
@@ -290,6 +294,13 @@ pub fn phi_gather_floor() -> f64 {
 /// CSR layout: forward/backward partial products of `tanh(v2c/2)`, each
 /// check in O(degree). `tanhs`/`fwd` are scratch of `max_check_degree`
 /// (+1 for `fwd`) entries. Bit-identical to the naive reference oracle.
+///
+/// Both transcendentals come from [`wi_num::fdlibm`], a check's edges
+/// at a time through the vectorized evaluators that
+/// [`sum_product_exact_batch`] runs its lists through. A check whose
+/// inputs are all saturated (`|m| ≥ TANH_SAT`) skips `tanh`; otherwise
+/// its saturated inputs are evaluated too, and their clamped factor is
+/// `±TANH_CLAMP` either way.
 pub fn sum_product_exact(
     offsets: &[u32],
     check_lo: usize,
@@ -303,39 +314,100 @@ pub fn sum_product_exact(
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
         let deg = hi - lo;
-        for (t, &m) in tanhs[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            *t = if m >= TANH_SAT {
-                TANH_CLAMP
-            } else if m <= -TANH_SAT {
-                -TANH_CLAMP
-            } else {
-                (m / 2.0).tanh().clamp(-TANH_CLAMP, TANH_CLAMP)
-            };
+        let tanhs = &mut tanhs[..deg];
+        tanhs.copy_from_slice(&v2c[lo..hi]);
+        if tanhs.iter().all(|m| m.abs() >= TANH_SAT) {
+            // A fully saturated check, as pinned blocks make them.
+            for t in tanhs.iter_mut() {
+                *t = TANH_CLAMP.copysign(*t);
+            }
+        } else {
+            tanh_factors(tanhs);
         }
         fwd[0] = 1.0;
         for j in 0..deg {
             fwd[j + 1] = fwd[j] * tanhs[j];
         }
+        // Each fwd[j] becomes its extrinsic product fwd[j]·bwd in place.
         let mut bwd = 1.0;
         for j in (0..deg).rev() {
-            c2v[lo + j] = (2.0 * (fwd[j] * bwd).atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
+            fwd[j] *= bwd;
             bwd *= tanhs[j];
         }
+        c2v[lo..hi].copy_from_slice(&fwd[..deg]);
+        extrinsics(&mut c2v[lo..hi]);
     }
 }
 
 /// Tanh clamp keeping `atanh` finite in the exact sum-product update.
-pub(crate) const TANH_CLAMP: f64 = 0.999_999_999_999;
+pub const TANH_CLAMP: f64 = 0.999_999_999_999;
 
 /// Message magnitude beyond which `tanh(m/2)` is guaranteed to exceed
 /// [`TANH_CLAMP`], so the clamped result is exactly `±TANH_CLAMP` and the
-/// `tanh` call can be skipped: `tanh(14.25) = 1 − 2e⁻²⁸·⁵ ≈ 1 − 8.4e−13 >
-/// 1 − 1e−12`, with ~1.6e−13 of margin over any rounding of `tanh`.
-/// Saturated beliefs sit at exactly `±LLR_CLAMP = ±30` (and the window
-/// decoder's pinned decisions always do), so this fast path fires
-/// frequently in late iterations while remaining bit-identical to the
-/// naive reference.
-pub(crate) const TANH_SAT: f64 = 28.5;
+/// `tanh` evaluation can be skipped: `tanh(14.25) = 1 − 2e⁻²⁸·⁵ ≈ 1 −
+/// 8.4e−13 > 1 − 1e−12`, with ~1.6e−13 of margin over any rounding of
+/// `tanh`. Saturated beliefs sit at exactly `±LLR_CLAMP = ±30` (and the
+/// window decoder's pinned decisions always do), so
+/// [`sum_product_exact_batch`] leaves such inputs out of its `tanh` list
+/// often in late iterations while staying bit-identical to the naive
+/// reference.
+pub const TANH_SAT: f64 = 28.5;
+
+/// Applies the `#[inline(always)]` element function `$f` to every
+/// element of the slice `$v`, eight at a time: full chunks in place and
+/// the remainder through a zero-padded chunk, so every element runs the
+/// same straight-line body, which LLVM packs into vector instructions.
+/// A macro rather than a generic function, because the `Fn` shim a
+/// generic call goes through is not inlined once `$f` is large.
+macro_rules! map_by_eight {
+    ($v:expr, $f:ident) => {{
+        let (chunks, rest) = $v.as_chunks_mut::<8>();
+        for chunk in chunks {
+            for x in chunk.iter_mut() {
+                *x = $f(*x);
+            }
+        }
+        if !rest.is_empty() {
+            let mut pad = [0.0f64; 8];
+            pad[..rest.len()].copy_from_slice(rest);
+            for x in pad.iter_mut() {
+                *x = $f(*x);
+            }
+            rest.copy_from_slice(&pad[..rest.len()]);
+        }
+    }};
+}
+
+/// The exact rule's gather value of a v2c message: `clamp(tanh(m/2))`.
+#[inline(always)]
+fn tanh_factor(m: f64) -> f64 {
+    fdlibm::tanh(m / 2.0).clamp(-TANH_CLAMP, TANH_CLAMP)
+}
+
+/// The exact rule's extrinsic message of a product: `clamp(2·atanh(p))`.
+#[inline(always)]
+fn extrinsic(p: f64) -> f64 {
+    (2.0 * fdlibm::atanh(p)).clamp(-LLR_CLAMP, LLR_CLAMP)
+}
+
+/// [`tanh_factor`] of every element, in place.
+///
+/// `#[inline(never)]` is load-bearing for the same reason as
+/// [`min_sum_check_lanes`]: the thin-LTO post-link vectorizer packs the
+/// lane loop only when it compiles as a small standalone function. The
+/// element functions are `#[inline(always)]` down to the ports, since a
+/// call left in the loop body would keep it scalar.
+#[inline(never)]
+fn tanh_factors(v: &mut [f64]) {
+    map_by_eight!(v, tanh_factor);
+}
+
+/// [`extrinsic`] of every element, in place; `#[inline(never)]` as for
+/// [`tanh_factors`].
+#[inline(never)]
+fn extrinsics(v: &mut [f64]) {
+    map_by_eight!(v, extrinsic);
+}
 
 /// Table-driven sum-product check update: per edge, one φ-table
 /// evaluation on the gather pass (`φ(|m|)`, floored at
@@ -670,16 +742,76 @@ fn min_sum_check_lanes<const L: usize>(alpha: f64, m: &[[f64; L]], out: &mut [[f
     }
 }
 
+/// Scratch of [`sum_product_exact_batch`] for one code and lane count:
+/// the clamped `tanh` factor of every edge and lane, one check's forward
+/// products, and the dense list of `(edge, lane)` slots that each of the
+/// kernel's two passes gathers. Sized by [`ensure`](Self::ensure); the
+/// kernel then allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ExactBatchScratch {
+    /// Clamped `tanh(v2c/2)`, `[edge][lane]`.
+    tanhs: Vec<f64>,
+    /// Forward partial products of one check, `[degree + 1][lane]`.
+    fwd: Vec<f64>,
+    /// Flat `edge·lanes + lane` slot of each gathered value.
+    slots: Vec<u32>,
+    /// The gathered values, evaluated in place.
+    vals: Vec<f64>,
+}
+
+impl ExactBatchScratch {
+    /// Allocates scratch for a code with `num_edges` edges and checks of
+    /// degree at most `max_check_degree`, at `lanes` lanes.
+    pub fn new(num_edges: usize, max_check_degree: usize, lanes: usize) -> Self {
+        let mut scratch = ExactBatchScratch::default();
+        scratch.ensure(num_edges, max_check_degree, lanes);
+        scratch
+    }
+
+    /// Resizes the buffers for `num_edges`, `max_check_degree` and
+    /// `lanes` (no-op when already sized).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_edges · lanes` does not fit a `u32` slot.
+    pub fn ensure(&mut self, num_edges: usize, max_check_degree: usize, lanes: usize) {
+        let slots = num_edges * lanes;
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "{num_edges} edges at {lanes} lanes overflow a u32 slot"
+        );
+        self.tanhs.resize(slots, 0.0);
+        self.fwd.resize((max_check_degree + 1) * lanes, 1.0);
+        self.slots.resize(slots, 0);
+        self.vals.resize(slots, 0.0);
+    }
+}
+
 /// Lane-array exact sum-product over checks `check_lo..check_hi`: the
 /// batched counterpart of [`sum_product_exact`], with forward/backward
-/// `tanh` partial products per lane. The per-lane `tanh`/`atanh` calls
-/// make this kernel transcendental-bound (it does not vectorize), so it
-/// makes them only on the lanes set in `masks[c]`; the other lanes keep
-/// their c2v. Every recomputed lane is bit-identical to the scalar
-/// kernel — the batched path's contract under `CheckRule::SumProduct`.
-/// `tanhs`/`fwd` are scratch of `max_check_degree` (+1 for `fwd`)
-/// lane-array entries.
-#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
+/// `tanh` partial products per lane. Only the lanes set in `masks[c]` are
+/// written; the other lanes keep their c2v. Every written lane is
+/// bit-identical to the scalar kernel — the batched path's contract under
+/// `CheckRule::SumProduct`.
+///
+/// The transcendentals run over dense lists rather than per check, so
+/// every evaluation is one that a written lane needs, and the lists run
+/// eight at a time through the vectorized [`wi_num::fdlibm`] ports:
+///
+/// 1. Every masked-in input with `|m| < TANH_SAT` is gathered and
+///    evaluated as `clamp(tanh(m/2))`; saturated inputs take
+///    `±TANH_CLAMP` directly. The factors land per edge and lane.
+/// 2. The forward/backward products run over all lanes of each masked
+///    check. Every masked-in extrinsic product is gathered, evaluated as
+///    `clamp(2·atanh(p))` and scattered into `c2v`.
+///
+/// The lanes outside a check's mask form finite products from stale
+/// factors, which are never stored.
+///
+/// # Panics
+///
+/// Panics if `scratch` is not [sized](ExactBatchScratch::ensure) for the
+/// code's edges and maximum check degree at `L` lanes.
 pub fn sum_product_exact_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
@@ -687,51 +819,81 @@ pub fn sum_product_exact_batch<const L: usize>(
     masks: &[u8],
     v2c: &[[f64; L]],
     c2v: &mut [[f64; L]],
-    tanhs: &mut [[f64; L]],
-    fwd: &mut [[f64; L]],
+    scratch: &mut ExactBatchScratch,
 ) {
+    let ExactBatchScratch {
+        tanhs,
+        fwd,
+        slots,
+        vals,
+    } = scratch;
+    let edge_slots = offsets[check_hi] as usize * L;
+    let tanhs = &mut tanhs[..edge_slots];
+    let fwd = fwd.as_chunks_mut::<L>().0;
+    let slots = &mut slots[..edge_slots];
+    let vals = &mut vals[..edge_slots];
+
+    // Pass 1: the tanh factors. Appends are branch-free: each candidate
+    // is written at `n`, and `n` moves past only the gathered ones.
+    let mut n = 0;
     for c in check_lo..check_hi {
-        if masks[c] == 0 {
+        let mask = masks[c];
+        if mask == 0 {
             continue;
         }
-        let on = lane_flags::<L>(masks[c]);
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        let deg = hi - lo;
-        // Skipped lanes keep stale (finite, |t| ≤ 1) scratch, so the
-        // products below stay finite; their results are never stored.
-        for (t, mj) in tanhs[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            for lane in 0..L {
-                if !on[lane] {
-                    continue;
-                }
-                let m = mj[lane];
-                t[lane] = if m >= TANH_SAT {
+        let (lo, hi) = (offsets[c] as usize, offsets[c + 1] as usize);
+        for (e, inputs) in (lo..hi).zip(&v2c[lo..hi]) {
+            for (lane, &m) in inputs.iter().enumerate() {
+                let slot = e * L + lane;
+                tanhs[slot] = if m >= TANH_SAT {
                     TANH_CLAMP
                 } else if m <= -TANH_SAT {
                     -TANH_CLAMP
                 } else {
-                    (m / 2.0).tanh().clamp(-TANH_CLAMP, TANH_CLAMP)
+                    0.0
                 };
+                vals[n] = m;
+                slots[n] = slot as u32;
+                n += usize::from((mask >> lane) & 1 == 1 && m.abs() < TANH_SAT);
             }
         }
+    }
+    tanh_factors(&mut vals[..n]);
+    for (&slot, &t) in slots[..n].iter().zip(&vals[..n]) {
+        tanhs[slot as usize] = t;
+    }
+
+    // Pass 2: the products, then the extrinsic messages.
+    let mut n = 0;
+    for c in check_lo..check_hi {
+        let mask = masks[c];
+        if mask == 0 {
+            continue;
+        }
+        let lo = offsets[c] as usize;
+        let deg = offsets[c + 1] as usize - lo;
         fwd[0] = [1.0; L];
         for j in 0..deg {
-            let prev = fwd[j];
+            let t = &tanhs[(lo + j) * L..][..L];
             for lane in 0..L {
-                fwd[j + 1][lane] = prev[lane] * tanhs[j][lane];
+                fwd[j + 1][lane] = fwd[j][lane] * t[lane];
             }
         }
         let mut bwd = [1.0f64; L];
         for j in (0..deg).rev() {
             for lane in 0..L {
-                if on[lane] {
-                    c2v[lo + j][lane] =
-                        (2.0 * (fwd[j][lane] * bwd[lane]).atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
-                }
-                bwd[lane] *= tanhs[j][lane];
+                let slot = (lo + j) * L + lane;
+                vals[n] = fwd[j][lane] * bwd[lane];
+                slots[n] = slot as u32;
+                n += usize::from((mask >> lane) & 1);
+                bwd[lane] *= tanhs[slot];
             }
         }
+    }
+    extrinsics(&mut vals[..n]);
+    let c2v = c2v.as_flattened_mut();
+    for (&slot, &m) in slots[..n].iter().zip(&vals[..n]) {
+        c2v[slot as usize] = m;
     }
 }
 
@@ -1080,9 +1242,8 @@ mod tests {
     fn batched_kernels() -> [(&'static str, BatchedKernel); 3] {
         [
             ("exact", |offsets, masks, v2c, c2v| {
-                let mut tanhs = [[0.0; 4]; 8];
-                let mut fwd = [[0.0; 4]; 9];
-                sum_product_exact_batch(offsets, 0, 2, masks, v2c, c2v, &mut tanhs, &mut fwd);
+                let mut scratch = ExactBatchScratch::new(13, 8, 4);
+                sum_product_exact_batch(offsets, 0, 2, masks, v2c, c2v, &mut scratch);
             }),
             ("table", |offsets, masks, v2c, c2v| {
                 let mut phis = [[0.0; 4]; 8];
@@ -1138,6 +1299,71 @@ mod tests {
                             assert_eq!(got[l].to_bits(), want[l].to_bits(), "{name} e{e} l{l}");
                         } else {
                             assert_eq!(got[l], SENTINEL, "{name} wrote e{e} l{l}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Eight lanes of messages on the degree-8 plus degree-5 check pair,
+    /// built around the exact kernel's edges: ±0.0, `±TANH_SAT` and one
+    /// ulp either side, `±LLR_CLAMP`, and fully saturated checks (lane 0
+    /// on both checks, lane 1 on the degree-8 one).
+    fn exact_edge_messages(seed: u64) -> Vec<[f64; 8]> {
+        let below = f64::from_bits(TANH_SAT.to_bits() - 1);
+        let above = f64::from_bits(TANH_SAT.to_bits() + 1);
+        let edges = [
+            0.0, -0.0, TANH_SAT, -TANH_SAT, below, -below, above, -above, LLR_CLAMP, -LLR_CLAMP,
+        ];
+        let mut rng = seeded_rng(seed);
+        let mut v2c = vec![[0.0f64; 8]; 13];
+        for (e, m) in v2c.iter_mut().enumerate() {
+            for (lane, x) in m.iter_mut().enumerate() {
+                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                *x = match lane {
+                    0 => sign * LLR_CLAMP,
+                    1 if e < 8 => sign * [LLR_CLAMP, TANH_SAT, above][e % 3],
+                    _ if rng.gen::<f64>() < 0.5 => edges[rng.gen_range(0..edges.len())],
+                    _ => (rng.gen::<f64>() - 0.5) * 2.0 * LLR_CLAMP,
+                };
+            }
+        }
+        v2c
+    }
+
+    #[test]
+    fn exact_batch_writes_each_masked_lane_as_the_scalar_kernel_would() {
+        for seed in [21, 22, 23] {
+            let v2c = exact_edge_messages(seed);
+            // The scalar kernel on each lane's messages.
+            let want: Vec<Vec<f64>> = (0..8)
+                .map(|lane| {
+                    let m: Vec<f64> = v2c.iter().map(|e| e[lane]).collect();
+                    let mut out = vec![0.0; 13];
+                    let (mut tanhs, mut fwd) = ([0.0; 8], [0.0; 9]);
+                    sum_product_exact(&MASK_OFFSETS, 0, 2, &m, &mut out, &mut tanhs, &mut fwd);
+                    out
+                })
+                .collect();
+            let mut scratch = ExactBatchScratch::new(13, 8, 8);
+            for mask in 0..=255u8 {
+                // The degree-5 check takes a different mask, so a call
+                // can gather from one check and not the other.
+                let masks = [mask, mask.rotate_left(3) ^ 0x5a];
+                let mut c2v = vec![[SENTINEL; 8]; 13];
+                sum_product_exact_batch(&MASK_OFFSETS, 0, 2, &masks, &v2c, &mut c2v, &mut scratch);
+                for (e, got) in c2v.iter().enumerate() {
+                    let check_mask = masks[usize::from(e >= 8)];
+                    for (lane, &g) in got.iter().enumerate() {
+                        if (check_mask >> lane) & 1 == 1 {
+                            assert_eq!(
+                                g.to_bits(),
+                                want[lane][e].to_bits(),
+                                "seed {seed} mask {mask:#04x} e{e} lane {lane}"
+                            );
+                        } else {
+                            assert_eq!(g, SENTINEL, "mask {mask:#04x} wrote e{e} lane {lane}");
                         }
                     }
                 }

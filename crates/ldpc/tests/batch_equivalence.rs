@@ -336,3 +336,60 @@ fn mixed_convergence_batches_freeze_lanes_independently() {
         );
     }
 }
+
+#[test]
+fn window_positions_with_masked_out_and_saturated_checks_match_scalar() {
+    // Channel LLRs beyond the clamp saturate every v2c message of a
+    // check over those blocks, so the exact kernel gathers no tanh input
+    // for it; once such a check has settled, its inputs stop changing
+    // and later iterations and positions mask all its lanes out. Lanes
+    // 0–3 are saturated throughout and lanes 4–7 over their first half
+    // only, with noise after it. Under the reuse schedule the last
+    // positions activate no new rows and start with every lane of every
+    // check unchanged, so both of the kernel's gather lists are empty
+    // there; in the all-saturated decode the tanh list is empty in every
+    // call.
+    let code = CoupledCode::paper_cc(10, 8, 0x5A7);
+    let n = code.code().len();
+    for mixed in [false, true] {
+        let frames: Vec<Vec<f64>> = (0..8)
+            .map(|lane| {
+                let noisy = noisy_zero_llrs(n, 0.8, 0x5A70 + lane as u64);
+                (0..n)
+                    .map(|v| {
+                        if mixed && lane >= 4 && v >= n / 2 {
+                            noisy[v]
+                        } else {
+                            40.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        for rule in [
+            CheckRule::SumProduct,
+            CheckRule::sum_product_table(),
+            CheckRule::min_sum(),
+        ] {
+            for decoder in [WindowDecoder::new(4, 20), WindowDecoder::with_reuse(4, 20)] {
+                let decoder = decoder.with_rule(rule);
+                let mut bws = WindowBatchWorkspace::new(code.code(), 8);
+                for (lane, llr) in frames.iter().enumerate() {
+                    bws.set_lane_llr(lane, llr);
+                }
+                decoder.decode_batch(&mut bws, &code);
+                let mut ws = WindowWorkspace::new(code.code());
+                for (lane, llr) in frames.iter().enumerate() {
+                    decoder.decode_in_place(&mut ws, &code, llr);
+                    for v in 0..n {
+                        assert_eq!(
+                            bws.hard_bit(v, lane),
+                            ws.hard()[v],
+                            "{rule:?} mixed {mixed} lane {lane} var {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -4,6 +4,9 @@
 //! workspace needs so that the domain crates stay free of ad-hoc math:
 //!
 //! * [`complex`] — a minimal [`Complex64`] type with the usual field operations.
+//! * [`fdlibm`] — bit-exact, branch-free ports of glibc's `tanh` and
+//!   `log1p` (and `atanh` over it), the exact sum-product rule's
+//!   transcendentals.
 //! * [`fft`] — radix-2 decimation-in-time FFT plus a direct DFT fallback for
 //!   non-power-of-two lengths (the synthetic VNA uses 4096-point transforms).
 //! * [`special`] — `erf`/`erfc`, the standard normal CDF Φ and the Gaussian
@@ -33,6 +36,7 @@
 
 pub mod complex;
 pub mod db;
+pub mod fdlibm;
 pub mod fft;
 pub mod fit;
 pub mod integrate;

@@ -10,8 +10,7 @@ use wi_channel::vna::SyntheticVna;
 use wi_ldpc::ber::{ebn0_db_to_sigma, simulate_ber_with_threads, BerSimOptions, BlockBerTarget};
 use wi_ldpc::decoder::{awgn_llrs, reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
 use wi_ldpc::kernel::{
-    min_sum_scalar, min_sum_unrolled8, sum_product_exact, sum_product_exact_batch,
-    sum_product_table, ExactBatchScratch, PhiTable,
+    min_sum_batch, sum_product_exact_batch, sum_product_table_batch, ExactBatchScratch, PhiTable,
 };
 use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
 use wi_ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
@@ -99,8 +98,9 @@ fn bench_ldpc(c: &mut Criterion) {
         .collect();
     let llr = awgn_llrs(&rx, sigma);
 
-    // The flat CSR engine (fresh workspace per call) vs the retained naive
-    // reference vs a reused workspace — the speedup the engine exists for.
+    // The lane engine at one lane (fresh workspace per call) vs the
+    // retained naive reference vs a reused workspace — the speedup the
+    // engine exists for.
     let decoder = BpDecoder::new(&code, BpConfig::default());
     c.bench_function("bp_decode_n200", |b| {
         b.iter(|| decoder.decode(black_box(&llr)))
@@ -119,15 +119,6 @@ fn bench_ldpc(c: &mut Criterion) {
     let minsum = BpDecoder::new(&code, minsum_config);
     c.bench_function("bp_decode_minsum_n200", |b| {
         b.iter(|| minsum.decode_in_place(&mut ws, black_box(&llr)))
-    });
-    // The same frame on the one-lane batched engine (`L = 1`), which
-    // `--batch 1` and the narrow remainder of a BER slice run.
-    let mut bws1 = BatchWorkspace::new(&code, 1);
-    c.bench_function("bp_decode_batch1_n200", |b| {
-        b.iter(|| {
-            bws1.set_lane_llr(0, black_box(&llr));
-            minsum.decode_batch(&mut bws1);
-        })
     });
     c.bench_function("bp_decode_naive_minsum_n200", |b| {
         b.iter(|| reference::decode(&code, minsum_config, black_box(&llr)))
@@ -148,33 +139,40 @@ fn bench_ldpc(c: &mut Criterion) {
     });
 
     // Check-kernel microbenches over the full check range of the n = 200
-    // code (all checks degree 8): the unrolled min-sum path vs the scalar
-    // two-min tracker, and the φ-table sum-product vs the exact
-    // tanh/atanh kernel.
+    // code (all checks degree 8) at one lane, every lane masked in: what
+    // a one-frame decode pays per check update under each rule.
     let offsets = code.check_edge_offsets();
     let n_checks = code.num_checks();
-    let v2c: Vec<f64> = (0..code.num_edges())
-        .map(|_| gauss.sample_with(&mut rng, 0.0, 4.0))
+    let v2c: Vec<[f64; 1]> = (0..code.num_edges())
+        .map(|_| [gauss.sample_with(&mut rng, 0.0, 4.0)])
         .collect();
-    let mut c2v = vec![0.0f64; code.num_edges()];
-    let mut scratch = vec![0.0f64; code.max_check_degree()];
-    let mut fwd = vec![0.0f64; code.max_check_degree() + 1];
-    c.bench_function("check_minsum_deg8_scalar", |b| {
-        b.iter(|| min_sum_scalar(offsets, 0, n_checks, 0.8, black_box(&v2c), &mut c2v))
-    });
-    c.bench_function("check_minsum_deg8_unrolled", |b| {
-        b.iter(|| min_sum_unrolled8(offsets, 0, n_checks, 0.8, black_box(&v2c), &mut c2v))
-    });
-    c.bench_function("check_sumproduct_exact_deg8", |b| {
+    let mut c2v = vec![[0.0f64; 1]; code.num_edges()];
+    let mut scratch = vec![[0.0f64; 1]; code.max_check_degree()];
+    let mut exact1 = ExactBatchScratch::new(code.num_edges(), code.max_check_degree(), 1);
+    let all_in = vec![1u8; n_checks];
+    c.bench_function("check_minsum_batch1_deg8", |b| {
         b.iter(|| {
-            sum_product_exact(
+            min_sum_batch(
                 offsets,
                 0,
                 n_checks,
+                &all_in,
+                0.8,
                 black_box(&v2c),
                 &mut c2v,
-                &mut scratch,
-                &mut fwd,
+            )
+        })
+    });
+    c.bench_function("check_sumproduct_exact_batch1_deg8", |b| {
+        b.iter(|| {
+            sum_product_exact_batch(
+                offsets,
+                0,
+                n_checks,
+                &all_in,
+                black_box(&v2c),
+                &mut c2v,
+                &mut exact1,
             )
         })
     });
@@ -208,12 +206,13 @@ fn bench_ldpc(c: &mut Criterion) {
         });
     }
     let phi = PhiTable::new(7);
-    c.bench_function("check_sumproduct_table_deg8", |b| {
+    c.bench_function("check_sumproduct_table_batch1_deg8", |b| {
         b.iter(|| {
-            sum_product_table(
+            sum_product_table_batch(
                 offsets,
                 0,
                 n_checks,
+                &all_in,
                 &phi,
                 black_box(&v2c),
                 &mut c2v,
@@ -223,9 +222,9 @@ fn bench_ldpc(c: &mut Criterion) {
     });
 
     // Inter-frame batched BP: 4 and 8 frames decoded in lockstep through
-    // the lane-array kernels (bit-identical per frame to the scalar
-    // decoder). Divide by the lane count for the per-frame cost the BER
-    // harness actually pays.
+    // the lane-array kernels (bit-identical per frame to a one-frame
+    // decode, the row before). Divide by the lane count for the
+    // per-frame cost the BER harness actually pays.
     let frames: Vec<Vec<f64>> = (0..8)
         .map(|lane| {
             let mut rng = seeded_rng(100 + lane);
@@ -268,36 +267,25 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("window_decode_workspace_n25_l10", |b| {
         b.iter(|| wd.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
     });
-    // Batched window decoding: 8 frames slide the window in lockstep
-    // (divide by 8 for the per-frame cost). Each iteration recomputes a
-    // check only on lanes whose inputs changed and a position stops at
-    // its fixed point, which saves the most under the exact and φ-table
-    // rules, whose per-edge evaluations dominate; min-sum gains the
-    // least. The scalar/batched pair is measured on min-sum,
-    // and the batched decoder under all three rules.
+    // One-frame window decoding under the other two rules (the rows
+    // above are the exact rule). Each iteration recomputes a check only
+    // where its inputs changed and a position stops at its fixed point,
+    // which saves the most under the exact and φ-table rules, whose
+    // per-edge evaluations dominate; min-sum gains the least.
     let wd_ms = WindowDecoder::new(4, 20).with_rule(CheckRule::min_sum());
     c.bench_function("window_decode_minsum_n25_l10", |b| {
         b.iter(|| wd_ms.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
     });
-    // The same frame on the one-lane batched window engine (`L = 1`)
-    // under each rule, beside the scalar rows above.
     let mut wbws1 = WindowBatchWorkspace::new(cc.code(), 1);
-    for (name, rule) in [
-        ("window_decode_minsum_batch1_n25_l10", CheckRule::min_sum()),
-        ("window_decode_exact_batch1_n25_l10", CheckRule::SumProduct),
-        (
-            "window_decode_table_batch1_n25_l10",
-            CheckRule::sum_product_table(),
-        ),
-    ] {
-        let wd_lane = WindowDecoder::new(4, 20).with_rule(rule);
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                wbws1.set_lane_llr(0, black_box(&llr_cc));
-                wd_lane.decode_batch(&mut wbws1, &cc);
-            })
-        });
-    }
+    let wd_table = WindowDecoder::new(4, 20).with_rule(CheckRule::sum_product_table());
+    c.bench_function("window_decode_table_batch1_n25_l10", |b| {
+        b.iter(|| {
+            wbws1.set_lane_llr(0, black_box(&llr_cc));
+            wd_table.decode_batch(&mut wbws1, &cc);
+        })
+    });
+    // Batched window decoding: 8 frames slide the window in lockstep
+    // (divide by 8 for the per-frame cost), under all three rules.
     let cc_frames: Vec<Vec<f64>> = (0..8)
         .map(|lane| {
             let mut rng = seeded_rng(200 + lane);

@@ -269,12 +269,12 @@ mod tests {
     fn fer_curve_is_invariant_under_batch_width() {
         // The purity contract ("frame f is a function of (seed, f)") made
         // the FER cache reusable; inter-frame batching must not bend it.
-        // The oracle decodes every frame alone with the scalar window
-        // decoder, so equality at every width — batch 1 included, which
-        // runs the one-lane batched engine — pins the batched path to
-        // the pre-batching results.
+        // The oracle decodes every frame alone with the naive
+        // `window::reference` decoder, so equality at every width — batch
+        // 1 included, which runs the one-lane engine — pins the lane
+        // engine to the pre-batching results.
         use wi_ldpc::ber::{ebn0_db_to_sigma, fill_frame_llrs};
-        use wi_ldpc::window::{WindowDecoder, WindowWorkspace};
+        use wi_ldpc::window::{reference, WindowDecoder};
         let code = CoupledCode::paper_cc(10, 8, 0xC051);
         let decoder = WindowDecoder::new(3, 8);
         let opts = BerSimOptions {
@@ -284,17 +284,15 @@ mod tests {
             seed: 0xC051,
         };
         let grid = [0.0, 3.0, 6.0];
-        let mut ws = WindowWorkspace::new(code.code());
         let mut llr = vec![0.0; code.code().len()];
-        let scalar = FerCurve::from_points(
+        let oracle = FerCurve::from_points(
             grid.iter()
                 .map(|&ebn0_db| {
                     let sigma = ebn0_db_to_sigma(ebn0_db, code.design_rate());
                     let failed = (0..opts.max_frames)
                         .filter(|&frame| {
                             fill_frame_llrs(&mut llr, sigma, opts.seed, frame);
-                            decoder.decode_in_place(&mut ws, &code, &llr);
-                            ws.hard().contains(&true)
+                            reference::decode(&decoder, &code, &llr).contains(&true)
                         })
                         .count();
                     (ebn0_db, failed as f64 / opts.max_frames as f64)
@@ -307,7 +305,7 @@ mod tests {
                 &grid,
                 &opts,
             );
-            assert_eq!(scalar, batched, "batch width {batch} changed the curve");
+            assert_eq!(oracle, batched, "batch width {batch} changed the curve");
         }
     }
 

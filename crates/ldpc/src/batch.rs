@@ -8,16 +8,27 @@
 //! `sum_product_exact_batch`) present LLVM with uniform, branch-free
 //! inner loops over `[f64; L]` that auto-vectorize on stable rust.
 //!
+//! This is the crate's one decoder engine. The one-frame decoders,
+//! [`BpDecoder::decode_in_place`] and [`WindowDecoder::decode_in_place`],
+//! decode their frame as a one-lane batch, and the BER layer
+//! ([`crate::ber`]) drives it through `BerTarget::eval_frames_each`: full
+//! batches of the target's width, then the remainder at the widest
+//! supported width that fits (4, then 2, then 1). Search strategies,
+//! thread fan-out and the co-sim FER cache therefore inherit its speed
+//! with unchanged results. Only the naive oracles,
+//! [`decoder::reference`](crate::decoder::reference) and
+//! [`window::reference`](crate::window::reference), decode any other
+//! way.
+//!
 //! # The bit-identity contract
 //!
-//! Each lane of a batched decode is **bit-identical** to a scalar decode
-//! of that frame ([`BpDecoder::decode_in_place`] /
-//! [`WindowDecoder::decode_in_place`]), under all four `CheckRule`
+//! Each lane of a batched decode is **bit-identical** to the naive
+//! oracle's decode of that frame, under all four `CheckRule`
 //! configurations, pinned by `tests/batch_equivalence.rs`. Two rules make
 //! this hold:
 //!
-//! * **Lane masking** ([`BpDecoder::decode_batch`]): the scalar decoder
-//!   stops at convergence, so lanes stop at different iterations. In the
+//! * **Lane masking** ([`BpDecoder::decode_batch`]): BP stops a frame at
+//!   convergence, so lanes stop at different iterations. In the
 //!   flooding schedule everything *after* the check update is a pure
 //!   function of `(channel, c2v)`; a converged lane therefore only needs
 //!   its posterior/hard **writes** masked (a conditional select of the
@@ -42,22 +53,12 @@
 //!   iteration of a position always runs: under the reuse schedule the
 //!   inputs can be unchanged while the posterior still has to take in
 //!   the block pinned at the previous position. Skipped work would have
-//!   produced the same bits, so every lane stays bit-identical to the
-//!   scalar decoder, which runs every iteration and stays the oracle.
-//!
-//! The BER layer ([`crate::ber`]) drives these decoders through
-//! `BerTarget::eval_frames_each`: full batches of the target's width,
-//! then the remainder at the widest supported width that fits (4, then
-//! 2, then 1). Every frame a BER run decodes, at `--batch 1` too, runs
-//! this engine, so search strategies, thread fan-out and the co-sim FER
-//! cache inherit the speedup with unchanged results. The scalar decoders
-//! remain the oracles the lanes are tested against and the BP straggler
-//! bail-out below.
+//!   produced the same bits, so every lane stays bit-identical to
+//!   [`window::reference`](crate::window::reference), which updates
+//!   every check in every iteration.
 
 use crate::code::LdpcCode;
-use crate::decoder::{
-    update_checks_batch, BpDecoder, CheckRule, DecodeStatus, DecoderWorkspace, LLR_CLAMP,
-};
+use crate::decoder::{update_checks_batch, BpDecoder, CheckRule, DecodeStatus, LLR_CLAMP};
 use crate::kernel::{
     changed_lanes_batch, clamp_batch, gather_clamp_batch, hard_decisions_batch,
     masked_commit_batch, scatter_add_batch, v2c_update_batch, ExactBatchScratch, PhiTable,
@@ -151,11 +152,12 @@ pub struct BatchWorkspace {
     exact: ExactBatchScratch,
     /// φ lookup table (built lazily, only for the table rule).
     phi: PhiTable,
-    /// Scalar decoder workspace for the straggler bail-out.
-    scalar: DecoderWorkspace,
-    /// One lane's channel LLRs, staged for a scalar straggler decode.
-    lane_llr: Vec<f64>,
-    /// Iterations each lane ran (the scalar decoder's count).
+    /// One-lane workspace for the straggler bail-out, built by
+    /// [`ensure`](Self::ensure) when `lanes > 1`. Boxed, because it is a
+    /// `BatchWorkspace` itself.
+    straggler: Option<Box<BatchWorkspace>>,
+    /// Iterations each lane ran (the count of a decode of that frame
+    /// alone).
     iterations: [usize; MAX_LANES],
     /// Lanes whose final syndrome was zero, as a bitmask.
     converged: u8,
@@ -197,8 +199,11 @@ impl BatchWorkspace {
         self.masks.resize(code.num_checks(), 0);
         self.scratch.resize(d * lanes, 0.0);
         self.exact.ensure(e, d, lanes);
-        self.scalar.ensure(code);
-        self.lane_llr.resize(n, 0.0);
+        if lanes > 1 {
+            self.straggler
+                .get_or_insert_with(Box::default)
+                .ensure(code, 1);
+        }
     }
 
     /// The lane count the workspace is sized for.
@@ -243,13 +248,18 @@ impl BatchWorkspace {
     }
 
     /// Iteration count and convergence flag of `lane`'s decode — exactly
-    /// what the scalar decoder would have returned for that frame.
+    /// what a decode of that frame alone returns.
     pub fn status(&self, lane: usize) -> DecodeStatus {
         assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
         DecodeStatus {
             iterations: self.iterations[lane],
             converged: (self.converged >> lane) & 1 == 1,
         }
+    }
+
+    /// Posteriors, `[variable][lane]`: at one lane, one per variable.
+    pub(crate) fn posteriors(&self) -> &[f64] {
+        &self.posterior
     }
 }
 
@@ -258,9 +268,10 @@ impl BpDecoder<'_> {
     /// [`BatchWorkspace::set_lane_llr`] in SIMD lockstep — zero heap
     /// allocation once the workspace is sized. Each lane's
     /// posterior/hard/status is bit-identical to
-    /// [`decode_in_place`](BpDecoder::decode_in_place) on that lane's
-    /// LLRs: converged lanes freeze at exactly the iteration the scalar
-    /// decoder would stop (see the module docs for the masking rule).
+    /// [`reference::decode`](crate::decoder::reference::decode) on that
+    /// lane's LLRs: converged lanes freeze at exactly the iteration where
+    /// a decode of that frame alone stops (see the module docs for the
+    /// masking rule).
     ///
     /// # Panics
     ///
@@ -294,9 +305,10 @@ fn syndrome_batch(offsets: &[u32], edge_var: &[u32], n_checks: usize, hard: &[u8
     unsat
 }
 
-/// Monomorphized batched BP decode: the scalar
-/// [`BpDecoder::decode_in_place`] operation sequence per lane, with
-/// per-lane convergence masking on the posterior/hard commits.
+/// Monomorphized batched BP decode: the
+/// [`reference::decode`](crate::decoder::reference::decode) operation
+/// sequence per lane, with per-lane convergence masking on the
+/// posterior/hard commits.
 fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchWorkspace) {
     let code = decoder.code();
     let config = decoder.config();
@@ -314,7 +326,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let scratch = chunks_mut::<L>(&mut ws.scratch);
 
     // v2c from the clamped channel; posterior/hard from the raw channel —
-    // the scalar decoder's exact initialization.
+    // the oracle's exact initialization.
     gather_clamp_batch(edge_var, llr, v2c);
     posterior.copy_from_slice(llr);
     hard_decisions_batch(posterior, hard);
@@ -322,8 +334,8 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let lane_mask: u8 = if L == 8 { 0xFF } else { (1u8 << L) - 1 };
     // Per-lane unsatisfied-check mask of the *current* hard decisions;
     // a lane leaves `active` the moment its syndrome clears and its
-    // posterior/hard never move again — exactly where the scalar decoder
-    // stops that frame.
+    // posterior/hard never move again — exactly where a decode of that
+    // frame alone stops.
     let mut unsat = syndrome_batch(offsets, edge_var, n_checks, hard) & lane_mask;
     let mut active = unsat;
     ws.iterations = [0; MAX_LANES];
@@ -331,10 +343,10 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     // Straggler bail-out: once fewer than a third of the lanes are still
     // active, every full-width iteration wastes most of the vector work
     // (the batch otherwise runs to the max-over-lanes iteration count).
-    // Those lanes finish with a from-scratch scalar decode below, which
-    // *is* the bit-identity reference by definition. The one-third cut
-    // was tuned on the BER-eval benchmark at a straggler-heavy operating
-    // point; bailing at half keeps too many near-converged lanes scalar.
+    // Those lanes finish below with a from-scratch one-lane decode, which
+    // decodes each frame alone. The one-third cut was tuned on the
+    // BER-eval benchmark at a straggler-heavy operating point; bailing at
+    // half re-decodes too many near-converged lanes.
     let mut bailed = 0u8;
     let mut it = 0;
     while it < config.max_iterations && active != 0 {
@@ -369,11 +381,10 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
         // Posterior accumulation into the scratch buffer (the in-place
         // variant would destroy frozen lanes before the masked commit),
         // then the masked commit and the variable-to-check update. The
-        // scalar decoder fuses the v2c update with the syndrome fold;
-        // here the syndrome is a separate integer-only pass — same
-        // values, and the split loops vectorize. Frozen lanes write
-        // drifted v2c (never observed) but contribute their *frozen*
-        // parity, so a converged lane stays converged.
+        // syndrome is a separate integer-only pass, so these loops
+        // vectorize. Frozen lanes write drifted v2c (never observed) but
+        // contribute their *frozen* parity, so a converged lane stays
+        // converged.
         clamp_batch(llr, post_new);
         scatter_add_batch(edge_var, c2v, post_new);
         masked_commit_batch(active, post_new, posterior, hard);
@@ -383,32 +394,32 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     }
     ws.converged = lane_mask & !unsat;
 
-    for lane in 0..L {
-        if (bailed >> lane) & 1 == 0 {
-            continue;
+    for lane in (0..L).filter(|&lane| (bailed >> lane) & 1 == 1) {
+        let one = ws
+            .straggler
+            .as_deref_mut()
+            .expect("ensure builds the straggler workspace when lanes > 1");
+        for (x, ch) in one.llr.iter_mut().zip(llr) {
+            *x = ch[lane];
         }
-        for (i, ch) in llr.iter().enumerate() {
-            ws.lane_llr[i] = ch[lane];
-        }
-        ws.scalar.ensure_rule(config.check_rule);
-        let status = decoder.decode_in_place(&mut ws.scalar, &ws.lane_llr);
+        decoder.decode_batch(one);
         for ((p, h), (&sp, &sh)) in posterior
             .iter_mut()
             .zip(hard.iter_mut())
-            .zip(ws.scalar.posterior().iter().zip(ws.scalar.hard()))
+            .zip(one.posterior.iter().zip(&one.hard))
         {
             p[lane] = sp;
-            *h = (*h & !(1 << lane)) | (u8::from(sh) << lane);
+            *h = (*h & !(1 << lane)) | ((sh & 1) << lane);
         }
-        ws.iterations[lane] = status.iterations;
-        ws.converged = (ws.converged & !(1 << lane)) | (u8::from(status.converged) << lane);
+        ws.iterations[lane] = one.iterations[0];
+        ws.converged = (ws.converged & !(1 << lane)) | ((one.converged & 1) << lane);
     }
 }
 
 /// Reusable structure-of-arrays state for
-/// [`WindowDecoder::decode_batch`]: the lane-batched counterpart of
-/// [`crate::window::WindowWorkspace`]. The per-check activation flags
-/// are shared across lanes — the window schedule is lane-independent.
+/// [`WindowDecoder::decode_batch`]: `lanes` frames of working LLRs,
+/// messages and posteriors. The per-check activation flags are shared
+/// across lanes — the window schedule is lane-independent.
 #[derive(Clone, Debug, Default)]
 pub struct WindowBatchWorkspace {
     lanes: usize,
@@ -523,10 +534,10 @@ impl WindowDecoder {
     /// Window-decodes the `ws.lanes()` frames previously loaded with
     /// [`WindowBatchWorkspace::set_lane_llr`] in SIMD lockstep. Each
     /// lane's decisions are bit-identical to
-    /// [`decode_in_place`](WindowDecoder::decode_in_place) on that
-    /// lane's LLRs, although a check is recomputed only on lanes whose
-    /// inputs changed and a window position ends at its fixed point (see
-    /// the module docs).
+    /// [`window::reference::decode`](crate::window::reference::decode)
+    /// on that lane's LLRs, although a check is recomputed only on lanes
+    /// whose inputs changed and a window position ends at its fixed point
+    /// (see the module docs).
     ///
     /// # Panics
     ///
@@ -551,9 +562,10 @@ impl WindowDecoder {
     }
 }
 
-/// Monomorphized batched window decode: the scalar
-/// [`WindowDecoder::decode_in_place`] operation sequence per lane, less
-/// the check updates whose inputs did not change.
+/// Monomorphized batched window decode: the
+/// [`window::reference::decode`](crate::window::reference::decode)
+/// operation sequence per lane, less the check updates whose inputs did
+/// not change.
 fn window_decode_batch_impl<const L: usize>(
     decoder: &WindowDecoder,
     code: &CoupledCode,

@@ -483,7 +483,7 @@ impl<'a> BlockBerTarget<'a> {
     ///
     /// Full-width batches of [`batch::DEFAULT_LANES`](crate::batch)
     /// frames are decoded in lockstep by default — bit-identical per
-    /// frame to the scalar decoder; see [`with_batch`](Self::with_batch).
+    /// frame to a one-frame decode; see [`with_batch`](Self::with_batch).
     ///
     /// # Panics
     ///
@@ -581,7 +581,7 @@ impl<'a> CoupledBerTarget<'a> {
     ///
     /// Full-width batches of [`batch::DEFAULT_LANES`](crate::batch)
     /// frames are window-decoded in lockstep by default — bit-identical
-    /// per frame to the scalar window decoder; see
+    /// per frame to a one-frame decode; see
     /// [`with_batch`](Self::with_batch).
     ///
     /// # Panics

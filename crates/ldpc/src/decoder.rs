@@ -11,22 +11,24 @@
 //!   tail): no transcendentals in the loop, accuracy-tested against the
 //!   exact rule instead of bit-identical (see the [`kernel`] docs).
 //! * [`CheckRule::MinSum { alpha }`][CheckRule::MinSum] — normalized
-//!   min-sum: sign product and two-smallest-magnitude tracking, with a
-//!   4-wide unrolled fast path for the paper codes' degree-8 checks.
-//!   This is the standard hardware-faithful approximation; `alpha ≈ 0.8`
+//!   min-sum: sign product and two-smallest-magnitude tracking. This is
+//!   the standard hardware-faithful approximation; `alpha ≈ 0.8`
 //!   recovers most of the sum-product performance on the paper's
 //!   (4,8)-regular codes.
 //!
-//! Messages live in flat per-edge arrays owned by a reusable
-//! [`DecoderWorkspace`], so [`BpDecoder::decode_in_place`] performs **zero
-//! heap allocation**: check updates stream over `edge_var` /
-//! `check_offsets` (see [`LdpcCode`]) and the syndrome check is folded
-//! into the variable-to-check pass instead of a separate graph traversal.
-//! The original nested-`Vec` decoder is retained in [`mod@reference`] as the
-//! correctness oracle; the engines are bit-identical under every rule (see
-//! `tests/csr_equivalence.rs` — the *table rule's* accuracy relative to
-//! exact sum-product is what `tests/phi_table.rs` bounds instead).
+//! [`BpDecoder`] has one engine, the lane engine of [`crate::batch`]:
+//! [`BpDecoder::decode_in_place`] decodes its frame as a one-lane batch
+//! inside a reusable [`DecoderWorkspace`] and performs **zero heap
+//! allocation**, with check updates streaming over `edge_var` /
+//! `check_offsets` (see [`LdpcCode`]). The original nested-`Vec` decoder
+//! is retained in [`mod@reference`] as the correctness oracle, and its
+//! [`reference::check_update`] is the per-check definition every lane of
+//! the check kernels is tested against. Engine and oracle are
+//! bit-identical under every rule (see `tests/csr_equivalence.rs` — the
+//! *table rule's* accuracy relative to exact sum-product is what
+//! `tests/phi_table.rs` bounds instead).
 
+use crate::batch::BatchWorkspace;
 use crate::code::LdpcCode;
 use crate::kernel::{self, ExactBatchScratch, PhiTable};
 use serde::{Deserialize, Serialize};
@@ -145,27 +147,17 @@ pub struct DecodeStatus {
     pub converged: bool,
 }
 
-/// Reusable flat message buffers for one code shape.
+/// Reusable state for one-frame decoding: a one-lane
+/// [`BatchWorkspace`] and the frame's unpacked hard decisions.
 ///
 /// Constructing the workspace performs every allocation the decoder will
-/// ever need; [`BpDecoder::decode_in_place`] then runs allocation-free, so
-/// Monte-Carlo loops pay the heap cost once instead of per frame.
+/// ever need for the code; [`BpDecoder::decode_in_place`] then runs
+/// allocation-free, so Monte-Carlo loops pay the heap cost once instead
+/// of per frame.
 #[derive(Clone, Debug, Default)]
 pub struct DecoderWorkspace {
-    /// Variable-to-check message per edge (check-major).
-    v2c: Vec<f64>,
-    /// Check-to-variable message per edge (check-major).
-    c2v: Vec<f64>,
-    /// Per-check scratch: `tanh(v2c/2)` (exact sum-product) or
-    /// `φ(|v2c|)` (table rule).
-    scratch: Vec<f64>,
-    /// Per-check scratch: forward partial products (exact sum-product
-    /// only).
-    fwd: Vec<f64>,
-    /// φ lookup table (built lazily, only for the table rule).
-    phi: PhiTable,
-    /// Posterior LLR per variable.
-    posterior: Vec<f64>,
+    /// The lane engine's state at one lane.
+    batch: BatchWorkspace,
     /// Hard decision per variable.
     hard: Vec<bool>,
 }
@@ -173,30 +165,9 @@ pub struct DecoderWorkspace {
 impl DecoderWorkspace {
     /// Allocates buffers sized for `code`.
     pub fn new(code: &LdpcCode) -> Self {
-        let mut ws = DecoderWorkspace::default();
-        ws.ensure(code);
-        ws
-    }
-
-    /// Resizes the buffers for `code` (no-op when already sized; only
-    /// reallocates when the code shape grows).
-    pub fn ensure(&mut self, code: &LdpcCode) {
-        let e = code.num_edges();
-        let n = code.len();
-        let d = code.max_check_degree();
-        self.v2c.resize(e, 0.0);
-        self.c2v.resize(e, 0.0);
-        self.scratch.resize(d, 0.0);
-        self.fwd.resize(d + 1, 1.0);
-        self.posterior.resize(n, 0.0);
-        self.hard.resize(n, false);
-    }
-
-    /// Builds rule-dependent state (the φ table) if `rule` needs it —
-    /// a no-op after the first decode with a given rule.
-    pub fn ensure_rule(&mut self, rule: CheckRule) {
-        if let CheckRule::SumProductTable { bits } = rule {
-            self.phi.ensure(bits);
+        DecoderWorkspace {
+            batch: BatchWorkspace::new(code, 1),
+            hard: vec![false; code.len()],
         }
     }
 
@@ -207,52 +178,20 @@ impl DecoderWorkspace {
 
     /// Posterior LLRs of the last decode.
     pub fn posterior(&self) -> &[f64] {
-        &self.posterior
+        self.batch.posteriors()
     }
 }
 
 /// One flooding check-node update over checks `check_lo..check_hi`,
-/// streaming the flat CSR arrays: dispatches `rule` to its
-/// [`crate::kernel`] implementation. Scratch slices must hold
-/// `max_check_degree` (+1 for `fwd`) entries; `phi` must be built
-/// (see [`PhiTable::ensure`]) when the rule is
-/// [`CheckRule::SumProductTable`].
-///
-/// Shared by [`BpDecoder`] and the window decoder so both engines apply
-/// identical numerics.
-#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
-pub(crate) fn update_checks(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    rule: CheckRule,
-    phi: &PhiTable,
-    v2c: &[f64],
-    c2v: &mut [f64],
-    scratch: &mut [f64],
-    fwd: &mut [f64],
-) {
-    match rule {
-        CheckRule::SumProduct => {
-            kernel::sum_product_exact(offsets, check_lo, check_hi, v2c, c2v, scratch, fwd);
-        }
-        CheckRule::SumProductTable { .. } => {
-            kernel::sum_product_table(offsets, check_lo, check_hi, phi, v2c, c2v, scratch);
-        }
-        CheckRule::MinSum { alpha } => {
-            kernel::min_sum(offsets, check_lo, check_hi, alpha, v2c, c2v);
-        }
-    }
-}
-
-/// Lane-array counterpart of [`update_checks`] for the inter-frame
-/// batched decoders (`crate::batch`): same per-rule dispatch, with
-/// messages in `[edge][lane]` structure-of-arrays layout. `masks[c]` is
-/// the lane bitmask of check `c` to recompute; lanes outside it may keep
-/// their c2v (see the batched kernels in [`crate::kernel`]). Each
-/// recomputed lane is bit-identical to [`update_checks`] on that lane's
-/// messages. `scratch` holds `max_check_degree` lane-array entries (the
-/// table rule's), and `exact` is sized for the code at `L` lanes.
+/// streaming the flat CSR arrays: dispatches `rule` to its lane-array
+/// kernel in [`crate::kernel`], with messages in `[edge][lane]`
+/// structure-of-arrays layout. `masks[c]` is the lane bitmask of check
+/// `c` to recompute; lanes outside it may keep their c2v. Each
+/// recomputed lane is bit-identical to [`reference::check_update`] on
+/// that lane's messages. `scratch` holds `max_check_degree` lane-array
+/// entries (the table rule's), `exact` is sized for the code at `L`
+/// lanes, and `phi` must be built (see [`PhiTable::ensure`]) when the
+/// rule is [`CheckRule::SumProductTable`].
 #[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub(crate) fn update_checks_batch<const L: usize>(
     offsets: &[u32],
@@ -331,7 +270,7 @@ impl<'a> BpDecoder<'a> {
         let status = self.decode_in_place(ws, channel_llr);
         DecodeResult {
             hard: ws.hard.clone(),
-            posterior: ws.posterior.clone(),
+            posterior: ws.posterior().to_vec(),
             iterations: status.iterations,
             converged: status.converged,
         }
@@ -341,6 +280,9 @@ impl<'a> BpDecoder<'a> {
     /// table of [`CheckRule::SumProductTable`] is built on the first
     /// decode and reused afterwards). Read the decisions from
     /// [`DecoderWorkspace::hard`] / [`DecoderWorkspace::posterior`].
+    ///
+    /// The frame is a one-lane [`decode_batch`](BpDecoder::decode_batch),
+    /// so it runs the same engine as every batched lane.
     ///
     /// # Example
     ///
@@ -364,89 +306,14 @@ impl<'a> BpDecoder<'a> {
     ///
     /// Panics if `channel_llr.len()` differs from the code length.
     pub fn decode_in_place(&self, ws: &mut DecoderWorkspace, channel_llr: &[f64]) -> DecodeStatus {
-        let code = self.code;
-        let n = code.len();
-        assert_eq!(channel_llr.len(), n, "LLR length mismatch");
-        ws.ensure(code);
-        ws.ensure_rule(self.config.check_rule);
-        let n_checks = code.num_checks();
-        let offsets = code.check_edge_offsets();
-        let edge_var = code.edge_vars();
-
-        // v2c initialized from the (clamped) channel, streaming the edges.
-        for (m, &v) in ws.v2c.iter_mut().zip(edge_var) {
-            *m = channel_llr[v as usize].clamp(-LLR_CLAMP, LLR_CLAMP);
-        }
-        ws.posterior.copy_from_slice(channel_llr);
-        for (h, &l) in ws.hard.iter_mut().zip(channel_llr) {
-            *h = l < 0.0;
-        }
-
-        let mut iterations = 0;
-        let mut converged = syndrome_ok(offsets, edge_var, n_checks, &ws.hard);
-        while iterations < self.config.max_iterations && !converged {
-            iterations += 1;
-
-            update_checks(
-                offsets,
-                0,
-                n_checks,
-                self.config.check_rule,
-                &ws.phi,
-                &ws.v2c,
-                &mut ws.c2v,
-                &mut ws.scratch,
-                &mut ws.fwd,
-            );
-
-            // Posterior: clamped channel plus all incoming check messages,
-            // accumulated edge-major (same order as the reference engine).
-            for (p, &ch) in ws.posterior.iter_mut().zip(channel_llr) {
-                *p = ch.clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
-            for (&v, &m) in edge_var.iter().zip(&ws.c2v) {
-                ws.posterior[v as usize] += m;
-            }
-            for (h, &p) in ws.hard.iter_mut().zip(&ws.posterior) {
-                *h = p < 0.0;
-            }
-
-            // Variable-to-check update with the syndrome check folded in:
-            // one pass over the edges serves both, so convergence detection
-            // costs no extra graph traversal.
-            converged = true;
-            for c in 0..n_checks {
-                let lo = offsets[c] as usize;
-                let hi = offsets[c + 1] as usize;
-                let mut parity = false;
-                #[allow(clippy::needless_range_loop)] // e indexes edge_var and v2c in lockstep
-                for e in lo..hi {
-                    let v = edge_var[e] as usize;
-                    ws.v2c[e] = (ws.posterior[v] - ws.c2v[e]).clamp(-LLR_CLAMP, LLR_CLAMP);
-                    parity ^= ws.hard[v];
-                }
-                if parity {
-                    converged = false;
-                }
-            }
-        }
-
-        DecodeStatus {
-            iterations,
-            converged,
-        }
+        ws.batch.ensure(self.code, 1);
+        ws.batch.set_lane_llr(0, channel_llr);
+        self.decode_batch(&mut ws.batch);
+        ws.hard.clear();
+        ws.hard
+            .extend((0..self.code.len()).map(|v| ws.batch.hard_bit(v, 0)));
+        ws.batch.status(0)
     }
-}
-
-/// Zero-syndrome test over the CSR layout.
-fn syndrome_ok(offsets: &[u32], edge_var: &[u32], n_checks: usize, hard: &[bool]) -> bool {
-    (0..n_checks).all(|c| {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        !edge_var[lo..hi]
-            .iter()
-            .fold(false, |acc, &v| acc ^ hard[v as usize])
-    })
 }
 
 /// Converts AWGN/BPSK observations to channel LLRs: bit 0 ↦ +1, bit 1 ↦ −1,
@@ -458,7 +325,7 @@ pub fn awgn_llrs(received: &[f64], sigma: f64) -> Vec<f64> {
 }
 
 /// The original nested-`Vec` decoder, retained as the correctness oracle
-/// for the flat CSR engine.
+/// for the lane engine.
 ///
 /// It allocates per-check message vectors and per-iteration scratch on
 /// every call — exactly the behaviour the workspace engine removes — and
@@ -512,71 +379,8 @@ pub mod reference {
         while iterations < config.max_iterations && !converged {
             iterations += 1;
 
-            #[allow(clippy::needless_range_loop)] // c indexes v2c/c2v and the code in lockstep
-            for c in 0..n_checks {
-                let deg = v2c[c].len();
-                match config.check_rule {
-                    CheckRule::SumProduct => {
-                        let tanhs: Vec<f64> = v2c[c]
-                            .iter()
-                            .map(|&m| fdlibm::tanh(m / 2.0).clamp(-TANH_CLAMP, TANH_CLAMP))
-                            .collect();
-                        let mut fwd = vec![1.0; deg + 1];
-                        for j in 0..deg {
-                            fwd[j + 1] = fwd[j] * tanhs[j];
-                        }
-                        let mut bwd = 1.0;
-                        for j in (0..deg).rev() {
-                            let excl = fwd[j] * bwd;
-                            c2v[c][j] = (2.0 * fdlibm::atanh(excl)).clamp(-LLR_CLAMP, LLR_CLAMP);
-                            bwd *= tanhs[j];
-                        }
-                    }
-                    CheckRule::SumProductTable { .. } => {
-                        let phi = phi.as_ref().expect("table built for the table rule");
-                        let floor = crate::kernel::phi_gather_floor();
-                        let mut phis = vec![0.0f64; deg];
-                        let mut total = 0.0f64;
-                        let mut sign_prod = 1.0f64;
-                        for (p, &m) in phis.iter_mut().zip(&v2c[c]) {
-                            let a = phi.eval(m.abs()).max(floor);
-                            *p = a;
-                            total += a;
-                            if m < 0.0 {
-                                sign_prod = -sign_prod;
-                            }
-                        }
-                        for (j, &m) in (0..deg).zip(&v2c[c]) {
-                            let mag = phi.eval((total - phis[j]).max(0.0));
-                            let sign = if m < 0.0 { -sign_prod } else { sign_prod };
-                            c2v[c][j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-                        }
-                    }
-                    CheckRule::MinSum { alpha } => {
-                        let mut min1 = f64::INFINITY;
-                        let mut min2 = f64::INFINITY;
-                        let mut min1_at = 0;
-                        let mut sign_prod = 1.0f64;
-                        for (j, &m) in v2c[c].iter().enumerate() {
-                            let mag = m.abs();
-                            if mag < min1 {
-                                min2 = min1;
-                                min1 = mag;
-                                min1_at = j;
-                            } else if mag < min2 {
-                                min2 = mag;
-                            }
-                            if m < 0.0 {
-                                sign_prod = -sign_prod;
-                            }
-                        }
-                        for (j, &m) in v2c[c].iter().enumerate() {
-                            let mag = if j == min1_at { min2 } else { min1 };
-                            let sign = if m < 0.0 { -sign_prod } else { sign_prod };
-                            c2v[c][j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-                        }
-                    }
-                }
+            for (v2c_c, c2v_c) in v2c.iter().zip(&mut c2v) {
+                check_update(config.check_rule, phi.as_ref(), v2c_c, c2v_c);
             }
 
             for (p, &ch) in posterior.iter_mut().zip(channel_llr) {
@@ -604,6 +408,93 @@ pub mod reference {
             posterior,
             iterations,
             converged,
+        }
+    }
+
+    /// One check node's update under `rule`: the extrinsic message to
+    /// every edge of the check, written to `c2v[j]`, from the check's
+    /// incoming messages `v2c` (both in the check's edge order). `phi` is
+    /// the table the [`CheckRule::SumProductTable`] rule evaluates; the
+    /// other rules take `None`.
+    ///
+    /// Written one edge at a time with no fast path, so that it is the
+    /// plain definition each lane of the batched check kernels in
+    /// [`crate::kernel`] is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v2c` and `c2v` differ in length, or if the rule is the
+    /// table rule and `phi` is `None`.
+    pub fn check_update(rule: CheckRule, phi: Option<&PhiTable>, v2c: &[f64], c2v: &mut [f64]) {
+        assert_eq!(v2c.len(), c2v.len(), "one c2v message per v2c message");
+        let deg = v2c.len();
+        match rule {
+            CheckRule::SumProduct => {
+                let tanhs: Vec<f64> = v2c
+                    .iter()
+                    .map(|&m| fdlibm::tanh(m / 2.0).clamp(-TANH_CLAMP, TANH_CLAMP))
+                    .collect();
+                let mut fwd = vec![1.0; deg + 1];
+                for j in 0..deg {
+                    fwd[j + 1] = fwd[j] * tanhs[j];
+                }
+                let mut bwd = 1.0;
+                for j in (0..deg).rev() {
+                    let excl = fwd[j] * bwd;
+                    c2v[j] = (2.0 * fdlibm::atanh(excl)).clamp(-LLR_CLAMP, LLR_CLAMP);
+                    bwd *= tanhs[j];
+                }
+            }
+            CheckRule::SumProductTable { .. } => {
+                let phi = phi.expect("the table rule needs its phi table");
+                let floor = crate::kernel::phi_gather_floor();
+                let mut phis = vec![0.0f64; deg];
+                let mut total = 0.0f64;
+                let mut sign_prod = 1.0f64;
+                for (p, &m) in phis.iter_mut().zip(v2c) {
+                    let a = phi.eval(m.abs()).max(floor);
+                    *p = a;
+                    total += a;
+                    if m < 0.0 {
+                        sign_prod = -sign_prod;
+                    }
+                }
+                for (j, &m) in v2c.iter().enumerate() {
+                    // Float cancellation can push the extrinsic φ-sum a
+                    // hair below zero when one edge dominates; clamp into
+                    // the domain.
+                    let mag = phi.eval((total - phis[j]).max(0.0));
+                    let sign = if m < 0.0 { -sign_prod } else { sign_prod };
+                    c2v[j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
+                }
+            }
+            CheckRule::MinSum { alpha } => {
+                // Two smallest magnitudes and the sign product; the
+                // extrinsic magnitude is min1 everywhere except at the
+                // first position of min1 itself, where it is min2.
+                let mut min1 = f64::INFINITY;
+                let mut min2 = f64::INFINITY;
+                let mut min1_at = 0;
+                let mut sign_prod = 1.0f64;
+                for (j, &m) in v2c.iter().enumerate() {
+                    let mag = m.abs();
+                    if mag < min1 {
+                        min2 = min1;
+                        min1 = mag;
+                        min1_at = j;
+                    } else if mag < min2 {
+                        min2 = mag;
+                    }
+                    if m < 0.0 {
+                        sign_prod = -sign_prod;
+                    }
+                }
+                for (j, &m) in v2c.iter().enumerate() {
+                    let mag = if j == min1_at { min2 } else { min1 };
+                    let sign = if m < 0.0 { -sign_prod } else { sign_prod };
+                    c2v[j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
+                }
+            }
         }
     }
 

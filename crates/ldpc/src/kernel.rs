@@ -1,27 +1,32 @@
-//! Check-node update kernels — the innermost loops of every decoder in
-//! this crate.
+//! Check-node update kernels — the innermost loops of the decoder
+//! engine in this crate.
 //!
 //! Every [`CheckRule`](crate::decoder::CheckRule) resolves to one of the
-//! streaming kernels below; [`BpDecoder`](crate::decoder::BpDecoder) and
-//! [`WindowDecoder`](crate::window::WindowDecoder) share them through
-//! `decoder::update_checks`, so both engines apply identical numerics.
-//! The kernels are public so the criterion benches (and any external
-//! experiment) can measure them in isolation:
+//! lane-array kernels below, through the one dispatcher
+//! `decoder::update_checks_batch`, which [`BpDecoder`] and
+//! [`WindowDecoder`](crate::window::WindowDecoder) share at every lane
+//! count, one included. Messages live in structure-of-arrays layout
+//! `[edge][lane]` (lane = frame), and every lane is bit-identical to
+//! [`reference::check_update`] on that lane's messages. The kernels are
+//! public so the criterion benches (and any external experiment) can
+//! measure them in isolation:
 //!
-//! * [`sum_product_exact`] — the exact `tanh`/`atanh` forward/backward
-//!   kernel, bit-identical to the naive reference oracle. Both
-//!   transcendentals come from [`wi_num::fdlibm`], a branch-free port of
-//!   glibc's routines that equals the host libm bit for bit and runs
-//!   eight evaluations at a time in vector registers, so the exact rule
-//!   is no longer bound by per-edge libm calls.
-//! * [`sum_product_table`] — the same check update expressed through the
-//!   involutive φ-function `φ(x) = −ln tanh(x/2)` and evaluated from a
-//!   precomputed [`PhiTable`]: no transcendentals in the loop, accuracy
-//!   bounded by [`PhiTable::error_bound_at`] instead of bit-identity.
-//! * [`min_sum`] — normalized min-sum, dispatching per check to the
-//!   4-wide unrolled degree-8 fast path ([`min_sum_unrolled8`]) for the
-//!   paper's (4,8)-regular codes or to the generic scalar loop
-//!   ([`min_sum_scalar`]); the two paths are bit-identical.
+//! * [`sum_product_exact_batch`] — the exact `tanh`/`atanh`
+//!   forward/backward kernel. Both transcendentals come from
+//!   [`wi_num::fdlibm`], a branch-free port of glibc's routines that
+//!   equals the host libm bit for bit and runs eight evaluations at a
+//!   time in vector registers, so the exact rule is not bound by
+//!   per-edge libm calls.
+//! * [`sum_product_table_batch`] — the same check update expressed
+//!   through the involutive φ-function `φ(x) = −ln tanh(x/2)` and
+//!   evaluated from a precomputed [`PhiTable`]: no transcendentals in the
+//!   loop, accuracy bounded by [`PhiTable::error_bound_at`] instead of
+//!   bit-identity.
+//! * [`min_sum_batch`] — normalized min-sum, branch-free across lanes,
+//!   with a fixed-trip-count path for the paper's (4,8)-regular checks.
+//!
+//! [`BpDecoder`]: crate::decoder::BpDecoder
+//! [`reference::check_update`]: crate::decoder::reference::check_update
 //!
 //! # The φ formulation
 //!
@@ -290,55 +295,6 @@ pub fn phi_gather_floor() -> f64 {
     -TANH_CLAMP.ln()
 }
 
-/// Exact sum-product check update over checks `check_lo..check_hi` of the
-/// CSR layout: forward/backward partial products of `tanh(v2c/2)`, each
-/// check in O(degree). `tanhs`/`fwd` are scratch of `max_check_degree`
-/// (+1 for `fwd`) entries. Bit-identical to the naive reference oracle.
-///
-/// Both transcendentals come from [`wi_num::fdlibm`], a check's edges
-/// at a time through the vectorized evaluators that
-/// [`sum_product_exact_batch`] runs its lists through. A check whose
-/// inputs are all saturated (`|m| ≥ TANH_SAT`) skips `tanh`; otherwise
-/// its saturated inputs are evaluated too, and their clamped factor is
-/// `±TANH_CLAMP` either way.
-pub fn sum_product_exact(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    v2c: &[f64],
-    c2v: &mut [f64],
-    tanhs: &mut [f64],
-    fwd: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        let deg = hi - lo;
-        let tanhs = &mut tanhs[..deg];
-        tanhs.copy_from_slice(&v2c[lo..hi]);
-        if tanhs.iter().all(|m| m.abs() >= TANH_SAT) {
-            // A fully saturated check, as pinned blocks make them.
-            for t in tanhs.iter_mut() {
-                *t = TANH_CLAMP.copysign(*t);
-            }
-        } else {
-            tanh_factors(tanhs);
-        }
-        fwd[0] = 1.0;
-        for j in 0..deg {
-            fwd[j + 1] = fwd[j] * tanhs[j];
-        }
-        // Each fwd[j] becomes its extrinsic product fwd[j]·bwd in place.
-        let mut bwd = 1.0;
-        for j in (0..deg).rev() {
-            fwd[j] *= bwd;
-            bwd *= tanhs[j];
-        }
-        c2v[lo..hi].copy_from_slice(&fwd[..deg]);
-        extrinsics(&mut c2v[lo..hi]);
-    }
-}
-
 /// Tanh clamp keeping `atanh` finite in the exact sum-product update.
 pub const TANH_CLAMP: f64 = 0.999_999_999_999;
 
@@ -350,7 +306,7 @@ pub const TANH_CLAMP: f64 = 0.999_999_999_999;
 /// window decoder's pinned decisions always do), so
 /// [`sum_product_exact_batch`] leaves such inputs out of its `tanh` list
 /// often in late iterations while staying bit-identical to the naive
-/// reference.
+/// reference, which evaluates every `tanh`.
 pub const TANH_SAT: f64 = 28.5;
 
 /// Applies the `#[inline(always)]` element function `$f` to every
@@ -409,235 +365,13 @@ fn extrinsics(v: &mut [f64]) {
     map_by_eight!(v, extrinsic);
 }
 
-/// Table-driven sum-product check update: per edge, one φ-table
-/// evaluation on the gather pass (`φ(|m|)`, floored at
-/// [`phi_gather_floor`] and accumulated into the check total) and one on
-/// the scatter pass (`φ(total − φ(|m_j|))`). `phis` is scratch of
-/// `max_check_degree` entries.
-///
-/// The kernel is *accuracy-tested*, not bit-identical, against
-/// [`sum_product_exact`]; see the [`PhiTable`] contract. Both message
-/// engines (`BpDecoder` and the naive reference) run this same code
-/// path, so engine bit-identity still holds under the table rule.
-pub fn sum_product_table(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    phi: &PhiTable,
-    v2c: &[f64],
-    c2v: &mut [f64],
-    phis: &mut [f64],
-) {
-    let floor = phi_gather_floor();
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        if hi - lo == 8 {
-            // Fixed-degree fast path for the paper's (4,8)-regular
-            // checks: array-typed slices drop the bounds checks from
-            // both passes.
-            let m: &[f64; 8] = v2c[lo..hi].try_into().expect("degree-8 check");
-            let out: &mut [f64; 8] = (&mut c2v[lo..hi]).try_into().expect("degree-8 check");
-            let mut a = [0.0f64; 8];
-            let mut total = 0.0f64;
-            let mut sign_prod = 1.0f64;
-            for j in 0..8 {
-                a[j] = phi.eval(m[j].abs()).max(floor);
-                total += a[j];
-                if m[j] < 0.0 {
-                    sign_prod = -sign_prod;
-                }
-            }
-            for j in 0..8 {
-                let mag = phi.eval((total - a[j]).max(0.0));
-                let sign = if m[j] < 0.0 { -sign_prod } else { sign_prod };
-                out[j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
-            continue;
-        }
-        let deg = hi - lo;
-        let mut total = 0.0f64;
-        let mut sign_prod = 1.0f64;
-        for (p, &m) in phis[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            let a = phi.eval(m.abs()).max(floor);
-            *p = a;
-            total += a;
-            if m < 0.0 {
-                sign_prod = -sign_prod;
-            }
-        }
-        for (j, &m) in (0..deg).zip(&v2c[lo..hi]) {
-            // Float cancellation can push the extrinsic φ-sum a hair
-            // below zero when one edge dominates; clamp into the domain.
-            let mag = phi.eval((total - phis[j]).max(0.0));
-            let sign = if m < 0.0 { -sign_prod } else { sign_prod };
-            c2v[lo + j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-        }
-    }
-}
-
-/// Normalized min-sum check update, dispatching per check to the 4-wide
-/// unrolled degree-8 fast path or the generic scalar loop. The two paths
-/// are bit-identical (min/sign arithmetic is exact in f64), so the
-/// engine-vs-oracle equivalence suite covers both.
-pub fn min_sum(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    alpha: f64,
-    v2c: &[f64],
-    c2v: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        if hi - lo == 8 {
-            min_sum_check8_slices(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-        } else {
-            min_sum_check_scalar(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-        }
-    }
-}
-
-/// Generic scalar min-sum over `check_lo..check_hi` — the PR-1 kernel,
-/// kept callable so the benches can measure the unrolled path against it
-/// on the same checks.
-pub fn min_sum_scalar(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    alpha: f64,
-    v2c: &[f64],
-    c2v: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        min_sum_check_scalar(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-    }
-}
-
-/// 4-wide unrolled min-sum over `check_lo..check_hi`, all of which must
-/// have degree 8 (the paper's (4,8)-regular codes). Bit-identical to
-/// [`min_sum_scalar`] on the same input.
-///
-/// # Panics
-///
-/// Panics if any check in the range does not have degree 8.
-pub fn min_sum_unrolled8(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    alpha: f64,
-    v2c: &[f64],
-    c2v: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        assert_eq!(hi - lo, 8, "check {c} has degree {}, expected 8", hi - lo);
-        min_sum_check8_slices(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-    }
-}
-
-/// One scalar min-sum check: track the two smallest magnitudes and the
-/// sign product; the extrinsic magnitude is min1 everywhere except at
-/// the position of min1 itself, where it is min2.
-#[inline]
-fn min_sum_check_scalar(alpha: f64, m: &[f64], out: &mut [f64]) {
-    let mut min1 = f64::INFINITY;
-    let mut min2 = f64::INFINITY;
-    let mut min1_at = 0usize;
-    let mut sign_prod = 1.0f64;
-    for (j, &v) in m.iter().enumerate() {
-        let mag = v.abs();
-        if mag < min1 {
-            min2 = min1;
-            min1 = mag;
-            min1_at = j;
-        } else if mag < min2 {
-            min2 = mag;
-        }
-        if v < 0.0 {
-            sign_prod = -sign_prod;
-        }
-    }
-    for (j, &v) in m.iter().enumerate() {
-        let mag = if j == min1_at { min2 } else { min1 };
-        let sign = if v < 0.0 { -sign_prod } else { sign_prod };
-        out[j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-    }
-}
-
-/// One degree-8 min-sum check, 4-wide unrolled: branch-free `min` trees
-/// replace the data-dependent two-min tracking branches, which
-/// mispredict heavily on noisy magnitudes. `min1` is the tree minimum;
-/// `min1_at` its first position (matching the scalar loop's
-/// first-strict-improvement semantics on ties); `min2` a second tree
-/// with that lane masked to +∞. All operations are exact, so the result
-/// is bit-identical to [`min_sum_check_scalar`].
-#[inline]
-fn min_sum_check8(alpha: f64, m: &[f64; 8], out: &mut [f64; 8]) {
-    let a = [
-        m[0].abs(),
-        m[1].abs(),
-        m[2].abs(),
-        m[3].abs(),
-        m[4].abs(),
-        m[5].abs(),
-        m[6].abs(),
-        m[7].abs(),
-    ];
-    // 4-wide min tree: 8 → 4 → 2 → 1.
-    let b = [
-        a[0].min(a[4]),
-        a[1].min(a[5]),
-        a[2].min(a[6]),
-        a[3].min(a[7]),
-    ];
-    let min1 = (b[0].min(b[2])).min(b[1].min(b[3]));
-    let mut min1_at = 0usize;
-    while a[min1_at] != min1 {
-        min1_at += 1;
-    }
-    let pick = |j: usize| if j == min1_at { f64::INFINITY } else { a[j] };
-    let c0 = pick(0).min(pick(4));
-    let c1 = pick(1).min(pick(5));
-    let c2 = pick(2).min(pick(6));
-    let c3 = pick(3).min(pick(7));
-    let min2 = (c0.min(c2)).min(c1.min(c3));
-    let negatives = (m[0] < 0.0) as u32
-        + (m[1] < 0.0) as u32
-        + (m[2] < 0.0) as u32
-        + (m[3] < 0.0) as u32
-        + (m[4] < 0.0) as u32
-        + (m[5] < 0.0) as u32
-        + (m[6] < 0.0) as u32
-        + (m[7] < 0.0) as u32;
-    let sign_prod = if negatives % 2 == 1 { -1.0f64 } else { 1.0f64 };
-    for j in 0..8 {
-        let mag = if j == min1_at { min2 } else { min1 };
-        let sign = if m[j] < 0.0 { -sign_prod } else { sign_prod };
-        out[j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-    }
-}
-
-/// Array-typed entry to [`min_sum_check8`] for slices of exactly 8.
-#[inline]
-fn min_sum_check8_slices(alpha: f64, m: &[f64], out: &mut [f64]) {
-    let m: &[f64; 8] = m.try_into().expect("degree-8 check");
-    let out: &mut [f64; 8] = out.try_into().expect("degree-8 check");
-    min_sum_check8(alpha, m, out);
-}
-
 // ---------------------------------------------------------------------
-// Inter-frame batched (lane-array) kernels.
+// Lane-array check kernels.
 //
-// Each kernel below is the lane-wise generalization of its scalar
-// counterpart: messages live in structure-of-arrays layout `[edge][lane]`
-// (lane = frame), and every lane executes exactly the scalar kernel's
-// operation sequence, so each lane's output is bit-identical to a scalar
-// decode of that frame. The inner `for lane in 0..L` loops are written
+// Messages live in structure-of-arrays layout `[edge][lane]` (lane =
+// frame), and every lane executes exactly the operation sequence of
+// `decoder::reference::check_update`, so each lane's output is
+// bit-identical to the naive oracle's. The inner `for lane in 0..L` loops are written
 // branch-free (conditional *selects*, never arithmetic blends — a blend
 // like `m·new + (1−m)·old` would turn `-0.0` into `+0.0` and break
 // bit-identity) so stable-rust LLVM auto-vectorizes them over `[f64; L]`.
@@ -654,12 +388,11 @@ fn lane_flags<const L: usize>(mask: u8) -> [bool; L] {
     core::array::from_fn(|lane| (mask >> lane) & 1 == 1)
 }
 
-/// Lane-array normalized min-sum over checks `check_lo..check_hi`:
-/// the batched counterpart of [`min_sum`], with `v2c`/`c2v` in
-/// `[edge][lane]` structure-of-arrays layout. Degree-8 checks take a
-/// fixed-trip-count fast path (the lane generalization of
-/// [`min_sum_unrolled8`]); every lane is bit-identical to
-/// [`min_sum_scalar`] on that lane's messages.
+/// Lane-array normalized min-sum over checks `check_lo..check_hi`, with
+/// `v2c`/`c2v` in `[edge][lane]` structure-of-arrays layout. Degree-8
+/// checks take a fixed-trip-count fast path; every lane is bit-identical
+/// to [`check_update`](crate::decoder::reference::check_update) on that
+/// lane's messages.
 ///
 /// Checks whose `masks[c]` is empty are skipped and keep their c2v. A
 /// check with any lane set is recomputed on every lane: the kernel is
@@ -693,7 +426,7 @@ pub fn min_sum_batch<const L: usize>(
 /// One lane-array min-sum check: a branch-free two-min tracker per lane.
 /// `min1_at` is carried as an exact small-integer f64 so the scatter
 /// pass's "am I the minimum position" test is a lane-wise compare; the
-/// select-based updates reproduce the scalar tracker's
+/// select-based updates reproduce the reference tracker's
 /// first-strict-improvement tie semantics exactly.
 ///
 /// `#[inline(never)]` is load-bearing: under the workspace's thin-LTO
@@ -787,12 +520,12 @@ impl ExactBatchScratch {
     }
 }
 
-/// Lane-array exact sum-product over checks `check_lo..check_hi`: the
-/// batched counterpart of [`sum_product_exact`], with forward/backward
-/// `tanh` partial products per lane. Only the lanes set in `masks[c]` are
-/// written; the other lanes keep their c2v. Every written lane is
-/// bit-identical to the scalar kernel — the batched path's contract under
-/// `CheckRule::SumProduct`.
+/// Lane-array exact sum-product over checks `check_lo..check_hi`, with
+/// forward/backward `tanh` partial products per lane. Only the lanes set
+/// in `masks[c]` are written; the other lanes keep their c2v. Every
+/// written lane is bit-identical to
+/// [`check_update`](crate::decoder::reference::check_update) — the
+/// engine's contract under `CheckRule::SumProduct`.
 ///
 /// The transcendentals run over dense lists rather than per check, so
 /// every evaluation is one that a written lane needs, and the lists run
@@ -806,7 +539,9 @@ impl ExactBatchScratch {
 ///    `clamp(2·atanh(p))` and scattered into `c2v`.
 ///
 /// The lanes outside a check's mask form finite products from stale
-/// factors, which are never stored.
+/// factors, which are never stored. At one lane the lists gather a
+/// check range's edges instead, so the ports run eight wide across
+/// edges.
 ///
 /// # Panics
 ///
@@ -898,13 +633,19 @@ pub fn sum_product_exact_batch<const L: usize>(
 }
 
 /// Lane-array table-driven sum-product over checks `check_lo..check_hi`:
-/// the batched counterpart of [`sum_product_table`]. The φ-table gather
-/// is a per-lane scalar lookup (no hardware gather on stable rust), but
-/// the accumulate/scatter arithmetic around it is lane-parallel; each
-/// lane performs exactly the scalar kernel's evaluation order, so lanes
-/// are bit-identical to [`sum_product_table`]. Only the lanes set in
-/// `masks[c]` are looked up and written; the others keep their c2v.
-/// `phis` is scratch of `max_check_degree` lane-array entries.
+/// per edge, one φ-table evaluation on the gather pass (`φ(|m|)`,
+/// floored at [`phi_gather_floor`] and accumulated into the check total)
+/// and one on the scatter pass (`φ(total − φ(|m_j|))`). The φ-table
+/// gather is a per-lane scalar lookup (no hardware gather on stable
+/// rust), but the accumulate/scatter arithmetic around it is
+/// lane-parallel; each lane performs exactly the evaluation order of
+/// [`check_update`](crate::decoder::reference::check_update), so lanes
+/// are bit-identical to it. Only the lanes set in `masks[c]` are looked
+/// up and written; the others keep their c2v. `phis` is scratch of
+/// `max_check_degree` lane-array entries.
+///
+/// The kernel is *accuracy-tested*, not bit-identical, against the exact
+/// rule; see the [`PhiTable`] contract.
 #[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub fn sum_product_table_batch<const L: usize>(
     offsets: &[u32],
@@ -950,8 +691,9 @@ pub fn sum_product_table_batch<const L: usize>(
                     continue;
                 }
                 let m = mj[lane];
-                // Same domain clamp as the scalar kernel: cancellation
-                // can push the extrinsic φ-sum a hair below zero.
+                // Float cancellation can push the extrinsic φ-sum a
+                // hair below zero when one edge dominates; clamp into
+                // the domain.
                 let mag = phi.eval((total[lane] - phis[j][lane]).max(0.0));
                 let sign = if m < 0.0 {
                     -sign_prod[lane]
@@ -974,7 +716,7 @@ pub fn sum_product_table_batch<const L: usize>(
 
 /// Batched v2c (re)initialization: `out[e] = clamp(llr[edge_var[e]])`
 /// for every edge in `edge_var`, the lane-wise channel clamp of the
-/// scalar decoders' message initialization.
+/// decoders' message initialization.
 #[inline(never)]
 pub fn gather_clamp_batch<const L: usize>(
     edge_var: &[u32],
@@ -1110,8 +852,61 @@ pub fn masked_commit_batch<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::reference::check_update;
+    use crate::decoder::{update_checks_batch, CheckRule};
     use rand::Rng;
     use wi_num::rng::seeded_rng;
+
+    /// `rule`'s lane-array kernel over every check of `offsets`, with
+    /// every lane masked in.
+    fn run_rule<const L: usize>(
+        rule: CheckRule,
+        offsets: &[u32],
+        v2c: &[[f64; L]],
+    ) -> Vec<[f64; L]> {
+        let n_checks = offsets.len() - 1;
+        let deg = offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
+        let mut phi = PhiTable::default();
+        if let CheckRule::SumProductTable { bits } = rule {
+            phi.ensure(bits);
+        }
+        let mut c2v = vec![[0.0; L]; v2c.len()];
+        update_checks_batch(
+            offsets,
+            0,
+            n_checks,
+            &vec![u8::MAX; n_checks],
+            rule,
+            &phi,
+            v2c,
+            &mut c2v,
+            &mut vec![[0.0; L]; deg],
+            &mut ExactBatchScratch::new(v2c.len(), deg, L),
+        );
+        c2v
+    }
+
+    /// [`check_update`] on `lane` of every check of `offsets`: what each
+    /// lane of the kernels must equal bit for bit.
+    fn reference_lane<const L: usize>(
+        rule: CheckRule,
+        phi: Option<&PhiTable>,
+        offsets: &[u32],
+        v2c: &[[f64; L]],
+        lane: usize,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; v2c.len()];
+        for w in offsets.windows(2) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            let m: Vec<f64> = v2c[lo..hi].iter().map(|e| e[lane]).collect();
+            check_update(rule, phi, &m, &mut out[lo..hi]);
+        }
+        out
+    }
 
     #[test]
     fn phi_is_its_own_inverse_midrange() {
@@ -1173,15 +968,10 @@ mod tests {
         let floor = phi_gather_floor();
         assert!((floor - 1e-12).abs() < 1e-14, "{floor}");
         let offsets = [0u32, 8];
-        let v2c = [LLR_CLAMP; 8];
-        let phi = PhiTable::new(7);
-        let mut exact = [0.0f64; 8];
-        let mut table = [0.0f64; 8];
-        let mut scratch = [0.0f64; 8];
-        let mut fwd = [0.0f64; 9];
-        sum_product_exact(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
-        sum_product_table(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
-        for (e, t) in exact.iter().zip(&table) {
+        let v2c = [[LLR_CLAMP]; 8];
+        let exact = run_rule(CheckRule::SumProduct, &offsets, &v2c);
+        let table = run_rule(CheckRule::sum_product_table(), &offsets, &v2c);
+        for ([e], [t]) in exact.iter().zip(&table) {
             assert!((e - t).abs() < 0.05, "saturated: exact {e} vs table {t}");
         }
     }
@@ -1205,33 +995,59 @@ mod tests {
         PhiTable::new(32);
     }
 
-    #[test]
-    fn unrolled8_matches_scalar_bit_for_bit() {
-        let mut rng = seeded_rng(7);
-        for _ in 0..500 {
-            let m: Vec<f64> = (0..8)
-                .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * LLR_CLAMP)
-                .collect();
-            let mut fast = [0.0f64; 8];
-            let mut slow = [0.0f64; 8];
-            min_sum_check8_slices(0.8, &m, &mut fast);
-            min_sum_check_scalar(0.8, &m, &mut slow);
-            assert_eq!(fast, slow, "inputs {m:?}");
+    /// Min-sum lanes against [`check_update`] on the degree-8 plus
+    /// degree-5 check pair, bit for bit: a magnitude tied with the
+    /// minimum is also the second minimum, and `±0.0` inputs flip no
+    /// sign.
+    fn assert_min_sum_lanes<const L: usize>(alpha: f64, v2c: &[[f64; L]]) {
+        let rule = CheckRule::MinSum { alpha };
+        let got = run_rule(rule, &MASK_OFFSETS, v2c);
+        for lane in 0..L {
+            let want = reference_lane(rule, None, &MASK_OFFSETS, v2c, lane);
+            for (e, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g[lane].to_bits(),
+                    w.to_bits(),
+                    "α {alpha} e{e} lane {lane}: {v2c:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn unrolled8_handles_ties_like_scalar() {
-        for m in [
-            [1.0, -1.0, 1.0, 2.0, -2.0, 3.0, 1.0, 4.0],
-            [0.0, 0.0, 5.0, 5.0, -0.0, 2.0, 2.0, 2.0],
-            [3.0; 8],
-        ] {
-            let mut fast = [0.0f64; 8];
-            let mut slow = [0.0f64; 8];
-            min_sum_check8(0.75, &m, &mut fast);
-            min_sum_check_scalar(0.75, &m, &mut slow);
-            assert_eq!(fast, slow, "inputs {m:?}");
+    fn min_sum_batch_matches_check_update_on_ties_and_signed_zeros() {
+        let ties = [
+            [
+                1.0, -1.0, 1.0, 2.0, -2.0, 3.0, 1.0, 4.0, 1.0, -1.0, 2.0, 1.0, 5.0,
+            ],
+            [
+                0.0, 0.0, 5.0, 5.0, -0.0, 2.0, 2.0, 2.0, -0.0, 0.0, 3.0, -3.0, 0.0,
+            ],
+            [3.0; 13],
+        ];
+        for alpha in [0.7, 0.75, 0.8, 1.0] {
+            for m in ties {
+                let v2c: Vec<[f64; 1]> = m.iter().map(|&x| [x]).collect();
+                assert_min_sum_lanes(alpha, &v2c);
+            }
+        }
+        // Random messages: three in ten rounded to an integer in −4..=4,
+        // so ties are common, and one in ten a signed zero.
+        let mut rng = seeded_rng(7);
+        let mut draw = || {
+            let m = (rng.gen::<f64>() - 0.5) * 2.0 * LLR_CLAMP;
+            match rng.gen::<f64>() {
+                u if u < 0.1 => 0.0f64.copysign(m),
+                u if u < 0.4 => (m / 8.0).round(),
+                _ => m,
+            }
+        };
+        for case in 0..500 {
+            let alpha = [0.7, 0.8, 1.0][case % 3];
+            let one: Vec<[f64; 1]> = (0..13).map(|_| [draw()]).collect();
+            assert_min_sum_lanes(alpha, &one);
+            let eight: Vec<[f64; 8]> = (0..13).map(|_| core::array::from_fn(|_| draw())).collect();
+            assert_min_sum_lanes(alpha, &eight);
         }
     }
 
@@ -1333,37 +1149,43 @@ mod tests {
     }
 
     #[test]
-    fn exact_batch_writes_each_masked_lane_as_the_scalar_kernel_would() {
-        for seed in [21, 22, 23] {
-            let v2c = exact_edge_messages(seed);
-            // The scalar kernel on each lane's messages.
-            let want: Vec<Vec<f64>> = (0..8)
-                .map(|lane| {
-                    let m: Vec<f64> = v2c.iter().map(|e| e[lane]).collect();
-                    let mut out = vec![0.0; 13];
-                    let (mut tanhs, mut fwd) = ([0.0; 8], [0.0; 9]);
-                    sum_product_exact(&MASK_OFFSETS, 0, 2, &m, &mut out, &mut tanhs, &mut fwd);
-                    out
-                })
-                .collect();
-            let mut scratch = ExactBatchScratch::new(13, 8, 8);
-            for mask in 0..=255u8 {
-                // The degree-5 check takes a different mask, so a call
-                // can gather from one check and not the other.
-                let masks = [mask, mask.rotate_left(3) ^ 0x5a];
-                let mut c2v = vec![[SENTINEL; 8]; 13];
-                sum_product_exact_batch(&MASK_OFFSETS, 0, 2, &masks, &v2c, &mut c2v, &mut scratch);
-                for (e, got) in c2v.iter().enumerate() {
-                    let check_mask = masks[usize::from(e >= 8)];
-                    for (lane, &g) in got.iter().enumerate() {
-                        if (check_mask >> lane) & 1 == 1 {
-                            assert_eq!(
-                                g.to_bits(),
-                                want[lane][e].to_bits(),
-                                "seed {seed} mask {mask:#04x} e{e} lane {lane}"
-                            );
-                        } else {
-                            assert_eq!(g, SENTINEL, "mask {mask:#04x} wrote e{e} lane {lane}");
+    fn exact_and_table_batches_write_each_masked_lane_as_check_update_would() {
+        let phi = PhiTable::new(7);
+        for rule in [CheckRule::SumProduct, CheckRule::sum_product_table()] {
+            for seed in [21, 22, 23] {
+                let v2c = exact_edge_messages(seed);
+                let want: Vec<Vec<f64>> = (0..8)
+                    .map(|lane| reference_lane(rule, Some(&phi), &MASK_OFFSETS, &v2c, lane))
+                    .collect();
+                let mut phis = [[0.0; 8]; 8];
+                let mut scratch = ExactBatchScratch::new(13, 8, 8);
+                for mask in 0..=255u8 {
+                    // The degree-5 check takes a different mask, so a call
+                    // can gather from one check and not the other.
+                    let masks = [mask, mask.rotate_left(3) ^ 0x5a];
+                    let mut c2v = vec![[SENTINEL; 8]; 13];
+                    update_checks_batch(
+                        &MASK_OFFSETS,
+                        0,
+                        2,
+                        &masks,
+                        rule,
+                        &phi,
+                        &v2c,
+                        &mut c2v,
+                        &mut phis,
+                        &mut scratch,
+                    );
+                    for (e, got) in c2v.iter().enumerate() {
+                        let check_mask = masks[usize::from(e >= 8)];
+                        for (lane, &g) in got.iter().enumerate() {
+                            let at =
+                                format!("{rule:?} seed {seed} mask {mask:#04x} e{e} lane {lane}");
+                            if (check_mask >> lane) & 1 == 1 {
+                                assert_eq!(g.to_bits(), want[lane][e].to_bits(), "{at}");
+                            } else {
+                                assert_eq!(g, SENTINEL, "{at} written");
+                            }
                         }
                     }
                 }
@@ -1397,15 +1219,10 @@ mod tests {
         // One degree-5 check, moderate messages: the table kernel's c2v
         // must stay within a few table error bounds of the exact kernel.
         let offsets = [0u32, 5];
-        let v2c = [1.3, -0.7, 2.4, -5.0, 0.9];
-        let mut exact = [0.0f64; 5];
-        let mut table = [0.0f64; 5];
-        let mut scratch = [0.0f64; 5];
-        let mut fwd = [0.0f64; 6];
-        sum_product_exact(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
-        let phi = PhiTable::new(12);
-        sum_product_table(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
-        for (e, t) in exact.iter().zip(&table) {
+        let v2c = [[1.3], [-0.7], [2.4], [-5.0], [0.9]];
+        let exact = run_rule(CheckRule::SumProduct, &offsets, &v2c);
+        let table = run_rule(CheckRule::SumProductTable { bits: 12 }, &offsets, &v2c);
+        for ([e], [t]) in exact.iter().zip(&table) {
             assert!((e - t).abs() < 5e-3, "exact {exact:?} vs table {table:?}");
             assert_eq!(e.signum(), t.signum(), "sign flip");
         }

@@ -17,23 +17,25 @@
 //! * [`gf2`] — the dense GF(2) linear algebra behind the encoder.
 //! * [`decoder`] — flooding belief propagation over the CSR edge layout:
 //!   exact sum-product, table-driven sum-product or hardware-faithful
-//!   normalized min-sum ([`decoder::CheckRule`]), with a reusable
-//!   [`decoder::DecoderWorkspace`] so the hot decode loop performs zero
-//!   heap allocation (the original nested-`Vec` engine survives as
+//!   normalized min-sum ([`decoder::CheckRule`]); a one-frame decode
+//!   reuses a [`decoder::DecoderWorkspace`] and performs zero heap
+//!   allocation (the original nested-`Vec` engine survives as
 //!   [`decoder::reference`], the correctness oracle).
-//! * [`kernel`] — the check-node update kernels behind every rule: the
-//!   exact `tanh`/`atanh` kernel, the φ-table kernel
+//! * [`kernel`] — the lane-array check-node update kernels behind every
+//!   rule: the exact `tanh`/`atanh` kernel, the φ-table kernel
 //!   ([`kernel::PhiTable`]: lookup + linear interpolation + saturation
 //!   tail, accuracy-tested rather than bit-identical) and the min-sum
-//!   kernels with a 4-wide unrolled degree-8 fast path.
+//!   kernel.
 //! * [`window`] — terminated coupled codes and the sliding-window decoder
-//!   of Fig. 9, with structural-latency accounting and its own reusable
-//!   [`window::WindowWorkspace`].
-//! * [`batch`] — inter-frame batched decoding: [`batch::BatchWorkspace`]
-//!   and [`batch::WindowBatchWorkspace`] hold up to 8 frames of message
-//!   state in structure-of-arrays layout so the lane-array kernels
+//!   of Fig. 9, with structural-latency accounting, a reusable
+//!   [`window::WindowWorkspace`] and the naive [`window::reference`]
+//!   oracle.
+//! * [`batch`] — the one decoder engine: [`batch::BatchWorkspace`] and
+//!   [`batch::WindowBatchWorkspace`] hold 1 to 8 frames of message state
+//!   in structure-of-arrays layout so the lane-array kernels
 //!   auto-vectorize the whole decode loop, with per-lane convergence
-//!   masking keeping every lane bit-identical to the scalar decoders.
+//!   masking keeping every lane bit-identical to the oracles. A
+//!   one-frame decode is a one-lane batch.
 //! * [`ber`] — the BER evaluation and required-Eb/N0 search subsystem:
 //!   [`ber::BerTarget`] unifies block and coupled codes behind one
 //!   object-safe Monte-Carlo surface (fanned out over all cores with
@@ -45,37 +47,34 @@
 //!
 //! # Performance
 //!
-//! The CSR engine exists because Fig. 10 is the most compute-heavy result
-//! of the reproduction: each curve point bisects over Monte-Carlo BER
-//! runs, each of which decodes hundreds of frames. Measured on the
-//! paper's n = 200 block code at 3 dB (single core, `benches/kernels.rs`):
+//! The lane engine exists because Fig. 10 is the most compute-heavy
+//! result of the reproduction: each curve point bisects over Monte-Carlo
+//! BER runs, each of which decodes hundreds of frames. The measured
+//! per-rule tables are in `docs/REPRODUCING.md`.
 //!
 //! * **Sum-product** pays a `tanh` per edge and an `atanh` per extrinsic
 //!   message. Approximating them would break bit-identity, so both come
 //!   from [`wi_num::fdlibm`], a branch-free port of glibc's routines that
 //!   equals the host libm bit for bit and runs eight evaluations at a
-//!   time in vector registers. The flat engine evaluates a check's edges
-//!   together (≈ 140 µs per decode against 210–250 µs for the naive
-//!   reference, which evaluates one edge at a time); the batched engine
-//!   gathers every evaluation its masked-in lanes need into dense lists
-//!   (`kernel::sum_product_exact_batch`), so skipped lanes cost no vector
-//!   width; and saturated beliefs skip `tanh`, which lifts the *window*
+//!   time in vector registers. The exact kernel
+//!   (`kernel::sum_product_exact_batch`) gathers every evaluation its
+//!   masked-in lanes need into dense lists, so skipped lanes cost no
+//!   vector width and a one-frame decode runs the port eight edges at a
+//!   time; saturated beliefs skip `tanh`, which lifts the *window*
 //!   decoder, whose pinned blocks always saturate.
 //! * **Table-driven sum-product** breaks the transcendental wall without
 //!   giving up sum-product accuracy: the φ-table kernel
 //!   ([`kernel::PhiTable`]) replaces every `tanh`/`atanh` pair with two
 //!   table interpolations and lands within 0.05 dB of the exact rule on
 //!   the paper's codes (pinned by `tests/phi_table.rs`) at a multiple of
-//!   its speed — see `docs/REPRODUCING.md` for the measured table.
-//! * **Normalized min-sum** eliminates the transcendentals: ≈ 24 µs per
-//!   decode — 1.4× the naive engine running the same min-sum rule and
-//!   **6.4×** the original sum-product decoder this refactor replaced,
-//!   while costing only a fraction of a dB (tracked by the equivalence
-//!   suite). The degree-8 checks of the paper's (4,8)-regular codes take
-//!   a 4-wide unrolled branch-free path ([`kernel::min_sum_unrolled8`]).
-//! * The BER harness fans frames out over all cores with bit-identical
-//!   results at any thread count, for a further ~core-count factor on
-//!   multi-core hosts.
+//!   its speed.
+//! * **Normalized min-sum** eliminates the transcendentals while costing
+//!   only a fraction of a dB (tracked by the equivalence suite); its lane
+//!   kernel is branch-free across lanes, with a fixed-trip-count path for
+//!   the degree-8 checks of the paper's (4,8)-regular codes.
+//! * Batches of up to 8 frames decode in lockstep, and the BER harness
+//!   fans them out over all cores with bit-identical results at any
+//!   thread count, for a further ~core-count factor on multi-core hosts.
 //!
 //! A workspace-wide tour of where this crate sits (and which engines are
 //! pinned to which oracles) is in `docs/ARCHITECTURE.md` at the

@@ -8,10 +8,15 @@
 //! access to the `mcc` previously decided blocks, whose bits enter the
 //! window as saturated LLRs exactly as the decided-symbol feedback in
 //! Fig. 9.
+//!
+//! The decoder runs on the lane engine of [`crate::batch`]: a one-frame
+//! [`WindowDecoder::decode_in_place`] is a one-lane
+//! [`WindowDecoder::decode_batch`]. The plain nested-`Vec` decoder in
+//! [`mod@reference`] is its correctness oracle.
 
+use crate::batch::WindowBatchWorkspace;
 use crate::code::LdpcCode;
-use crate::decoder::{update_checks, BpConfig, BpDecoder, CheckRule, LLR_CLAMP};
-use crate::kernel::PhiTable;
+use crate::decoder::CheckRule;
 use crate::protograph::EdgeSpreading;
 use serde::{Deserialize, Serialize};
 
@@ -119,71 +124,30 @@ pub fn block_latency_bits(lifting: usize, nv: usize, rate: f64) -> f64 {
     lifting as f64 * nv as f64 * rate
 }
 
-/// Reusable flat message state for sliding-window decoding.
-///
-/// Holds per-edge message arrays (indexed by the code's CSR edge layout),
-/// a per-check activation flag standing in for the former
-/// `Option<CheckState>` boxes, and the working LLR/posterior/decision
-/// buffers. Construct once per code shape and reuse across frames:
+/// Reusable state for one-frame window decoding: a one-lane
+/// [`WindowBatchWorkspace`] and the frame's unpacked hard decisions.
+/// Construct once per code shape and reuse across frames:
 /// [`WindowDecoder::decode_in_place`] then runs without heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct WindowWorkspace {
-    /// Variable-to-check message per edge.
-    v2c: Vec<f64>,
-    /// Check-to-variable message per edge.
-    c2v: Vec<f64>,
-    /// Whether each check currently holds valid persisted messages.
-    active: Vec<bool>,
-    /// Working LLRs: channel values with decided blocks pinned.
-    llr: Vec<f64>,
-    /// Posterior per variable for the current window position.
-    posterior: Vec<f64>,
+    /// The lane engine's state at one lane.
+    batch: WindowBatchWorkspace,
     /// Hard decisions per variable.
     hard: Vec<bool>,
-    /// Per-check scratch: `tanh(v2c/2)` (exact sum-product) or
-    /// `φ(|v2c|)` (table rule).
-    scratch: Vec<f64>,
-    /// Sum-product scratch: forward partial products.
-    fwd: Vec<f64>,
-    /// φ lookup table (built lazily, only for the table rule).
-    phi: PhiTable,
 }
 
 impl WindowWorkspace {
     /// Allocates buffers sized for `code`.
     pub fn new(code: &LdpcCode) -> Self {
-        let mut ws = WindowWorkspace::default();
-        ws.ensure(code);
-        ws
-    }
-
-    /// Resizes the buffers for `code` (no-op when already sized).
-    pub fn ensure(&mut self, code: &LdpcCode) {
-        let e = code.num_edges();
-        let n = code.len();
-        let d = code.max_check_degree();
-        self.v2c.resize(e, 0.0);
-        self.c2v.resize(e, 0.0);
-        self.active.resize(code.num_checks(), false);
-        self.llr.resize(n, 0.0);
-        self.posterior.resize(n, 0.0);
-        self.hard.resize(n, false);
-        self.scratch.resize(d, 0.0);
-        self.fwd.resize(d + 1, 1.0);
+        WindowWorkspace {
+            batch: WindowBatchWorkspace::new(code, 1),
+            hard: vec![false; code.len()],
+        }
     }
 
     /// Hard decisions of the last decode (true = bit 1).
     pub fn hard(&self) -> &[bool] {
         &self.hard
-    }
-
-    /// Builds rule-dependent state (the φ table) if `rule` needs it —
-    /// a no-op after the first decode with a given rule. Mirrors
-    /// [`crate::decoder::DecoderWorkspace::ensure_rule`].
-    pub fn ensure_rule(&mut self, rule: CheckRule) {
-        if let CheckRule::SumProductTable { bits } = rule {
-            self.phi.ensure(bits);
-        }
     }
 }
 
@@ -274,6 +238,10 @@ impl WindowDecoder {
     /// workspace is already sized for the code. Read the decisions from
     /// [`WindowWorkspace::hard`].
     ///
+    /// The frame is a one-lane
+    /// [`decode_batch`](WindowDecoder::decode_batch), so it runs the same
+    /// engine as every batched lane.
+    ///
     /// # Panics
     ///
     /// Panics as [`decode`](WindowDecoder::decode) does.
@@ -283,139 +251,136 @@ impl WindowDecoder {
         code: &CoupledCode,
         channel_llr: &[f64],
     ) {
-        let n = code.code().len();
-        assert_eq!(channel_llr.len(), n, "LLR length mismatch");
-        // All fields are public, so re-check the rule here: with_rule
-        // gates the builder path, but direct mutation must not silently
-        // corrupt every message.
-        self.check_rule.validate();
-        let mcc = code.memory();
-        assert!(
-            self.window > mcc,
-            "window {} must exceed the coupling memory {mcc}",
-            self.window
-        );
-        let l = code.num_blocks();
-        let block_checks = code.block_checks();
-        ws.ensure(code.code());
-        ws.ensure_rule(self.check_rule);
-
-        // Working LLRs: raw channel values, with decided blocks overwritten
-        // by saturated pins. Future blocks always enter the window with
-        // their *raw* channel LLRs — feeding posteriors forward as priors
-        // would double-count evidence and entrench errors. New information
-        // instead flows through the retained extrinsic messages.
-        ws.llr.copy_from_slice(channel_llr);
-        ws.hard.fill(false);
-        // Persistent per-check message state (ref [19] scheduling).
-        ws.active.fill(false);
-
-        for t in 0..l {
-            // Check rows t..min(t+W, L+mcc): each check row block i touches
-            // variable blocks max(0, i−mcc)..=min(i, L−1), all inside the
-            // window span [t−mcc, t+W).
-            let check_lo = t * block_checks;
-            let check_hi = ((t + self.window).min(l + mcc)) * block_checks;
-
-            if !self.reuse_messages {
-                ws.active[check_lo..check_hi].fill(false);
-            }
-            self.window_bp(code.code(), check_lo, check_hi, ws);
-
-            // Decide and pin the target block only.
-            for v in code.block_range(t) {
-                ws.hard[v] = ws.posterior[v] < 0.0;
-                ws.llr[v] = if ws.hard[v] { -LLR_CLAMP } else { LLR_CLAMP };
-            }
-        }
-    }
-
-    /// Runs flooding BP restricted to the contiguous check range
-    /// `check_lo..check_hi` over the workspace's channel/pinned LLRs,
-    /// continuing from persisted messages; leaves the full posterior
-    /// vector in `ws.posterior` (entries outside the active checks'
-    /// neighborhood equal the working LLRs).
-    fn window_bp(
-        &self,
-        code: &LdpcCode,
-        check_lo: usize,
-        check_hi: usize,
-        ws: &mut WindowWorkspace,
-    ) {
-        let offsets = code.check_edge_offsets();
-        let edge_var = code.edge_vars();
-
-        // Activate newly entered checks: v2c from the current working
-        // LLRs, c2v cleared.
-        for c in check_lo..check_hi {
-            if !ws.active[c] {
-                ws.active[c] = true;
-                let lo = offsets[c] as usize;
-                let hi = offsets[c + 1] as usize;
-                #[allow(clippy::needless_range_loop)] // e indexes edge_var, v2c and c2v in lockstep
-                for e in lo..hi {
-                    ws.v2c[e] = ws.llr[edge_var[e] as usize].clamp(-LLR_CLAMP, LLR_CLAMP);
-                    ws.c2v[e] = 0.0;
-                }
-            }
-        }
-        let edge_lo = offsets[check_lo] as usize;
-        let edge_hi = offsets[check_hi] as usize;
-
-        // Seed the posterior from the working LLRs so a zero-iteration
-        // decoder (the constructors forbid it, but the field is public)
-        // degrades to channel hard decisions instead of reading stale
-        // workspace state.
-        ws.posterior.copy_from_slice(&ws.llr);
-
-        for _ in 0..self.iterations {
-            update_checks(
-                offsets,
-                check_lo,
-                check_hi,
-                self.check_rule,
-                &ws.phi,
-                &ws.v2c,
-                &mut ws.c2v,
-                &mut ws.scratch,
-                &mut ws.fwd,
-            );
-            // Posterior: channel plus all incoming active check messages.
-            ws.posterior.copy_from_slice(&ws.llr);
-            for (&v, &m) in edge_var[edge_lo..edge_hi]
-                .iter()
-                .zip(&ws.c2v[edge_lo..edge_hi])
-            {
-                ws.posterior[v as usize] += m;
-            }
-            // Variable-to-check messages: extrinsic posterior.
-            #[allow(clippy::needless_range_loop)] // e indexes edge_var, v2c and c2v in lockstep
-            for e in edge_lo..edge_hi {
-                ws.v2c[e] =
-                    (ws.posterior[edge_var[e] as usize] - ws.c2v[e]).clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
-        }
+        ws.batch.ensure(code.code(), 1);
+        ws.batch.set_lane_llr(0, channel_llr);
+        self.decode_batch(&mut ws.batch, code);
+        ws.hard.clear();
+        ws.hard
+            .extend((0..channel_llr.len()).map(|v| ws.batch.hard_bit(v, 0)));
     }
 }
 
-/// Full-sequence BP decoding of the coupled code (the high-latency
-/// alternative the window decoder is compared against).
-pub fn full_bp_decode(code: &CoupledCode, channel_llr: &[f64], iterations: usize) -> Vec<bool> {
-    let decoder = BpDecoder::new(
-        code.code(),
-        BpConfig {
-            max_iterations: iterations,
-            ..BpConfig::default()
-        },
-    );
-    decoder.decode(channel_llr).hard
+/// A plain nested-`Vec` sliding-window decoder, retained as the
+/// correctness oracle for the window decoder.
+///
+/// It holds each check's messages in vectors of its own, allocated when
+/// the window activates the check, and at every window position updates
+/// every check of the window in each of `iterations` iterations through
+/// [`crate::decoder::reference::check_update`]: it skips no check whose
+/// inputs are unchanged and never stops at a fixed point. Each lane of
+/// [`WindowDecoder::decode_batch`], and so [`WindowDecoder::decode`],
+/// must give the same hard decisions bit for bit, under both schedules
+/// and every [`CheckRule`] (pinned by `tests/batch_equivalence.rs` and
+/// tier-1 `tests/contracts.rs`).
+pub mod reference {
+    use super::{CoupledCode, WindowDecoder};
+    use crate::decoder::reference::check_update;
+    use crate::decoder::{CheckRule, LLR_CLAMP};
+    use crate::kernel::PhiTable;
+
+    /// Window-decodes `channel_llr` as `decoder` specifies and returns
+    /// the hard decisions of every code bit (true = bit 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LLR length does not match the code, the check rule
+    /// is invalid, or `decoder.window` does not exceed the coupling
+    /// memory.
+    pub fn decode(decoder: &WindowDecoder, code: &CoupledCode, channel_llr: &[f64]) -> Vec<bool> {
+        let lifted = code.code();
+        let n = lifted.len();
+        assert_eq!(channel_llr.len(), n, "LLR length mismatch");
+        decoder.check_rule.validate();
+        let mcc = code.memory();
+        assert!(
+            decoder.window > mcc,
+            "window {} must exceed the coupling memory {mcc}",
+            decoder.window
+        );
+        let l = code.num_blocks();
+        let block_checks = code.block_checks();
+        let rule = decoder.check_rule;
+        let phi = match rule {
+            CheckRule::SumProductTable { bits } => Some(PhiTable::new(bits)),
+            _ => None,
+        };
+
+        // Working LLRs: the raw channel, with decided blocks overwritten
+        // by saturated pins. Future blocks enter the window with their raw
+        // channel LLRs — feeding posteriors forward as priors would
+        // double-count evidence and entrench errors; new information flows
+        // through the retained extrinsic messages instead.
+        let mut llr = channel_llr.to_vec();
+        let mut hard = vec![false; n];
+        // Each check's (v2c, c2v) messages, `None` until first activated.
+        let mut checks: Vec<Option<(Vec<f64>, Vec<f64>)>> = vec![None; lifted.num_checks()];
+        for t in 0..l {
+            // Check row blocks t..min(t+W, L+mcc): row block i touches
+            // variable blocks max(0, i−mcc)..=min(i, L−1), all inside the
+            // window span [t−mcc, t+W).
+            let rows = t * block_checks..(t + decoder.window).min(l + mcc) * block_checks;
+            for c in rows.clone() {
+                if checks[c].is_none() || !decoder.reuse_messages {
+                    let v2c: Vec<f64> = lifted
+                        .check_neighbors(c)
+                        .iter()
+                        .map(|&v| llr[v as usize].clamp(-LLR_CLAMP, LLR_CLAMP))
+                        .collect();
+                    let c2v = vec![0.0; v2c.len()];
+                    checks[c] = Some((v2c, c2v));
+                }
+            }
+
+            // With no iterations, the decisions are the channel's.
+            let mut posterior = llr.clone();
+            for _ in 0..decoder.iterations {
+                for c in rows.clone() {
+                    let (v2c, c2v) = checks[c].as_mut().expect("window rows are active");
+                    check_update(rule, phi.as_ref(), v2c, c2v);
+                }
+                posterior.copy_from_slice(&llr);
+                for c in rows.clone() {
+                    let (_, c2v) = checks[c].as_ref().expect("window rows are active");
+                    for (&v, &m) in lifted.check_neighbors(c).iter().zip(c2v) {
+                        posterior[v as usize] += m;
+                    }
+                }
+                for c in rows.clone() {
+                    let (v2c, c2v) = checks[c].as_mut().expect("window rows are active");
+                    for ((m, &v), &e) in v2c.iter_mut().zip(lifted.check_neighbors(c)).zip(&*c2v) {
+                        *m = (posterior[v as usize] - e).clamp(-LLR_CLAMP, LLR_CLAMP);
+                    }
+                }
+            }
+
+            // Decide and pin the target block only.
+            for v in code.block_range(t) {
+                hard[v] = posterior[v] < 0.0;
+                llr[v] = if hard[v] { -LLR_CLAMP } else { LLR_CLAMP };
+            }
+        }
+        hard
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::awgn_llrs;
+    use crate::decoder::{awgn_llrs, BpConfig, BpDecoder};
     use wi_num::rng::{seeded_rng, Gaussian};
+
+    /// Full-sequence BP decoding of the coupled code (the high-latency
+    /// alternative the window decoder is compared against).
+    fn full_bp_decode(code: &CoupledCode, channel_llr: &[f64], iterations: usize) -> Vec<bool> {
+        let decoder = BpDecoder::new(
+            code.code(),
+            BpConfig {
+                max_iterations: iterations,
+                ..BpConfig::default()
+            },
+        );
+        decoder.decode(channel_llr).hard
+    }
 
     fn noisy_zero_llrs(code: &CoupledCode, sigma: f64, seed: u64) -> Vec<f64> {
         let mut rng = seeded_rng(seed);

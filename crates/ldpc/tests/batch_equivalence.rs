@@ -1,13 +1,18 @@
-//! Property tests pinning the inter-frame batched decoders to the scalar
-//! paths **bit for bit**: random block and coupled codes, all four check
-//! rules, lane counts {1, 4, 8}, ragged slices at the BER-target level
-//! (lengths up to twice the batch width plus 7, which the targets decode
-//! as full batches plus narrower remainder batches), mixed-convergence
-//! batches where lanes stop at different iterations, and window decodes
-//! long and clean enough that positions reach their fixed point under
-//! both window schedules. The target-level tests compare against a
-//! per-frame `decode_in_place` fold, not against a batch-1 target, since
-//! a batch-1 target runs the one-lane batched engine.
+//! Property tests pinning the lane engine (`wi_ldpc::batch`) to the
+//! naive oracles, `decoder::reference` and `window::reference`, **bit for
+//! bit**: random block and coupled codes, all four check rules, lane
+//! counts {1, 2, 4, 8}, the one-frame decoders (one-lane calls of the
+//! same engine), ragged slices at the BER-target level (lengths up to
+//! twice the batch width plus 7, which the targets decode as full batches
+//! plus narrower remainder batches), mixed-convergence batches where
+//! lanes stop at different iterations and straggling lanes are
+//! re-decoded alone, zero-iteration decodes, and window decodes long and
+//! clean enough that positions reach their fixed point under both window
+//! schedules.
+//!
+//! The `#[ignore]`d `*_sweep` proptests run the per-lane checks on 1000
+//! cases each, with iteration budgets from 0; CI runs them in release
+//! (`cargo test --release -p wi-ldpc -- --ignored`).
 
 use proptest::prelude::*;
 use wi_ldpc::batch::{BatchWorkspace, WindowBatchWorkspace};
@@ -15,8 +20,8 @@ use wi_ldpc::ber::{
     ebn0_db_to_sigma, fill_frame_llrs, BerTarget, BerWorkspace, BlockBerTarget, CoupledBerTarget,
     FrameStats,
 };
-use wi_ldpc::decoder::{BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
-use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use wi_ldpc::decoder::{self, BpConfig, BpDecoder, CheckRule, DecodeResult, DecodeStatus};
+use wi_ldpc::window::{self, CoupledCode, WindowDecoder};
 use wi_ldpc::LdpcCode;
 use wi_num::rng::{seeded_rng, Gaussian};
 
@@ -31,6 +36,13 @@ fn noisy_zero_llrs(n: usize, sigma: f64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// One noisy frame per lane, from consecutive noise seeds.
+fn lane_frames(n: usize, lanes: usize, sigma: f64, noise_seed: u64) -> Vec<Vec<f64>> {
+    (0..lanes)
+        .map(|lane| noisy_zero_llrs(n, sigma, noise_seed + lane as u64))
+        .collect()
+}
+
 fn rule_from_selector(selector: u8) -> CheckRule {
     match selector % 4 {
         0 => CheckRule::SumProduct,
@@ -40,38 +52,121 @@ fn rule_from_selector(selector: u8) -> CheckRule {
     }
 }
 
-/// The lane counts the satellite pins: scalar-width, half and full batch.
+/// Every lane count the engine is compiled for.
 fn lanes_from_selector(selector: u8) -> usize {
-    [1, 4, 8][selector as usize % 3]
+    [1, 2, 4, 8][selector as usize % 4]
 }
 
-/// The scalar oracle of the target-level tests: frames `first..first +
-/// count` at noise level `sigma`, each filled by `fill_frame_llrs` and
-/// decoded alone by `decode`, which returns the frame's bit errors.
-fn scalar_frames(
+/// A window decoder with `window` = mcc + 1 + `window_selector` mod `L`,
+/// i.e. from mcc + 1 up to L + mcc (the last positions then activate no
+/// new rows), and `iterations` set through the public field, so 0 is
+/// reachable.
+fn window_decoder(
+    code: &CoupledCode,
+    window_selector: usize,
+    iterations: usize,
+    reuse: bool,
+    rule: CheckRule,
+) -> WindowDecoder {
+    let window = code.memory() + 1 + window_selector % code.num_blocks();
+    let mut decoder = if reuse {
+        WindowDecoder::with_reuse(window, 1)
+    } else {
+        WindowDecoder::new(window, 1)
+    }
+    .with_rule(rule);
+    decoder.iterations = iterations;
+    decoder
+}
+
+/// Decodes `frames` as one batch and checks every lane's status, hard
+/// decisions and posterior bits against `decoder::reference`, and the
+/// one-frame `decode` of each frame against it too.
+fn check_bp_lanes(
+    code: &LdpcCode,
+    config: BpConfig,
+    frames: &[Vec<f64>],
+) -> Result<(), TestCaseError> {
+    let decoder = BpDecoder::new(code, config);
+    let mut bws = BatchWorkspace::new(code, frames.len());
+    for (lane, llr) in frames.iter().enumerate() {
+        bws.set_lane_llr(lane, llr);
+    }
+    decoder.decode_batch(&mut bws);
+    for (lane, llr) in frames.iter().enumerate() {
+        let want = decoder::reference::decode(code, config, llr);
+        let status = DecodeStatus {
+            iterations: want.iterations,
+            converged: want.converged,
+        };
+        prop_assert_eq!(bws.status(lane), status);
+        for v in 0..code.len() {
+            prop_assert_eq!(bws.hard_bit(v, lane), want.hard[v]);
+            prop_assert_eq!(
+                bws.posterior_at(v, lane).to_bits(),
+                want.posterior[v].to_bits()
+            );
+        }
+        // Posteriors by their bits, so that `-0.0` and `+0.0` differ.
+        let exact = |r: &DecodeResult| {
+            let bits: Vec<u64> = r.posterior.iter().map(|p| p.to_bits()).collect();
+            (r.hard.clone(), bits, r.iterations, r.converged)
+        };
+        prop_assert_eq!(exact(&decoder.decode(llr)), exact(&want));
+    }
+    Ok(())
+}
+
+/// Window-decodes `frames` as one batch and checks every lane's hard
+/// decisions against `window::reference`, and the one-frame `decode` of
+/// each frame against it too.
+fn check_window_lanes(
+    code: &CoupledCode,
+    decoder: &WindowDecoder,
+    frames: &[Vec<f64>],
+) -> Result<(), TestCaseError> {
+    let mut bws = WindowBatchWorkspace::new(code.code(), frames.len());
+    for (lane, llr) in frames.iter().enumerate() {
+        bws.set_lane_llr(lane, llr);
+    }
+    decoder.decode_batch(&mut bws, code);
+    for (lane, llr) in frames.iter().enumerate() {
+        let want = window::reference::decode(decoder, code, llr);
+        for (v, &bit) in want.iter().enumerate() {
+            prop_assert_eq!(bws.hard_bit(v, lane), bit);
+        }
+        prop_assert_eq!(decoder.decode(code, llr), want);
+    }
+    Ok(())
+}
+
+/// The oracle of the target-level tests: frames `first..first + count`
+/// at noise level `sigma`, each filled by `fill_frame_llrs` and decoded
+/// alone by `decode`, which returns the frame's hard decisions.
+fn reference_frames(
     n: usize,
     sigma: f64,
     seed: u64,
     first: u64,
     count: usize,
-    mut decode: impl FnMut(&[f64]) -> u64,
+    decode: impl Fn(&[f64]) -> Vec<bool>,
 ) -> Vec<FrameStats> {
     let mut llr = vec![0.0; n];
     (first..first + count as u64)
         .map(|frame| {
             fill_frame_llrs(&mut llr, sigma, seed, frame);
             let mut stats = FrameStats::default();
-            stats.push_frame(n as u64, decode(&llr));
+            let errors = decode(&llr).iter().filter(|&&b| b).count();
+            stats.push_frame(n as u64, errors as u64);
             stats
         })
         .collect()
 }
 
-/// Checks `target` against the scalar oracle `want` for frames from
-/// `first`: one `eval_frames_each` call over the whole slice, then the
-/// slice cut in two at a point picked by `split_selector` on the same
-/// workspace (so it switches lane widths between calls), then the
-/// `eval_frames` fold.
+/// Checks `target` against the oracle's frames `want` from `first`: one
+/// `eval_frames_each` call over the whole slice, then the slice cut in
+/// two at a point picked by `split_selector` on the same workspace (so it
+/// switches lane widths between calls), then the `eval_frames` fold.
 fn check_target(
     target: &dyn BerTarget,
     ebn0_db: f64,
@@ -106,92 +201,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn batched_bp_matches_scalar_per_lane(
+    fn batched_bp_matches_reference_per_lane(
         lifting in 8usize..32,
         code_seed in 0u64..1000,
         noise_seed in 0u64..1000,
         sigma in 0.5f64..1.2,
         rule_selector in 0u8..4,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
     ) {
         let code = LdpcCode::paper_block(lifting, code_seed);
         let config = BpConfig {
             max_iterations: 30,
             check_rule: rule_from_selector(rule_selector),
         };
-        let decoder = BpDecoder::new(&code, config);
         let lanes = lanes_from_selector(lanes_selector);
-
-        let frames: Vec<Vec<f64>> = (0..lanes)
-            .map(|lane| noisy_zero_llrs(code.len(), sigma, noise_seed + lane as u64))
-            .collect();
-        let mut bws = BatchWorkspace::new(&code, lanes);
-        for (lane, llr) in frames.iter().enumerate() {
-            bws.set_lane_llr(lane, llr);
-        }
-        decoder.decode_batch(&mut bws);
-
-        let mut ws = DecoderWorkspace::new(&code);
-        for (lane, llr) in frames.iter().enumerate() {
-            let status = decoder.decode_in_place(&mut ws, llr);
-            prop_assert_eq!(bws.status(lane), status);
-            for v in 0..code.len() {
-                prop_assert_eq!(bws.hard_bit(v, lane), ws.hard()[v]);
-                prop_assert_eq!(
-                    bws.posterior_at(v, lane).to_bits(),
-                    ws.posterior()[v].to_bits()
-                );
-            }
-        }
+        check_bp_lanes(&code, config, &lane_frames(code.len(), lanes, sigma, noise_seed))?;
     }
 
     #[test]
-    fn batched_window_matches_scalar_per_lane(
+    fn batched_window_matches_reference_per_lane(
         lifting in 6usize..16,
         term_length in 4usize..9,
         code_seed in 0u64..500,
         noise_seed in 0u64..500,
         sigma in 0.45f64..1.1,
         rule_selector in 0u8..4,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
         window_selector in 0usize..64,
         iterations in 8usize..64,
         reuse_selector in 0u8..2,
     ) {
-        // Windows from mcc + 1 up to L + mcc (the last positions then
-        // activate no new rows), and up to 63 iterations, so clean
-        // frames reach the fixed-point exit under both schedules.
+        // Up to 63 iterations, so clean frames reach the fixed-point exit
+        // under both schedules.
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
-        let mcc = code.memory();
-        let window = mcc + 1 + window_selector % term_length;
-        let decoder = if reuse_selector == 1 {
-            WindowDecoder::with_reuse(window, iterations)
-        } else {
-            WindowDecoder::new(window, iterations)
-        }
-        .with_rule(rule_from_selector(rule_selector));
+        let rule = rule_from_selector(rule_selector);
+        let decoder = window_decoder(&code, window_selector, iterations, reuse_selector == 1, rule);
         let lanes = lanes_from_selector(lanes_selector);
-
-        let frames: Vec<Vec<f64>> = (0..lanes)
-            .map(|lane| noisy_zero_llrs(code.code().len(), sigma, noise_seed + lane as u64))
-            .collect();
-        let mut bws = WindowBatchWorkspace::new(code.code(), lanes);
-        for (lane, llr) in frames.iter().enumerate() {
-            bws.set_lane_llr(lane, llr);
-        }
-        decoder.decode_batch(&mut bws, &code);
-
-        let mut ws = WindowWorkspace::new(code.code());
-        for (lane, llr) in frames.iter().enumerate() {
-            decoder.decode_in_place(&mut ws, &code, llr);
-            for v in 0..code.code().len() {
-                prop_assert_eq!(bws.hard_bit(v, lane), ws.hard()[v]);
-            }
-        }
+        let frames = lane_frames(code.code().len(), lanes, sigma, noise_seed);
+        check_window_lanes(&code, &decoder, &frames)?;
     }
 
     #[test]
-    fn batched_block_target_matches_scalar_across_ragged_ranges(
+    fn batched_block_target_matches_reference_across_ragged_ranges(
         lifting in 8usize..24,
         code_seed in 0u64..500,
         seed in 0u64..1000,
@@ -200,11 +251,11 @@ proptest! {
         count_selector in 0usize..1000,
         split_selector in 0usize..1000,
         rule_selector in 0u8..4,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
     ) {
         // Target-level ragged slices: lengths up to 2 × width + 7, so a
         // slice holds full batches plus every narrower remainder width,
-        // must give each frame exactly what the scalar decoder gives it.
+        // must give each frame exactly what the oracle gives it.
         let code = LdpcCode::paper_block(lifting, code_seed);
         let config = BpConfig {
             max_iterations: 25,
@@ -213,18 +264,15 @@ proptest! {
         let lanes = lanes_from_selector(lanes_selector);
         let target = BlockBerTarget::new(&code, config, 0.5).with_batch(lanes);
         let count = 1 + count_selector % (2 * lanes + 7);
-        let decoder = BpDecoder::new(&code, config);
-        let mut ws = DecoderWorkspace::new(&code);
         let sigma = ebn0_db_to_sigma(ebn0_db, 0.5);
-        let want = scalar_frames(code.len(), sigma, seed, first, count, |llr| {
-            decoder.decode_in_place(&mut ws, llr);
-            ws.hard().iter().filter(|&&b| b).count() as u64
+        let want = reference_frames(code.len(), sigma, seed, first, count, |llr| {
+            decoder::reference::decode(&code, config, llr).hard
         });
         check_target(&target, ebn0_db, seed, first, &want, split_selector)?;
     }
 
     #[test]
-    fn batched_coupled_target_matches_scalar_across_ragged_ranges(
+    fn batched_coupled_target_matches_reference_across_ragged_ranges(
         lifting in 6usize..14,
         term_length in 4usize..8,
         code_seed in 0u64..500,
@@ -233,18 +281,16 @@ proptest! {
         count_selector in 0usize..1000,
         split_selector in 0usize..1000,
         rule_selector in 0u8..4,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
     ) {
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
         let decoder = WindowDecoder::new(3, 8).with_rule(rule_from_selector(rule_selector));
         let lanes = lanes_from_selector(lanes_selector);
         let target = CoupledBerTarget::new(&code, decoder).with_batch(lanes);
         let count = 1 + count_selector % (2 * lanes + 7);
-        let mut ws = WindowWorkspace::new(code.code());
         let sigma = ebn0_db_to_sigma(ebn0_db, code.design_rate());
-        let want = scalar_frames(code.code().len(), sigma, seed, 0, count, |llr| {
-            decoder.decode_in_place(&mut ws, &code, llr);
-            ws.hard().iter().filter(|&&b| b).count() as u64
+        let want = reference_frames(code.code().len(), sigma, seed, 0, count, |llr| {
+            window::reference::decode(&decoder, &code, llr)
         });
         check_target(&target, ebn0_db, seed, 0, &want, split_selector)?;
     }
@@ -275,10 +321,9 @@ proptest! {
         shared.ensure(&code_b, 8);
         shared.set_lane_llr(7, &llr_b);
         dec_b.decode_batch(&mut shared);
-        let mut ws = DecoderWorkspace::new(&code_b);
-        dec_b.decode_in_place(&mut ws, &llr_b);
+        let want = decoder::reference::decode(&code_b, config, &llr_b);
         for v in 0..code_b.len() {
-            prop_assert_eq!(shared.hard_bit(v, 7), ws.hard()[v]);
+            prop_assert_eq!(shared.hard_bit(v, 7), want.hard[v]);
         }
         shared.ensure(&code_a, 4);
         shared.set_lane_llr(0, &llr_a);
@@ -286,6 +331,52 @@ proptest! {
         for (v, &bit) in first.iter().enumerate() {
             prop_assert_eq!(shared.hard_bit(v, 0), bit);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    #[ignore = "release-mode oracle sweep: cargo test --release -p wi-ldpc -- --ignored"]
+    fn bp_lanes_match_reference_sweep(
+        lifting in 8usize..32,
+        code_seed in 0u64..1000,
+        noise_seed in 0u64..1000,
+        sigma in 0.5f64..1.2,
+        rule_selector in 0u8..4,
+        lanes_selector in 0u8..4,
+        iterations in 0usize..40,
+    ) {
+        let code = LdpcCode::paper_block(lifting, code_seed);
+        let config = BpConfig {
+            max_iterations: iterations,
+            check_rule: rule_from_selector(rule_selector),
+        };
+        let lanes = lanes_from_selector(lanes_selector);
+        check_bp_lanes(&code, config, &lane_frames(code.len(), lanes, sigma, noise_seed))?;
+    }
+
+    #[test]
+    #[ignore = "release-mode oracle sweep: cargo test --release -p wi-ldpc -- --ignored"]
+    fn window_lanes_match_reference_sweep(
+        lifting in 6usize..16,
+        term_length in 4usize..9,
+        code_seed in 0u64..500,
+        noise_seed in 0u64..500,
+        sigma in 0.45f64..1.1,
+        rule_selector in 0u8..4,
+        lanes_selector in 0u8..4,
+        window_selector in 0usize..64,
+        iterations in 0usize..64,
+        reuse_selector in 0u8..2,
+    ) {
+        let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
+        let rule = rule_from_selector(rule_selector);
+        let decoder = window_decoder(&code, window_selector, iterations, reuse_selector == 1, rule);
+        let lanes = lanes_from_selector(lanes_selector);
+        let frames = lane_frames(code.code().len(), lanes, sigma, noise_seed);
+        check_window_lanes(&code, &decoder, &frames)?;
     }
 }
 
@@ -315,16 +406,22 @@ fn mixed_convergence_batches_freeze_lanes_independently() {
         }
         decoder.decode_batch(&mut bws);
 
-        let mut ws = DecoderWorkspace::new(&code);
         let mut iteration_counts = std::collections::BTreeSet::new();
         for (lane, llr) in frames.iter().enumerate() {
-            let status = decoder.decode_in_place(&mut ws, llr);
-            iteration_counts.insert(status.iterations);
-            assert_eq!(bws.status(lane), status, "{rule:?} lane {lane}");
+            let want = decoder::reference::decode(&code, config, llr);
+            iteration_counts.insert(want.iterations);
+            assert_eq!(
+                bws.status(lane),
+                DecodeStatus {
+                    iterations: want.iterations,
+                    converged: want.converged,
+                },
+                "{rule:?} lane {lane}"
+            );
             for v in 0..code.len() {
                 assert_eq!(
                     bws.posterior_at(v, lane).to_bits(),
-                    ws.posterior()[v].to_bits(),
+                    want.posterior[v].to_bits(),
                     "{rule:?} lane {lane} var {v}"
                 );
             }
@@ -338,7 +435,52 @@ fn mixed_convergence_batches_freeze_lanes_independently() {
 }
 
 #[test]
-fn window_positions_with_masked_out_and_saturated_checks_match_scalar() {
+fn zero_iteration_decodes_return_the_channel_decisions() {
+    // With no iteration budget both decoders return the channel's hard
+    // decisions: BP with 0 iterations and `converged` equal to the
+    // channel syndrome, and the window decoder because each block is
+    // decided from its own channel LLRs. Lane 0 is clean (a zero
+    // syndrome), the other lanes noisy.
+    let block = LdpcCode::paper_block(20, 5);
+    let coupled = CoupledCode::paper_cc(10, 6, 5);
+    for rule in [
+        CheckRule::SumProduct,
+        CheckRule::min_sum(),
+        CheckRule::MinSum { alpha: 0.7 },
+        CheckRule::sum_product_table(),
+    ] {
+        for lanes in [1, 8] {
+            let mut frames = lane_frames(block.len(), lanes, 0.9, 0x2E0);
+            frames[0] = vec![4.0; block.len()];
+            let config = BpConfig {
+                max_iterations: 0,
+                check_rule: rule,
+            };
+            check_bp_lanes(&block, config, &frames).unwrap();
+            for llr in &frames {
+                let got = BpDecoder::new(&block, config).decode(llr);
+                let channel: Vec<bool> = llr.iter().map(|&l| l < 0.0).collect();
+                assert_eq!(got.hard, channel, "{rule:?}");
+                assert_eq!(got.iterations, 0);
+                assert_eq!(got.converged, block.is_codeword(&channel), "{rule:?}");
+            }
+
+            let mut frames = lane_frames(coupled.code().len(), lanes, 0.9, 0x2E1);
+            frames[0] = vec![4.0; coupled.code().len()];
+            for reuse in [false, true] {
+                let decoder = window_decoder(&coupled, 1, 0, reuse, rule);
+                check_window_lanes(&coupled, &decoder, &frames).unwrap();
+                for llr in &frames {
+                    let channel: Vec<bool> = llr.iter().map(|&l| l < 0.0).collect();
+                    assert_eq!(decoder.decode(&coupled, llr), channel, "{rule:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn window_positions_with_masked_out_and_saturated_checks_match_reference() {
     // Channel LLRs beyond the clamp saturate every v2c message of a
     // check over those blocks, so the exact kernel gathers no tanh input
     // for it; once such a check has settled, its inputs stop changing
@@ -378,13 +520,12 @@ fn window_positions_with_masked_out_and_saturated_checks_match_scalar() {
                     bws.set_lane_llr(lane, llr);
                 }
                 decoder.decode_batch(&mut bws, &code);
-                let mut ws = WindowWorkspace::new(code.code());
                 for (lane, llr) in frames.iter().enumerate() {
-                    decoder.decode_in_place(&mut ws, &code, llr);
-                    for v in 0..n {
+                    let want = window::reference::decode(&decoder, &code, llr);
+                    for (v, &bit) in want.iter().enumerate() {
                         assert_eq!(
                             bws.hard_bit(v, lane),
-                            ws.hard()[v],
+                            bit,
                             "{rule:?} mixed {mixed} lane {lane} var {v}"
                         );
                     }

@@ -102,7 +102,7 @@ fn bisection_strategy_reproduces_the_closure_ladder() {
 /// and grid as the CI smoke preset, on miniature codes) must report
 /// byte-identically at every batch width: the batch-1 target decodes
 /// one frame at a time (on the one-lane engine, which
-/// `batch_equivalence.rs` pins to the scalar decoders frame by frame),
+/// `batch_equivalence.rs` pins to the naive oracles frame by frame),
 /// so this is the regression pin that inter-frame batching left every
 /// probe, frame count and estimate of the search untouched.
 #[test]

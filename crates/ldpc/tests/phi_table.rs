@@ -7,7 +7,8 @@
 //! per-evaluation φ error bound, the kernel's sign symmetry and the
 //! table's monotonicity across `bits` settings, (b) bound the per-edge
 //! check-message error against the exact `tanh`/`atanh` kernel in the
-//! decoder's operating regime, and (c) pin the end-to-end
+//! decoder's operating regime (both kernels at one lane, the width a
+//! one-frame decode runs), and (c) pin the end-to-end
 //! `required_ebn0_db` of the table rule to exact sum-product within
 //! 0.05 dB on the paper's block and coupled codes.
 
@@ -19,7 +20,8 @@ use wi_ldpc::ber::{
 };
 use wi_ldpc::decoder::{BpConfig, CheckRule};
 use wi_ldpc::kernel::{
-    min_sum_unrolled8, phi_exact, sum_product_exact, sum_product_table, PhiTable, PHI_X_MAX,
+    phi_exact, sum_product_exact_batch, sum_product_table_batch, ExactBatchScratch, PhiTable,
+    PHI_X_MAX,
 };
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
 use wi_ldpc::LdpcCode;
@@ -28,6 +30,27 @@ use wi_num::rng::seeded_rng;
 /// The `bits` settings the property tests sweep: a coarse table, the
 /// default (7), and finer ones.
 const BITS_SWEEP: [u32; 4] = [3, 5, 7, 9];
+
+/// One check over all of `v2c`'s edges as a one-lane batch, masked in:
+/// the table kernel's c2v messages.
+fn table_c2v(table: &PhiTable, v2c: &[f64]) -> Vec<f64> {
+    let lanes: Vec<[f64; 1]> = v2c.iter().map(|&m| [m]).collect();
+    let mut c2v = vec![[0.0]; v2c.len()];
+    let mut phis = vec![[0.0]; v2c.len()];
+    let offsets = [0, v2c.len() as u32];
+    sum_product_table_batch(&offsets, 0, 1, &[1], table, &lanes, &mut c2v, &mut phis);
+    c2v.as_flattened().to_vec()
+}
+
+/// The exact kernel's c2v messages for one check, as [`table_c2v`].
+fn exact_c2v(v2c: &[f64]) -> Vec<f64> {
+    let lanes: Vec<[f64; 1]> = v2c.iter().map(|&m| [m]).collect();
+    let mut c2v = vec![[0.0]; v2c.len()];
+    let mut scratch = ExactBatchScratch::new(v2c.len(), v2c.len(), 1);
+    let offsets = [0, v2c.len() as u32];
+    sum_product_exact_batch(&offsets, 0, 1, &[1], &lanes, &mut c2v, &mut scratch);
+    c2v.as_flattened().to_vec()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -95,12 +118,8 @@ proptest! {
             .collect();
         let mut flipped = v2c.clone();
         flipped[flip] = -flipped[flip];
-        let offsets = [0u32, deg as u32];
-        let mut out = vec![0.0f64; deg];
-        let mut out_flip = vec![0.0f64; deg];
-        let mut scratch = vec![0.0f64; deg];
-        sum_product_table(&offsets, 0, 1, &table, &v2c, &mut out, &mut scratch);
-        sum_product_table(&offsets, 0, 1, &table, &flipped, &mut out_flip, &mut scratch);
+        let out = table_c2v(&table, &v2c);
+        let out_flip = table_c2v(&table, &flipped);
         for (j, (&o, &f)) in out.iter().zip(&out_flip).enumerate() {
             let expect = if j == flip { o } else { -o };
             prop_assert!(f == expect, "edge {} of {:?}: {} vs {}", j, &v2c, o, f);
@@ -127,13 +146,8 @@ proptest! {
                 if rng.gen::<f64>() < 0.5 { -mag } else { mag }
             })
             .collect();
-        let offsets = [0u32, deg as u32];
-        let mut exact = vec![0.0f64; deg];
-        let mut approx = vec![0.0f64; deg];
-        let mut scratch = vec![0.0f64; deg];
-        let mut fwd = vec![0.0f64; deg + 1];
-        sum_product_exact(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
-        sum_product_table(&offsets, 0, 1, &table, &v2c, &mut approx, &mut scratch);
+        let exact = exact_c2v(&v2c);
+        let approx = table_c2v(&table, &v2c);
         for (j, (&e, &t)) in exact.iter().zip(&approx).enumerate() {
             // Extrinsic φ-sums: what the kernel computed (table) and the
             // true value (exact φ), plus the total gather error budget.
@@ -168,33 +182,6 @@ proptest! {
             );
             prop_assert!(e.signum() == t.signum() || e == 0.0, "sign flip at {}", j);
         }
-    }
-
-    /// The 4-wide unrolled degree-8 min-sum kernel is bit-identical to
-    /// the generic scalar kernel on random degree-8 checks (including
-    /// the tie-handling corner the first-strict-improvement index
-    /// semantics pin down).
-    #[test]
-    fn unrolled8_min_sum_matches_scalar(
-        seed in 0u64..10_000,
-        alpha_sel in 0usize..3,
-    ) {
-        use wi_ldpc::kernel::min_sum_scalar;
-        let alpha = [0.7, 0.8, 1.0][alpha_sel];
-        let mut rng = seeded_rng(seed ^ 0x8888);
-        // Quantize some magnitudes so ties actually occur.
-        let v2c: Vec<f64> = (0..8)
-            .map(|_| {
-                let m = (rng.gen::<f64>() - 0.5) * 60.0;
-                if rng.gen::<f64>() < 0.3 { m.round() } else { m }
-            })
-            .collect();
-        let offsets = [0u32, 8];
-        let mut fast = vec![0.0f64; 8];
-        let mut slow = vec![0.0f64; 8];
-        min_sum_unrolled8(&offsets, 0, 1, alpha, &v2c, &mut fast);
-        min_sum_scalar(&offsets, 0, 1, alpha, &v2c, &mut slow);
-        prop_assert!(fast == slow, "inputs {:?}: {:?} vs {:?}", &v2c, &fast, &slow);
     }
 }
 

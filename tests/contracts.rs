@@ -10,11 +10,12 @@
 //! the same frames on every run at a given worker count (which is what
 //! lets a warm frame cache miss nothing).
 //!
-//! Engine ≡ oracle: each lane of the batched LDPC decoders
-//! (`wi_ldpc::batch`) must equal the scalar decoder on that frame, bit
-//! for bit, including where lanes converge at different iterations and
-//! where a window position stops at its fixed point. The scalar CSR
-//! decoder must equal `decoder::reference`, the arena DES engine must
+//! Engine ≡ oracle: each lane of the LDPC lane engine (`wi_ldpc::batch`)
+//! must equal the naive scalar oracle on that frame (`decoder::reference`
+//! for BP, `window::reference` for the window decoder), bit for bit,
+//! including where lanes converge at different iterations and where a
+//! window position stops at its fixed point. The one-frame decoder must
+//! equal `decoder::reference` too, the arena DES engine must
 //! equal `des::reference` under every routing policy and under faults,
 //! and the table-driven route walk (`Topology::step_link`) must equal
 //! the closed-form icdb route programs (`ExpandedGrid::link_id`).
@@ -27,9 +28,11 @@ use wireless_interconnect::ldpc::ber::{
     FrameStats,
 };
 use wireless_interconnect::ldpc::decoder::{
-    awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace,
+    awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecodeStatus,
 };
-use wireless_interconnect::ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use wireless_interconnect::ldpc::window::{
+    reference as window_reference, CoupledCode, WindowDecoder,
+};
 use wireless_interconnect::ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
 use wireless_interconnect::noc::des::{
     reference as des_reference, sweep_with_threads, DesConfig, Engine, FaultConfig, SweepConfig,
@@ -254,7 +257,6 @@ fn batched_window_decoder_matches_scalar_per_lane() {
     let n = code.code().len();
     let frames = lane_frames(n, 0.5, 0x3A00);
     let mut bws = WindowBatchWorkspace::new(code.code(), 8);
-    let mut ws = WindowWorkspace::new(code.code());
     for rule in RULES {
         for decoder in [WindowDecoder::new(4, 40), WindowDecoder::with_reuse(4, 40)] {
             let decoder = decoder.with_rule(rule);
@@ -263,9 +265,9 @@ fn batched_window_decoder_matches_scalar_per_lane() {
             }
             decoder.decode_batch(&mut bws, &code);
             for (lane, llr) in frames.iter().enumerate() {
-                decoder.decode_in_place(&mut ws, &code, llr);
                 let batched: Vec<bool> = (0..n).map(|v| bws.hard_bit(v, lane)).collect();
-                assert_eq!(batched, ws.hard(), "{decoder:?} lane {lane}");
+                let want = window_reference::decode(&decoder, &code, llr);
+                assert_eq!(batched, want, "{decoder:?} lane {lane}");
             }
         }
     }
@@ -276,25 +278,26 @@ fn batched_bp_decoder_matches_scalar_per_lane() {
     let code = LdpcCode::paper_block(20, 77);
     let frames = lane_frames(code.len(), 0.7, 0x3B00);
     let mut bws = BatchWorkspace::new(&code, 8);
-    let mut ws = DecoderWorkspace::new(&code);
     for rule in RULES {
-        let decoder = BpDecoder::new(
-            &code,
-            BpConfig {
-                max_iterations: 40,
-                check_rule: rule,
-            },
-        );
+        let config = BpConfig {
+            max_iterations: 40,
+            check_rule: rule,
+        };
+        let decoder = BpDecoder::new(&code, config);
         for (lane, llr) in frames.iter().enumerate() {
             bws.set_lane_llr(lane, llr);
         }
         decoder.decode_batch(&mut bws);
         let mut iterations = BTreeSet::new();
         for (lane, llr) in frames.iter().enumerate() {
-            let status = decoder.decode_in_place(&mut ws, llr);
-            iterations.insert(status.iterations);
+            let want = bp_reference::decode(&code, config, llr);
+            iterations.insert(want.iterations);
+            let status = DecodeStatus {
+                iterations: want.iterations,
+                converged: want.converged,
+            };
             assert_eq!(bws.status(lane), status, "{rule:?} lane {lane}");
-            for (v, p) in ws.posterior().iter().enumerate() {
+            for (v, p) in want.posterior.iter().enumerate() {
                 assert_eq!(
                     bws.posterior_at(v, lane).to_bits(),
                     p.to_bits(),

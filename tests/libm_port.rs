@@ -11,7 +11,9 @@
 //! -- --ignored` sweeps 10⁸ points per function).
 
 use wireless_interconnect::ldpc::decoder::LLR_CLAMP;
-use wireless_interconnect::ldpc::kernel::{sum_product_exact, TANH_CLAMP, TANH_SAT};
+use wireless_interconnect::ldpc::kernel::{
+    sum_product_exact_batch, ExactBatchScratch, TANH_CLAMP, TANH_SAT,
+};
 use wireless_interconnect::num::fdlibm;
 
 const CAUSE: &str = "the host libm is not the glibc 2.36 FMA build that the exact \
@@ -203,10 +205,11 @@ fn atanh_port_matches_the_host_libm_on_the_kernel_products() {
     assert_port("atanh", fdlibm::atanh, f64::atanh, &ps);
 }
 
-/// The exact kernel gives the bits of its libm formulation (clamped
-/// `tanh(m/2)`, saturated inputs at `±TANH_CLAMP`, forward/backward
-/// products, clamped `2·atanh`) on checks built around its edges; every
-/// 16th check is fully saturated, which skips `tanh`.
+/// The exact kernel, at the one lane a one-frame decode runs, gives the
+/// bits of its libm formulation (clamped `tanh(m/2)`, saturated inputs
+/// at `±TANH_CLAMP`, forward/backward products, clamped `2·atanh`) on
+/// checks built around its edges; every 16th check is fully saturated,
+/// which skips `tanh`.
 #[test]
 fn exact_kernel_matches_its_libm_formulation() {
     let edges = [
@@ -221,7 +224,8 @@ fn exact_kernel_matches_its_libm_formulation() {
     ];
     let mut state = 0xc4ec;
     let offsets = [0u32, 8];
-    let (mut tanhs, mut fwd, mut got) = ([0.0; 8], [0.0; 9], [0.0; 8]);
+    let mut scratch = ExactBatchScratch::new(8, 8, 1);
+    let mut got = [[0.0]; 8];
     for i in 0..20_000 {
         let m: [f64; 8] = core::array::from_fn(|_| {
             let bits = next(&mut state);
@@ -235,7 +239,15 @@ fn exact_kernel_matches_its_libm_formulation() {
             };
             sign * x
         });
-        sum_product_exact(&offsets, 0, 1, &m, &mut got, &mut tanhs, &mut fwd);
+        sum_product_exact_batch(
+            &offsets,
+            0,
+            1,
+            &[1],
+            &m.map(|x| [x]),
+            &mut got,
+            &mut scratch,
+        );
         let t: Vec<f64> = m
             .iter()
             .map(|&x| {
@@ -246,7 +258,7 @@ fn exact_kernel_matches_its_libm_formulation() {
                 }
             })
             .collect();
-        for (j, &g) in got.iter().enumerate() {
+        for (j, &[g]) in got.iter().enumerate() {
             let forward = t[..j].iter().fold(1.0, |acc, &x| acc * x);
             let backward = t[j + 1..].iter().rev().fold(1.0, |acc, &x| acc * x);
             let want = (2.0 * (forward * backward).atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wi_noc::des::{reference as des_reference, DesConfig, Engine, FaultConfig};
-use wi_noc::icdb::{ClassRouter, ExpandedGrid};
+use wi_noc::icdb::ExpandedGrid;
 use wi_noc::routing::RoutingKind;
 use wi_noc::topology::Topology;
 
@@ -100,13 +100,17 @@ fn bench_des_routing(c: &mut Criterion) {
             wi_noc::routing::RouteTable::with_policy(black_box(&topo), RoutingKind::valiant())
         })
     });
-    // The same table built through the interconnect database's per-class
-    // route programs — the same policy walker and bit-identical output
-    // (pinned by tests), so the gap to the bench above is the per-hop
-    // link lookup: closed-form arithmetic instead of a table read.
+    // The same table built from the expanded grid's closed-form routes —
+    // the same policy walker and bit-identical output (pinned by tests),
+    // so the gap to the bench above is the per-hop link lookup:
+    // closed-form arithmetic instead of a table read.
     c.bench_function("route_class_table_4x4x4_valiant8", |b| {
         b.iter(|| {
-            ClassRouter::new(ExpandedGrid::mesh3d(4, 4, 4), RoutingKind::valiant()).to_route_table()
+            let grid = ExpandedGrid::mesh3d(4, 4, 4);
+            let kind = RoutingKind::valiant();
+            wi_noc::routing::RouteTable::from_routes(&grid.to_topology(), kind, |a, b, c, out| {
+                grid.route_into(kind, a, b, c, out)
+            })
         })
     });
 }
@@ -139,33 +143,25 @@ fn bench_des_vcs(c: &mut Criterion) {
 }
 
 fn bench_icdb(c: &mut Criterion) {
-    // The scalable-topology path: building a database-expanded grid (plus
-    // its class router) must stay O(1) in the node count — these three
-    // benches pin 10^4, 10^5 and the route arithmetic at 10^6 routers.
+    // The scalable-topology path: building an expanded grid must stay
+    // O(1) in the node count — these three benches pin 10^4, 10^5 and the
+    // route arithmetic at 10^6 routers.
     c.bench_function("icdb_build_1e4", |b| {
-        b.iter(|| {
-            let grid = ExpandedGrid::mesh3d(black_box(25), 20, 20);
-            ClassRouter::new(grid, RoutingKind::O1Turn).mem_bytes()
-        })
+        b.iter(|| ExpandedGrid::mesh3d(black_box(25), 20, 20).mem_bytes())
     });
     c.bench_function("icdb_build_1e5", |b| {
-        b.iter(|| {
-            let grid = ExpandedGrid::mesh3d(black_box(50), 50, 40);
-            ClassRouter::new(grid, RoutingKind::O1Turn).mem_bytes()
-        })
+        b.iter(|| ExpandedGrid::mesh3d(black_box(50), 50, 40).mem_bytes())
     });
     // Corner-to-corner route materialization on a million-router grid:
     // 297 closed-form link ids, no table in sight.
-    let router = ClassRouter::new(
-        ExpandedGrid::mesh3d(100, 100, 100),
-        RoutingKind::DimensionOrder,
-    );
+    let grid = ExpandedGrid::mesh3d(100, 100, 100);
     let corner = 100 * 100 * 100 - 1;
     let mut out = Vec::with_capacity(512);
     c.bench_function("icdb_route_1e6", |b| {
         b.iter(|| {
             out.clear();
-            router.route_routers_into(black_box(0), black_box(corner), 0, &mut out);
+            let kind = RoutingKind::DimensionOrder;
+            grid.route_into(kind, black_box(0), black_box(corner), 0, &mut out);
             out.len()
         })
     });

@@ -106,7 +106,7 @@ fn main() {
     if radios > ny {
         die(&format!("--radios {radios} exceeds the board depth y={ny}"));
     }
-    let traffic = traffic_flag();
+    let traffic = traffic_flag(boards * nx * ny * nz);
     let reps = reps_flag(3);
     let mono_policy = match routing_flag() {
         Some(RoutingArg::Policy(k)) => Some(k),

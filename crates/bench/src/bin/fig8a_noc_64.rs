@@ -90,7 +90,8 @@ affects the simulator. Exact recipes: docs/REPRODUCING.md.";
 
 fn main() {
     help_flag(USAGE);
-    let traffic = traffic_flag();
+    // All three Fig. 8a topologies have 64 modules.
+    let traffic = traffic_flag(64);
     let reps = reps_flag(3);
     let routing = routing_flag();
 

@@ -55,6 +55,13 @@ affects the simulator. Exact recipes: docs/REPRODUCING.md.";
 
 fn main() {
     help_flag(USAGE);
+    // The DES runs only the two 512-module meshes.
+    let traffic = traffic_flag(512);
+    let reps = reps_flag(3);
+    let routing = routing_flag();
+    let rates: Vec<f64> =
+        rates_flag().unwrap_or_else(|| (1..=14).map(|k| 0.05 * k as f64).collect());
+
     let params = RouterParams::default();
     let mesh2d_512 = Topology::mesh2d(32, 16);
     let mesh3d_512 = Topology::mesh3d(8, 8, 8);
@@ -65,12 +72,6 @@ fn main() {
     let m3_512 = AnalyticModel::new(&mesh3d_512, params);
     let m2_64 = AnalyticModel::new(&mesh2d_64, params);
     let m3_64 = AnalyticModel::new(&mesh3d_64, params);
-
-    let traffic = traffic_flag();
-    let reps = reps_flag(3);
-    let routing = routing_flag();
-    let rates: Vec<f64> =
-        rates_flag().unwrap_or_else(|| (1..=14).map(|k| 0.05 * k as f64).collect());
 
     // DES sweep template; the measurement window must scale with the
     // module count: warmup and measured packets are *global*, so a fixed

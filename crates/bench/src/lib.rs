@@ -141,16 +141,24 @@ pub fn parse_routing_arg(s: &str) -> Option<RoutingArg> {
     RoutingKind::parse(s).map(RoutingArg::Policy)
 }
 
-/// The shared `--routing` flag, if present. Exits via [`die`] on an
-/// unknown spelling.
+/// The shared `--routing` flag, if present. Exits via [`die`], naming
+/// the value, on an unknown spelling or a policy that parses but is
+/// invalid ([`RoutingKind::problem`], e.g. `valiant:0`).
 pub fn routing_flag() -> Option<RoutingArg> {
     flag_value("--routing").map(|s| {
-        parse_routing_arg(&s).unwrap_or_else(|| {
+        let arg = parse_routing_arg(&s).unwrap_or_else(|| {
             die(&format!(
                 "unknown routing policy {s:?} (try dor, o1turn, valiant[:k], rlb[:k], \
                  adaptive, all)"
             ))
-        })
+        });
+        if let Some(problem) = match arg {
+            RoutingArg::Policy(kind) => kind.problem(),
+            RoutingArg::All => None,
+        } {
+            die(&format!("invalid routing policy {s:?}: {problem}"));
+        }
+        arg
     })
 }
 
@@ -168,18 +176,25 @@ pub fn search_flag() -> SearchStrategy {
     }
 }
 
-/// The shared `--traffic` flag ([`TrafficKind::Uniform`] when absent).
-/// Exits via [`die`] on an unknown spelling.
-pub fn traffic_flag() -> TrafficKind {
-    match flag_value("--traffic") {
-        Some(s) => TrafficKind::parse(&s).unwrap_or_else(|| {
-            die(&format!(
-                "unknown traffic pattern {s:?} (try uniform, hotspot, \
-                 hotspot:<node>:<frac>, transpose, bitrev, neighbor)"
-            ))
-        }),
-        None => TrafficKind::Uniform,
+/// The shared `--traffic` flag ([`TrafficKind::Uniform`] when absent)
+/// of a bin that simulates `modules` modules. Exits via [`die`], naming
+/// the value, on an unknown spelling or a pattern that parses but is
+/// invalid at that size ([`TrafficKind::problem`], e.g. a hotspot node
+/// out of range).
+pub fn traffic_flag(modules: usize) -> TrafficKind {
+    let Some(s) = flag_value("--traffic") else {
+        return TrafficKind::Uniform;
+    };
+    let kind = TrafficKind::parse(&s).unwrap_or_else(|| {
+        die(&format!(
+            "unknown traffic pattern {s:?} (try uniform, hotspot, \
+             hotspot:<node>:<frac>, transpose, bitrev, neighbor)"
+        ))
+    });
+    if let Some(problem) = kind.problem(modules) {
+        die(&format!("invalid traffic pattern {s:?}: {problem}"));
     }
+    kind
 }
 
 /// The shared `--reps` flag (replications per sweep point). Exits via
@@ -333,7 +348,7 @@ FLAGS:
 
     #[test]
     fn absent_shared_flags_take_defaults() {
-        assert_eq!(traffic_flag(), TrafficKind::Uniform);
+        assert_eq!(traffic_flag(64), TrafficKind::Uniform);
         assert_eq!(reps_flag(3), 3);
         assert_eq!(routing_flag(), None);
         assert_eq!(rates_flag(), None);

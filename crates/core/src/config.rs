@@ -15,7 +15,7 @@ use wi_linkbudget::budget::Beamforming;
 use wi_linkbudget::datarate::Polarization;
 use wi_noc::des::traffic::TrafficKind;
 use wi_noc::des::{DesConfig, FaultConfig, ServiceDistribution, SweepConfig};
-use wi_noc::icdb::{ExpandedGrid, HybridBoards};
+use wi_noc::icdb::HybridBoards;
 use wi_noc::routing::RoutingKind;
 use wi_noc::topology::Topology;
 
@@ -72,27 +72,6 @@ impl StackConfig {
             Topology::ciliated_mesh3d(self.cores_x, self.cores_y, self.layers, self.concentration)
         } else {
             Topology::mesh3d(self.cores_x, self.cores_y, self.layers)
-        }
-    }
-
-    /// The intra-stack NoC as a database-expanded grid — the scalable
-    /// counterpart of [`StackConfig::topology`] (same family, same
-    /// dimensions, O(1) memory). `grid().to_topology()` reproduces
-    /// [`StackConfig::topology`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn grid(&self) -> ExpandedGrid {
-        if self.concentration > 1 {
-            ExpandedGrid::ciliated_mesh3d(
-                self.cores_x,
-                self.cores_y,
-                self.layers,
-                self.concentration,
-            )
-        } else {
-            ExpandedGrid::mesh3d(self.cores_x, self.cores_y, self.layers)
         }
     }
 }
@@ -418,6 +397,15 @@ impl SystemConfig {
         if self.link.bandwidth_hz <= 0.0 || self.link.carrier_hz <= 0.0 {
             problems.push("link carrier and bandwidth must be positive".into());
         }
+        // Lifting draws a distinct circulant shift for each parallel
+        // edge, and the protograph's largest multiplicity is B₀'s 2.
+        if self.coding.lifting < 2 {
+            problems.push(format!(
+                "lifting factor {} is below 2, the largest edge multiplicity of the \
+                 protograph (B0 = [2, 2])",
+                self.coding.lifting
+            ));
+        }
         if self.coding.window < 3 {
             problems.push("window must exceed the coupling memory (mcc = 2)".into());
         }
@@ -480,21 +468,22 @@ mod tests {
     }
 
     #[test]
-    fn stack_grid_matches_topology() {
-        for stack in [
-            StackConfig::paper_64(),
-            StackConfig {
-                concentration: 2,
-                ..StackConfig::paper_64()
-            },
-        ] {
-            let grid = stack.grid();
-            assert_eq!(grid.num_modules(), stack.cores());
-            let got = grid.to_topology();
-            let want = stack.topology();
-            assert_eq!(got.kind(), want.kind());
-            assert_eq!(got.links(), want.links());
+    fn lifting_below_the_protograph_multiplicity_is_rejected() {
+        for lifting in [0, 1] {
+            let mut cfg = SystemConfig::paper_default();
+            cfg.coding.lifting = lifting;
+            let problems = cfg.validate();
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(
+                problems[0].contains(&format!("lifting factor {lifting} is below 2")),
+                "{problems:?}"
+            );
         }
+        // The smallest valid lifting builds its code.
+        let mut cfg = SystemConfig::paper_default();
+        cfg.coding.lifting = 2;
+        assert!(cfg.validate().is_empty(), "{:?}", cfg.validate());
+        assert_eq!(cfg.coding.coupled_code().lifting(), 2);
     }
 
     #[test]

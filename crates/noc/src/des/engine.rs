@@ -323,7 +323,7 @@ impl Engine {
     }
 
     /// Builds an engine around a prebuilt route table — the entry point
-    /// for database-expanded grids ([`crate::icdb`]) and irregular
+    /// for expanded grids ([`crate::icdb`]) and irregular
     /// topologies whose tables come from [`RouteTable::from_routes`]
     /// rather than the mesh policy programs.
     ///
@@ -840,8 +840,9 @@ mod tests {
     fn with_table_matches_with_routing_bit_for_bit() {
         // An engine around an icdb table reads the CSR; one without steps
         // route programs. Same routes, same runs.
-        use crate::icdb::{ClassRouter, ExpandedGrid};
+        use crate::icdb::ExpandedGrid;
         let topo = Topology::mesh3d(3, 3, 3);
+        let grid = ExpandedGrid::mesh3d(3, 3, 3);
         for routing in POLICIES {
             let cfg = DesConfig {
                 routing,
@@ -849,8 +850,9 @@ mod tests {
                 measured_packets: 2_000,
                 ..DesConfig::default()
             };
-            let table = ClassRouter::new(ExpandedGrid::mesh3d(3, 3, 3), routing).to_route_table();
-            let table = Arc::new(table);
+            let table = Arc::new(RouteTable::from_routes(&topo, routing, |a, b, c, out| {
+                grid.route_into(routing, a, b, c, out)
+            }));
             assert_eq!(
                 Engine::with_table(&topo, table).run(&cfg),
                 Engine::with_routing(&topo, routing).run(&cfg),

@@ -388,7 +388,8 @@ mod tests {
         // prototype built from the topology must reproduce `sweep`
         // exactly — including around a prebuilt table (the icdb /
         // hybrid-board path).
-        use crate::icdb::{ClassRouter, ExpandedGrid};
+        use crate::icdb::ExpandedGrid;
+        use crate::routing::RouteTable;
         use std::sync::Arc;
         let topo = Topology::mesh3d(3, 3, 2);
         let cfg = SweepConfig::new(
@@ -402,8 +403,10 @@ mod tests {
         let want = sweep(&topo, &cfg);
         let proto = Engine::with_routing(&topo, RoutingKind::O1Turn);
         assert_eq!(sweep_engine(&proto, &cfg), want);
-        let grid = ExpandedGrid::mesh3d(3, 3, 2);
-        let table = Arc::new(ClassRouter::new(grid, RoutingKind::O1Turn).to_route_table());
+        let (grid, kind) = (ExpandedGrid::mesh3d(3, 3, 2), RoutingKind::O1Turn);
+        let table = Arc::new(RouteTable::from_routes(&topo, kind, |a, b, c, out| {
+            grid.route_into(kind, a, b, c, out)
+        }));
         let tabled = Engine::with_table(&topo, table);
         assert_eq!(sweep_engine_with_threads(&tabled, &cfg, 4), want);
     }

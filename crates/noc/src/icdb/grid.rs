@@ -1,28 +1,27 @@
-//! The expanded grid: a mesh described by database classes + dimensions,
-//! in O(1) memory.
+//! The expanded grid: a mesh described by its dimensions alone, in O(1)
+//! memory.
 //!
 //! An [`ExpandedGrid`] is the scalable counterpart of
 //! [`crate::topology::Topology`]: it answers the same queries — router
-//! raster, coordinates, link ids, per-link classes — from closed-form
-//! arithmetic over `(dims, tile class)` instead of materialized `Vec`s,
-//! so a 10⁶-router grid costs the same few hundred bytes as a 4×4.
-//! [`ExpandedGrid::to_topology`] is the one mesh link builder — the
-//! regular [`Topology`] constructors call it — and the closed-form
-//! link-id arithmetic reproduces its list order exactly (pinned by tests
-//! here, by the topology's unit-step table and by the route-table
-//! proptest). The numbering scheme itself is derived in
+//! raster, coordinates, link ids, per-link classes, link counts, policy
+//! routes — from closed-form arithmetic over the coordinates instead of
+//! materialized `Vec`s, so a 10⁶-router grid costs the same few words as
+//! a 4×4. `mesh_links` is the one raster link builder — behind
+//! [`ExpandedGrid::to_topology`], and so every regular [`Topology`]
+//! constructor, as well as the hybrid boards and the pillar meshes — and
+//! the closed-form link-id arithmetic reproduces its list order exactly
+//! (pinned by tests here, by the topology's unit-step table and by the
+//! route-table proptest). The numbering scheme itself is derived in
 //! `docs/TOPOLOGY.md`.
 
-use super::db::{AxisPorts, InterconnectDb, LinkClassId, Placement, TileClassId};
+use super::{LinkClass, Placement};
+use crate::routing::{walk_route, RoutingKind, Step};
 use crate::topology::{Link, Topology, TopologyKind};
-use std::sync::Arc;
 
-/// A mesh-family grid expanded from an [`InterconnectDb`] by dimensions
-/// alone. Cheap to clone (an [`Arc`] and four words); no per-router or
-/// per-link storage.
+/// A mesh-family grid described by its dimensions alone: no per-router
+/// or per-link storage.
 #[derive(Clone, Debug)]
 pub struct ExpandedGrid {
-    db: Arc<InterconnectDb>,
     kind: TopologyKind,
     dims: [usize; 3],
     concentration: usize,
@@ -34,8 +33,8 @@ impl ExpandedGrid {
             dims.iter().all(|&d| d > 0),
             "all dimensions must be positive, got {dims:?}"
         );
+        assert!(concentration > 0, "concentration must be positive");
         ExpandedGrid {
-            db: InterconnectDb::mesh_family(concentration),
             kind,
             dims,
             concentration,
@@ -60,11 +59,6 @@ impl ExpandedGrid {
     /// Expanded counterpart of [`Topology::ciliated_mesh3d`].
     pub fn ciliated_mesh3d(x: usize, y: usize, z: usize, concentration: usize) -> Self {
         Self::new(TopologyKind::CiliatedMesh3D, [x, y, z], concentration)
-    }
-
-    /// The shared interconnect database.
-    pub fn db(&self) -> &Arc<InterconnectDb> {
-        &self.db
     }
 
     /// Topology family.
@@ -137,31 +131,6 @@ impl ExpandedGrid {
         m / self.concentration
     }
 
-    /// Port state of the tile at `coord` along `axis` — pure arithmetic
-    /// on the coordinate's position within the axis extent.
-    pub fn axis_ports(&self, coord: [usize; 3], axis: usize) -> AxisPorts {
-        let d = self.dims[axis];
-        let c = coord[axis];
-        if d == 1 {
-            AxisPorts::None
-        } else if c == 0 {
-            AxisPorts::PosOnly
-        } else if c == d - 1 {
-            AxisPorts::NegOnly
-        } else {
-            AxisPorts::Both
-        }
-    }
-
-    /// Tile class instantiated at `coord`.
-    pub fn tile_class(&self, coord: [usize; 3]) -> TileClassId {
-        InterconnectDb::tile_class_id([
-            self.axis_ports(coord, 0),
-            self.axis_ports(coord, 1),
-            self.axis_ports(coord, 2),
-        ])
-    }
-
     /// Whether the router at `coord` sits on the grid boundary — the
     /// same predicate the fault layer's edge/center link classes use
     /// (`crate::des::fault`), with a flat z axis never counting.
@@ -174,13 +143,14 @@ impl ExpandedGrid {
     /// is consulted, yet the id equals the link's position in
     /// [`ExpandedGrid::to_topology`]'s list.
     ///
-    /// `to_topology` visits routers in raster order, pushing a
-    /// forward/reverse pair per present positive port in axis order, so
-    /// the id is `2 ·` (positive-port pairs of all earlier routers) `+
-    /// 2 ·` (this tile's earlier-axis pairs, from the tile class's slot
-    /// table), `+ 1` for the reverse member. Prefix counts per axis have
-    /// the closed forms below (complete lines/planes plus a clamped
-    /// partial remainder); see `docs/TOPOLOGY.md` for the derivation.
+    /// `mesh_links` visits routers in raster order, pushing a
+    /// forward/reverse pair per present positive neighbor in axis order,
+    /// so the id is `2 ·` (positive pairs of all earlier routers) `+ 2 ·`
+    /// (this router's pairs along lower axes: the lower axes `a` with
+    /// `coord[a] + 1 < dims[a]`), `+ 1` for the reverse member. Prefix
+    /// counts per axis have the closed forms below (complete
+    /// lines/planes plus a clamped partial remainder); see
+    /// `docs/TOPOLOGY.md` for the derivation.
     ///
     /// # Panics
     ///
@@ -202,30 +172,29 @@ impl ExpandedGrid {
         }
         let [nx, ny, nz] = self.dims;
         let idx = self.router_at(coord);
-        // Positive-port pairs owned by routers before `idx` in raster
-        // order, per axis.
+        assert!(
+            coord[axis] + 1 < self.dims[axis],
+            "no positive-{axis} neighbor at {coord:?} in {:?}",
+            self.dims
+        );
+        // Positive pairs owned by routers before `idx` in raster order,
+        // per axis.
         let px = (idx / nx) * (nx - 1) + (idx % nx).min(nx - 1);
         let py = (idx / (nx * ny)) * nx * (ny - 1) + (idx % (nx * ny)).min(nx * (ny - 1));
         let pz = idx.min(nx * ny * (nz - 1));
-        let tile = &self.db.tile_classes()[self.tile_class(coord)];
-        let slot = tile.pos_pair_slot(axis).unwrap_or_else(|| {
-            panic!(
-                "no positive-{axis} neighbor at {coord:?} in {:?}",
-                self.dims
-            )
-        });
+        let slot = (0..axis).filter(|&a| coord[a] + 1 < self.dims[a]).count();
         2 * (px + py + pz + slot)
     }
 
     /// Link class of the directed link from `coord` in direction
-    /// `positive` along `axis`: edge placement when either endpoint is
-    /// on the boundary, matching the fault layer's
+    /// `positive` along `axis`: a neighbor wire, with edge placement when
+    /// either endpoint is on the boundary, matching the fault layer's
     /// `crate::des::fault::is_edge_link`.
     ///
     /// # Panics
     ///
     /// See [`ExpandedGrid::link_id`].
-    pub fn link_class(&self, coord: [usize; 3], axis: usize, positive: bool) -> LinkClassId {
+    pub fn link_class(&self, coord: [usize; 3], axis: usize, positive: bool) -> LinkClass {
         let mut neighbor = coord;
         if positive {
             assert!(
@@ -242,83 +211,115 @@ impl ExpandedGrid {
             );
             neighbor[axis] -= 1;
         }
-        let placement = if self.is_boundary(coord) || self.is_boundary(neighbor) {
-            Placement::Edge
-        } else {
-            Placement::Center
+        LinkClass::wire(axis, placement(self.dims, coord, neighbor))
+    }
+
+    /// Directed-link count per link class in census order (see
+    /// [`LinkClass`]), classes without links left out — in closed form
+    /// like every other query. A pair along `axis` is center when both
+    /// endpoints are interior: its lower coordinate on `axis` is one of
+    /// the `d − 3` positions clear of both ends, and its other
+    /// coordinates are interior on their axes.
+    pub fn link_census(&self) -> Vec<(LinkClass, usize)> {
+        let dims = self.dims;
+        // Interior positions per axis; a flat z axis is never boundary.
+        let interior = |a: usize| match a {
+            2 if dims[2] == 1 => 1,
+            _ => dims[a].saturating_sub(2),
         };
-        InterconnectDb::wired_link_class(axis, placement)
-    }
-
-    /// Directed-link count per link class, by enumerating neighbor pairs
-    /// (O(routers) — the one deliberately non-closed-form query; used by
-    /// reporting, not by any hot path).
-    pub fn link_census(&self) -> Vec<(LinkClassId, usize)> {
-        let mut counts = vec![0usize; self.db.link_classes().len()];
-        let [nx, ny, nz] = self.dims;
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let coord = [x, y, z];
-                    for axis in 0..3 {
-                        if coord[axis] + 1 < self.dims[axis] {
-                            // Forward + reverse member of the pair.
-                            counts[self.link_class(coord, axis, true)] += 2;
-                        }
-                    }
+        let mut census = Vec::new();
+        for axis in 0..3 {
+            let [b, c] = [(axis + 1) % 3, (axis + 2) % 3];
+            let pairs = (dims[axis] - 1) * dims[b] * dims[c];
+            let center = dims[axis].saturating_sub(3) * interior(b) * interior(c);
+            let edge = pairs - center;
+            for (placement, n) in [(Placement::Edge, edge), (Placement::Center, center)] {
+                if n > 0 {
+                    census.push((LinkClass::wire(axis, placement), 2 * n));
                 }
             }
         }
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .collect()
+        census
     }
 
-    /// Materializes the grid as a [`Topology`] — the one mesh link
-    /// builder: [`Topology::mesh3d`] and its siblings call it. Routers
-    /// in raster order, each pushing a forward/reverse pair per present
-    /// positive port in axis order, so every link's position in the
-    /// list is the closed-form [`ExpandedGrid::link_id`] (pinned by
-    /// tests against an independent raster-loop oracle). It costs
-    /// O(routers + links), so reserve it for grids small enough to
-    /// simulate.
+    /// Appends the link ids of route `choice` of `kind` from router `src`
+    /// to router `dst` to `out`: the crate's one policy walker
+    /// ([`walk_route`]) with each unit step's id from
+    /// [`ExpandedGrid::link_id`], so no table or topology is built.
+    /// Same-router pairs append nothing, and the link sequence equals
+    /// [`crate::routing::policy_route_routers`]`(topo, kind, src, dst,
+    /// choice).links` on the materialized topology (pinned by tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a router or the choice is out of range.
+    pub fn route_into(
+        &self,
+        kind: RoutingKind,
+        src: usize,
+        dst: usize,
+        choice: usize,
+        out: &mut Vec<u32>,
+    ) {
+        let link_id = |s: Step| Some(self.link_id(s.coord, s.axis, s.positive));
+        walk_route(self.dims, kind, src, dst, choice, link_id, out)
+            .expect("closed-form link ids resolve every in-grid step");
+    }
+
+    /// Materializes the grid as a [`Topology`] through `mesh_links`,
+    /// so every link's position in the list is the closed-form
+    /// [`ExpandedGrid::link_id`] (pinned by tests against an independent
+    /// raster-loop oracle). It costs O(routers + links), so reserve it
+    /// for grids small enough to simulate.
     pub fn to_topology(&self) -> Topology {
-        let [nx, ny, nz] = self.dims;
-        let mut links = Vec::with_capacity(self.num_links());
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let here = [x, y, z];
-                    let src = self.router_at(here);
-                    for axis in 0..3 {
-                        if here[axis] + 1 < self.dims[axis] {
-                            let mut n = here;
-                            n[axis] += 1;
-                            let dst = self.router_at(n);
-                            links.push(Link { src, dst });
-                            links.push(Link { src: dst, dst: src });
-                        }
-                    }
-                }
-            }
-        }
+        let links = mesh_links(self.dims, |_, _| true);
         Topology::from_links(self.kind, self.dims, self.concentration, links)
     }
 
-    /// Resident bytes of the grid including its share of the database —
-    /// independent of `dims`, which the memory-model test pins.
+    /// Resident bytes of the grid — independent of `dims`, which the
+    /// memory-model test pins.
     pub fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.db.mem_bytes()
+        std::mem::size_of::<Self>()
     }
+}
+
+/// The directed link list of a `dims` raster — the crate's one mesh link
+/// builder, behind [`ExpandedGrid::to_topology`],
+/// [`HybridBoards::new`](crate::icdb::HybridBoards::new) and
+/// [`PillarMesh3d::new`](crate::irregular::PillarMesh3d::new). Routers
+/// are visited in raster order, and each pushes, for every axis in x, y,
+/// z order whose `+1` neighbor exists and passes `keep(coord, axis)`,
+/// the forward link and then its reverse. With every pair kept this is
+/// the list [`ExpandedGrid::link_id`] numbers; a layout that drops pairs
+/// keeps the rest in the same order.
+pub(crate) fn mesh_links(dims: [usize; 3], keep: impl Fn([usize; 3], usize) -> bool) -> Vec<Link> {
+    let [nx, ny, nz] = dims;
+    let stride = [1, nx, nx * ny];
+    let mut links = Vec::new();
+    let mut src = 0;
+    for z in 0..nz {
+        for y in 0..ny {
+            for x in 0..nx {
+                let coord = [x, y, z];
+                for axis in 0..3 {
+                    if coord[axis] + 1 < dims[axis] && keep(coord, axis) {
+                        let dst = src + stride[axis];
+                        links.push(Link { src, dst });
+                        links.push(Link { src: dst, dst: src });
+                    }
+                }
+                src += 1;
+            }
+        }
+    }
+    links
 }
 
 /// Whether `coord` lies on the boundary of a `dims` grid, a flat z axis
 /// never counting — the one boundary predicate behind every edge/center
-/// link classification: [`ExpandedGrid::is_boundary`],
-/// `crate::des::fault::is_edge_link` and
-/// [`HybridBoards::link_class`](crate::icdb::HybridBoards::link_class).
+/// link classification: [`placement`] (so [`ExpandedGrid::link_class`]
+/// and [`HybridBoards::link_class`](crate::icdb::HybridBoards::link_class))
+/// and `crate::des::fault::is_edge_link`.
 pub(crate) fn is_boundary(dims: [usize; 3], coord: [usize; 3]) -> bool {
     let [nx, ny, nz] = dims;
     coord[0] == 0
@@ -328,10 +329,22 @@ pub(crate) fn is_boundary(dims: [usize; 3], coord: [usize; 3]) -> bool {
         || (nz > 1 && (coord[2] == 0 || coord[2] + 1 == nz))
 }
 
+/// Placement of a link between `a` and `b` in a `dims` grid: edge when
+/// either endpoint is on the boundary ([`is_boundary`]).
+pub(crate) fn placement(dims: [usize; 3], a: [usize; 3], b: [usize; 3]) -> Placement {
+    if is_boundary(dims, a) || is_boundary(dims, b) {
+        Placement::Edge
+    } else {
+        Placement::Center
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{policy_route_routers, RouteTable};
     use crate::topology::Router;
+    use std::collections::BTreeMap;
 
     /// The raster loop the regular `Topology` builders ran before they
     /// became [`ExpandedGrid::to_topology`]: routers z-major, and per
@@ -403,6 +416,24 @@ mod tests {
             ExpandedGrid::mesh3d(8, 8, 8),
             ExpandedGrid::mesh3d(5, 3, 2),
             ExpandedGrid::ciliated_mesh3d(4, 4, 2, 2),
+        ]
+    }
+
+    /// The all-pairs table built from the grid's closed-form routes.
+    fn closed_form_table(grid: &ExpandedGrid, kind: RoutingKind) -> RouteTable {
+        RouteTable::from_routes(&grid.to_topology(), kind, |a, b, c, out| {
+            grid.route_into(kind, a, b, c, out)
+        })
+    }
+
+    fn kinds() -> [RoutingKind; 6] {
+        [
+            RoutingKind::DimensionOrder,
+            RoutingKind::O1Turn,
+            RoutingKind::valiant(),
+            RoutingKind::Valiant { choices: 3 },
+            RoutingKind::RlbValiant { choices: 3 },
+            RoutingKind::Adaptive,
         ]
     }
 
@@ -499,23 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_classes_match_coordinate_positions() {
-        let grid = ExpandedGrid::mesh3d(4, 4, 4);
-        let db = grid.db();
-        let interior = &db.tile_classes()[grid.tile_class([2, 2, 2])];
-        assert_eq!(interior.name, "T_iii");
-        assert_eq!(interior.degree(), 6);
-        let corner = &db.tile_classes()[grid.tile_class([0, 0, 0])];
-        assert_eq!(corner.name, "T_lll");
-        assert_eq!(corner.degree(), 3);
-        let flat = ExpandedGrid::mesh2d(4, 4);
-        assert_eq!(
-            flat.db().tile_classes()[flat.tile_class([1, 1, 0])].name,
-            "T_iif"
-        );
-    }
-
-    #[test]
     fn census_sums_to_link_count_and_classifies_edges() {
         for grid in [ExpandedGrid::mesh2d(8, 8), ExpandedGrid::mesh3d(4, 4, 4)] {
             let census = grid.link_census();
@@ -525,13 +539,39 @@ mod tests {
         // A 3×3 2D mesh has a single interior router, so every link
         // touches the boundary: census must be all-edge.
         let tiny = ExpandedGrid::mesh2d(3, 3);
-        for (id, _) in tiny.link_census() {
-            assert_eq!(
-                tiny.db().link_classes()[id].placement,
-                Placement::Edge,
-                "{}",
-                tiny.db().link_classes()[id].name
-            );
+        for (class, _) in tiny.link_census() {
+            assert_eq!(class.placement, Placement::Edge, "{}", class.name());
+        }
+    }
+
+    #[test]
+    fn census_counts_the_classes_of_the_materialized_links() {
+        // The closed-form census against a count of `link_class` over
+        // every directed link of the materialized list, on grids with
+        // flat, two-wide and interior-bearing axes.
+        for [x, y, z] in [
+            [1, 1, 1],
+            [2, 1, 1],
+            [3, 3, 1],
+            [6, 5, 1],
+            [2, 2, 2],
+            [4, 3, 2],
+            [5, 4, 3],
+            [6, 5, 4],
+            [1, 7, 5],
+        ] {
+            let grid = ExpandedGrid::mesh3d(x, y, z);
+            let topo = grid.to_topology();
+            let mut counts = BTreeMap::new();
+            for l in topo.links() {
+                let (a, b) = (topo.coord(l.src), topo.coord(l.dst));
+                let axis = (0..3).find(|&i| a[i] != b[i]).unwrap();
+                *counts
+                    .entry(grid.link_class(a, axis, b[axis] > a[axis]))
+                    .or_insert(0) += 1;
+            }
+            let want: Vec<(LinkClass, usize)> = counts.into_iter().collect();
+            assert_eq!(grid.link_census(), want, "{:?}", grid.dims());
         }
     }
 
@@ -540,7 +580,7 @@ mod tests {
         let small = ExpandedGrid::mesh3d(10, 10, 10);
         let large = ExpandedGrid::mesh3d(100, 100, 100);
         assert_eq!(small.mem_bytes(), large.mem_bytes());
-        // 10⁶ routers, 5.94·10⁶ directed links — described in a few KiB.
+        // 10⁶ routers, 5.94·10⁶ directed links — described in a few words.
         assert_eq!(large.num_routers(), 1_000_000);
         assert_eq!(large.num_links(), 2 * 3 * 99 * 100 * 100);
         assert!(large.mem_bytes() < 16 * 1024, "{}", large.mem_bytes());
@@ -550,5 +590,101 @@ mod tests {
     #[should_panic(expected = "no positive-0 neighbor")]
     fn absent_port_panics() {
         ExpandedGrid::mesh2d(2, 2).link_id([1, 0, 0], 0, true);
+    }
+
+    #[test]
+    fn route_programs_match_policy_walker_link_for_link() {
+        for grid in [ExpandedGrid::mesh2d(4, 3), ExpandedGrid::mesh3d(3, 2, 2)] {
+            let topo = grid.to_topology();
+            for kind in kinds() {
+                let mut got = Vec::new();
+                for s in 0..grid.num_routers() {
+                    for d in 0..grid.num_routers() {
+                        for c in 0..kind.choices() {
+                            got.clear();
+                            grid.route_into(kind, s, d, c, &mut got);
+                            let want: Vec<u32> = policy_route_routers(&topo, kind, s, d, c)
+                                .links
+                                .iter()
+                                .map(|&l| l as u32)
+                                .collect();
+                            assert_eq!(got, want, "{} ({s},{d},{c})", kind.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn materialized_tables_are_bit_identical_to_legacy() {
+        // The fig8a configurations (8×8 mesh2d, 4×4×4 mesh3d) under all
+        // six policies; fig8b scale is covered DOR-only below.
+        for grid in [ExpandedGrid::mesh2d(8, 8), ExpandedGrid::mesh3d(4, 4, 4)] {
+            let topo = grid.to_topology();
+            for kind in kinds() {
+                assert_eq!(
+                    closed_form_table(&grid, kind),
+                    RouteTable::with_policy(&topo, kind),
+                    "{} on {:?}",
+                    kind.name(),
+                    grid.dims()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn materialized_tables_match_at_fig8b_scale() {
+        for grid in [ExpandedGrid::mesh2d(32, 16), ExpandedGrid::mesh3d(8, 8, 8)] {
+            let topo = grid.to_topology();
+            let kind = RoutingKind::DimensionOrder;
+            assert_eq!(
+                closed_form_table(&grid, kind),
+                RouteTable::with_policy(&topo, kind)
+            );
+        }
+    }
+
+    #[test]
+    fn router_memory_is_independent_of_grid_and_choices() {
+        // A route needs nothing but the grid: the 64-choice Valiant
+        // routes of a 10⁶-router grid come from the same bytes as a
+        // 10³-router grid, where the CSR would need ≥ 8·10¹² offset
+        // bytes.
+        let small = ExpandedGrid::mesh3d(10, 10, 10);
+        let large = ExpandedGrid::mesh3d(100, 100, 100);
+        assert_eq!(small.mem_bytes(), large.mem_bytes());
+        let kind = RoutingKind::Valiant { choices: 64 };
+        let mut links = Vec::new();
+        large.route_into(kind, 0, large.num_routers() - 1, 63, &mut links);
+        let n = large.num_links() as u32;
+        assert!(!links.is_empty() && links.iter().all(|&l| l < n));
+    }
+
+    #[test]
+    fn corner_to_corner_route_at_one_million_routers() {
+        let grid = ExpandedGrid::mesh3d(100, 100, 100);
+        let mut links = Vec::new();
+        let kind = RoutingKind::DimensionOrder;
+        grid.route_into(kind, 0, grid.num_routers() - 1, 0, &mut links);
+        assert_eq!(links.len(), 99 * 3);
+        // Every id stays within the closed-form link count.
+        let n = grid.num_links() as u32;
+        assert!(links.iter().all(|&l| l < n));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn zero_choice_valiant_panics() {
+        let kind = RoutingKind::Valiant { choices: 0 };
+        ExpandedGrid::mesh2d(2, 2).route_into(kind, 0, 1, 0, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_choice_panics() {
+        let kind = RoutingKind::DimensionOrder;
+        ExpandedGrid::mesh2d(2, 2).route_into(kind, 0, 1, 1, &mut Vec::new());
     }
 }

@@ -3,22 +3,23 @@
 //!
 //! The paper's board-level vision (§II–III) is a row of boards, each a
 //! wired mesh, with radio links bridging the board gaps — no cables, no
-//! connectors. In database terms (SNIPPETS.md's prjcombine taxonomy)
-//! the radio is a *const-span LONG wire*: a link class whose span is
-//! the whole board pitch along x, instantiated once per (board gap,
-//! radio site). [`HybridBoards`] materializes that layout as a legacy
-//! [`Topology`] via [`crate::icdb::ExpandedGrid`]-style raster
-//! numbering, and supplies the route program (wired dimension-order
-//! within a board, express radio hops between boards) as a
-//! [`RouteTable`] the DES engines and analytic model consume unchanged
-//! through [`Engine::with_table`](crate::des::Engine::with_table) and
+//! connectors. In prjcombine's taxonomy (SNIPPETS.md) the radio is a
+//! *const-span LONG wire*: a [`LinkClass`] whose span is the whole
+//! board pitch along x, instantiated once per (board gap, radio site).
+//! [`HybridBoards`] materializes that layout as a [`Topology`] through
+//! the crate's one raster link builder — the monolithic mesh minus the
+//! +x pairs that cross a board gap, then the radio pairs — and supplies
+//! the route program (wired dimension-order within a board, express
+//! radio hops between boards) as a [`RouteTable`] the DES engines and
+//! analytic model consume unchanged through
+//! [`Engine::with_table`](crate::des::Engine::with_table) and
 //! [`AnalyticModel::with_table`](crate::analytic::AnalyticModel::with_table).
 
-use super::db::{InterconnectDb, LinkClass, LinkClassId, Medium, Placement};
-use super::grid::is_boundary;
+use super::grid::{mesh_links, placement};
+use super::{LinkClass, Medium};
 use crate::routing::{walk_topology, RouteTable, RoutingKind};
 use crate::topology::{Link, Topology, TopologyKind};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// A row of `boards` wired-mesh boards along x, bridged by wireless
 /// express links at fixed radio sites. Materialized at construction —
@@ -31,11 +32,9 @@ pub struct HybridBoards {
     /// Radio sites in board-local coordinates; every board instantiates
     /// the same sites (boards are identical tiles at the macro level).
     radios: Vec<[usize; 3]>,
-    db: Arc<InterconnectDb>,
     topo: Topology,
     /// Directed wired links precede radio links in the link list.
     wired_links: usize,
-    radio_classes: [LinkClassId; 2],
 }
 
 impl HybridBoards {
@@ -65,55 +64,14 @@ impl HybridBoards {
         }
 
         let dims = [boards * nx, ny, nz];
-        let [gx, gy, gz] = dims;
-        let at = |x: usize, y: usize, z: usize| x + gx * (y + gy * z);
-
-        // Wired links in the legacy z,y,x raster with x,y,z axis order —
-        // identical to the monolithic mesh builder except that +x pairs
-        // crossing a board boundary are omitted (that's the board gap
-        // the radios bridge).
-        let mut links = Vec::new();
-        for z in 0..gz {
-            for y in 0..gy {
-                for x in 0..gx {
-                    let here = at(x, y, z);
-                    if x + 1 < gx && (x + 1) % nx != 0 {
-                        links.push(Link {
-                            src: here,
-                            dst: at(x + 1, y, z),
-                        });
-                        links.push(Link {
-                            src: at(x + 1, y, z),
-                            dst: here,
-                        });
-                    }
-                    if y + 1 < gy {
-                        links.push(Link {
-                            src: here,
-                            dst: at(x, y + 1, z),
-                        });
-                        links.push(Link {
-                            src: at(x, y + 1, z),
-                            dst: here,
-                        });
-                    }
-                    if z + 1 < gz {
-                        links.push(Link {
-                            src: here,
-                            dst: at(x, y, z + 1),
-                        });
-                        links.push(Link {
-                            src: at(x, y, z + 1),
-                            dst: here,
-                        });
-                    }
-                }
-            }
-        }
+        // The monolithic mesh's wired links, less the +x pairs that cross
+        // a board boundary: that's the board gap the radios bridge.
+        let mut links = mesh_links(dims, |coord, axis| axis != 0 || (coord[0] + 1) % nx != 0);
         let wired_links = links.len();
 
         // Radio pairs: board gap major, radio site minor — the order the
         // closed-form id arithmetic in `radio_link_id` assumes.
+        let at = |x: usize, y: usize, z: usize| x + dims[0] * (y + dims[1] * z);
         for b in 0..boards.saturating_sub(1) {
             for r in &radios {
                 let src = at(b * nx + r[0], r[1], r[2]);
@@ -123,32 +81,13 @@ impl HybridBoards {
             }
         }
 
-        let mut db = (*InterconnectDb::mesh_family(1)).clone();
-        let radio_classes = [Placement::Edge, Placement::Center].map(|placement| {
-            db.push_link_class(LinkClass {
-                name: format!(
-                    "RADIO_X_SPAN{nx}_{}",
-                    match placement {
-                        Placement::Edge => "EDGE",
-                        Placement::Center => "CENTER",
-                    }
-                ),
-                axis: 0,
-                span: nx,
-                medium: Medium::Wireless,
-                placement,
-            })
-        });
-
         let topo = Topology::from_links(TopologyKind::Mesh3D, dims, 1, links);
         HybridBoards {
             boards,
             board_dims,
             radios,
-            db: Arc::new(db),
             topo,
             wired_links,
-            radio_classes,
         }
     }
 
@@ -184,12 +123,6 @@ impl HybridBoards {
     /// Radio sites in board-local coordinates.
     pub fn radios(&self) -> &[[usize; 3]] {
         &self.radios
-    }
-
-    /// The database: the mesh family plus the two wireless express
-    /// classes this layout registers.
-    pub fn db(&self) -> &Arc<InterconnectDb> {
-        &self.db
     }
 
     /// The materialized topology (global dims
@@ -279,41 +212,37 @@ impl HybridBoards {
         })
     }
 
-    /// Link class of a directed link: the wired edge/center classes for
-    /// `id < num_wired_links()`, the wireless express classes above.
-    pub fn link_class(&self, id: usize) -> LinkClassId {
+    /// Link class of a directed link: a neighbor wire for
+    /// `id < num_wired_links()`, a wireless express link spanning the
+    /// board pitch above; edge placement when either endpoint is on the
+    /// global grid boundary.
+    pub fn link_class(&self, id: usize) -> LinkClass {
         let l = self.topo.links()[id];
-        let (ca, cb) = (self.topo.coord(l.src), self.topo.coord(l.dst));
-        let dims = self.topo.dims();
-        let edge = is_boundary(dims, ca) || is_boundary(dims, cb);
+        let (a, b) = (self.topo.coord(l.src), self.topo.coord(l.dst));
+        let placement = placement(self.topo.dims(), a, b);
         if id < self.wired_links {
             let axis = (0..3)
-                .find(|&a| ca[a] != cb[a])
+                .find(|&axis| a[axis] != b[axis])
                 .expect("wired links connect distinct coordinates");
-            InterconnectDb::wired_link_class(
-                axis,
-                if edge {
-                    Placement::Edge
-                } else {
-                    Placement::Center
-                },
-            )
+            LinkClass::wire(axis, placement)
         } else {
-            self.radio_classes[usize::from(!edge)]
+            LinkClass {
+                medium: Medium::Wireless,
+                axis: 0,
+                span: self.board_dims[0],
+                placement,
+            }
         }
     }
 
-    /// Directed-link count per link class (reporting; O(links)).
-    pub fn link_census(&self) -> Vec<(LinkClassId, usize)> {
-        let mut counts = vec![0usize; self.db.link_classes().len()];
+    /// Directed-link count per link class in census order (see
+    /// [`LinkClass`]; reporting, O(links)).
+    pub fn link_census(&self) -> Vec<(LinkClass, usize)> {
+        let mut counts = BTreeMap::new();
         for id in 0..self.topo.num_links() {
-            counts[self.link_class(id)] += 1;
+            *counts.entry(self.link_class(id)).or_insert(0) += 1;
         }
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .collect()
+        counts.into_iter().collect()
     }
 }
 
@@ -322,6 +251,7 @@ mod tests {
     use super::*;
     use crate::des::{simulate, sweep_engine_with_threads, DesConfig, Engine, SweepConfig};
     use crate::routing::route_choice;
+    use std::sync::Arc;
 
     #[test]
     fn link_counts_split_wired_and_radio() {
@@ -344,10 +274,7 @@ mod tests {
                     let l = h.topology().links()[id];
                     assert_eq!(l.src, h.radio_router(from, radio));
                     assert_eq!(l.dst, h.radio_router(to, radio));
-                    assert_eq!(
-                        h.db().link_classes()[h.link_class(id)].medium,
-                        Medium::Wireless
-                    );
+                    assert_eq!(h.link_class(id).medium, Medium::Wireless);
                 }
             }
         }
@@ -414,10 +341,7 @@ mod tests {
         let census = h.link_census();
         let total: usize = census.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, h.topology().num_links());
-        let media: Vec<Medium> = census
-            .iter()
-            .map(|&(id, _)| h.db().link_classes()[id].medium)
-            .collect();
+        let media: Vec<Medium> = census.iter().map(|&(class, _)| class.medium).collect();
         assert!(media.contains(&Medium::Wired) && media.contains(&Medium::Wireless));
     }
 
@@ -429,11 +353,12 @@ mod tests {
         // sites sit at (2, 1, 1), interior, and (2, 3, 1), on the y
         // boundary.
         let h = HybridBoards::with_radio_count(2, [4, 4, 3], 2);
-        let census: Vec<(&str, usize)> = h
+        let names: Vec<(String, usize)> = h
             .link_census()
             .into_iter()
-            .map(|(id, n)| (h.db().link_classes()[id].name.as_str(), n))
+            .map(|(class, n)| (class.name(), n))
             .collect();
+        let census: Vec<(&str, usize)> = names.iter().map(|(s, n)| (s.as_str(), *n)).collect();
         assert_eq!(
             census,
             [

@@ -1,5 +1,4 @@
-//! Partial-TSV ("pillar") 3D meshes — the paper's future-work ablation,
-//! built on the interconnect database.
+//! Partial-TSV ("pillar") 3D meshes — the paper's future-work ablation.
 //!
 //! §IV closes: "the large area of TSVs will probably not allow to equip
 //! every router with a vertical link. Furthermore, the vertical inter-chip
@@ -13,15 +12,16 @@
 //! analytic latency evaluation mirrors [`crate::analytic`] but over these
 //! detoured routes, so the TSV-count/latency trade-off can be quantified.
 //!
-//! Since the icdb rework this module is a client of
-//! [`crate::icdb::ExpandedGrid`]: the grid supplies coordinates, tile
-//! classes and closed-form pillar arithmetic, and the pillar mesh
-//! materializes a *sparse* [`Topology`] — planar links everywhere,
-//! vertical links only where the column is a pillar — instead of
-//! carrying a full 3D mesh and pretending some links don't exist. The
-//! materialized [`PillarMesh3d::topology`] plus
-//! [`PillarMesh3d::route_table`] plug straight into the unchanged DES
-//! stack through [`crate::des::Engine::with_table`].
+//! A pillar mesh is the full 3D mesh's link list less the +z pairs off
+//! pillar columns, built by the crate's one raster link builder (the
+//! one behind [`crate::icdb::ExpandedGrid::to_topology`]), so every
+//! surviving link keeps its place in the full mesh's order. The result
+//! is a *sparse* [`Topology`] — planar links everywhere, vertical links
+//! only where the column is a pillar — rather than a full 3D mesh that
+//! pretends some links don't exist. The materialized
+//! [`PillarMesh3d::topology`] plus [`PillarMesh3d::route_table`] plug
+//! straight into the unchanged DES stack through
+//! [`crate::des::Engine::with_table`].
 //!
 //! ```
 //! use wi_noc::irregular::PillarMesh3d;
@@ -36,15 +36,14 @@
 //! ```
 
 use crate::analytic::RouterParams;
-use crate::icdb::ExpandedGrid;
+use crate::icdb::grid::mesh_links;
 use crate::routing::{Path, RouteTable, RoutingKind};
-use crate::topology::{Link, Topology};
+use crate::topology::{Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
 
 /// A 3D mesh whose vertical links exist only at pillar columns.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PillarMesh3d {
-    grid: ExpandedGrid,
     topo: Topology,
     pitch: usize,
 }
@@ -59,39 +58,12 @@ impl PillarMesh3d {
     /// Panics if `pitch == 0` or any dimension is zero.
     pub fn new(x: usize, y: usize, z: usize, pitch: usize) -> Self {
         assert!(pitch > 0, "pillar pitch must be positive");
-        let grid = ExpandedGrid::mesh3d(x, y, z);
-        // Materialize the sparse link list in `ExpandedGrid::to_topology`'s
-        // (z, y, x)-raster order so planar link ids coincide with the
-        // full mesh's wherever both exist.
-        let mut links = Vec::new();
-        for cz in 0..z {
-            for cy in 0..y {
-                for cx in 0..x {
-                    let src = grid.router_at([cx, cy, cz]);
-                    let mut neighbor = |coord: [usize; 3]| {
-                        let dst = grid.router_at(coord);
-                        links.push(Link { src, dst });
-                        links.push(Link { src: dst, dst: src });
-                    };
-                    if cx + 1 < x {
-                        neighbor([cx + 1, cy, cz]);
-                    }
-                    if cy + 1 < y {
-                        neighbor([cx, cy + 1, cz]);
-                    }
-                    if cz + 1 < z && is_pillar_column(cx, cy, pitch) {
-                        neighbor([cx, cy, cz + 1]);
-                    }
-                }
-            }
-        }
-        let topo = Topology::from_links(grid.kind(), grid.dims(), grid.concentration(), links);
-        PillarMesh3d { grid, topo, pitch }
-    }
-
-    /// The expanded grid supplying coordinates and tile classes.
-    pub fn grid(&self) -> &ExpandedGrid {
-        &self.grid
+        let dims = [x, y, z];
+        let links = mesh_links(dims, |[cx, cy, _], axis| {
+            axis != 2 || is_pillar_column(cx, cy, pitch)
+        });
+        let topo = Topology::from_links(TopologyKind::Mesh3D, dims, 1, links);
+        PillarMesh3d { topo, pitch }
     }
 
     /// The materialized sparse topology: planar links everywhere,
@@ -113,14 +85,14 @@ impl PillarMesh3d {
     /// Number of TSV pillars (columns with vertical links), in closed
     /// form: multiples of the pitch inside each planar extent.
     pub fn pillar_count(&self) -> usize {
-        let [nx, ny, _] = self.grid.dims();
+        let [nx, ny, _] = self.topo.dims();
         ((nx - 1) / self.pitch + 1) * ((ny - 1) / self.pitch + 1)
     }
 
     /// Nearest pillar column to `(x, y)` in Manhattan distance, in
     /// closed form per axis (ties resolve to the lower coordinate).
     pub fn nearest_pillar(&self, x: usize, y: usize) -> (usize, usize) {
-        let [nx, ny, _] = self.grid.dims();
+        let [nx, ny, _] = self.topo.dims();
         (
             nearest_on_axis(x, self.pitch, nx),
             nearest_on_axis(y, self.pitch, ny),
@@ -285,7 +257,7 @@ mod tests {
     #[test]
     fn nearest_pillar_closed_form_matches_scan() {
         let pillar = PillarMesh3d::new(5, 7, 2, 3);
-        let [nx, ny, _] = pillar.grid().dims();
+        let [nx, ny, _] = pillar.topology().dims();
         for x in 0..nx {
             for y in 0..ny {
                 // Reference: the old first-wins double scan.

@@ -23,20 +23,21 @@
 //!   nearest-neighbour) and parallel multi-replication [`mod@des::sweep`]s
 //!   with per-rate error bars and saturation-knee detection.
 //! * [`metrics`] — structural topology metrics (the quantitative Fig. 7).
-//! * [`icdb`] — the interconnect database: deduplicated tile/link
-//!   classes plus expanded grids instantiated by coordinate (the
-//!   prjcombine model), scaling topology description and route-class
-//!   programs to 10⁴–10⁶ routers in O(1) memory, with a bit-identical
-//!   compatibility bridge to [`topology`]/[`routing`] and hybrid
-//!   wired+wireless board layouts ([`icdb::HybridBoards`]).
+//! * [`icdb`] — closed-form mesh descriptions: an
+//!   [`icdb::ExpandedGrid`] answers router, link-id, link-class and
+//!   policy-route queries from coordinates alone, so a 10⁴–10⁶-router
+//!   mesh costs a few words, and materializes through the crate's one
+//!   raster link builder (the regular [`topology`] constructors call
+//!   it); plus hybrid wired+wireless board layouts
+//!   ([`icdb::HybridBoards`]).
 //! * [`irregular`] — partial-TSV (pillar) 3D meshes for the paper's
-//!   future-work ablation, built on the database: vertical links only on
-//!   pillar routers.
+//!   future-work ablation, from the same link builder: vertical links
+//!   only on pillar routers.
 //!
 //! A workspace-wide tour of where this crate sits (and which engines are
 //! pinned to which oracles) is in `docs/ARCHITECTURE.md` at the
-//! repository root; the interconnect-database topology model itself is
-//! specified in `docs/TOPOLOGY.md`.
+//! repository root; the closed-form topology model itself is specified
+//! in `docs/TOPOLOGY.md`.
 //!
 //! # Example
 //!
@@ -68,7 +69,7 @@ pub use des::{
     simulate, sweep, DesConfig, DesResult, Engine, RatePoint, ServiceDistribution, SweepConfig,
     SweepResult,
 };
-pub use icdb::{ClassRouter, ExpandedGrid, HybridBoards, InterconnectDb};
+pub use icdb::{ExpandedGrid, HybridBoards};
 pub use metrics::{topology_metrics, TopologyMetrics};
 pub use routing::{route, Path, RouteTable};
 pub use topology::{Topology, TopologyKind};

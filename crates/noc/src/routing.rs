@@ -277,8 +277,8 @@ pub fn valiant_intermediate(num_routers: usize, src: usize, dst: usize, choice: 
 /// src–dst bounding box*, so the two dimension-order legs through it sum
 /// to exactly the Manhattan distance — Valiant's path diversity without
 /// its hop penalty. Pure coordinate arithmetic (no topology lookup), so
-/// the database-expanded route programs ([`crate::icdb`]) share it
-/// bit for bit.
+/// the closed-form routes of [`crate::icdb::ExpandedGrid::route_into`]
+/// share it bit for bit.
 pub fn rlb_intermediate(src: [usize; 3], dst: [usize; 3], choice: usize) -> [usize; 3] {
     let pack = |c: [usize; 3]| (c[0] as u64) | ((c[1] as u64) << 21) | ((c[2] as u64) << 42);
     let mut mid = [0usize; 3];
@@ -546,8 +546,8 @@ const FIRST_AXIS: [[u8; 8]; 6] = {
 ///
 /// The [`RouteTable`] builder, [`policy_route`] and its siblings,
 /// [`all_pairs_routable_with`], the deadlock checker, the hybrid boards'
-/// wired legs and the icdb route programs all walk through it, differing
-/// only in where a step's link id comes from.
+/// wired legs and [`crate::icdb::ExpandedGrid::route_into`] all walk
+/// through it, differing only in where a step's link id comes from.
 ///
 /// Returns the hop count of the first leg — up to the Valiant/RLB
 /// intermediate, the whole route otherwise — or the first step `link`
@@ -801,7 +801,7 @@ impl RouteTable {
 
     /// Builds a table by materializing every (router pair, choice) route
     /// through a caller-supplied route program instead of the mesh policy
-    /// walker — the entry point for database-expanded grids
+    /// walker — the entry point for expanded grids
     /// ([`crate::icdb`]) and irregular topologies (pillar meshes, hybrid
     /// wired+wireless boards) whose routes no [`RoutingKind`] policy can
     /// derive from coordinates alone.

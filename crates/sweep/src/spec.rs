@@ -252,12 +252,19 @@ impl SweepSpec {
                         .map(|p| format!("ebn0_search {p}")),
                 );
             }
-            EvalSpec::NocKnee { rates, .. } => {
+            EvalSpec::NocKnee {
+                rates,
+                measured_packets,
+                ..
+            } => {
                 if rates.is_empty() {
                     problems.push("noc_knee eval needs at least one rate".into());
                 }
                 if rates.iter().any(|&r| r <= 0.0) {
                     problems.push("noc_knee rates must be positive".into());
+                }
+                if *measured_packets == 0 {
+                    problems.push("noc_knee measured_packets must be at least 1".into());
                 }
             }
         }
@@ -644,6 +651,26 @@ mod tests {
         let mut spec = search_spec(0.0, 0, 0);
         spec.seeds.clear();
         assert_eq!(spec.expand().unwrap_err().len(), 3);
+    }
+
+    #[test]
+    fn expansion_rejects_a_knee_eval_that_measures_no_packets() {
+        let mut spec = tiny_spec();
+        spec.eval = EvalSpec::NocKnee {
+            rates: vec![0.1],
+            warmup_packets: 100,
+            measured_packets: 0,
+            max_events: 200_000,
+        };
+        let problems = spec.expand().unwrap_err();
+        assert_eq!(
+            problems,
+            ["noc_knee measured_packets must be at least 1"],
+            "{problems:?}"
+        );
+        // It joins the grid's other problems in one report.
+        spec.seeds.clear();
+        assert_eq!(spec.expand().unwrap_err().len(), 2);
     }
 
     #[test]

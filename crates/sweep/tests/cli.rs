@@ -23,6 +23,17 @@ fn run_rejects_zero_threads() {
 /// ends in `budget`, against a fresh store; returns the exit code, the
 /// stderr and the records the store holds afterwards.
 fn run_search_spec(name: &str, budget: &str) -> (Option<i32>, String, usize) {
+    run_spec(
+        name,
+        "10",
+        &format!(r#"{{"kind": "ebn0_search", {budget}}}"#),
+    )
+}
+
+/// Runs `sweep run` on a one-cell spec at lifting factor `lifting` with
+/// the eval object `eval`, against a fresh store; returns the exit code,
+/// the stderr and the records the store holds afterwards.
+fn run_spec(name: &str, lifting: &str, eval: &str) -> (Option<i32>, String, usize) {
     let dir = std::env::temp_dir().join(format!("wi_sweep_cli_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -31,11 +42,11 @@ fn run_search_spec(name: &str, budget: &str) -> (Option<i32>, String, usize) {
         &spec,
         format!(
             r#"{{"name": "{name}", "base": "paper",
-                "axes": [{{"field": "lifting", "values": ["10"]}},
+                "axes": [{{"field": "lifting", "values": ["{lifting}"]}},
                          {{"field": "window", "values": ["3"]}},
                          {{"field": "iterations", "values": ["8"]}}],
                 "seeds": [1],
-                "eval": {{"kind": "ebn0_search", {budget}}}}}"#
+                "eval": {eval}}}"#
         ),
     )
     .unwrap();
@@ -91,4 +102,36 @@ fn run_accepts_a_valid_search_budget() {
     );
     assert_eq!(code, Some(0), "{stderr}");
     assert_eq!(records, 1);
+}
+
+#[test]
+fn run_rejects_a_lifting_below_the_protograph_multiplicity_without_storing() {
+    for lifting in ["0", "1"] {
+        let (code, stderr, records) = run_spec(
+            &format!("lifting_{lifting}"),
+            lifting,
+            r#"{"kind": "ebn0_search", "target_ber": 0.05, "max_frames": 16, "min_frames": 4}"#,
+        );
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(
+            stderr.contains(&format!("lifting factor {lifting} is below 2")),
+            "{stderr}"
+        );
+        assert_eq!(records, 0, "a rejected spec must store nothing");
+    }
+}
+
+#[test]
+fn run_rejects_a_knee_eval_that_measures_no_packets_without_storing() {
+    let (code, stderr, records) = run_spec(
+        "zero_measured",
+        "10",
+        r#"{"kind": "noc_knee", "rates": [0.1], "measured_packets": 0}"#,
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("noc_knee measured_packets must be at least 1"),
+        "{stderr}"
+    );
+    assert_eq!(records, 0, "a rejected spec must store nothing");
 }

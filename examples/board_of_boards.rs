@@ -1,6 +1,6 @@
 //! Board-of-boards: the paper's §I vision ("4–5 boards per litre...
 //! wireless links instead of a backplane") built hierarchically from the
-//! interconnect database.
+//! closed-form mesh description.
 //!
 //! Three escalating views of the same model:
 //!
@@ -9,13 +9,13 @@
 //!    analytic zero-load latency over the materialized route table,
 //! 2. an express-route walk showing a wireless "long wire" beating the
 //!    wired Manhattan distance across boards,
-//! 3. a million-router expanded grid — the same database describing it
-//!    in a few KiB, with closed-form corner-to-corner routes.
+//! 3. a million-router expanded grid — described by its dimensions in a
+//!    few words, with closed-form corner-to-corner routes.
 //!
 //! Run with: `cargo run --release --example board_of_boards`
 
 use wireless_interconnect::noc::analytic::{AnalyticModel, RouterParams};
-use wireless_interconnect::noc::icdb::{ClassRouter, ExpandedGrid};
+use wireless_interconnect::noc::icdb::ExpandedGrid;
 use wireless_interconnect::noc::routing::RoutingKind;
 use wireless_interconnect::system::config::SystemConfig;
 
@@ -33,12 +33,13 @@ fn main() {
         hybrid.radios().len(),
     );
     println!("\nper-class link census:");
-    let classes = hybrid.db().link_classes();
-    for (id, count) in hybrid.link_census() {
-        let c = &classes[id];
+    for (c, count) in hybrid.link_census() {
         println!(
             "  {:24} span {:2}  {:?}/{:?}  x{count}",
-            c.name, c.span, c.medium, c.placement
+            c.name(),
+            c.span,
+            c.medium,
+            c.placement
         );
     }
 
@@ -64,18 +65,18 @@ fn main() {
         hybrid.boards() - 1,
     );
 
-    // 3. Scale: the same database family describing a million-router grid.
+    // 3. Scale: a million-router grid described by its dimensions.
     //    Nothing per-router is stored; routes come from closed-form link
     //    ids.
     let grid = ExpandedGrid::mesh3d(100, 100, 100);
-    let router = ClassRouter::new(grid.clone(), RoutingKind::DimensionOrder);
     let mut out = Vec::new();
-    router.route_routers_into(0, grid.num_routers() - 1, 0, &mut out);
+    let kind = RoutingKind::DimensionOrder;
+    grid.route_into(kind, 0, grid.num_routers() - 1, 0, &mut out);
     println!(
         "\n100x100x100 expanded grid: {} routers, {} links, {} bytes resident",
         grid.num_routers(),
         grid.num_links(),
-        router.mem_bytes(),
+        grid.mem_bytes(),
     );
     println!(
         "corner-to-corner route: {} closed-form link ids, no table built",

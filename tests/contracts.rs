@@ -18,7 +18,8 @@
 //! equal `decoder::reference` too, the arena DES engine must
 //! equal `des::reference` under every routing policy and under faults,
 //! and the table-driven route walk (`Topology::step_link`) must equal
-//! the closed-form icdb route programs (`ExpandedGrid::link_id`).
+//! the closed-form icdb routes (`ExpandedGrid::route_into` over
+//! `ExpandedGrid::link_id`).
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -37,7 +38,7 @@ use wireless_interconnect::ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace
 use wireless_interconnect::noc::des::{
     reference as des_reference, sweep_with_threads, DesConfig, Engine, FaultConfig, SweepConfig,
 };
-use wireless_interconnect::noc::icdb::{ClassRouter, ExpandedGrid};
+use wireless_interconnect::noc::icdb::ExpandedGrid;
 use wireless_interconnect::noc::routing::{RouteTable, RoutingKind};
 use wireless_interconnect::noc::topology::Topology;
 use wireless_interconnect::num::rng::{seeded_rng, Gaussian};
@@ -399,7 +400,9 @@ fn route_tables_match_closed_form_route_programs() {
     for kind in POLICIES {
         assert_eq!(
             RouteTable::with_policy(&topo, kind),
-            ClassRouter::new(grid.clone(), kind).to_route_table(),
+            RouteTable::from_routes(&grid.to_topology(), kind, |a, b, c, out| {
+                grid.route_into(kind, a, b, c, out)
+            }),
             "{}",
             kind.name()
         );

@@ -9,12 +9,13 @@ use wireless_interconnect::ldpc::code::{Encoder, LdpcCode};
 use wireless_interconnect::linkbudget::budget::LinkBudget;
 use wireless_interconnect::noc::analytic::{AnalyticModel, RouterParams};
 use wireless_interconnect::noc::deadlock::ChannelDepGraph;
-use wireless_interconnect::noc::icdb::{ClassRouter, ExpandedGrid, HybridBoards};
+use wireless_interconnect::noc::icdb::{ExpandedGrid, HybridBoards};
+use wireless_interconnect::noc::irregular::PillarMesh3d;
 use wireless_interconnect::noc::routing::{
     all_pairs_routable_with, rlb_intermediate, route, valiant_intermediate, walk_route,
     RouteProgram, RouteTable, RoutingKind, Step,
 };
-use wireless_interconnect::noc::topology::Topology;
+use wireless_interconnect::noc::topology::{Link, Topology};
 use wireless_interconnect::quantrx::filter::IsiFilter;
 use wireless_interconnect::quantrx::info_rate::{snr_db_to_sigma, symbolwise_information_rate};
 use wireless_interconnect::quantrx::modulation::AskModulation;
@@ -167,9 +168,9 @@ proptest! {
         nz in 1usize..4,
         policy_idx in 0usize..6,
     ) {
-        // The database-expanded grid's per-tile-class route programs must
-        // agree link for link with the legacy CSR table on every random
-        // mesh, for every routing kind — the icdb compatibility contract.
+        // The expanded grid's closed-form routes must agree link for
+        // link with the legacy CSR table on every random mesh, for every
+        // routing kind — the icdb compatibility contract.
         let kind = match policy_idx {
             0 => RoutingKind::DimensionOrder,
             1 => RoutingKind::O1Turn,
@@ -180,16 +181,19 @@ proptest! {
         };
         let topo = Topology::mesh3d(nx, ny, nz);
         let legacy = RouteTable::with_policy(&topo, kind);
-        let router = ClassRouter::new(ExpandedGrid::mesh3d(nx, ny, nz), kind);
+        let grid = ExpandedGrid::mesh3d(nx, ny, nz);
         // The materialized table is bit-identical to the legacy builder's.
-        prop_assert_eq!(&router.to_route_table(), &legacy);
+        let table = RouteTable::from_routes(&grid.to_topology(), kind, |a, b, c, out| {
+            grid.route_into(kind, a, b, c, out)
+        });
+        prop_assert_eq!(&table, &legacy);
         // And the closed-form programs agree without building any table.
         let mut out = Vec::new();
         for a in 0..topo.num_routers() {
             for b in 0..topo.num_routers() {
                 for c in 0..legacy.num_choices() {
                     out.clear();
-                    router.route_routers_into(a, b, c, &mut out);
+                    grid.route_into(kind, a, b, c, &mut out);
                     prop_assert!(
                         out[..] == *legacy.links_choice(a, b, c),
                         "{} ({},{}) choice {} on {}x{}x{}",
@@ -198,6 +202,35 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn layouts_keep_the_full_mesh_link_order(
+        nx in 1usize..5,
+        ny in 1usize..5,
+        nz in 1usize..4,
+        boards in 1usize..5,
+        radios in 1usize..4,
+        pitch in 1usize..4,
+    ) {
+        // Hybrid boards and pillar meshes each drop pairs from the full
+        // mesh and keep every other link where the full mesh has it,
+        // in the same order: a relabelling of fault-free links would
+        // leave every DES result, and so every digest, unchanged.
+        let hybrid = HybridBoards::with_radio_count(boards, [nx, ny, nz], radios.min(ny));
+        let full = Topology::mesh3d(boards * nx, ny, nz);
+        let crosses_gap = |l: &Link| full.coord(l.src)[0] / nx != full.coord(l.dst)[0] / nx;
+        let want: Vec<Link> = full.links().iter().copied().filter(|l| !crosses_gap(l)).collect();
+        prop_assert_eq!(&hybrid.topology().links()[..hybrid.num_wired_links()], &want[..]);
+
+        let pillar = PillarMesh3d::new(nx, ny, nz, pitch);
+        let full = Topology::mesh3d(nx, ny, nz);
+        let off_pillar = |l: &Link| {
+            let ([x, y, za], [_, _, zb]) = (full.coord(l.src), full.coord(l.dst));
+            za != zb && !(x % pitch == 0 && y % pitch == 0)
+        };
+        let want: Vec<Link> = full.links().iter().copied().filter(|l| !off_pillar(l)).collect();
+        prop_assert_eq!(pillar.topology().links(), &want[..]);
     }
 
     #[test]

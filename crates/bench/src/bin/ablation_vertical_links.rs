@@ -1,9 +1,10 @@
 //! Ablation: partial TSV pillars in a 3D mesh (§IV future work) — "the
 //! large area of TSVs will probably not allow to equip every router with a
-//! vertical link".
+//! vertical link". The analytic model prices each pillar mesh's detoured
+//! routes from its route table, as `fig8_hybrid` does for hybrid boards.
 
 use wi_bench::{fmt, print_table};
-use wi_noc::analytic::RouterParams;
+use wi_noc::analytic::{AnalyticModel, RouterParams};
 use wi_noc::irregular::PillarMesh3d;
 
 fn main() {
@@ -12,10 +13,11 @@ fn main() {
         .iter()
         .map(|&pitch| {
             let mesh = PillarMesh3d::new(4, 4, 4, pitch);
+            let model = AnalyticModel::with_table(mesh.topology(), params, mesh.route_table());
             vec![
                 pitch.to_string(),
                 mesh.pillar_count().to_string(),
-                fmt(mesh.zero_load_latency(params), 2),
+                fmt(model.zero_load_latency(), 2),
             ]
         })
         .collect();

@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 use wi_ldpc::ber::SearchStrategy;
+use wi_noc::des::sweep::rates_problem;
 use wi_noc::des::traffic::TrafficKind;
 use wi_noc::routing::RoutingKind;
 
@@ -226,27 +227,26 @@ pub fn batch_flag() -> usize {
     }
 }
 
-/// Parses a comma-separated list of positive injection rates.
+/// Parses a comma-separated injection-rate grid that every DES sweep
+/// accepts: positive, finite and strictly ascending
+/// ([`rates_problem`]).
 pub fn parse_rates(s: &str) -> Option<Vec<f64>> {
     let rates: Vec<f64> = s
         .split(',')
         .map(|part| part.trim().parse::<f64>().ok())
         .collect::<Option<_>>()?;
-    if rates.is_empty() || !rates.iter().all(|&r| r.is_finite() && r > 0.0) {
-        return None;
-    }
-    Some(rates)
+    rates_problem(&rates).is_none().then_some(rates)
 }
 
 /// The shared `--rates` flag: a comma-separated injection-rate grid
 /// overriding a bin's default (e.g. `--rates 0.05,0.15,0.25` for the CI
-/// smoke runs). Exits via [`die`] if any rate fails to parse or is not
-/// positive.
+/// smoke runs). Exits via [`die`] if any rate fails to parse, is not
+/// positive, or does not exceed the rate before it.
 pub fn rates_flag() -> Option<Vec<f64>> {
     flag_value("--rates").map(|s| {
         parse_rates(&s).unwrap_or_else(|| {
             die(&format!(
-                "--rates takes comma-separated positive rates, got {s:?}"
+                "--rates takes comma-separated positive rates in ascending order, got {s:?}"
             ))
         })
     })
@@ -344,6 +344,9 @@ FLAGS:
         assert_eq!(parse_rates("0.1,-0.2"), None);
         assert_eq!(parse_rates("0.0"), None);
         assert_eq!(parse_rates(""), None);
+        // A knee is read off the grid in order, so it must ascend.
+        assert_eq!(parse_rates("0.3,0.1"), None);
+        assert_eq!(parse_rates("0.1,0.1"), None);
     }
 
     #[test]

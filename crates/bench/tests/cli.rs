@@ -1,8 +1,45 @@
 //! A misspelled flag, or a flag value that parses but is invalid, must
 //! stop a figure binary before any work starts: exit 2 with the argument
 //! named, never a run with the defaults or a panic mid-run.
+//!
+//! The exhibits whose default run takes milliseconds are pinned byte for
+//! byte: a change that moves one digit of their tables fails here.
 
 use std::process::Command;
+
+/// Runs `bin` with no arguments and checks that it succeeds and that its
+/// stdout has FNV-1a-64 digest `want` and `len` bytes.
+fn prints_pinned_bytes(bin: &str, len: usize, want: u64) {
+    let out = Command::new(bin).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{bin}: {out:?}");
+    let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (out.stdout.len(), digest),
+        (len, want),
+        "{bin} printed (digest {digest:#018x}):\n{stdout}"
+    );
+}
+
+#[test]
+fn ablation_vertical_links_prints_its_pinned_table() {
+    let bin = env!("CARGO_BIN_EXE_ablation_vertical_links");
+    prints_pinned_bytes(bin, 418, 0x8648_7430_38ca_6c95);
+}
+
+#[test]
+fn ablation_concentration_prints_its_pinned_tables() {
+    let bin = env!("CARGO_BIN_EXE_ablation_concentration");
+    prints_pinned_bytes(bin, 1025, 0x6e4a_0007_93c9_3fbf);
+}
+
+#[test]
+fn fig7_topologies_prints_its_pinned_table() {
+    let bin = env!("CARGO_BIN_EXE_fig7_topologies");
+    prints_pinned_bytes(bin, 650, 0xee68_b487_e127_9b14);
+}
 
 fn rejects(bin: &str, args: &[&str], flag: &str) {
     let out = Command::new(bin).args(args).output().unwrap();
@@ -50,6 +87,13 @@ fn fig8a_rejects_a_hotspot_outside_the_64_modules_or_fraction_range() {
         &["--des", "--traffic", "hotspot:0:1.5"],
         "hotspot:0:1.5",
     );
+}
+
+#[test]
+fn fig8a_rejects_a_rate_grid_that_does_not_ascend() {
+    let bin = env!("CARGO_BIN_EXE_fig8a_noc_64");
+    rejects(bin, &["--rates", "0.3,0.1"], "0.3,0.1");
+    rejects(bin, &["--des", "--rates", "0.1,0.1"], "0.1,0.1");
 }
 
 #[test]

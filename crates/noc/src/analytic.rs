@@ -78,9 +78,9 @@ impl<'a> AnalyticModel<'a> {
 
     /// Builds the model around a prebuilt route table — the entry point
     /// for topologies whose routes the dimension-order walker cannot
-    /// derive (pillar meshes and hybrid wired+wireless boards from
-    /// [`crate::icdb`], whose tables come from
-    /// [`RouteTable::from_routes`]). The per-link flow accumulation uses
+    /// derive (pillar meshes from [`crate::irregular`] and hybrid
+    /// wired+wireless boards from [`crate::icdb`], whose tables come
+    /// from [`RouteTable::from_routes`]). The per-link flow accumulation uses
     /// each pair's **first** route choice, so multi-choice tables are
     /// modelled by their choice-0 routes.
     ///
@@ -222,12 +222,6 @@ impl<'a> AnalyticModel<'a> {
             }
         }
         Some(total / self.num_pairs as f64)
-    }
-
-    /// Latency across a sweep of injection rates (`None` past saturation) —
-    /// one Fig. 8 curve.
-    pub fn latency_curve(&self, rates: &[f64]) -> Vec<(f64, Option<f64>)> {
-        rates.iter().map(|&r| (r, self.mean_latency(r))).collect()
     }
 
     /// Low-load (λ → 0) latency: pipeline plus unloaded service at every

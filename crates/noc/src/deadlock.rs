@@ -17,9 +17,9 @@
 //! than a prose re-statement of them:
 //!
 //! * [`ChannelDepGraph::for_policy`] walks every (router pair, choice)
-//!   route through the crate's one policy walker (the routes
-//!   [`crate::routing::policy_route_routers`] and the route tables
-//!   return, and the DES engine's route programs step) and applies the
+//!   route through the crate's one policy walker
+//!   ([`crate::routing::walk_route`], whose link lists the route tables
+//!   store and the DES engine's route programs step) and applies the
 //!   per-policy VC allocation rule (O1TURN: one
 //!   VC per permutation; Valiant/RLB: one per dimension-order leg, the
 //!   walker reporting where the first leg ends). For

@@ -19,9 +19,9 @@
 //! * [`mod@reference`] — the original per-event-allocating simulator,
 //!   retained as the correctness oracle (bit-identical to the engine for
 //!   the default uniform/exponential configuration; pinned by tests).
-//! * [`traffic`] — the [`traffic::TrafficPattern`] generators (uniform,
-//!   hotspot, transpose, bit-reversal, nearest-neighbour), all
-//!   seed-deterministic.
+//! * [`traffic`] — the destination patterns (uniform, hotspot,
+//!   transpose, bit-reversal, nearest-neighbour), one
+//!   [`traffic::TrafficKind`] variant each, all seed-deterministic.
 //! * [`mod@sweep`] — multi-replication latency-vs-rate sweeps fanned out by
 //!   `wi_num::par::ordered`, bit-identical at any thread count, reporting
 //!   mean/stderr/saturation-knee per rate.
@@ -31,8 +31,8 @@
 //!   retries with timeout + backoff, and a drop path — inert by default,
 //!   and bit-identical to the fault-free simulation at error rate 0.
 //!
-//! [`simulate`] is the original entry point, kept as a thin wrapper over
-//! the engine.
+//! [`simulate`] is the one-shot entry point: it builds an [`Engine`] and
+//! runs it once.
 
 pub mod engine;
 pub mod fault;
@@ -42,11 +42,10 @@ pub mod traffic;
 
 use crate::analytic::RouterParams;
 use crate::routing::RoutingKind;
-use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use traffic::TrafficKind;
 
-pub use engine::Engine;
+pub use engine::{simulate, Engine};
 pub use fault::{ArqConfig, BurstModel, FaultConfig, LinkErrorModel};
 pub use sweep::{
     sweep, sweep_engine, sweep_engine_with_threads, sweep_policies, sweep_with_threads, RatePoint,
@@ -148,22 +147,11 @@ pub struct DesResult {
     pub completed: bool,
 }
 
-/// Runs one simulation — a thin wrapper over [`engine::simulate`],
-/// pinned bit-for-bit to the pre-refactor [`reference::simulate`] for the
-/// default uniform/exponential configuration.
-///
-/// # Panics
-///
-/// Panics if the injection rate is not positive, the topology has fewer
-/// than two modules, or the traffic pattern is invalid for it.
-pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
-    engine::simulate(topo, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analytic::AnalyticModel;
+    use crate::topology::Topology;
 
     fn quick(rate: f64, seed: u64) -> DesConfig {
         DesConfig {

@@ -10,7 +10,7 @@
 //!   [`RouteProgram`] — its current router, leg target and axis order —
 //!   instead of a route: each hop is a few coordinate compares and one
 //!   read of the topology's unit-step table ([`Topology::step_link`]),
-//!   with no per-packet `Vec` as in [`crate::routing::route`] and no
+//!   with no per-packet link list as in [`crate::des::reference`] and no
 //!   all-pairs table, so memory stays O(links + packets in flight) at
 //!   any router count. The adaptive policy reads each productive link
 //!   from the same unit-step table. Only engines built around a prebuilt

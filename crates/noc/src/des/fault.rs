@@ -40,6 +40,7 @@
 use crate::icdb::grid::is_boundary;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
+use wi_num::rng::mix64;
 
 /// Salt for the stuck-link selection hash.
 const STUCK_SALT: u64 = 0x57C4_BAD0_57C4_BAD0;
@@ -48,17 +49,15 @@ const BURST_SALT: u64 = 0xB1A5_7000_B1A5_7001;
 /// Salt for the per-attempt corruption hash.
 const CORRUPT_SALT: u64 = 0xC0FF_EE00_BAD0_B175;
 
-/// SplitMix64-style finalizer mapping arbitrary identifiers to a unit
-/// float in `[0, 1)` — the fault layer's no-RNG decision primitive
-/// (same mixing as [`crate::routing::route_choice`]).
+/// Maps arbitrary identifiers through the SplitMix64 finalizer
+/// ([`mix64`]) to a unit float in `[0, 1)` — the fault layer's no-RNG
+/// decision primitive (same mixing as [`crate::routing::route_choice`]).
 fn unit_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add(c.wrapping_mul(0xA24B_AED4_963E_E407));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mix64(
+        seed.wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(b.wrapping_mul(0xD1B5_4A32_D192_ED03))
+            .wrapping_add(c.wrapping_mul(0xA24B_AED4_963E_E407)),
+    );
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -368,6 +367,16 @@ mod tests {
         // Different attempts must decorrelate (a retried hop is a fresh coin).
         assert_ne!(corrupt_unit(1, 2, 3, 0), corrupt_unit(1, 2, 3, 1));
         assert_ne!(corrupt_unit(1, 2, 3, 0), corrupt_unit(1, 2, 4, 0));
+    }
+
+    #[test]
+    fn unit_hash_is_pinned() {
+        // Literal values: every stuck-link, burst and corruption decision,
+        // and so every faulty DES result, follows from these.
+        assert_eq!(unit_hash(0, 1, 0, 0), 0.8833108082136426);
+        assert_eq!(unit_hash(0xDE5, 1, 2, 3), 0.4793528931893296);
+        assert_eq!(unit_hash(u64::MAX, 7, (1 << 32) | 3, 0), 0.5502218784295961);
+        assert_eq!(unit_hash(0x5EED, 1000, 0, 9), 0.5127893094003801);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! This is the PR-1 `decoder::reference` pattern applied to the DES: the
 //! code below is the pre-refactor simulator, kept unoptimized on purpose.
-//! It pushes a fresh `Event` and a fresh `Packet` (with a `route()`-
-//! allocated link `Vec`) for everything it schedules, and its event heap
-//! is keyed on raw `f64` time — exactly the behaviour
+//! It pushes a fresh `Event` and a fresh `Packet` (with a freshly walked
+//! link `Vec`) for everything it schedules, and its event heap is keyed
+//! on raw `f64` time — exactly the behaviour
 //! [`crate::des::engine`] removes. The `des` module tests assert that the
 //! two simulators produce bit-identical [`DesResult`]s for the default
 //! uniform/exponential configuration, and the `des_sim` benches measure
@@ -14,9 +14,9 @@
 //! Only uniform traffic is implemented here (the pre-refactor simulator
 //! knew nothing else); the `traffic` field of [`DesConfig`] is ignored.
 //! Routing policies **are** implemented — the oracle picks the same
-//! per-packet [`route_choice`] the engine does and then re-materializes
-//! the chosen route naively with [`policy_route`], so the `des` module
-//! tests can pin the engine's route programs bit-for-bit.
+//! per-packet [`route_choice`] the engine does and then walks the chosen
+//! route into a fresh link list with [`crate::routing::walk_route`], so
+//! the `des` module tests can pin the engine's route programs bit-for-bit.
 //!
 //! The fault/ARQ path of [`crate::des::fault`] is re-materialized here
 //! in the same naive style: per-hop error probabilities are recomputed
@@ -36,7 +36,7 @@
 
 use super::fault::corrupt_unit;
 use super::{DesConfig, DesResult, ServiceDistribution};
-use crate::routing::{adaptive_network, policy_route, route_choice, RoutingKind};
+use crate::routing::{adaptive_network, route_choice, walk_topology, RoutingKind};
 use crate::topology::Topology;
 use rand::Rng;
 use std::cmp::Reverse;
@@ -72,9 +72,9 @@ enum Event {
 
 struct Packet {
     t_inject: f64,
-    /// Link ids along the path (empty under adaptive routing, which has
-    /// no precomputed path — every hop is re-derived from queue state).
-    links: Vec<usize>,
+    /// Link ids along the route (empty under adaptive routing, which has
+    /// no precomputed route — every hop is re-derived from queue state).
+    links: Vec<u32>,
     dst_module: usize,
     next_stage: usize,
     /// Inter-router hops the packet must make (`links.len()` for
@@ -175,9 +175,9 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                     config.routing.choices(),
                 );
                 let measured = injected >= config.warmup_packets && injected < total_tracked;
+                let src_r = topo.router_of(module);
+                let dst_r = topo.router_of(dst);
                 let (links, total_hops, cur_router, vc) = if adaptive {
-                    let src_r = topo.router_of(module);
-                    let dst_r = topo.router_of(dst);
                     (
                         Vec::new(),
                         topo.router_distance(src_r, dst_r),
@@ -185,9 +185,10 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                         adaptive_network(topo.coord(src_r), topo.coord(dst_r)),
                     )
                 } else {
-                    let path = policy_route(topo, config.routing, module, dst, choice);
-                    let hops = path.links.len();
-                    (path.links, hops, 0, 0)
+                    let mut links = Vec::new();
+                    walk_topology(topo, config.routing, src_r, dst_r, choice, &mut links);
+                    let hops = links.len();
+                    (links, hops, 0, 0)
                 };
                 packets.push(Packet {
                     t_inject: now,
@@ -255,7 +256,7 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                         }
                         best
                     } else {
-                        packets[packet].links[stage]
+                        packets[packet].links[stage] as usize
                     };
                     let start = now.max(link_free[l]);
                     let finish = start + svc;

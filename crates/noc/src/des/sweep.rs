@@ -59,6 +59,36 @@ impl SweepConfig {
             knee_factor: 4.0,
         }
     }
+
+    /// Every problem that would make the sweep report what it did not
+    /// measure ([`rates_problem`] and empty budgets; empty when it can run).
+    pub fn problems(&self) -> Vec<String> {
+        let mut problems: Vec<String> = rates_problem(&self.rates).into_iter().collect();
+        if self.replications == 0 {
+            problems.push("sweep needs at least one replication".into());
+        }
+        if self.base.measured_packets == 0 {
+            problems.push("measured_packets must be at least 1".into());
+        }
+        if self.base.max_events == 0 {
+            problems.push("max_events must be at least 1".into());
+        }
+        problems
+    }
+}
+
+/// The problem with an injection-rate grid, if any: rates must be
+/// non-empty, positive, finite and strictly ascending (the knee is read
+/// off the grid in order).
+pub fn rates_problem(rates: &[f64]) -> Option<String> {
+    if rates.is_empty() {
+        return Some("rates must hold at least one rate".into());
+    }
+    if let Some(r) = rates.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+        return Some(format!("rates must be positive and finite, got {r}"));
+    }
+    let (a, b) = rates.iter().zip(&rates[1..]).find(|(a, b)| a >= b)?;
+    Some(format!("rates must ascend strictly, got {a} then {b}"))
 }
 
 /// Aggregated replications at one injection rate.
@@ -129,8 +159,7 @@ pub fn sweep(topo: &Topology, config: &SweepConfig) -> SweepResult {
 ///
 /// # Panics
 ///
-/// Panics if `rates` is empty, `replications` is zero, or any rate is
-/// not positive.
+/// Panics if the config has a problem ([`SweepConfig::problems`]).
 pub fn sweep_with_threads(topo: &Topology, config: &SweepConfig, threads: usize) -> SweepResult {
     // Check the topology's unit steps once; workers clone the prototype,
     // whose packets step their route programs, so no replication builds
@@ -157,25 +186,17 @@ pub fn sweep_engine(proto: &Engine, config: &SweepConfig) -> SweepResult {
 ///
 /// # Panics
 ///
-/// Panics if `rates` is empty, `replications` is zero, any rate is not
-/// positive, or `config.base.routing` differs from the prototype's
-/// routing policy (a table engine would silently route by program
-/// instead of its table — or panic in every worker on topologies the
-/// programs cannot route).
+/// Panics if the config has a problem ([`SweepConfig::problems`]) or
+/// `config.base.routing` differs from the prototype's routing policy (a
+/// table engine would silently route by program instead of its table —
+/// or panic in every worker on topologies the programs cannot route).
 pub fn sweep_engine_with_threads(
     proto: &Engine,
     config: &SweepConfig,
     threads: usize,
 ) -> SweepResult {
-    assert!(!config.rates.is_empty(), "sweep needs at least one rate");
-    assert!(
-        config.replications > 0,
-        "sweep needs at least one replication"
-    );
-    assert!(
-        config.rates.iter().all(|&r| r > 0.0),
-        "injection rates must be positive"
-    );
+    let problems = config.problems().join("; ");
+    assert!(problems.is_empty(), "invalid sweep: {problems}");
     assert_eq!(
         proto.routing(),
         config.base.routing,
@@ -514,5 +535,56 @@ mod tests {
             &Topology::mesh2d(2, 2),
             &SweepConfig::new(vec![0.1], 0, quick_base(1)),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "rates must ascend strictly, got 0.3 then 0.1")]
+    fn unsorted_rates_panic() {
+        sweep(
+            &Topology::mesh2d(2, 2),
+            &SweepConfig::new(vec![0.3, 0.1], 1, quick_base(1)),
+        );
+    }
+
+    #[test]
+    fn problems_name_every_field_no_sweep_can_measure() {
+        let good = SweepConfig::new(vec![0.1, 0.3], 2, quick_base(1));
+        assert!(good.problems().is_empty());
+        let bad = SweepConfig {
+            rates: vec![0.3, 0.1],
+            replications: 0,
+            base: DesConfig {
+                measured_packets: 0,
+                max_events: 0,
+                ..quick_base(1)
+            },
+            ..good
+        };
+        assert_eq!(
+            bad.problems(),
+            [
+                "rates must ascend strictly, got 0.3 then 0.1",
+                "sweep needs at least one replication",
+                "measured_packets must be at least 1",
+                "max_events must be at least 1",
+            ]
+        );
+        for (rates, problem) in [
+            (&[][..], "rates must hold at least one rate"),
+            (&[0.1, 0.1], "rates must ascend strictly, got 0.1 then 0.1"),
+            (&[0.1, -0.2], "rates must be positive and finite, got -0.2"),
+            (&[0.0], "rates must be positive and finite, got 0"),
+            (
+                &[0.1, f64::NAN],
+                "rates must be positive and finite, got NaN",
+            ),
+            (
+                &[f64::INFINITY],
+                "rates must be positive and finite, got inf",
+            ),
+        ] {
+            assert_eq!(rates_problem(rates).as_deref(), Some(problem), "{rates:?}");
+        }
+        assert_eq!(rates_problem(&[0.005, 0.05, 0.8]), None);
     }
 }

@@ -4,20 +4,18 @@
 //! uniform-random only, but multichip-interconnect studies routinely
 //! stress NoCs with a battery of synthetic patterns — hotspot, transpose,
 //! bit-reversal, nearest-neighbour — because adversarial spatial locality
-//! moves the saturation point far from the uniform prediction. This
-//! module provides those generators behind one [`TrafficPattern`] trait.
+//! moves the saturation point far from the uniform prediction. Each of
+//! those patterns is one variant of [`TrafficKind`], plain (serde) data
+//! that configuration types and CLI flags carry directly, and its
+//! [`TrafficPattern`] impl draws the destinations.
 //!
-//! Every generator is **seed-deterministic**: destinations depend only on
+//! Every pattern is **seed-deterministic**: destinations depend only on
 //! the source module, the precomputed [`TrafficCtx`], and draws from the
 //! caller's seeded RNG, so a simulation with a fixed seed is reproducible
-//! regardless of pattern. [`Uniform`] consumes the RNG in exactly the
-//! order the pre-refactor simulator did, which is what lets the arena
-//! engine stay bit-identical to [`crate::des::reference`] under the
-//! default configuration.
-//!
-//! [`TrafficKind`] is the plain-data (serde) mirror of the pattern
-//! structs for use in configuration types; it implements
-//! [`TrafficPattern`] by dispatch.
+//! regardless of pattern. [`TrafficKind::Uniform`] consumes the RNG in
+//! exactly the order the pre-refactor simulator did, which is what lets
+//! the arena engine stay bit-identical to [`crate::des::reference`] under
+//! the default configuration.
 
 use crate::topology::Topology;
 use rand::rngs::StdRng;
@@ -130,149 +128,36 @@ fn uniform_excluding(src: usize, n: usize, rng: &mut StdRng) -> usize {
     dst
 }
 
-/// Uniform-random traffic: every other module is equally likely
-/// (the paper's §IV assumption).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Uniform;
-
-impl TrafficPattern for Uniform {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
-        uniform_excluding(src, ctx.num_modules(), rng)
-    }
-}
-
-/// Hotspot traffic: with probability `fraction` the packet targets the
-/// hotspot module, otherwise a uniform destination (a shared-memory
-/// controller or I/O port in one corner of the stack).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Hotspot {
-    /// The hotspot module.
-    pub node: usize,
-    /// Probability that a packet targets the hotspot.
-    pub fraction: f64,
-}
-
-impl TrafficPattern for Hotspot {
-    fn name(&self) -> &'static str {
-        "hotspot"
-    }
-
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
-        let n = ctx.num_modules();
-        // The biased draw happens unconditionally so the RNG stream does
-        // not depend on the source module.
-        let u: f64 = rng.gen();
-        if u < self.fraction && self.node != src && self.node < n {
-            self.node
-        } else {
-            uniform_excluding(src, n, rng)
-        }
-    }
-}
-
-/// Matrix-transpose traffic: the module at router `(x, y, z)` sends to
-/// the router at `(y, x, z)` (coordinates folded into the grid when the
-/// mesh is not square), keeping the same local module index. Diagonal
-/// sources fall back to a uniform draw.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Transpose;
-
-impl TrafficPattern for Transpose {
-    fn name(&self) -> &'static str {
-        "transpose"
-    }
-
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
-        let [nx, ny, _] = ctx.dims;
-        let [x, y, z] = ctx.router_coords[ctx.module_router[src] as usize];
-        let dst_router = (y % nx) + nx * ((x % ny) + ny * z);
-        let mods = ctx.modules_of(dst_router);
-        let dst = mods[ctx.module_local[src] as usize % mods.len()] as usize;
-        if dst == src {
-            uniform_excluding(src, ctx.num_modules(), rng)
-        } else {
-            dst
-        }
-    }
-}
-
-/// Bit-reversal traffic: module `m` sends to the module whose index is
-/// the bit-reversal of `m` in `ceil(log2 N)` bits — the classic
-/// adversarial pattern for dimension-order routing. Fixed points and
-/// out-of-range reversals fall back to a uniform draw.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BitReversal;
-
-impl TrafficPattern for BitReversal {
-    fn name(&self) -> &'static str {
-        "bitrev"
-    }
-
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
-        let n = ctx.num_modules();
-        let bits = n.next_power_of_two().trailing_zeros();
-        let rev = if bits == 0 {
-            src
-        } else {
-            ((src as u64).reverse_bits() >> (64 - bits)) as usize
-        };
-        if rev >= n || rev == src {
-            uniform_excluding(src, n, rng)
-        } else {
-            rev
-        }
-    }
-}
-
-/// Nearest-neighbour traffic: destinations are confined to modules on an
-/// adjacent router (picked uniformly), modelling tightly blocked stencil
-/// workloads. Isolated routers fall back to a uniform draw.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NearestNeighbor;
-
-impl TrafficPattern for NearestNeighbor {
-    fn name(&self) -> &'static str {
-        "neighbor"
-    }
-
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
-        let neighbors = ctx.neighbors_of(ctx.module_router[src] as usize);
-        if neighbors.is_empty() {
-            return uniform_excluding(src, ctx.num_modules(), rng);
-        }
-        let router = neighbors[rng.gen_range(0..neighbors.len())] as usize;
-        let mods = ctx.modules_of(router);
-        if mods.len() == 1 {
-            mods[0] as usize
-        } else {
-            mods[rng.gen_range(0..mods.len())] as usize
-        }
-    }
-}
-
-/// Plain-data mirror of the pattern structs, for configuration types and
-/// CLI flags. Dispatches [`TrafficPattern`] to the corresponding struct.
+/// A destination pattern, for configuration types and CLI flags; its
+/// [`TrafficPattern`] impl draws the destinations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum TrafficKind {
-    /// [`Uniform`].
+    /// Uniform-random traffic: every other module is equally likely
+    /// (the paper's §IV assumption).
     #[default]
     Uniform,
-    /// [`Hotspot`].
+    /// Hotspot traffic: with probability `fraction` the packet targets
+    /// the hotspot module, otherwise a uniform destination (a
+    /// shared-memory controller or I/O port in one corner of the stack).
     Hotspot {
         /// The hotspot module.
         node: usize,
         /// Probability that a packet targets the hotspot.
         fraction: f64,
     },
-    /// [`Transpose`].
+    /// Matrix-transpose traffic: the module at router `(x, y, z)` sends
+    /// to the router at `(y, x, z)` (coordinates folded into the grid
+    /// when the mesh is not square), keeping the same local module index.
+    /// Diagonal sources fall back to a uniform draw.
     Transpose,
-    /// [`BitReversal`].
+    /// Bit-reversal traffic: module `m` sends to the module whose index
+    /// is the bit-reversal of `m` in `ceil(log2 N)` bits — the classic
+    /// adversarial pattern for dimension-order routing. Fixed points and
+    /// out-of-range reversals fall back to a uniform draw.
     BitReversal,
-    /// [`NearestNeighbor`].
+    /// Nearest-neighbour traffic: destinations are confined to modules on
+    /// an adjacent router (picked uniformly), modelling tightly blocked
+    /// stencil workloads. Isolated routers fall back to a uniform draw.
     NearestNeighbor,
 }
 
@@ -327,23 +212,66 @@ impl TrafficKind {
 impl TrafficPattern for TrafficKind {
     fn name(&self) -> &'static str {
         match *self {
-            TrafficKind::Uniform => Uniform.name(),
+            TrafficKind::Uniform => "uniform",
             TrafficKind::Hotspot { .. } => "hotspot",
-            TrafficKind::Transpose => Transpose.name(),
-            TrafficKind::BitReversal => BitReversal.name(),
-            TrafficKind::NearestNeighbor => NearestNeighbor.name(),
+            TrafficKind::Transpose => "transpose",
+            TrafficKind::BitReversal => "bitrev",
+            TrafficKind::NearestNeighbor => "neighbor",
         }
     }
 
     fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
+        let n = ctx.num_modules();
         match *self {
-            TrafficKind::Uniform => Uniform.dest(src, ctx, rng),
+            TrafficKind::Uniform => uniform_excluding(src, n, rng),
             TrafficKind::Hotspot { node, fraction } => {
-                Hotspot { node, fraction }.dest(src, ctx, rng)
+                // The biased draw happens unconditionally so the RNG
+                // stream does not depend on the source module.
+                let u: f64 = rng.gen();
+                if u < fraction && node != src && node < n {
+                    node
+                } else {
+                    uniform_excluding(src, n, rng)
+                }
             }
-            TrafficKind::Transpose => Transpose.dest(src, ctx, rng),
-            TrafficKind::BitReversal => BitReversal.dest(src, ctx, rng),
-            TrafficKind::NearestNeighbor => NearestNeighbor.dest(src, ctx, rng),
+            TrafficKind::Transpose => {
+                let [nx, ny, _] = ctx.dims;
+                let [x, y, z] = ctx.router_coords[ctx.module_router[src] as usize];
+                let mods = ctx.modules_of((y % nx) + nx * ((x % ny) + ny * z));
+                let dst = mods[ctx.module_local[src] as usize % mods.len()] as usize;
+                if dst == src {
+                    uniform_excluding(src, n, rng)
+                } else {
+                    dst
+                }
+            }
+            TrafficKind::BitReversal => {
+                let bits = n.next_power_of_two().trailing_zeros();
+                let rev = if bits == 0 {
+                    src
+                } else {
+                    ((src as u64).reverse_bits() >> (64 - bits)) as usize
+                };
+                if rev >= n || rev == src {
+                    uniform_excluding(src, n, rng)
+                } else {
+                    rev
+                }
+            }
+            TrafficKind::NearestNeighbor => {
+                let neighbors = ctx.neighbors_of(ctx.module_router[src] as usize);
+                if neighbors.is_empty() {
+                    return uniform_excluding(src, n, rng);
+                }
+                let router = neighbors[rng.gen_range(0..neighbors.len())] as usize;
+                let mods = ctx.modules_of(router);
+                // A second draw only when the router holds several modules.
+                if mods.len() == 1 {
+                    mods[0] as usize
+                } else {
+                    mods[rng.gen_range(0..mods.len())] as usize
+                }
+            }
         }
     }
 }
@@ -416,7 +344,7 @@ mod tests {
         let mut a = seeded_rng(11);
         let mut b = seeded_rng(11);
         for src in 0..n {
-            let got = Uniform.dest(src, &c, &mut a);
+            let got = TrafficKind::Uniform.dest(src, &c, &mut a);
             let mut want = b.gen_range(0..n - 1);
             if want >= src {
                 want += 1;
@@ -429,7 +357,7 @@ mod tests {
     fn hotspot_concentrates_traffic() {
         let topo = Topology::mesh2d(4, 4);
         let c = ctx(&topo);
-        let kind = Hotspot {
+        let kind = TrafficKind::Hotspot {
             node: 5,
             fraction: 0.5,
         };
@@ -449,9 +377,9 @@ mod tests {
         let c = ctx(&topo);
         let mut rng = seeded_rng(3);
         // Module at (1, 2) is router 1 + 4·2 = 9; transpose is (2, 1) = 6.
-        assert_eq!(Transpose.dest(9, &c, &mut rng), 6);
+        assert_eq!(TrafficKind::Transpose.dest(9, &c, &mut rng), 6);
         // Diagonal module falls back to uniform (never self).
-        let d = Transpose.dest(5, &c, &mut rng);
+        let d = TrafficKind::Transpose.dest(5, &c, &mut rng);
         assert_ne!(d, 5);
     }
 
@@ -461,11 +389,11 @@ mod tests {
         let c = ctx(&topo);
         let mut rng = seeded_rng(3);
         // 0b0001 -> 0b1000.
-        assert_eq!(BitReversal.dest(1, &c, &mut rng), 8);
+        assert_eq!(TrafficKind::BitReversal.dest(1, &c, &mut rng), 8);
         // 0b0011 -> 0b1100.
-        assert_eq!(BitReversal.dest(3, &c, &mut rng), 12);
+        assert_eq!(TrafficKind::BitReversal.dest(3, &c, &mut rng), 12);
         // Palindromic index falls back to uniform (never self).
-        assert_ne!(BitReversal.dest(9, &c, &mut rng), 9);
+        assert_ne!(TrafficKind::BitReversal.dest(9, &c, &mut rng), 9);
     }
 
     #[test]
@@ -475,7 +403,7 @@ mod tests {
         let mut rng = seeded_rng(29);
         for src in 0..topo.num_modules() {
             for _ in 0..20 {
-                let d = NearestNeighbor.dest(src, &c, &mut rng);
+                let d = TrafficKind::NearestNeighbor.dest(src, &c, &mut rng);
                 assert_eq!(
                     topo.router_distance(topo.router_of(src), topo.router_of(d)),
                     1

@@ -246,9 +246,9 @@ impl ExpandedGrid {
     /// to router `dst` to `out`: the crate's one policy walker
     /// ([`walk_route`]) with each unit step's id from
     /// [`ExpandedGrid::link_id`], so no table or topology is built.
-    /// Same-router pairs append nothing, and the link sequence equals
-    /// [`crate::routing::policy_route_routers`]`(topo, kind, src, dst,
-    /// choice).links` on the materialized topology (pinned by tests).
+    /// Same-router pairs append nothing, and the link list equals the one
+    /// the walker appends over the materialized topology's unit steps
+    /// ([`Topology::step_link`]; pinned by tests).
     ///
     /// # Panics
     ///
@@ -342,7 +342,7 @@ pub(crate) fn placement(dims: [usize; 3], a: [usize; 3], b: [usize; 3]) -> Place
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{policy_route_routers, RouteTable};
+    use crate::routing::{walk_topology, RouteTable};
     use crate::topology::Router;
     use std::collections::BTreeMap;
 
@@ -597,17 +597,14 @@ mod tests {
         for grid in [ExpandedGrid::mesh2d(4, 3), ExpandedGrid::mesh3d(3, 2, 2)] {
             let topo = grid.to_topology();
             for kind in kinds() {
-                let mut got = Vec::new();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
                 for s in 0..grid.num_routers() {
                     for d in 0..grid.num_routers() {
                         for c in 0..kind.choices() {
                             got.clear();
+                            want.clear();
                             grid.route_into(kind, s, d, c, &mut got);
-                            let want: Vec<u32> = policy_route_routers(&topo, kind, s, d, c)
-                                .links
-                                .iter()
-                                .map(|&l| l as u32)
-                                .collect();
+                            walk_topology(&topo, kind, s, d, c, &mut want);
                             assert_eq!(got, want, "{} ({s},{d},{c})", kind.name());
                         }
                     }

@@ -8,9 +8,10 @@
 //!
 //! A [`PillarMesh3d`] keeps vertical links only at *pillar* columns (every
 //! `pitch`-th router in x and y). Packets route X/Y to the nearest pillar,
-//! ride it vertically, then finish X/Y on the destination layer. The
-//! analytic latency evaluation mirrors [`crate::analytic`] but over these
-//! detoured routes, so the TSV-count/latency trade-off can be quantified.
+//! ride it vertically, then finish X/Y on the destination layer
+//! ([`PillarMesh3d::route_into`]). The analytic model prices these
+//! detoured routes from [`PillarMesh3d::route_table`], as it prices every
+//! other table, so the TSV-count/latency trade-off can be quantified.
 //!
 //! A pillar mesh is the full 3D mesh's link list less the +z pairs off
 //! pillar columns, built by the crate's one raster link builder (the
@@ -21,9 +22,10 @@
 //! pretends some links don't exist. The materialized
 //! [`PillarMesh3d::topology`] plus [`PillarMesh3d::route_table`] plug
 //! straight into the unchanged DES stack through
-//! [`crate::des::Engine::with_table`].
+//! [`crate::des::Engine::with_table`], and into the analytic model.
 //!
 //! ```
+//! use wi_noc::analytic::{AnalyticModel, RouterParams};
 //! use wi_noc::irregular::PillarMesh3d;
 //! use wi_noc::topology::Topology;
 //!
@@ -33,11 +35,13 @@
 //! assert_eq!(pillar.pillar_count(), 4);
 //! let full = Topology::mesh3d(4, 4, 2);
 //! assert_eq!(pillar.topology().num_links(), full.num_links() - 2 * 12);
+//! let params = RouterParams::default();
+//! let sparse = AnalyticModel::with_table(pillar.topology(), params, pillar.route_table());
+//! assert!(sparse.zero_load_latency() > AnalyticModel::new(&full, params).zero_load_latency());
 //! ```
 
-use crate::analytic::RouterParams;
 use crate::icdb::grid::mesh_links;
-use crate::routing::{Path, RouteTable, RoutingKind};
+use crate::routing::{walk_topology, RouteTable, RoutingKind};
 use crate::topology::{Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
 
@@ -77,11 +81,6 @@ impl PillarMesh3d {
         self.pitch
     }
 
-    /// Whether the column at `(x, y)` carries TSVs.
-    pub fn is_pillar(&self, x: usize, y: usize) -> bool {
-        is_pillar_column(x, y, self.pitch)
-    }
-
     /// Number of TSV pillars (columns with vertical links), in closed
     /// form: multiples of the pitch inside each planar extent.
     pub fn pillar_count(&self) -> usize {
@@ -99,66 +98,39 @@ impl PillarMesh3d {
         )
     }
 
-    /// Route between two routers: X/Y to the pillar nearest the source,
-    /// vertical, then X/Y to the destination. Same-layer traffic routes
-    /// purely in-plane. All link ids refer to [`PillarMesh3d::topology`].
-    pub fn route_routers(&self, src: usize, dst: usize) -> Path {
+    /// Appends the link ids of the route from router `src` to router
+    /// `dst` to `out`: dimension-order to the pillar nearest the source,
+    /// along the pillar, then dimension-order to the destination — three
+    /// legs of the crate's one policy walker. Same-layer traffic routes
+    /// purely in-plane, and a same-router pair appends nothing. All link
+    /// ids refer to [`PillarMesh3d::topology`].
+    pub fn route_into(&self, src: usize, dst: usize, out: &mut Vec<u32>) {
         let topo = &self.topo;
+        let leg = |a: usize, b: usize, out: &mut Vec<u32>| {
+            walk_topology(topo, RoutingKind::DimensionOrder, a, b, 0, out);
+        };
         let [sx, sy, sz] = topo.coord(src);
         let [_, _, dz] = topo.coord(dst);
         if sz == dz {
-            return crate::routing::route_routers(topo, src, dst);
+            leg(src, dst, out);
+            return;
         }
         let (px, py) = self.nearest_pillar(sx, sy);
         let pillar_src = topo.router_at([px, py, sz]);
         let pillar_dst = topo.router_at([px, py, dz]);
-        let mut p = crate::routing::route_routers(topo, src, pillar_src);
-        let vertical = crate::routing::route_routers(topo, pillar_src, pillar_dst);
-        let tail = crate::routing::route_routers(topo, pillar_dst, dst);
-        p.links.extend(vertical.links);
-        p.routers.extend(vertical.routers.into_iter().skip(1));
-        p.links.extend(tail.links);
-        p.routers.extend(tail.routers.into_iter().skip(1));
-        p
+        leg(src, pillar_src, out);
+        leg(pillar_src, pillar_dst, out);
+        leg(pillar_dst, dst, out);
     }
 
-    /// Route between two modules (see [`PillarMesh3d::route_routers`]).
-    pub fn route(&self, src_module: usize, dst_module: usize) -> Path {
-        self.route_routers(
-            self.topo.router_of(src_module),
-            self.topo.router_of(dst_module),
-        )
-    }
-
-    /// Materializes the all-pairs pillar routes as a [`RouteTable`]
-    /// (reported as dimension-order: the routing is deterministic, one
-    /// choice per pair), ready for
-    /// [`Engine::with_table`](crate::des::Engine::with_table).
+    /// Materializes [`PillarMesh3d::route_into`] for all pairs as a
+    /// [`RouteTable`] (reported as dimension-order: one choice per pair),
+    /// ready for [`Engine::with_table`](crate::des::Engine::with_table)
+    /// and [`AnalyticModel::with_table`](crate::analytic::AnalyticModel::with_table).
     pub fn route_table(&self) -> RouteTable {
         RouteTable::from_routes(&self.topo, RoutingKind::DimensionOrder, |a, b, _c, out| {
-            let p = self.route_routers(a, b);
-            out.extend(p.links.iter().map(|&l| l as u32));
+            self.route_into(a, b, out)
         })
-    }
-
-    /// Mean zero-load latency under the pillar routing, using the same
-    /// timing parameters as the regular analytic model.
-    pub fn zero_load_latency(&self, params: RouterParams) -> f64 {
-        let n = self.topo.num_modules();
-        let mut total = 0.0;
-        let mut pairs = 0u64;
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let p = self.route(s, d);
-                total += p.routers.len() as f64 * params.routing_delay
-                    + (p.links.len() + 1) as f64 * params.service_time;
-                pairs += 1;
-            }
-        }
-        total / pairs as f64
     }
 }
 
@@ -182,8 +154,32 @@ fn nearest_on_axis(c: usize, pitch: usize, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytic::{AnalyticModel, RouterParams};
     use crate::des::{DesConfig, Engine};
     use std::sync::Arc;
+
+    /// The pillar route from router `src` to router `dst` as a link list.
+    fn route(pillar: &PillarMesh3d, src: usize, dst: usize) -> Vec<u32> {
+        let mut links = Vec::new();
+        pillar.route_into(src, dst, &mut links);
+        links
+    }
+
+    /// The routers a link list visits from `src`, `src` first, asserting
+    /// that each link starts where the previous one ended.
+    fn chain(topo: &Topology, src: usize, links: &[u32]) -> Vec<usize> {
+        let mut routers = vec![src];
+        for (i, &l) in links.iter().enumerate() {
+            let link = topo.links()[l as usize];
+            assert_eq!(
+                link.src,
+                *routers.last().unwrap(),
+                "link {i} breaks the chain"
+            );
+            routers.push(link.dst);
+        }
+        routers
+    }
 
     #[test]
     fn pitch_one_matches_full_mesh_routing() {
@@ -193,12 +189,12 @@ mod tests {
         // IS the full mesh — link list and all.
         assert_eq!(pillar.topology().links(), full.links());
         for (s, d) in [(0usize, 63usize), (10, 50), (33, 4)] {
-            let a = pillar.route(s, d).hops();
-            let b = crate::routing::route(&full, s, d).hops();
+            let mut dor = Vec::new();
+            walk_topology(&full, RoutingKind::DimensionOrder, s, d, 0, &mut dor);
             // Pitch-1 pillar routing may take the pillar at (0,0) rather
             // than the minimal column, but for these pairs the detour is
             // zero because every column is a pillar.
-            assert_eq!(a, b, "pair ({s},{d})");
+            assert_eq!(route(&pillar, s, d).len(), dor.len(), "pair ({s},{d})");
         }
     }
 
@@ -230,15 +226,8 @@ mod tests {
         let pillar = PillarMesh3d::new(4, 4, 3, 2);
         let topo = pillar.topology();
         for (s, d) in [(0usize, 47usize), (5, 42), (20, 1)] {
-            let p = pillar.route(s, d);
-            assert_eq!(p.routers.len(), p.links.len() + 1);
-            for (i, &l) in p.links.iter().enumerate() {
-                let link = topo.links()[l];
-                assert_eq!(link.src, p.routers[i], "pair ({s},{d}) link {i}");
-                assert_eq!(link.dst, p.routers[i + 1]);
-            }
-            assert_eq!(p.routers[0], topo.router_of(s));
-            assert_eq!(*p.routers.last().unwrap(), topo.router_of(d));
+            let routers = chain(topo, s, &route(&pillar, s, d));
+            assert_eq!(*routers.last().unwrap(), d, "pair ({s},{d})");
         }
     }
 
@@ -248,10 +237,10 @@ mod tests {
         let topo = pillar.topology();
         let s = topo.router_at([3, 3, 0]);
         let d = topo.router_at([3, 3, 1]);
-        let p = pillar.route(s, d);
+        let links = route(&pillar, s, d);
         // Must detour via (0,0): 6 hops in, 1 up, 6 back.
-        assert_eq!(p.hops(), 13);
-        assert!(p.routers.contains(&topo.router_at([0, 0, 0])));
+        assert_eq!(links.len(), 13);
+        assert!(chain(topo, s, &links).contains(&topo.router_at([0, 0, 0])));
     }
 
     #[test]
@@ -279,10 +268,13 @@ mod tests {
 
     #[test]
     fn fewer_pillars_cost_latency() {
-        let params = RouterParams::default();
-        let full = PillarMesh3d::new(4, 4, 4, 1).zero_load_latency(params);
-        let sparse = PillarMesh3d::new(4, 4, 4, 2).zero_load_latency(params);
-        let single = PillarMesh3d::new(4, 4, 4, 4).zero_load_latency(params);
+        let latency = |pitch| {
+            let mesh = PillarMesh3d::new(4, 4, 4, pitch);
+            let params = RouterParams::default();
+            AnalyticModel::with_table(mesh.topology(), params, mesh.route_table())
+                .zero_load_latency()
+        };
+        let (full, sparse, single) = (latency(1), latency(2), latency(4));
         assert!(full < sparse, "full {full} sparse {sparse}");
         assert!(sparse < single, "sparse {sparse} single {single}");
     }
@@ -292,7 +284,7 @@ mod tests {
         let sparse = PillarMesh3d::new(4, 4, 2, 4);
         let s = 0usize; // (0,0,0)
         let d = 3usize; // (3,0,0)
-        assert_eq!(sparse.route(s, d).hops(), 3);
+        assert_eq!(route(&sparse, s, d).len(), 3);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! * [`des`] — an independent discrete-event simulator of the same system,
 //!   used to validate the analytic model: an arena-based event
 //!   [`des::engine`] (zero allocation in the steady-state loop), the
-//!   pinned [`des::reference`] oracle, synthetic [`des::traffic`]
-//!   patterns (uniform, hotspot, transpose, bit-reversal,
-//!   nearest-neighbour) and parallel multi-replication [`mod@des::sweep`]s
-//!   with per-rate error bars and saturation-knee detection.
+//!   pinned [`des::reference`] oracle, the synthetic traffic patterns of
+//!   [`des::traffic::TrafficKind`] (uniform, hotspot, transpose,
+//!   bit-reversal, nearest-neighbour) and parallel multi-replication
+//!   [`mod@des::sweep`]s with per-rate error bars and knee detection.
 //! * [`metrics`] — structural topology metrics (the quantitative Fig. 7).
 //! * [`icdb`] — closed-form mesh descriptions: an
 //!   [`icdb::ExpandedGrid`] answers router, link-id, link-class and
@@ -71,5 +71,5 @@ pub use des::{
 };
 pub use icdb::{ExpandedGrid, HybridBoards};
 pub use metrics::{topology_metrics, TopologyMetrics};
-pub use routing::{route, Path, RouteTable};
+pub use routing::RouteTable;
 pub use topology::{Topology, TopologyKind};

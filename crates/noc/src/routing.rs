@@ -47,9 +47,14 @@
 //! every policy. `Adaptive` decisions are likewise pure functions of
 //! queue state shared between the engine and the oracle (never the RNG),
 //! so the same contract holds.
+//!
+//! A route has one form throughout the crate: its link list, the `u32`
+//! ids of the links it crosses in order, as [`walk_route`] appends it and
+//! [`RouteTable`] stores it.
 
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
+use wi_num::rng::mix64;
 
 /// The six dimension-order permutations of a 3D mesh, as visit orders over
 /// the coordinate axes. Order 0 is X-then-Y-then-Z — plain dimension-order
@@ -238,9 +243,9 @@ impl RoutingKind {
     }
 }
 
-/// Selects a route choice for one packet: a deterministic SplitMix64-style
-/// hash of (simulation seed, packet index, src module, dst module) reduced
-/// modulo the choice count.
+/// Selects a route choice for one packet: a deterministic SplitMix64
+/// hash ([`mix64`]) of (simulation seed, packet index, src module, dst
+/// module) reduced modulo the choice count.
 ///
 /// Both the arena engine and the naive reference oracle call this — and
 /// never the simulation RNG — so randomized routing perturbs neither the
@@ -250,12 +255,10 @@ pub fn route_choice(seed: u64, packet: u64, src: usize, dst: usize, choices: usi
     if choices <= 1 {
         return 0;
     }
-    let mut z = seed
-        .wrapping_add(packet.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(((src as u64) << 32) ^ dst as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mix64(
+        seed.wrapping_add(packet.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(((src as u64) << 32) ^ dst as u64),
+    );
     (z % choices as u64) as usize
 }
 
@@ -263,12 +266,11 @@ pub fn route_choice(seed: u64, packet: u64, src: usize, dst: usize, choices: usi
 /// `(src, dst)` — a fixed-salt hash, so the whole table is reproducible
 /// from the topology alone.
 pub fn valiant_intermediate(num_routers: usize, src: usize, dst: usize, choice: usize) -> usize {
-    let mut z = VALIANT_SALT
-        .wrapping_add((choice as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(((src as u64) << 32) ^ dst as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mix64(
+        VALIANT_SALT
+            .wrapping_add((choice as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(((src as u64) << 32) ^ dst as u64),
+    );
     (z % num_routers as u64) as usize
 }
 
@@ -288,13 +290,12 @@ pub fn rlb_intermediate(src: [usize; 3], dst: [usize; 3], choice: usize) -> [usi
         mid[dim] = if lo == hi {
             lo
         } else {
-            let mut z = RLB_SALT
-                .wrapping_add((choice as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(pack(src).rotate_left(17) ^ pack(dst))
-                .wrapping_add((dim as u64) << 61);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let z = mix64(
+                RLB_SALT
+                    .wrapping_add((choice as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .wrapping_add(pack(src).rotate_left(17) ^ pack(dst))
+                    .wrapping_add((dim as u64) << 61),
+            );
             lo + (z % (hi - lo + 1) as u64) as usize
         };
     }
@@ -311,22 +312,6 @@ pub fn rlb_intermediate(src: [usize; 3], dst: [usize; 3], choice: usize) -> [usi
 /// the deadlock-freedom argument `wi_noc::deadlock` machine-checks.
 pub fn adaptive_network(src: [usize; 3], dst: [usize; 3]) -> usize {
     usize::from(dst[1] < src[1]) | (usize::from(dst[2] < src[2]) << 1)
-}
-
-/// A routed path between two modules.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Path {
-    /// Routers traversed, source router first, destination router last.
-    pub routers: Vec<usize>,
-    /// Inter-router link ids traversed (one fewer than routers).
-    pub links: Vec<usize>,
-}
-
-impl Path {
-    /// Number of inter-router hops.
-    pub fn hops(&self) -> usize {
-        self.links.len()
-    }
 }
 
 /// One unit step of a route walk: leave `router`, at grid coordinate
@@ -544,10 +529,10 @@ const FIRST_AXIS: [[u8; 8]; 6] = {
 /// its [`RouteProgram`] — appending each unit step's link id, taken from
 /// `link`, to `out`.
 ///
-/// The [`RouteTable`] builder, [`policy_route`] and its siblings,
-/// [`all_pairs_routable_with`], the deadlock checker, the hybrid boards'
-/// wired legs and [`crate::icdb::ExpandedGrid::route_into`] all walk
-/// through it, differing only in where a step's link id comes from.
+/// The [`RouteTable`] builder, the DES oracle, [`all_pairs_routable_with`],
+/// the deadlock checker, the pillar and hybrid legs and
+/// [`crate::icdb::ExpandedGrid::route_into`] all walk through it,
+/// differing only in where a step's link id comes from.
 ///
 /// Returns the hop count of the first leg — up to the Valiant/RLB
 /// intermediate, the whole route otherwise — or the first step `link`
@@ -665,92 +650,22 @@ pub(crate) fn assert_unit_steps(topo: &Topology, kind: RoutingKind) {
     }
 }
 
-/// Computes the dimension-order route between two modules.
-///
-/// # Panics
-///
-/// Panics if either module is out of range or if the topology lacks a link
-/// the route needs (possible only for hand-edited irregular topologies).
-pub fn route(topo: &Topology, src_module: usize, dst_module: usize) -> Path {
-    policy_route(topo, RoutingKind::DimensionOrder, src_module, dst_module, 0)
-}
-
-/// Dimension-order route between two routers.
-///
-/// # Panics
-///
-/// See [`route`].
-pub fn route_routers(topo: &Topology, src: usize, dst: usize) -> Path {
-    policy_route_routers(topo, RoutingKind::DimensionOrder, src, dst, 0)
-}
-
-/// Materializes choice `choice` of policy `kind` between two routers:
-/// the naive (allocating) construction the [`RouteTable`] stores and the
-/// reference simulator replays per packet.
-///
-/// Pairs sharing a router get an empty path under every policy — a packet
-/// that never enters the mesh takes no detour.
-///
-/// # Panics
-///
-/// Panics if a router is out of range, `choice >= kind.choices()`, or the
-/// topology lacks a link the route needs.
-pub fn policy_route_routers(
-    topo: &Topology,
-    kind: RoutingKind,
-    src: usize,
-    dst: usize,
-    choice: usize,
-) -> Path {
-    let mut links = Vec::new();
-    walk_topology(topo, kind, src, dst, choice, &mut links);
-    let mut routers = vec![src];
-    routers.extend(links.iter().map(|&l| topo.links()[l as usize].dst));
-    Path {
-        routers,
-        links: links.into_iter().map(|l| l as usize).collect(),
-    }
-}
-
-/// Materializes choice `choice` of policy `kind` between two modules.
-///
-/// # Panics
-///
-/// See [`policy_route_routers`].
-pub fn policy_route(
-    topo: &Topology,
-    kind: RoutingKind,
-    src_module: usize,
-    dst_module: usize,
-    choice: usize,
-) -> Path {
-    policy_route_routers(
-        topo,
-        kind,
-        topo.router_of(src_module),
-        topo.router_of(dst_module),
-        choice,
-    )
-}
-
 /// All-pairs routes of one [`RoutingKind`] in flat CSR form.
 ///
-/// [`route`] walks the path and allocates two `Vec`s per call. A
-/// `RouteTable` walks every *router* pair once per **choice** at build
+/// A `RouteTable` walks every *router* pair once per **choice** at build
 /// time — one unit-step table read per hop ([`Topology::step_link`]) —
 /// and stores the link ids contiguously, so a lookup is two array reads
 /// and a slice: no allocation, no walk. That costs
 /// O(routers² · choices) memory; the analytic model, the icdb, hybrid
 /// and pillar-mesh tables and the oracles pay it, while the DES engine
 /// steps [`RouteProgram`]s and reads a table only when built around one
-/// ([`crate::des::Engine::with_table`]). Module pairs sharing a router
-/// map to an empty slice, exactly like [`route`].
+/// ([`crate::des::Engine::with_table`]). Pairs sharing a router map to
+/// an empty slice under every policy — a packet that never enters the
+/// mesh takes no detour.
 ///
-/// The stored route of pair `(a, b)` at choice `c` is identical, link for
-/// link, to [`policy_route_routers`]`(topo, kind, a, b, c)` — and for
-/// [`RoutingKind::DimensionOrder`] (the [`RouteTable::new`] default,
-/// choice count 1) identical to the one [`route`] returns, so consumers
-/// switching to the table see bit-identical behaviour.
+/// A [`RouteTable::with_policy`] table stores, for router pair `(a, b)`
+/// at choice `c`, the link list [`walk_route`] appends for
+/// `(kind, a, b, c)` over the topology's unit steps.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteTable {
     kind: RoutingKind,
@@ -773,8 +688,7 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if the topology lacks a link some dimension-order route
-    /// needs (possible only for hand-edited irregular topologies) — the
-    /// same condition under which [`route`] panics.
+    /// needs (possible only for hand-edited irregular topologies).
     pub fn new(topo: &Topology) -> Self {
         Self::with_policy(topo, RoutingKind::DimensionOrder)
     }
@@ -893,16 +807,6 @@ impl RouteTable {
         &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Link ids of the first route choice between two routers (for
-    /// dimension-order tables, the only one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either router is out of range.
-    pub fn router_links(&self, src: usize, dst: usize) -> &[u32] {
-        self.router_links_choice(src, dst, 0)
-    }
-
     /// Link ids of route choice `choice` between two modules (empty when
     /// both attach to the same router).
     ///
@@ -970,15 +874,9 @@ impl RouteTable {
     }
 }
 
-/// Checks that dimension-order routing can serve every module pair of the
-/// topology (true for all regular meshes; useful for irregular variants).
-pub fn all_pairs_routable(topo: &Topology) -> bool {
-    all_pairs_routable_with(topo, RoutingKind::DimensionOrder)
-}
-
-/// [`all_pairs_routable`] generalized over routing policies: checks that
-/// every (router pair, choice) route of `kind` only crosses links the
-/// topology has.
+/// Checks that every (router pair, choice) route of `kind` only crosses
+/// links the topology has (true for every regular mesh; useful for
+/// irregular variants).
 pub fn all_pairs_routable_with(topo: &Topology, kind: RoutingKind) -> bool {
     let n = topo.num_routers();
     let mut scratch = Vec::new();
@@ -997,35 +895,58 @@ pub fn all_pairs_routable_with(topo: &Topology, kind: RoutingKind) -> bool {
 mod tests {
     use super::*;
 
+    /// The routers choice `c` of `kind` visits from router `a` to router
+    /// `b`, `a` first: the walked link list read as a chain, each link
+    /// starting where the previous one ended.
+    fn walked_routers(t: &Topology, kind: RoutingKind, a: usize, b: usize, c: usize) -> Vec<usize> {
+        let mut links = Vec::new();
+        walk_topology(t, kind, a, b, c, &mut links);
+        let mut routers = vec![a];
+        for &l in &links {
+            let link = t.links()[l as usize];
+            assert_eq!(
+                link.src,
+                *routers.last().unwrap(),
+                "link {l} breaks the chain"
+            );
+            routers.push(link.dst);
+        }
+        routers
+    }
+
+    /// [`walked_routers`] of the dimension-order route between two
+    /// modules.
+    fn dor_routers(t: &Topology, src_module: usize, dst_module: usize) -> Vec<usize> {
+        let (a, b) = (t.router_of(src_module), t.router_of(dst_module));
+        walked_routers(t, RoutingKind::DimensionOrder, a, b, 0)
+    }
+
     #[test]
     fn route_is_minimal() {
         let t = Topology::mesh3d(4, 4, 4);
         for (s, d) in [(0usize, 63usize), (5, 40), (63, 0), (17, 17)] {
-            let p = route(&t, s, d);
+            let routers = dor_routers(&t, s, d);
             assert_eq!(
-                p.hops(),
+                routers.len() - 1,
                 t.router_distance(t.router_of(s), t.router_of(d)),
                 "pair ({s},{d})"
             );
-            assert_eq!(p.routers.len(), p.links.len() + 1);
         }
     }
 
     #[test]
     fn route_endpoints_correct() {
         let t = Topology::mesh2d(8, 8);
-        let p = route(&t, 3, 59);
-        assert_eq!(p.routers[0], t.router_of(3));
-        assert_eq!(*p.routers.last().unwrap(), t.router_of(59));
+        let routers = dor_routers(&t, 3, 59);
+        assert_eq!(routers[0], t.router_of(3));
+        assert_eq!(*routers.last().unwrap(), t.router_of(59));
     }
 
     #[test]
     fn same_router_pair_has_no_hops() {
         let t = Topology::star_mesh(4, 4, 4);
         // Modules 0 and 1 share router 0.
-        let p = route(&t, 0, 1);
-        assert_eq!(p.hops(), 0);
-        assert_eq!(p.routers, vec![0]);
+        assert_eq!(dor_routers(&t, 0, 1), vec![0]);
     }
 
     #[test]
@@ -1033,8 +954,8 @@ mod tests {
         let t = Topology::mesh3d(4, 4, 4);
         let s = t.router_at([0, 0, 0]);
         let d = t.router_at([2, 2, 2]);
-        let p = route_routers(&t, s, d);
-        let coords: Vec<[usize; 3]> = p.routers.iter().map(|&r| t.coord(r)).collect();
+        let routers = walked_routers(&t, RoutingKind::DimensionOrder, s, d, 0);
+        let coords: Vec<[usize; 3]> = routers.iter().map(|&r| t.coord(r)).collect();
         // X changes first, then Y, then Z.
         assert_eq!(coords[1], [1, 0, 0]);
         assert_eq!(coords[2], [2, 0, 0]);
@@ -1048,32 +969,22 @@ mod tests {
         let s = t.router_at([0, 0, 0]);
         let d = t.router_at([2, 2, 2]);
         // Choice 5 of O1TURN visits the axes in the order [2, 1, 0].
-        let p = policy_route_routers(&t, RoutingKind::O1Turn, s, d, 5);
-        let coords: Vec<[usize; 3]> = p.routers.iter().map(|&r| t.coord(r)).collect();
+        let routers = walked_routers(&t, RoutingKind::O1Turn, s, d, 5);
+        let coords: Vec<[usize; 3]> = routers.iter().map(|&r| t.coord(r)).collect();
         // Z changes first, then Y, then X.
         assert_eq!(coords[1], [0, 0, 1]);
         assert_eq!(coords[2], [0, 0, 2]);
         assert_eq!(coords[3], [0, 1, 2]);
         assert_eq!(coords[5], [1, 2, 2]);
-        assert_eq!(p.hops(), t.router_distance(s, d), "still minimal");
-    }
-
-    #[test]
-    fn links_match_router_sequence() {
-        let t = Topology::mesh2d(5, 5);
-        let p = route(&t, 0, 24);
-        for (i, &l) in p.links.iter().enumerate() {
-            let link = t.links()[l];
-            assert_eq!(link.src, p.routers[i]);
-            assert_eq!(link.dst, p.routers[i + 1]);
-        }
+        assert_eq!(routers.len() - 1, t.router_distance(s, d), "still minimal");
     }
 
     #[test]
     fn regular_meshes_fully_routable() {
-        assert!(all_pairs_routable(&Topology::mesh2d(4, 4)));
-        assert!(all_pairs_routable(&Topology::mesh3d(3, 3, 3)));
-        assert!(all_pairs_routable(&Topology::star_mesh(4, 4, 4)));
+        let dor = RoutingKind::DimensionOrder;
+        assert!(all_pairs_routable_with(&Topology::mesh2d(4, 4), dor));
+        assert!(all_pairs_routable_with(&Topology::mesh3d(3, 3, 3), dor));
+        assert!(all_pairs_routable_with(&Topology::star_mesh(4, 4, 4), dor));
     }
 
     #[test]
@@ -1109,12 +1020,14 @@ mod tests {
             let table = RouteTable::new(&topo);
             assert_eq!(table.num_modules(), topo.num_modules());
             assert_eq!(table.num_choices(), 1);
+            let mut want = Vec::new();
             for s in 0..topo.num_modules() {
                 for d in 0..topo.num_modules() {
-                    let p = route(&topo, s, d);
-                    let want: Vec<u32> = p.links.iter().map(|&l| l as u32).collect();
+                    want.clear();
+                    let (a, b) = (topo.router_of(s), topo.router_of(d));
+                    walk_topology(&topo, RoutingKind::DimensionOrder, a, b, 0, &mut want);
                     assert_eq!(table.links(s, d), &want[..], "pair ({s},{d})");
-                    assert_eq!(table.hops(s, d), p.hops());
+                    assert_eq!(table.hops(s, d), want.len());
                 }
             }
         }
@@ -1135,11 +1048,13 @@ mod tests {
                 let table = RouteTable::with_policy(&topo, kind);
                 assert_eq!(table.kind(), kind);
                 assert_eq!(table.num_choices(), kind.choices());
+                let mut want = Vec::new();
                 for s in 0..topo.num_modules() {
                     for d in 0..topo.num_modules() {
                         for c in 0..kind.choices() {
-                            let p = policy_route(&topo, kind, s, d, c);
-                            let want: Vec<u32> = p.links.iter().map(|&l| l as u32).collect();
+                            want.clear();
+                            let (a, b) = (topo.router_of(s), topo.router_of(d));
+                            walk_topology(&topo, kind, a, b, c, &mut want);
                             assert_eq!(
                                 table.links_choice(s, d, c),
                                 &want[..],
@@ -1232,6 +1147,28 @@ mod tests {
             }
         }
         assert_eq!(route_choice(1, 2, 3, 4, 1), 0);
+    }
+
+    #[test]
+    fn route_hashes_are_pinned() {
+        // Literal values: every randomized route, and so every table and
+        // DES result under O1TURN, Valiant or RLB, follows from these.
+        assert_eq!(route_choice(0xDE5, 0, 3, 40, 8), 2);
+        assert_eq!(route_choice(1, 2, 3, 4, 1_000_003), 295_908);
+        assert_eq!(route_choice(7, 123_456, 511, 0, 1 << 30), 618_078_153);
+        assert_eq!(route_choice(u64::MAX, u64::MAX, 5, 58, 999_983), 82_428);
+        assert_eq!(valiant_intermediate(64, 0, 63, 0), 54);
+        assert_eq!(valiant_intermediate(1_000_000, 5, 40, 7), 984_023);
+        assert_eq!(valiant_intermediate(512, 511, 0, 3), 389);
+        assert_eq!(valiant_intermediate(1 << 30, 13, 13, 2), 738_184_260);
+        assert_eq!(rlb_intermediate([0, 3, 1], [3, 0, 3], 0), [1, 1, 3]);
+        assert_eq!(rlb_intermediate([0, 3, 1], [3, 0, 3], 5), [2, 3, 1]);
+        assert_eq!(rlb_intermediate([7, 0, 2], [0, 7, 5], 3), [5, 6, 2]);
+        assert_eq!(rlb_intermediate([1, 1, 1], [6, 2, 1], 7), [5, 2, 1]);
+        assert_eq!(
+            rlb_intermediate([0, 5000, 17], [1_000_000, 0, 2_000_000], 11),
+            [613_802, 400, 617_564]
+        );
     }
 
     #[test]
@@ -1377,7 +1314,7 @@ mod tests {
         let t = Topology::star_mesh(4, 4, 4);
         let table = RouteTable::new(&t);
         assert!(table.links(0, 1).is_empty());
-        assert!(table.router_links(2, 2).is_empty());
+        assert!(table.router_links_choice(2, 2, 0).is_empty());
         let valiant = RouteTable::with_policy(&t, RoutingKind::valiant());
         for c in 0..valiant.num_choices() {
             assert!(valiant.links_choice(0, 1, c).is_empty());
@@ -1388,7 +1325,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn route_table_rejects_bad_router() {
         let t = Topology::mesh2d(2, 2);
-        RouteTable::new(&t).router_links(0, 4);
+        RouteTable::new(&t).router_links_choice(0, 4, 0);
     }
 
     #[test]

@@ -64,14 +64,23 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Derives a child seed from a base seed and a stream index using
-/// SplitMix64-style mixing, so that parallel experiment arms get independent
-/// streams from one master seed.
-pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
+/// SplitMix64's output finalizer: a bijective avalanche of `z`, so that
+/// nearby inputs map to unrelated outputs. Every seed-derivation and
+/// pure hash in the workspace (this module's [`derive_seed`], the NoC
+/// route-choice and intermediate hashes, the DES fault hashes) mixes
+/// through it.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Derives a child seed from a base seed and a stream index using
+/// SplitMix64-style mixing ([`mix64`]), so that parallel experiment arms
+/// get independent streams from one master seed.
+pub fn derive_seed(base: u64, stream: u64) -> u64 {
+    mix64(base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1))))
 }
 
 #[cfg(test)]
@@ -137,6 +146,16 @@ mod tests {
         assert_ne!(s0, s2);
         // Stable across calls.
         assert_eq!(s0, derive_seed(42, 0));
+    }
+
+    #[test]
+    fn derive_seed_is_pinned() {
+        // Literal values: sweep replication seeds, the BER simulation's frame
+        // streams and every cached result keyed by them depend on these.
+        assert_eq!(derive_seed(0, 0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(derive_seed(42, 1), 0x28ef_e333_b266_f103);
+        assert_eq!(derive_seed(0xDE5, 7), 0x766d_79e5_ef54_3979);
+        assert_eq!(derive_seed(u64::MAX, 12345), 0x33ae_a165_8ba2_d28a);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use wi_ldpc::ber::{
     search_required_ebn0_with_threads, BerSimOptions, CachedBerTarget, CoupledBerTarget,
     SearchOutcome, SearchReport,
 };
-use wi_noc::des::{sweep_with_threads, DesConfig, SweepConfig, SweepResult};
+use wi_noc::des::{sweep_with_threads, SweepResult};
 use wi_num::par;
 
 /// Executor knobs.
@@ -220,20 +220,11 @@ fn evaluate(
             metrics.push(("frames".to_string(), report.frames as f64));
             (metrics, render_search_report(&report))
         }
-        EvalSpec::NocKnee {
-            rates,
-            warmup_packets,
-            measured_packets,
-            max_events,
-        } => {
+        EvalSpec::NocKnee { .. } => {
             let topo = cell.config.stack.topology();
-            let base = DesConfig {
-                warmup_packets: *warmup_packets,
-                measured_packets: *measured_packets,
-                max_events: *max_events,
-                ..cell.config.noc.des_config(cell.seed)
-            };
-            let cfg = SweepConfig::new(rates.clone(), cell.config.noc.replications, base);
+            let cfg = eval
+                .knee_sweep(&cell.config, cell.seed)
+                .expect("a noc_knee eval");
             let result = sweep_with_threads(&topo, &cfg, 1);
             let mut metrics = Vec::new();
             if let Some(k) = result.saturation_knee {

@@ -17,6 +17,7 @@ use crate::json::{obj, Json};
 use wi_ldpc::ber::BerSimOptions;
 use wi_ldpc::decoder::CheckRule;
 use wi_noc::des::traffic::TrafficKind;
+use wi_noc::des::{DesConfig, SweepConfig};
 use wi_noc::routing::RoutingKind;
 use wi_system::config::SystemConfig;
 use wi_system::hash::{StableHash, StableHasher};
@@ -66,6 +67,29 @@ impl EvalSpec {
             EvalSpec::Ebn0Search { .. } => "ebn0_search",
             EvalSpec::NocKnee { .. } => "noc_knee",
         }
+    }
+
+    /// The DES sweep a `noc_knee` eval runs on a cell's `config` at
+    /// `seed`: the eval's rates and packet budgets on the cell's NoC
+    /// workload (`None` for other eval kinds).
+    pub fn knee_sweep(&self, config: &SystemConfig, seed: u64) -> Option<SweepConfig> {
+        let EvalSpec::NocKnee {
+            rates,
+            warmup_packets,
+            measured_packets,
+            max_events,
+        } = self
+        else {
+            return None;
+        };
+        let base = DesConfig {
+            warmup_packets: *warmup_packets,
+            measured_packets: *measured_packets,
+            max_events: *max_events,
+            ..config.noc.des_config(seed)
+        };
+        let replications = config.noc.replications;
+        Some(SweepConfig::new(rates.clone(), replications, base))
     }
 
     /// Stable hash of the evaluation — the `eval` component of a cell
@@ -252,20 +276,12 @@ impl SweepSpec {
                         .map(|p| format!("ebn0_search {p}")),
                 );
             }
-            EvalSpec::NocKnee {
-                rates,
-                measured_packets,
-                ..
-            } => {
-                if rates.is_empty() {
-                    problems.push("noc_knee eval needs at least one rate".into());
-                }
-                if rates.iter().any(|&r| r <= 0.0) {
-                    problems.push("noc_knee rates must be positive".into());
-                }
-                if *measured_packets == 0 {
-                    problems.push("noc_knee measured_packets must be at least 1".into());
-                }
+            EvalSpec::NocKnee { .. } => {
+                // The sweep a cell without axes would run; axes that set
+                // the replication count are checked per cell by
+                // `SystemConfig::validate`.
+                let sweep = self.eval.knee_sweep(&base, 0).expect("a noc_knee eval");
+                problems.extend(sweep.problems().iter().map(|p| format!("noc_knee {p}")));
             }
         }
         for axis in &self.axes {
@@ -671,6 +687,45 @@ mod tests {
         // It joins the grid's other problems in one report.
         spec.seeds.clear();
         assert_eq!(spec.expand().unwrap_err().len(), 2);
+    }
+
+    #[test]
+    fn expansion_rejects_a_knee_eval_that_cannot_find_its_knee() {
+        let knee = |rates: Vec<f64>, max_events| SweepSpec {
+            eval: EvalSpec::NocKnee {
+                rates,
+                warmup_packets: 100,
+                measured_packets: 500,
+                max_events,
+            },
+            ..tiny_spec()
+        };
+        // No event budget: every replication would stop at once and the
+        // first rate would be stored as a knee nobody measured.
+        assert_eq!(
+            knee(vec![0.1, 0.3], 0).expand().unwrap_err(),
+            ["noc_knee max_events must be at least 1"]
+        );
+        // The knee is read off the grid in order, so it must ascend.
+        assert_eq!(
+            knee(vec![0.9, 0.5, 0.1], 200_000).expand().unwrap_err(),
+            ["noc_knee rates must ascend strictly, got 0.9 then 0.5"]
+        );
+        assert_eq!(
+            knee(vec![0.1, 0.1], 200_000).expand().unwrap_err(),
+            ["noc_knee rates must ascend strictly, got 0.1 then 0.1"]
+        );
+        assert_eq!(
+            knee(vec![], 200_000).expand().unwrap_err(),
+            ["noc_knee rates must hold at least one rate"]
+        );
+        assert_eq!(
+            knee(vec![0.1, -0.3], 200_000).expand().unwrap_err(),
+            ["noc_knee rates must be positive and finite, got -0.3"]
+        );
+        // Every problem in one report.
+        assert_eq!(knee(vec![0.3, 0.1], 0).expand().unwrap_err().len(), 2);
+        assert!(knee(vec![0.1, 0.3], 1).expand().is_ok());
     }
 
     #[test]

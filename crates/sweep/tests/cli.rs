@@ -122,6 +122,36 @@ fn run_rejects_a_lifting_below_the_protograph_multiplicity_without_storing() {
 }
 
 #[test]
+fn run_rejects_a_knee_eval_without_an_event_budget_without_storing() {
+    let (code, stderr, records) = run_spec(
+        "zero_events",
+        "10",
+        r#"{"kind": "noc_knee", "rates": [0.1, 0.3], "max_events": 0}"#,
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("noc_knee max_events must be at least 1"),
+        "{stderr}"
+    );
+    assert_eq!(records, 0, "a rejected spec must store nothing");
+}
+
+#[test]
+fn run_rejects_knee_rates_that_do_not_ascend_without_storing() {
+    let (code, stderr, records) = run_spec(
+        "descending_rates",
+        "10",
+        r#"{"kind": "noc_knee", "rates": [0.9, 0.5, 0.1]}"#,
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("noc_knee rates must ascend strictly, got 0.9 then 0.5"),
+        "{stderr}"
+    );
+    assert_eq!(records, 0, "a rejected spec must store nothing");
+}
+
+#[test]
 fn run_rejects_a_knee_eval_that_measures_no_packets_without_storing() {
     let (code, stderr, records) = run_spec(
         "zero_measured",

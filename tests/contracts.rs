@@ -20,6 +20,10 @@
 //! and the table-driven route walk (`Topology::step_link`) must equal
 //! the closed-form icdb routes (`ExpandedGrid::route_into` over
 //! `ExpandedGrid::link_id`).
+//!
+//! Pinned routes: the pillar-mesh route tables are pinned link for link
+//! by digest, so a change to how those routes are built cannot move
+//! them silently.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -39,6 +43,7 @@ use wireless_interconnect::noc::des::{
     reference as des_reference, sweep_with_threads, DesConfig, Engine, FaultConfig, SweepConfig,
 };
 use wireless_interconnect::noc::icdb::ExpandedGrid;
+use wireless_interconnect::noc::irregular::PillarMesh3d;
 use wireless_interconnect::noc::routing::{RouteTable, RoutingKind};
 use wireless_interconnect::noc::topology::Topology;
 use wireless_interconnect::num::rng::{seeded_rng, Gaussian};
@@ -423,5 +428,43 @@ fn route_tables_match_closed_form_route_programs() {
                 );
             }
         }
+    }
+}
+
+/// FNV-1a-64 over the little-endian bytes of `words`, continuing from
+/// `hash`.
+fn fnv1a_u32s(mut hash: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn pillar_route_tables_are_pinned() {
+    // For each router pair in row-major order: the hop count, then the
+    // link ids of the pair's route.
+    for (dims, pitch, want) in [
+        ([4, 4, 4], 1, 0xe424_db50_541c_e6a5),
+        ([4, 4, 4], 2, 0x2896_ea93_44e1_9325),
+        ([4, 4, 4], 4, 0x943e_8055_cb7d_cc25),
+        ([6, 6, 3], 3, 0x3e7a_cd89_f73c_5735),
+        ([5, 7, 2], 3, 0x5a4d_d478_0407_7a50),
+    ] {
+        let [x, y, z] = dims;
+        let mesh = PillarMesh3d::new(x, y, z, pitch);
+        let table = mesh.route_table();
+        let routers = mesh.topology().num_routers();
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for a in 0..routers {
+            for b in 0..routers {
+                let links = table.router_links_choice(a, b, 0);
+                hash = fnv1a_u32s(hash, std::iter::once(links.len() as u32));
+                hash = fnv1a_u32s(hash, links.iter().copied());
+            }
+        }
+        assert_eq!(hash, want, "{dims:?} at pitch {pitch}: {hash:#018x}");
     }
 }

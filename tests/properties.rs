@@ -12,8 +12,8 @@ use wireless_interconnect::noc::deadlock::ChannelDepGraph;
 use wireless_interconnect::noc::icdb::{ExpandedGrid, HybridBoards};
 use wireless_interconnect::noc::irregular::PillarMesh3d;
 use wireless_interconnect::noc::routing::{
-    all_pairs_routable_with, rlb_intermediate, route, valiant_intermediate, walk_route,
-    RouteProgram, RouteTable, RoutingKind, Step,
+    all_pairs_routable_with, rlb_intermediate, valiant_intermediate, walk_route, RouteProgram,
+    RouteTable, RoutingKind, Step,
 };
 use wireless_interconnect::noc::topology::{Link, Topology};
 use wireless_interconnect::quantrx::filter::IsiFilter;
@@ -88,17 +88,20 @@ proptest! {
         let n = topo.num_modules();
         let s = pair % n;
         let d = (pair / 7) % n;
-        let p = route(&topo, s, d);
+        let links = RouteTable::new(&topo).links(s, d).to_vec();
         prop_assert_eq!(
-            p.hops(),
+            links.len(),
             topo.router_distance(topo.router_of(s), topo.router_of(d))
         );
-        // Path is a contiguous chain.
-        for (i, &l) in p.links.iter().enumerate() {
-            let link = topo.links()[l];
-            prop_assert_eq!(link.src, p.routers[i]);
-            prop_assert_eq!(link.dst, p.routers[i + 1]);
+        // The route is a contiguous chain from the source router to the
+        // destination router.
+        let mut here = topo.router_of(s);
+        for &l in &links {
+            let link = topo.links()[l as usize];
+            prop_assert_eq!(link.src, here);
+            here = link.dst;
         }
+        prop_assert_eq!(here, topo.router_of(d));
     }
 
     #[test]

@@ -220,6 +220,31 @@ fn bench_ldpc(c: &mut Criterion) {
             )
         })
     });
+    // The φ-table kernel on the exact rows' 8 frames, all lanes then
+    // alternate lanes: it computes every lane of a masked check and
+    // stores the masked-in ones, so half a mask costs as much as a full
+    // one.
+    let mut scratch8 = vec![[0.0f64; 8]; code.max_check_degree()];
+    for (name, mask) in [
+        ("check_sumproduct_table_batch8_deg8", 0xFFu8),
+        ("check_sumproduct_table_batch8_half_deg8", 0x55),
+    ] {
+        let masks = vec![mask; n_checks];
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                sum_product_table_batch(
+                    offsets,
+                    0,
+                    n_checks,
+                    &masks,
+                    &phi,
+                    black_box(&v2c8),
+                    &mut c2v8,
+                    &mut scratch8,
+                )
+            })
+        });
+    }
 
     // Inter-frame batched BP: 4 and 8 frames decoded in lockstep through
     // the lane-array kernels (bit-identical per frame to a one-frame

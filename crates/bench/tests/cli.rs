@@ -3,24 +3,33 @@
 //! named, never a run with the defaults or a panic mid-run.
 //!
 //! The exhibits whose default run takes milliseconds are pinned byte for
-//! byte: a change that moves one digit of their tables fails here.
+//! byte: a change that moves one digit of their tables fails here. The
+//! `fig10_latency_ebn0 --quick` tables are pinned too, under each check
+//! rule, in an ignored test that takes seconds in release:
+//! `cargo test --release -p wi-bench -- --ignored`.
 
 use std::process::Command;
 
-/// Runs `bin` with no arguments and checks that it succeeds and that its
-/// stdout has FNV-1a-64 digest `want` and `len` bytes.
-fn prints_pinned_bytes(bin: &str, len: usize, want: u64) {
-    let out = Command::new(bin).output().unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{bin}: {out:?}");
-    let digest = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+/// Runs `cmd` and checks that it succeeds and that its stdout, passed
+/// through `mask`, has FNV-1a-64 digest `want` and `len` bytes.
+fn prints_pinned(cmd: &mut Command, mask: fn(&str) -> String, len: usize, want: u64) {
+    let out = cmd.output().unwrap();
+    assert!(out.status.success(), "{cmd:?}: {out:?}");
+    let stdout = mask(&String::from_utf8_lossy(&out.stdout));
+    let digest = stdout.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(
-        (out.stdout.len(), digest),
+        (stdout.len(), digest),
         (len, want),
-        "{bin} printed (digest {digest:#018x}):\n{stdout}"
+        "{cmd:?} printed (digest {digest:#018x}):\n{stdout}"
     );
+}
+
+/// Runs `bin` with no arguments and checks its stdout bytes as
+/// [`prints_pinned`] does, unmasked.
+fn prints_pinned_bytes(bin: &str, len: usize, want: u64) {
+    prints_pinned(&mut Command::new(bin), str::to_owned, len, want);
 }
 
 #[test]
@@ -39,6 +48,35 @@ fn ablation_concentration_prints_its_pinned_tables() {
 fn fig7_topologies_prints_its_pinned_table() {
     let bin = env!("CARGO_BIN_EXE_fig7_topologies");
     prints_pinned_bytes(bin, 650, 0xee68_b487_e127_9b14);
+}
+
+/// `stdout` with the wall-clock seconds that end its `search phase:`
+/// line replaced by `#`.
+fn mask_search_seconds(stdout: &str) -> String {
+    stdout
+        .lines()
+        .map(|line| match line.rsplit_once(" | ") {
+            Some((head, _)) if line.starts_with("search phase:") => format!("{head} | # s\n"),
+            _ => format!("{line}\n"),
+        })
+        .collect()
+}
+
+#[test]
+#[ignore = "three fig10 --quick searches, seconds in release: cargo test --release -p wi-bench -- --ignored"]
+fn fig10_quick_prints_its_pinned_tables_under_each_rule() {
+    // Two workers, so the header's thread count is fixed; the tables,
+    // probe and frame counts do not depend on it.
+    let bin = env!("CARGO_BIN_EXE_fig10_latency_ebn0");
+    for (rule, len, want) in [
+        (None, 765, 0xbf70_9e94_0585_67cd),
+        (Some("--sum-product-table"), 785, 0x1db5_452e_b7d0_4f0b),
+        (Some("--minsum"), 780, 0x53a8_157a_5879_b422),
+    ] {
+        let mut cmd = Command::new(bin);
+        cmd.arg("--quick").args(rule).env("WI_TEST_THREADS", "2");
+        prints_pinned(&mut cmd, mask_search_seconds, len, want);
+    }
 }
 
 fn rejects(bin: &str, args: &[&str], flag: &str) {

@@ -613,8 +613,14 @@ fn window_decode_batch_impl<const L: usize>(
         }
         let edge_lo = offsets[check_lo] as usize;
         let edge_hi = offsets[check_hi] as usize;
+        // Row block i touches variable blocks max(0, i−mcc)..=min(i, L−1),
+        // so the window's rows read and write the posterior of blocks
+        // max(0, t−mcc)..min(t+W, L) only: the one span refreshed from
+        // the working LLRs, at most W+mcc of the L blocks.
+        let block_bits = code.block_bits();
+        let vars = t.saturating_sub(mcc) * block_bits..(t + decoder.window).min(l) * block_bits;
 
-        posterior.copy_from_slice(llr);
+        posterior[vars.clone()].copy_from_slice(&llr[vars.clone()]);
         for it in 0..decoder.iterations {
             // A flooding iteration is a pure function of v2c (the working
             // LLRs are fixed within a position). Once no check's inputs
@@ -638,7 +644,7 @@ fn window_decode_batch_impl<const L: usize>(
                 scratch,
                 exact,
             );
-            posterior.copy_from_slice(llr);
+            posterior[vars.clone()].copy_from_slice(&llr[vars.clone()]);
             scatter_add_batch(
                 &edge_var[edge_lo..edge_hi],
                 &c2v[edge_lo..edge_hi],

@@ -21,7 +21,10 @@
 //!   through the involutive φ-function `φ(x) = −ln tanh(x/2)` and
 //!   evaluated from a precomputed [`PhiTable`]: no transcendentals in the
 //!   loop, accuracy bounded by [`PhiTable::error_bound_at`] instead of
-//!   bit-identity.
+//!   bit-identity. [`PhiTable::eval`] is branch-free, so the kernel
+//!   computes every lane of a recomputed check in vector registers, with
+//!   its table reads as hardware gathers, and stores the masked-in lanes
+//!   through a select.
 //! * [`min_sum_batch`] — normalized min-sum, branch-free across lanes,
 //!   with a fixed-trip-count path for the paper's (4,8)-regular checks.
 //!
@@ -94,6 +97,10 @@ const EXP_END: i32 = 5;
 /// Number of octaves the table spans.
 const N_OCTAVES: usize = (EXP_END - EXP_MIN) as usize;
 
+/// Octaves of index space the table is padded to: a power of two, so
+/// that an index mask keeps every lookup in bounds without a branch.
+const PADDED_OCTAVES: usize = N_OCTAVES.next_power_of_two();
+
 /// Precomputed lookup table for φ with linear interpolation and a
 /// saturation tail.
 ///
@@ -139,7 +146,9 @@ pub struct PhiTable {
     /// beyond [`PHI_X_MAX`].
     tail: f64,
     /// `values[(e - EXP_MIN)·2^bits + c] = φ(2^e·(1 + c/2^bits))`
-    /// (unclamped), length `N_OCTAVES·2^bits + 1`.
+    /// (unclamped) for the `N_OCTAVES·2^bits + 1` nodes, then zeros up
+    /// to the power-of-two length `PADDED_OCTAVES·2^bits`, which no
+    /// lookup reads.
     values: Vec<f64>,
 }
 
@@ -164,7 +173,8 @@ impl PhiTable {
             let cell = (k % m) as f64;
             (exp as f64).exp2() * (1.0 + cell / m as f64)
         };
-        let values: Vec<f64> = (0..=n).map(|k| phi_raw(node(k))).collect();
+        let mut values: Vec<f64> = (0..=n).map(|k| phi_raw(node(k))).collect();
+        values.resize(PADDED_OCTAVES * m, 0.0);
         let max_bound = (0..n)
             .map(|k| {
                 let h = node(k + 1) - node(k);
@@ -209,6 +219,14 @@ impl PhiTable {
     /// `φ(PHI_X_MAX)` at or beyond [`PHI_X_MAX`] (the tail) — no
     /// transcendentals, no division.
     ///
+    /// Branch-free, so a lane loop over it vectorizes and its two table
+    /// reads become hardware gathers: an input outside the table's range
+    /// is interpolated at the knee instead and the tail or the clamp is
+    /// selected at the end, and the reads go through an index mask over
+    /// the power-of-two padded table, which needs no bounds check. In
+    /// range, it performs the same IEEE operations as a lookup that
+    /// branched on the tails.
+    ///
     /// # Panics
     ///
     /// Debug-asserts that the table [`is_built`](PhiTable::is_built) and
@@ -217,26 +235,29 @@ impl PhiTable {
     pub fn eval(&self, x: f64) -> f64 {
         debug_assert!(self.is_built(), "evaluating an unbuilt phi table");
         debug_assert!(x >= 0.0, "phi table domain is x >= 0, got {x}");
-        if x >= PHI_X_MAX {
-            return self.tail;
-        }
-        if x < self.x_min {
-            return LLR_CLAMP;
-        }
-        // x is a positive normal ≥ 2^EXP_MIN here, so its exponent and
-        // top mantissa bits index directly into the geometric grid.
-        let b = x.to_bits();
-        let exp = ((b >> 52) as i32) - 1023;
-        let mant = b & ((1u64 << 52) - 1);
-        let cell = (mant >> (52 - self.bits)) as usize;
-        let frac = (mant & ((1u64 << (52 - self.bits)) - 1)) as f64 * self.frac_scale;
-        let k = (((exp - EXP_MIN) as usize) << self.bits) + cell;
-        let lo = self.values[k];
+        // Outside [x_min, PHI_X_MAX) the knee stands in for x, so the
+        // lookup below always reads a positive normal ≥ 2^EXP_MIN: its
+        // biased exponent and top mantissa bits, read as one integer,
+        // index the geometric grid.
+        let inside = x >= self.x_min && x < PHI_X_MAX;
+        let b = if inside { x } else { self.x_min }.to_bits();
+        let k = (b >> (52 - self.bits)) as usize - (((1023 + EXP_MIN) as usize) << self.bits);
+        let frac = (b & ((1u64 << (52 - self.bits)) - 1)) as f64 * self.frac_scale;
+        let mask = (PADDED_OCTAVES << self.bits) - 1;
+        let values = &self.values[..=mask];
+        let lo = values[k & mask];
         // The cell straddling the clamp knee interpolates from an
         // unclamped left node > LLR_CLAMP; cap the chord so the ceiling
         // and monotonicity contracts hold right at the knee (the cap is
         // 1-Lipschitz, so the documented error bound is unaffected).
-        (lo + frac * (self.values[k + 1] - lo)).min(LLR_CLAMP)
+        let y = (lo + frac * (values[(k + 1) & mask] - lo)).min(LLR_CLAMP);
+        if x >= PHI_X_MAX {
+            self.tail
+        } else if x < self.x_min {
+            LLR_CLAMP
+        } else {
+            y
+        }
     }
 
     /// Documented bound on `|eval(x) − phi_exact(x)|`.
@@ -635,13 +656,15 @@ pub fn sum_product_exact_batch<const L: usize>(
 /// Lane-array table-driven sum-product over checks `check_lo..check_hi`:
 /// per edge, one φ-table evaluation on the gather pass (`φ(|m|)`,
 /// floored at [`phi_gather_floor`] and accumulated into the check total)
-/// and one on the scatter pass (`φ(total − φ(|m_j|))`). The φ-table
-/// gather is a per-lane scalar lookup (no hardware gather on stable
-/// rust), but the accumulate/scatter arithmetic around it is
-/// lane-parallel; each lane performs exactly the evaluation order of
-/// [`check_update`](crate::decoder::reference::check_update), so lanes
-/// are bit-identical to it. Only the lanes set in `masks[c]` are looked
-/// up and written; the others keep their c2v. `phis` is scratch of
+/// and one on the scatter pass (`φ(total − φ(|m_j|))`). A check with any
+/// lane set in `masks[c]` is computed on every lane, branch-free: with
+/// [`PhiTable::eval`] straight-line code, the lane loops vectorize and
+/// the table reads become hardware gathers. The store is a select that
+/// writes the lanes set in the mask and keeps the old c2v of the others
+/// (never an arithmetic blend, which would rewrite `-0.0`). Each lane
+/// performs exactly the evaluation order of
+/// [`check_update`](crate::decoder::reference::check_update), so written
+/// lanes are bit-identical to it. `phis` is scratch of
 /// `max_check_degree` lane-array entries.
 ///
 /// The kernel is *accuracy-tested*, not bit-identical, against the exact
@@ -659,49 +682,65 @@ pub fn sum_product_table_batch<const L: usize>(
 ) {
     let floor = phi_gather_floor();
     for c in check_lo..check_hi {
-        if masks[c] == 0 {
+        let mask = masks[c];
+        if mask == 0 {
             continue;
         }
-        let on = lane_flags::<L>(masks[c]);
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
-        let deg = hi - lo;
-        let mut total = [0.0f64; L];
-        let mut sign_prod = [1.0f64; L];
-        for (p, mj) in phis[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            for lane in 0..L {
-                if !on[lane] {
-                    continue;
-                }
-                let m = mj[lane];
-                let a = phi.eval(m.abs()).max(floor);
-                p[lane] = a;
-                total[lane] += a;
-                sign_prod[lane] = if m < 0.0 {
-                    -sign_prod[lane]
-                } else {
-                    sign_prod[lane]
-                };
-            }
+        table_check_lanes(
+            phi,
+            floor,
+            mask,
+            &v2c[lo..hi],
+            &mut c2v[lo..hi],
+            &mut phis[..hi - lo],
+        );
+    }
+}
+
+/// One lane-array φ-table check, every lane computed and the lanes set
+/// in `mask` stored. `#[inline(never)]` for the same reason as
+/// [`min_sum_check_lanes`]: the thin-LTO post-link vectorizer packs the
+/// lane loops only when they compile as a small standalone function.
+#[inline(never)]
+fn table_check_lanes<const L: usize>(
+    phi: &PhiTable,
+    floor: f64,
+    mask: u8,
+    m: &[[f64; L]],
+    out: &mut [[f64; L]],
+    phis: &mut [[f64; L]],
+) {
+    let on = lane_flags::<L>(mask);
+    let mut total = [0.0f64; L];
+    let mut sign_prod = [1.0f64; L];
+    for (p, mj) in phis.iter_mut().zip(m) {
+        for lane in 0..L {
+            let v = mj[lane];
+            let a = phi.eval(v.abs()).max(floor);
+            p[lane] = a;
+            total[lane] += a;
+            sign_prod[lane] = if v < 0.0 {
+                -sign_prod[lane]
+            } else {
+                sign_prod[lane]
+            };
         }
-        for (j, mj) in (0..deg).zip(&v2c[lo..hi]) {
-            let oj = &mut c2v[lo + j];
-            for lane in 0..L {
-                if !on[lane] {
-                    continue;
-                }
-                let m = mj[lane];
-                // Float cancellation can push the extrinsic φ-sum a
-                // hair below zero when one edge dominates; clamp into
-                // the domain.
-                let mag = phi.eval((total[lane] - phis[j][lane]).max(0.0));
-                let sign = if m < 0.0 {
-                    -sign_prod[lane]
-                } else {
-                    sign_prod[lane]
-                };
-                oj[lane] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
+    }
+    for ((p, mj), oj) in phis.iter().zip(m).zip(out.iter_mut()) {
+        for lane in 0..L {
+            let v = mj[lane];
+            // Float cancellation can push the extrinsic φ-sum a hair
+            // below zero when one edge dominates; clamp into the domain.
+            let mag = phi.eval((total[lane] - p[lane]).max(0.0));
+            let sign = if v < 0.0 {
+                -sign_prod[lane]
+            } else {
+                sign_prod[lane]
+            };
+            let new = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
+            oj[lane] = if on[lane] { new } else { oj[lane] };
         }
     }
 }

@@ -181,6 +181,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "uniform traffic only, not transpose")]
+    fn reference_rejects_a_non_uniform_pattern() {
+        let cfg = DesConfig {
+            traffic: TrafficKind::Transpose,
+            ..DesConfig::default()
+        };
+        reference::simulate(&Topology::mesh3d(4, 4, 4), &cfg);
+    }
+
+    #[test]
     fn engine_matches_reference_under_all_routing_policies() {
         // The route programs and the per-packet route-choice hash must
         // keep the arena engine bit-identical to the naive oracle (which

@@ -12,7 +12,9 @@
 //! the speedup against it.
 //!
 //! Only uniform traffic is implemented here (the pre-refactor simulator
-//! knew nothing else); the `traffic` field of [`DesConfig`] is ignored.
+//! knew nothing else): [`simulate`] panics, naming the pattern, when the
+//! `traffic` field of [`DesConfig`] asks for any other, rather than
+//! simulating a different workload than the engine it is compared with.
 //! Routing policies **are** implemented — the oracle picks the same
 //! per-packet [`route_choice`] the engine does and then walks the chosen
 //! route into a fresh link list with [`crate::routing::walk_route`], so
@@ -35,6 +37,7 @@
 //! closed-form [`crate::icdb::ExpandedGrid::link_id`].
 
 use super::fault::corrupt_unit;
+use super::traffic::{TrafficKind, TrafficPattern};
 use super::{DesConfig, DesResult, ServiceDistribution};
 use crate::routing::{adaptive_network, route_choice, walk_topology, RoutingKind};
 use crate::topology::Topology;
@@ -94,9 +97,15 @@ struct Packet {
 ///
 /// # Panics
 ///
-/// Panics if the injection rate is not positive or the topology has fewer
-/// than two modules.
+/// Panics if the traffic pattern is not [`TrafficKind::Uniform`], the
+/// injection rate is not positive or the topology has fewer than two
+/// modules.
 pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
+    assert!(
+        config.traffic == TrafficKind::Uniform,
+        "des::reference simulates uniform traffic only, not {}",
+        config.traffic.name()
+    );
     assert!(
         config.injection_rate > 0.0,
         "injection rate must be positive"

@@ -188,7 +188,13 @@ pub fn tanh(x: f64) -> f64 {
     let a = x.abs();
 
     let ge1 = ix >= 0x3ff0_0000;
-    let t = expm1(if ge1 { a + a } else { a * -2.0 });
+    // expm1(2a) from 1 on, expm1(−2a) below. The sign is set with a
+    // bit-or (exactly −2a, since a = |x|) rather than a select of the two
+    // arguments: LLVM pushes such a select through the inlined `expm1`
+    // and evaluates both arms. Eight at a time on the 2-vCPU Xeon host,
+    // the kernel's clamped `tanh(m/2)` took 12–15 ns per element that
+    // way and takes 8–9 ns with the one `expm1` (`expm1` alone: 5–6 ns).
+    let t = expm1(f64::from_bits((a + a).to_bits() | (u64::from(!ge1) << 63)));
     let q = (if ge1 { 2.0 } else { -t }) / (t + 2.0);
     let z = if ix >= 0x4036_0000 {
         1.0 - TINY

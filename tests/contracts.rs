@@ -24,6 +24,10 @@
 //! Pinned routes: the pillar-mesh route tables are pinned link for link
 //! by digest, so a change to how those routes are built cannot move
 //! them silently.
+//!
+//! Pinned φ table: the LDPC engine and its oracle share
+//! `PhiTable::eval`, so the engine ≡ oracle checks cannot see a change
+//! to it; its output bits are pinned by digest instead.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -33,8 +37,9 @@ use wireless_interconnect::ldpc::ber::{
     FrameStats,
 };
 use wireless_interconnect::ldpc::decoder::{
-    awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecodeStatus,
+    awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecodeStatus, LLR_CLAMP,
 };
+use wireless_interconnect::ldpc::kernel::{PhiTable, PHI_X_MAX};
 use wireless_interconnect::ldpc::window::{
     reference as window_reference, CoupledCode, WindowDecoder,
 };
@@ -466,5 +471,68 @@ fn pillar_route_tables_are_pinned() {
             }
         }
         assert_eq!(hash, want, "{dims:?} at pitch {pitch}: {hash:#018x}");
+    }
+}
+
+/// splitmix64: a fixed input stream that needs no RNG crate and no libm.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `x` one ulp down, itself, and one ulp up (`x` positive and finite).
+fn ulp_neighbours(x: f64) -> [f64; 3] {
+    [
+        f64::from_bits(x.to_bits() - 1),
+        x,
+        f64::from_bits(x.to_bits() + 1),
+    ]
+}
+
+#[test]
+fn phi_table_values_are_pinned() {
+    // The engine and `decoder::reference` share `PhiTable::eval`, so the
+    // engine ≡ oracle contracts cannot see a change to its output: the
+    // bits are pinned here. Inputs: 0, the clamp knee and `PHI_X_MAX`
+    // one ulp either side, every node of three octaves (deep in the
+    // head, around 1, and the octave holding `PHI_X_MAX`) one ulp either
+    // side, and 10⁴ log-uniform points from below the table to beyond it.
+    let knee = 2.0 * (-LLR_CLAMP).exp().atanh();
+    for (bits, want) in [
+        (2, 0xc741_132c_3601_ff89u64),
+        (7, 0xf6b2_e024_425a_5863),
+        (12, 0x2c8c_b1be_754c_74a1),
+    ] {
+        let table = PhiTable::new(bits);
+        let mut inputs = vec![0.0];
+        inputs.extend(ulp_neighbours(knee));
+        inputs.extend(ulp_neighbours(PHI_X_MAX));
+        for octave in [-30i64, 0, 4] {
+            for cell in 0..1u64 << bits {
+                let node = (((1023 + octave) as u64) << 52) | (cell << (52 - bits));
+                inputs.extend(ulp_neighbours(f64::from_bits(node)));
+            }
+        }
+        let mut state = u64::from(bits);
+        for _ in 0..10_000 {
+            // A binary exponent uniform in −45..6 and uniform mantissa
+            // bits.
+            let r = splitmix64(&mut state);
+            let exp = (r >> 52) % 51;
+            inputs.push(f64::from_bits(
+                ((exp + 1023 - 45) << 52) | (r & ((1 << 52) - 1)),
+            ));
+        }
+        // Each value's bits as two little-endian words, low word first:
+        // its eight little-endian bytes.
+        let words = inputs.iter().flat_map(|&x| {
+            let v = table.eval(x).to_bits();
+            [v as u32, (v >> 32) as u32]
+        });
+        let hash = fnv1a_u32s(0xcbf2_9ce4_8422_2325, words);
+        assert_eq!(hash, want, "bits {bits}: {hash:#018x}");
     }
 }

@@ -12,8 +12,8 @@ use wi_ldpc::decoder::{awgn_llrs, reference, BpConfig, BpDecoder, CheckRule, Dec
 use wi_ldpc::kernel::{
     min_sum_batch, sum_product_exact_batch, sum_product_table_batch, ExactBatchScratch, PhiTable,
 };
-use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
-use wi_ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
+use wi_ldpc::window::{CoupledCode, WindowDecoder};
+use wi_ldpc::{BatchWorkspace, LdpcCode};
 use wi_noc::analytic::{AnalyticModel, RouterParams};
 use wi_noc::des::{simulate, DesConfig};
 use wi_noc::topology::Topology;
@@ -288,7 +288,7 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("window_decode_n25_l10", |b| {
         b.iter(|| wd.decode(black_box(&cc), black_box(&llr_cc)))
     });
-    let mut wws = WindowWorkspace::new(cc.code());
+    let mut wws = DecoderWorkspace::new(cc.code());
     c.bench_function("window_decode_workspace_n25_l10", |b| {
         b.iter(|| wd.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
     });
@@ -301,7 +301,7 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("window_decode_minsum_n25_l10", |b| {
         b.iter(|| wd_ms.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
     });
-    let mut wbws1 = WindowBatchWorkspace::new(cc.code(), 1);
+    let mut wbws1 = BatchWorkspace::new(cc.code(), 1);
     let wd_table = WindowDecoder::new(4, 20).with_rule(CheckRule::sum_product_table());
     c.bench_function("window_decode_table_batch1_n25_l10", |b| {
         b.iter(|| {
@@ -321,7 +321,7 @@ fn bench_ldpc(c: &mut Criterion) {
             awgn_llrs(&rx, sigma)
         })
         .collect();
-    let mut wbws = WindowBatchWorkspace::new(cc.code(), 8);
+    let mut wbws = BatchWorkspace::new(cc.code(), 8);
     for (name, rule) in [
         ("window_decode_batch8_n25_l10", CheckRule::min_sum()),
         ("window_decode_exact_batch8_n25_l10", CheckRule::SumProduct),

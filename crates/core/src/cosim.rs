@@ -7,10 +7,11 @@
 //! results on their own. This module closes the loop:
 //!
 //! 1. [`link_class_ebn0`] maps the system geometry through
-//!    [`LinkBudget::snr_db_at`] to an Eb/N0 per link class — the short
-//!    "ahead" link (board spacing, the best channel, assigned to *center*
-//!    links) and the long worst-case diagonal (edge antennas see the
-//!    obstructed, longer channels, assigned to *edge* links).
+//!    [`LinkBudget::snr_db_at`](wi_linkbudget::budget::LinkBudget::snr_db_at)
+//!    to an Eb/N0 per link class — the short "ahead" link (board
+//!    spacing, the best channel, assigned to *center* links) and the
+//!    long worst-case diagonal (edge antennas see the obstructed, longer
+//!    channels, assigned to *edge* links).
 //! 2. [`FerCurve::measure`] runs `wi_ldpc::ber`'s deterministic
 //!    `(seed, frame, ebn0)` Monte-Carlo over an Eb/N0 grid once and keeps
 //!    the frame-error rate per point ([`wi_ldpc::ber::BerEstimate::fer`]);
@@ -26,10 +27,9 @@
 //! At the paper's rate R = ½ the two scales coincide.
 
 use crate::config::SystemConfig;
+use crate::eval::extreme_links;
 use serde::{Deserialize, Serialize};
-use wi_channel::pathloss::PathlossModel;
 use wi_ldpc::ber::{ber_curve, BerSimOptions, BerTarget, CachedBerTarget, FrameEvalCache};
-use wi_linkbudget::budget::LinkBudget;
 use wi_noc::des::LinkErrorModel;
 
 /// Code rate of the paper's (4,8)-regular LDPC-CC — the rate at which
@@ -163,26 +163,13 @@ pub struct LinkClassEbn0 {
 
 /// Derives the two link-class Eb/N0s from the system's geometry and
 /// PHY configuration — the same ahead/diagonal extremes §II.B and
-/// [`crate::eval::evaluate`] analyse, converted at [`CODE_RATE`].
+/// [`crate::eval::evaluate`] analyse (both price them in one place),
+/// converted at [`CODE_RATE`].
 pub fn link_class_ebn0(config: &SystemConfig) -> LinkClassEbn0 {
-    let model = PathlossModel::free_space(config.link.carrier_hz);
-    let dx = (config.board.stacks_x - 1) as f64 * config.board.pitch_m;
-    let dy = (config.board.stacks_y - 1) as f64 * config.board.pitch_m;
-    let diag = (dx * dx + dy * dy + config.board_spacing_m * config.board_spacing_m).sqrt();
-
-    let snr = |distance: f64, worst_case: bool| -> f64 {
-        let mut budget = LinkBudget::from_model(&model, distance);
-        budget.bandwidth_hz = config.link.bandwidth_hz;
-        if worst_case {
-            budget.beamforming = config.link.beamforming;
-        }
-        budget.snr_db_at(config.link.tx_power_dbm)
-    };
-
-    LinkClassEbn0 {
-        center_db: ebn0_db_from_snr(snr(config.board_spacing_m, false), CODE_RATE),
-        edge_db: ebn0_db_from_snr(snr(diag, true), CODE_RATE),
-    }
+    let [center_db, edge_db] = extreme_links(config).map(|(_, _, budget)| {
+        ebn0_db_from_snr(budget.snr_db_at(config.link.tx_power_dbm), CODE_RATE)
+    });
+    LinkClassEbn0 { center_db, edge_db }
 }
 
 /// Builds the heterogeneous per-link error model the DES fault layer

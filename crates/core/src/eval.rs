@@ -69,20 +69,7 @@ pub fn evaluate(config: &SystemConfig) -> SystemReport {
     let problems = config.validate();
     assert!(problems.is_empty(), "invalid configuration: {problems:?}");
 
-    let model = PathlossModel::free_space(config.link.carrier_hz);
-
-    // The two extreme links of §II.B: ahead (board spacing) and the
-    // diagonal to the farthest stack on the facing board.
-    let dx = (config.board.stacks_x - 1) as f64 * config.board.pitch_m;
-    let dy = (config.board.stacks_y - 1) as f64 * config.board.pitch_m;
-    let diag = (dx * dx + dy * dy + config.board_spacing_m * config.board_spacing_m).sqrt();
-
-    let mk_link = |name: &str, distance: f64, worst_case: bool| -> LinkReport {
-        let mut budget = LinkBudget::from_model(&model, distance);
-        budget.bandwidth_hz = config.link.bandwidth_hz;
-        if worst_case {
-            budget.beamforming = config.link.beamforming;
-        }
+    let [ahead, diagonal] = extreme_links(config).map(|(name, distance, budget)| {
         let snr_db = budget.snr_db_at(config.link.tx_power_dbm);
         let se = spectral_efficiency(config.link.receiver, snr_db);
         let rate = modulated_rate_bps(config.link.bandwidth_hz, se, config.link.polarization) / 1e9;
@@ -94,10 +81,7 @@ pub fn evaluate(config: &SystemConfig) -> SystemReport {
             spectral_efficiency: se,
             rate_gbps: rate,
         }
-    };
-
-    let ahead = mk_link("ahead", config.board_spacing_m, false);
-    let diagonal = mk_link("diagonal", diag, true);
+    });
 
     // NoC analysis of one stack.
     let topo = config.stack.topology();
@@ -121,7 +105,7 @@ pub fn evaluate(config: &SystemConfig) -> SystemReport {
     } else {
         f64::INFINITY
     };
-    let propagation_ns = diag / SPEED_OF_LIGHT * 1e9;
+    let propagation_ns = diagonal.distance_m / SPEED_OF_LIGHT * 1e9;
 
     SystemReport {
         total_cores: config.total_cores(),
@@ -132,6 +116,32 @@ pub fn evaluate(config: &SystemConfig) -> SystemReport {
         coding_latency_bits: coding_bits,
         end_to_end_latency_ns: noc_ns + coding_ns + propagation_ns,
     }
+}
+
+/// The two extreme board-to-board links of §II.B, `[ahead, diagonal]`,
+/// as `(name, distance in metres, budget)`: the ahead link spans the
+/// board spacing, the diagonal reaches the farthest stack on the facing
+/// board. Both are free-space budgets at the configured bandwidth, and
+/// only the worst-case diagonal takes the configured beamforming.
+/// [`evaluate`] and [`crate::cosim::link_class_ebn0`] both price their
+/// links here, so the two cannot drift apart.
+pub(crate) fn extreme_links(config: &SystemConfig) -> [(&'static str, f64, LinkBudget); 2] {
+    let model = PathlossModel::free_space(config.link.carrier_hz);
+    let dx = (config.board.stacks_x - 1) as f64 * config.board.pitch_m;
+    let dy = (config.board.stacks_y - 1) as f64 * config.board.pitch_m;
+    let diag = (dx * dx + dy * dy + config.board_spacing_m * config.board_spacing_m).sqrt();
+    let link = |name, distance: f64, worst_case: bool| {
+        let mut budget = LinkBudget::from_model(&model, distance);
+        budget.bandwidth_hz = config.link.bandwidth_hz;
+        if worst_case {
+            budget.beamforming = config.link.beamforming;
+        }
+        (name, distance, budget)
+    };
+    [
+        link("ahead", config.board_spacing_m, false),
+        link("diagonal", diag, true),
+    ]
 }
 
 /// Maps receiver model and SNR to spectral efficiency in bits per channel

@@ -8,9 +8,12 @@
 //! `sum_product_exact_batch`) present LLVM with uniform, branch-free
 //! inner loops over `[f64; L]` that auto-vectorize on stable rust.
 //!
-//! This is the crate's one decoder engine. The one-frame decoders,
-//! [`BpDecoder::decode_in_place`] and [`WindowDecoder::decode_in_place`],
-//! decode their frame as a one-lane batch, and the BER layer
+//! This is the crate's one decoder engine, and [`BatchWorkspace`] is
+//! its one state: both schedules, flooding BP and the sliding window,
+//! decode in it, and one workspace may alternate between them. The
+//! one-frame decoders, [`BpDecoder::decode_in_place`] and
+//! [`WindowDecoder::decode_in_place`], decode their frame as a one-lane
+//! batch, and the BER layer
 //! ([`crate::ber`]) drives it through `BerTarget::eval_frames_each`: full
 //! batches of the target's width, then the remainder at the widest
 //! supported width that fits (4, then 2, then 1). Search strategies,
@@ -119,31 +122,39 @@ fn chunks_mut<const L: usize>(flat: &mut [f64]) -> &mut [[f64; L]] {
     c
 }
 
-/// Reusable structure-of-arrays state for [`BpDecoder::decode_batch`]:
-/// `lanes` frames of LLR/message/posterior state interleaved lane-minor
-/// (`buffer[i·lanes + lane]`), plus per-lane iteration/convergence
-/// results. Construct once and reuse across batches — decoding then
-/// performs no heap allocation.
+/// Reusable structure-of-arrays state of the lane engine, for both
+/// schedules ([`BpDecoder::decode_batch`] and
+/// [`WindowDecoder::decode_batch`]): `lanes` frames of LLR/message/
+/// posterior state interleaved lane-minor (`buffer[i·lanes + lane]`),
+/// plus per-lane iteration/convergence results of the last BP decode.
+/// Construct once and reuse across batches of either schedule —
+/// decoding then performs no heap allocation.
+///
+/// [`new`](Self::new) and [`ensure`](Self::ensure) size the state both
+/// schedules use. The buffers only one schedule reads are sized by that
+/// schedule's `decode_batch` — BP's `post_new` and straggler workspace,
+/// the window decoder's `seen` and `active` — so a workspace that only
+/// ever runs one schedule never allocates the other's.
 #[derive(Clone, Debug, Default)]
 pub struct BatchWorkspace {
     lanes: usize,
     n: usize,
-    /// Channel LLRs, `[variable][lane]`.
+    /// Channel LLRs, `[variable][lane]`. The window decoder overwrites
+    /// decided blocks with saturated pins, so every lane is reloaded
+    /// before each decode.
     llr: Vec<f64>,
     /// Variable-to-check messages, `[edge][lane]`.
     v2c: Vec<f64>,
     /// Check-to-variable messages, `[edge][lane]`.
     c2v: Vec<f64>,
-    /// Committed posteriors, `[variable][lane]` — frozen lanes keep the
+    /// Posteriors, `[variable][lane]`. Under BP, frozen lanes keep the
     /// value from their convergence iteration.
     posterior: Vec<f64>,
-    /// Freshly accumulated posteriors before the masked commit (the
-    /// in-place accumulation would otherwise destroy frozen lanes).
-    post_new: Vec<f64>,
     /// Hard decisions as per-variable lane bitmasks (bit `l` = lane `l`).
     hard: Vec<u8>,
-    /// Per-check lane masks handed to the check kernels: the active
-    /// lanes, so converged lanes stop recomputing their messages.
+    /// Per-check lane masks handed to the check kernels: the lanes to
+    /// recompute (BP's active lanes; the window decoder's lanes whose
+    /// v2c moved since their c2v was computed).
     masks: Vec<u8>,
     /// φ-table kernel scratch, `[degree][lane]`.
     scratch: Vec<f64>,
@@ -152,15 +163,25 @@ pub struct BatchWorkspace {
     exact: ExactBatchScratch,
     /// φ lookup table (built lazily, only for the table rule).
     phi: PhiTable,
-    /// One-lane workspace for the straggler bail-out, built by
-    /// [`ensure`](Self::ensure) when `lanes > 1`. Boxed, because it is a
-    /// `BatchWorkspace` itself.
+    /// BP: freshly accumulated posteriors before the masked commit (the
+    /// in-place accumulation would otherwise destroy frozen lanes).
+    post_new: Vec<f64>,
+    /// BP: one-lane workspace for the straggler bail-out, built when
+    /// `lanes > 1`. Boxed, because it is a `BatchWorkspace` itself.
     straggler: Option<Box<BatchWorkspace>>,
-    /// Iterations each lane ran (the count of a decode of that frame
+    /// BP: iterations each lane ran (the count of a decode of that frame
     /// alone).
     iterations: [usize; MAX_LANES],
-    /// Lanes whose final syndrome was zero, as a bitmask.
+    /// BP: lanes whose final syndrome was zero, as a bitmask.
     converged: u8,
+    /// Window: the v2c inputs each active check's current c2v was
+    /// computed from, `[edge][lane]`; `+∞` (which no clamped v2c can
+    /// equal) right after activation, when c2v is cleared rather than
+    /// computed.
+    seen: Vec<f64>,
+    /// Window: whether each check holds valid persisted messages
+    /// (lane-shared — the window schedule is lane-independent).
+    active: Vec<bool>,
 }
 
 impl BatchWorkspace {
@@ -194,16 +215,22 @@ impl BatchWorkspace {
         self.v2c.resize(e * lanes, 0.0);
         self.c2v.resize(e * lanes, 0.0);
         self.posterior.resize(n * lanes, 0.0);
-        self.post_new.resize(n * lanes, 0.0);
         self.hard.resize(n, 0);
         self.masks.resize(code.num_checks(), 0);
         self.scratch.resize(d * lanes, 0.0);
         self.exact.ensure(e, d, lanes);
-        if lanes > 1 {
-            self.straggler
-                .get_or_insert_with(Box::default)
-                .ensure(code, 1);
+    }
+
+    /// The prologue of both schedules' `decode_batch`: re-sizes the
+    /// shared state for `code` at the loaded lane count and builds the φ
+    /// table when `rule` reads it. Returns the lane count.
+    fn prepare(&mut self, code: &LdpcCode, rule: CheckRule) -> usize {
+        assert_eq!(self.n, code.len(), "workspace sized for a different code");
+        self.ensure(code, self.lanes);
+        if let CheckRule::SumProductTable { bits } = rule {
+            self.phi.ensure(bits);
         }
+        self.lanes
     }
 
     /// The lane count the workspace is sized for.
@@ -211,7 +238,9 @@ impl BatchWorkspace {
         self.lanes
     }
 
-    /// Loads one frame's channel LLRs into `lane`.
+    /// Loads one frame's channel LLRs into `lane`. Reload every lane
+    /// before each decode — the window decoder pins decided blocks in
+    /// place.
     ///
     /// # Panics
     ///
@@ -247,8 +276,9 @@ impl BatchWorkspace {
         self.posterior[v * self.lanes + lane]
     }
 
-    /// Iteration count and convergence flag of `lane`'s decode — exactly
-    /// what a decode of that frame alone returns.
+    /// Iteration count and convergence flag of `lane` in the last BP
+    /// decode — exactly what a decode of that frame alone returns. A
+    /// window decode does not set it.
     pub fn status(&self, lane: usize) -> DecodeStatus {
         assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
         DecodeStatus {
@@ -278,11 +308,12 @@ impl BpDecoder<'_> {
     /// Panics if the workspace was sized for a different code length.
     pub fn decode_batch(&self, ws: &mut BatchWorkspace) {
         let code = self.code();
-        assert_eq!(ws.n, code.len(), "workspace sized for a different code");
-        let lanes = ws.lanes;
-        ws.ensure(code, lanes);
-        if let CheckRule::SumProductTable { bits } = self.config().check_rule {
-            ws.phi.ensure(bits);
+        let lanes = ws.prepare(code, self.config().check_rule);
+        ws.post_new.resize(code.len() * lanes, 0.0);
+        if lanes > 1 {
+            ws.straggler
+                .get_or_insert_with(Box::default)
+                .ensure(code, 1);
         }
         dispatch_lanes!(lanes, bp_decode_batch_impl(self, ws));
     }
@@ -416,123 +447,9 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     }
 }
 
-/// Reusable structure-of-arrays state for
-/// [`WindowDecoder::decode_batch`]: `lanes` frames of working LLRs,
-/// messages and posteriors. The per-check activation flags are shared
-/// across lanes — the window schedule is lane-independent.
-#[derive(Clone, Debug, Default)]
-pub struct WindowBatchWorkspace {
-    lanes: usize,
-    n: usize,
-    /// Working LLRs (`[variable][lane]`): channel values loaded via
-    /// [`set_lane_llr`](Self::set_lane_llr), with decided blocks
-    /// overwritten by saturated pins during the decode.
-    llr: Vec<f64>,
-    /// Variable-to-check messages, `[edge][lane]`.
-    v2c: Vec<f64>,
-    /// Check-to-variable messages, `[edge][lane]`.
-    c2v: Vec<f64>,
-    /// The v2c inputs each active check's current c2v was computed from,
-    /// `[edge][lane]`; `+∞` (which no clamped v2c can equal) right after
-    /// activation, when c2v is cleared rather than computed.
-    seen: Vec<f64>,
-    /// Per-check lane masks of the coming check update: lanes whose v2c
-    /// moved since their c2v was computed.
-    masks: Vec<u8>,
-    /// Whether each check holds valid persisted messages (lane-shared).
-    active: Vec<bool>,
-    /// Posterior per variable, `[variable][lane]`.
-    posterior: Vec<f64>,
-    /// Hard decisions as per-variable lane bitmasks.
-    hard: Vec<u8>,
-    /// φ-table kernel scratch, `[degree][lane]`.
-    scratch: Vec<f64>,
-    /// Exact sum-product kernel scratch: per-edge `tanh` factors and its
-    /// gather lists.
-    exact: ExactBatchScratch,
-    /// φ lookup table (built lazily, only for the table rule).
-    phi: PhiTable,
-}
-
-impl WindowBatchWorkspace {
-    /// Allocates buffers for `lanes` frames of `code`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is unsupported (see [`lanes_problem`]).
-    pub fn new(code: &LdpcCode, lanes: usize) -> Self {
-        let mut ws = WindowBatchWorkspace::default();
-        ws.ensure(code, lanes);
-        ws
-    }
-
-    /// Resizes the buffers for `code` and `lanes` (no-op when already
-    /// sized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is unsupported (see [`lanes_problem`]).
-    pub fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
-        if let Some(problem) = lanes_problem(lanes) {
-            panic!("{problem}");
-        }
-        let e = code.num_edges();
-        let n = code.len();
-        let d = code.max_check_degree();
-        self.lanes = lanes;
-        self.n = n;
-        self.llr.resize(n * lanes, 0.0);
-        self.v2c.resize(e * lanes, 0.0);
-        self.c2v.resize(e * lanes, 0.0);
-        self.seen.resize(e * lanes, f64::INFINITY);
-        self.masks.resize(code.num_checks(), 0);
-        self.active.resize(code.num_checks(), false);
-        self.posterior.resize(n * lanes, 0.0);
-        self.hard.resize(n, 0);
-        self.scratch.resize(d * lanes, 0.0);
-        self.exact.ensure(e, d, lanes);
-    }
-
-    /// The lane count the workspace is sized for.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Loads one frame's channel LLRs into `lane`. Reload every lane
-    /// before each decode — the decode pins decided blocks in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `llr` does not match the code
-    /// length the workspace was sized for.
-    pub fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
-        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
-        assert_eq!(llr.len(), self.n, "LLR length mismatch");
-        for (i, &l) in llr.iter().enumerate() {
-            self.llr[i * self.lanes + lane] = l;
-        }
-    }
-
-    /// Hard decision for variable `v` on `lane` (true = bit 1).
-    pub fn hard_bit(&self, v: usize, lane: usize) -> bool {
-        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
-        (self.hard[v] >> lane) & 1 == 1
-    }
-
-    /// Number of one-bits in `lane`'s hard decisions — the frame's bit
-    /// errors under the all-zero-codeword convention of [`crate::ber`].
-    pub fn lane_error_count(&self, lane: usize) -> u64 {
-        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
-        self.hard
-            .iter()
-            .map(|&bits| u64::from((bits >> lane) & 1))
-            .sum()
-    }
-}
-
 impl WindowDecoder {
     /// Window-decodes the `ws.lanes()` frames previously loaded with
-    /// [`WindowBatchWorkspace::set_lane_llr`] in SIMD lockstep. Each
+    /// [`BatchWorkspace::set_lane_llr`] in SIMD lockstep. Each
     /// lane's decisions are bit-identical to
     /// [`window::reference::decode`](crate::window::reference::decode)
     /// on that lane's LLRs, although a check is recomputed only on lanes
@@ -543,9 +460,7 @@ impl WindowDecoder {
     ///
     /// Panics as [`decode`](WindowDecoder::decode) does, and if the
     /// workspace was sized for a different code length.
-    pub fn decode_batch(&self, ws: &mut WindowBatchWorkspace, code: &CoupledCode) {
-        let n = code.code().len();
-        assert_eq!(ws.n, n, "workspace sized for a different code");
+    pub fn decode_batch(&self, ws: &mut BatchWorkspace, code: &CoupledCode) {
         self.check_rule.validate();
         let mcc = code.memory();
         assert!(
@@ -553,11 +468,10 @@ impl WindowDecoder {
             "window {} must exceed the coupling memory {mcc}",
             self.window
         );
-        let lanes = ws.lanes;
-        ws.ensure(code.code(), lanes);
-        if let CheckRule::SumProductTable { bits } = self.check_rule {
-            ws.phi.ensure(bits);
-        }
+        let lanes = ws.prepare(code.code(), self.check_rule);
+        ws.seen
+            .resize(code.code().num_edges() * lanes, f64::INFINITY);
+        ws.active.resize(code.code().num_checks(), false);
         dispatch_lanes!(lanes, window_decode_batch_impl(self, code, ws));
     }
 }
@@ -569,7 +483,7 @@ impl WindowDecoder {
 fn window_decode_batch_impl<const L: usize>(
     decoder: &WindowDecoder,
     code: &CoupledCode,
-    ws: &mut WindowBatchWorkspace,
+    ws: &mut BatchWorkspace,
 ) {
     let mcc = code.memory();
     let l = code.num_blocks();
@@ -669,5 +583,35 @@ fn window_decode_batch_impl<const L: usize>(
             }
             hard[v] = bits;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decoder::BpConfig;
+
+    /// Loads the same frame into every lane of a fresh workspace.
+    fn loaded(code: &LdpcCode, lanes: usize) -> BatchWorkspace {
+        let mut ws = BatchWorkspace::new(code, lanes);
+        for lane in 0..lanes {
+            ws.set_lane_llr(lane, &vec![1.0; code.len()]);
+        }
+        ws
+    }
+
+    #[test]
+    fn each_schedule_sizes_only_its_own_buffers() {
+        let block = LdpcCode::paper_block(10, 1);
+        let mut bp_only = loaded(&block, 8);
+        BpDecoder::new(&block, BpConfig::default()).decode_batch(&mut bp_only);
+        assert!(bp_only.seen.is_empty() && bp_only.active.is_empty());
+        assert!(!bp_only.post_new.is_empty() && bp_only.straggler.is_some());
+
+        let coupled = CoupledCode::paper_cc(10, 6, 3);
+        let mut window_only = loaded(coupled.code(), 8);
+        WindowDecoder::new(3, 5).decode_batch(&mut window_only, &coupled);
+        assert!(window_only.post_new.is_empty() && window_only.straggler.is_none());
+        assert!(!window_only.seen.is_empty() && !window_only.active.is_empty());
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! # The three abstractions
 //!
-//! * [`BerTarget`] — one object-safe surface
-//!   ([`eval_frames`](BerTarget::eval_frames)) unifying everything a BER
-//!   point can be measured on: the BP-decoded block code
-//!   ([`BlockBerTarget`]) and the window-decoded coupled code
+//! * [`BerTarget`] — one object-safe surface, with one required method
+//!   ([`eval_frames_each`](BerTarget::eval_frames_each)), unifying
+//!   everything a BER point can be measured on: the BP-decoded block
+//!   code ([`BlockBerTarget`]) and the window-decoded coupled code
 //!   ([`CoupledBerTarget`]). Frame `f` of a target is a pure function of
 //!   `(seed, f, ebn0_db)`, which is what makes common random numbers,
 //!   thread fan-out and frame reuse expressible at all.
@@ -67,7 +67,7 @@
 //! deterministic and thread-count invariant, but not bit-comparable to
 //! the ladder. `docs/ARCHITECTURE.md` tabulates the contract per path.
 
-use crate::batch::{lanes_problem, BatchWorkspace, WindowBatchWorkspace, DEFAULT_LANES, MAX_LANES};
+use crate::batch::{lanes_problem, BatchWorkspace, DEFAULT_LANES, MAX_LANES};
 use crate::code::LdpcCode;
 use crate::decoder::{BpConfig, BpDecoder};
 use crate::window::{CoupledCode, WindowDecoder};
@@ -135,6 +135,15 @@ impl BerSimOptions {
             ));
         }
         problems
+    }
+
+    /// Panics unless the frame budget is usable (see
+    /// [`problems`](BerSimOptions::problems)). [`simulate_ber`],
+    /// [`ber_curve`] and [`search_required_ebn0`] check it first.
+    pub fn validate(&self) {
+        if let Some(problem) = self.problems().into_iter().next() {
+            panic!("{problem}");
+        }
     }
 }
 
@@ -272,8 +281,8 @@ impl BerWorkspace {
 
     /// Returns the workspace's state of type `T`, installing `init()`
     /// first if the workspace is empty or currently holds another type
-    /// (a workspace handed from one target kind to another is rebuilt,
-    /// not corrupted).
+    /// (a workspace handed to a target whose state has another type is
+    /// rebuilt, not corrupted).
     pub fn state<T: Send + 'static>(&mut self, init: impl FnOnce() -> T) -> &mut T {
         let stale = match &self.state {
             Some(boxed) => !boxed.is::<T>(),
@@ -306,19 +315,6 @@ pub trait BerTarget: Sync {
     /// Code rate used for the Eb/N0 → noise conversion.
     fn rate(&self) -> f64;
 
-    /// Simulates frames `frames` at `ebn0_db` and returns their counts.
-    ///
-    /// Implementations derive each frame's RNG from
-    /// `derive_seed(seed, frame)` (see [`fill_frame_llrs`]) and keep all
-    /// scratch in `ws`.
-    fn eval_frames(
-        &self,
-        ws: &mut BerWorkspace,
-        ebn0_db: f64,
-        seed: u64,
-        frames: Range<u64>,
-    ) -> FrameStats;
-
     /// Widest frame batch [`eval_frames_each`](BerTarget::eval_frames_each)
     /// decodes in lockstep (1 = one frame at a time).
     ///
@@ -330,16 +326,18 @@ pub trait BerTarget: Sync {
         1
     }
 
-    /// Simulates `out.len()` consecutive frames starting at `first`,
-    /// writing frame `first + i`'s counts into `out[i]`.
+    /// Simulates `out.len()` consecutive frames starting at `first` at
+    /// `ebn0_db`, writing frame `first + i`'s counts into `out[i]`.
     ///
-    /// This is the per-frame-resolution twin of
-    /// [`eval_frames`](BerTarget::eval_frames): the driver needs each
-    /// frame's stats in its own slot so the serial in-order stop fold
-    /// stays exact, while batched targets need to see many frames at once
-    /// to fill their lanes. Each frame must still be the pure function of
-    /// `(seed, frame)` the trait contract demands, regardless of how the
-    /// driver groups frames into calls.
+    /// The one method a target must implement. The Monte-Carlo loop
+    /// needs each frame's stats in its own slot so the serial in-order
+    /// stop fold stays exact, while batched targets need to see many
+    /// frames at once to fill their lanes. Each frame must still be the
+    /// pure function of `(seed, frame)` the trait contract demands,
+    /// regardless of how the loop groups frames into calls:
+    /// implementations derive each frame's RNG from
+    /// `derive_seed(seed, frame)` (see [`fill_frame_llrs`]) and keep all
+    /// scratch in `ws`.
     fn eval_frames_each(
         &self,
         ws: &mut BerWorkspace,
@@ -347,85 +345,45 @@ pub trait BerTarget: Sync {
         seed: u64,
         first: u64,
         out: &mut [FrameStats],
-    ) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let frame = first + i as u64;
-            *slot = self.eval_frames(ws, ebn0_db, seed, frame..frame + 1);
+    );
+
+    /// Simulates frames `frames` at `ebn0_db` and returns their summed
+    /// counts: [`eval_frames_each`](BerTarget::eval_frames_each) over
+    /// batch-width chunks, folded without heap allocation.
+    fn eval_frames(
+        &self,
+        ws: &mut BerWorkspace,
+        ebn0_db: f64,
+        seed: u64,
+        frames: Range<u64>,
+    ) -> FrameStats {
+        let width = self.batch_width().clamp(1, MAX_LANES);
+        let mut slots = [FrameStats::default(); MAX_LANES];
+        let mut stats = FrameStats::default();
+        let mut first = frames.start;
+        while first < frames.end {
+            let len = ((frames.end - first) as usize).min(width);
+            let out = &mut slots[..len];
+            self.eval_frames_each(ws, ebn0_db, seed, first, out);
+            for s in out.iter() {
+                stats.merge(s);
+            }
+            first += len as u64;
         }
+        stats
     }
 }
 
-/// Folds [`BerTarget::eval_frames_each`] over `frames` in batch-width
-/// chunks without heap allocation — the shared `eval_frames`
-/// implementation of the batched targets.
-fn fold_frames_each<T: BerTarget + ?Sized>(
-    target: &T,
-    ws: &mut BerWorkspace,
-    ebn0_db: f64,
-    seed: u64,
-    frames: Range<u64>,
-) -> FrameStats {
-    let width = target.batch_width().clamp(1, MAX_LANES);
-    let mut slots = [FrameStats::default(); MAX_LANES];
-    let mut stats = FrameStats::default();
-    let mut first = frames.start;
-    while first < frames.end {
-        let len = ((frames.end - first) as usize).min(width);
-        let out = &mut slots[..len];
-        target.eval_frames_each(ws, ebn0_db, seed, first, out);
-        for s in out.iter() {
-            stats.merge(s);
-        }
-        first += len as u64;
-    }
-    stats
-}
-
-/// The lane workspace of one of the batched decoders, as the batched
-/// targets drive it.
-trait LaneWorkspace: Default + Send + 'static {
-    fn ensure(&mut self, code: &LdpcCode, lanes: usize);
-    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]);
-    fn lane_error_count(&self, lane: usize) -> u64;
-}
-
-impl LaneWorkspace for BatchWorkspace {
-    fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
-        BatchWorkspace::ensure(self, code, lanes);
-    }
-
-    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
-        BatchWorkspace::set_lane_llr(self, lane, llr);
-    }
-
-    fn lane_error_count(&self, lane: usize) -> u64 {
-        BatchWorkspace::lane_error_count(self, lane)
-    }
-}
-
-impl LaneWorkspace for WindowBatchWorkspace {
-    fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
-        WindowBatchWorkspace::ensure(self, code, lanes);
-    }
-
-    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
-        WindowBatchWorkspace::set_lane_llr(self, lane, llr);
-    }
-
-    fn lane_error_count(&self, lane: usize) -> u64 {
-        WindowBatchWorkspace::lane_error_count(self, lane)
-    }
-}
-
-/// Concrete scratch a batched target keeps inside a [`BerWorkspace`]:
+/// Concrete scratch the batched targets keep inside a [`BerWorkspace`]:
 /// one frame's channel LLRs and one lane workspace per supported width
 /// (indexed by `log2` of the width), each built on first use, so
 /// switching between the full width and a narrower remainder never
-/// resizes a buffer.
+/// resizes a buffer. Block and coupled targets share it, so a
+/// workspace moving between them is reused, not rebuilt.
 #[derive(Default)]
-struct LaneState<W> {
+struct LaneState {
     llr: Vec<f64>,
-    by_width: [Option<W>; 4],
+    by_width: [Option<BatchWorkspace>; 4],
 }
 
 /// Simulates `out.len()` consecutive frames on the lane engine: full
@@ -434,16 +392,16 @@ struct LaneState<W> {
 /// channel LLRs of the `i`-th frame and `decode` decodes one loaded
 /// batch. Every lane is bit-identical to a one-frame decode, so the way
 /// a slice splits into batches is invisible in the results.
-fn eval_in_lanes<W: LaneWorkspace>(
+fn eval_in_lanes(
     ws: &mut BerWorkspace,
     code: &LdpcCode,
     width: usize,
     frame_llrs: impl Fn(&mut [f64], usize),
-    decode: impl Fn(&mut W),
+    decode: impl Fn(&mut BatchWorkspace),
     out: &mut [FrameStats],
 ) {
     let n = code.len();
-    let state = ws.state(LaneState::<W>::default);
+    let state = ws.state(LaneState::default);
     state.llr.resize(n, 0.0);
     let mut i = 0;
     while i < out.len() {
@@ -453,7 +411,8 @@ fn eval_in_lanes<W: LaneWorkspace>(
         } else {
             1 << left.ilog2()
         };
-        let batch = state.by_width[lanes.ilog2() as usize].get_or_insert_with(W::default);
+        let batch =
+            state.by_width[lanes.ilog2() as usize].get_or_insert_with(BatchWorkspace::default);
         batch.ensure(code, lanes);
         for lane in 0..lanes {
             frame_llrs(&mut state.llr, i + lane);
@@ -529,16 +488,6 @@ impl BerTarget for BlockBerTarget<'_> {
         self.rate
     }
 
-    fn eval_frames(
-        &self,
-        ws: &mut BerWorkspace,
-        ebn0_db: f64,
-        seed: u64,
-        frames: Range<u64>,
-    ) -> FrameStats {
-        fold_frames_each(self, ws, ebn0_db, seed, frames)
-    }
-
     fn batch_width(&self) -> usize {
         self.batch
     }
@@ -553,7 +502,7 @@ impl BerTarget for BlockBerTarget<'_> {
     ) {
         let sigma = ebn0_db_to_sigma(ebn0_db, self.rate);
         let decoder = BpDecoder::new(self.code, self.config);
-        eval_in_lanes::<BatchWorkspace>(
+        eval_in_lanes(
             ws,
             self.code,
             self.batch,
@@ -626,16 +575,6 @@ impl BerTarget for CoupledBerTarget<'_> {
         self.code.design_rate()
     }
 
-    fn eval_frames(
-        &self,
-        ws: &mut BerWorkspace,
-        ebn0_db: f64,
-        seed: u64,
-        frames: Range<u64>,
-    ) -> FrameStats {
-        fold_frames_each(self, ws, ebn0_db, seed, frames)
-    }
-
     fn batch_width(&self) -> usize {
         self.batch
     }
@@ -649,7 +588,7 @@ impl BerTarget for CoupledBerTarget<'_> {
         out: &mut [FrameStats],
     ) {
         let sigma = ebn0_db_to_sigma(ebn0_db, self.code.design_rate());
-        eval_in_lanes::<WindowBatchWorkspace>(
+        eval_in_lanes(
             ws,
             self.code.code(),
             self.batch,
@@ -793,16 +732,6 @@ impl BerTarget for CachedBerTarget<'_> {
 
     fn rate(&self) -> f64 {
         self.inner.rate()
-    }
-
-    fn eval_frames(
-        &self,
-        ws: &mut BerWorkspace,
-        ebn0_db: f64,
-        seed: u64,
-        frames: Range<u64>,
-    ) -> FrameStats {
-        fold_frames_each(self, ws, ebn0_db, seed, frames)
     }
 
     fn batch_width(&self) -> usize {
@@ -1059,6 +988,11 @@ pub fn fill_frame_llrs(llr: &mut [f64], sigma: f64, seed: u64, frame: u64) {
 /// Monte-Carlo BER of `target` at `ebn0_db`, fanning frames out over
 /// [`par::threads`] workers. Bit-identical to a serial run at the same
 /// options (see the module docs).
+///
+/// # Panics
+///
+/// Panics if the frame budget is invalid (see
+/// [`BerSimOptions::problems`]).
 pub fn simulate_ber(target: &dyn BerTarget, ebn0_db: f64, opts: &BerSimOptions) -> BerEstimate {
     simulate_ber_with_threads(target, ebn0_db, opts, par::threads())
 }
@@ -1071,6 +1005,7 @@ pub fn simulate_ber_with_threads(
     opts: &BerSimOptions,
     threads: usize,
 ) -> BerEstimate {
+    opts.validate();
     run_target(
         target,
         ebn0_db,
@@ -1091,6 +1026,11 @@ pub fn simulate_ber_with_threads(
 /// frame-for-frame, which is what makes curve *differences* (e.g. the
 /// φ-table rule vs exact sum-product in `tests/phi_table.rs`) resolvable
 /// far below the per-curve Monte-Carlo noise.
+///
+/// # Panics
+///
+/// Panics if the frame budget is invalid (see
+/// [`BerSimOptions::problems`]).
 pub fn ber_curve(
     target: &dyn BerTarget,
     grid: &[f64],
@@ -1106,6 +1046,7 @@ pub fn ber_curve_with_threads(
     opts: &BerSimOptions,
     threads: usize,
 ) -> Vec<(f64, BerEstimate)> {
+    opts.validate();
     grid.iter()
         .map(|&ebn0_db| {
             let est = run_target(
@@ -1460,7 +1401,8 @@ fn ci_classified(fold: &FrameStats, target_ber: f64, ci_z: f64) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `search` is invalid (see [`SearchConfig::problem`]) or
+/// Panics if `search` or the frame budget is invalid (see
+/// [`SearchConfig::problem`] and [`BerSimOptions::problems`]) or
 /// `target_ber` is not positive.
 pub fn search_required_ebn0(
     target: &dyn BerTarget,
@@ -1479,6 +1421,7 @@ pub fn search_required_ebn0_with_threads(
     search: &SearchConfig,
     threads: usize,
 ) -> SearchReport {
+    opts.validate();
     search.validate();
     assert!(target_ber > 0.0, "target BER must be positive");
     let mut report = SearchReport::new();
@@ -1980,6 +1923,44 @@ mod tests {
             ..BerSimOptions::default()
         };
         assert_eq!(inverted.problems(), ["min_frames 8 exceeds max_frames 5"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_frames must be at least 1")]
+    fn simulate_ber_rejects_an_empty_frame_budget() {
+        let code = LdpcCode::paper_block(10, 1);
+        let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
+        let opts = BerSimOptions {
+            max_frames: 0,
+            min_frames: 0,
+            ..BerSimOptions::default()
+        };
+        simulate_ber_with_threads(&target, -5.0, &opts, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_frames must be at least 1")]
+    fn ber_curve_rejects_an_empty_frame_budget() {
+        let code = LdpcCode::paper_block(10, 1);
+        let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
+        let opts = BerSimOptions {
+            max_frames: 0,
+            min_frames: 0,
+            ..BerSimOptions::default()
+        };
+        ber_curve_with_threads(&target, &[1.0, 2.0], &opts, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_frames 8 exceeds max_frames 5")]
+    fn search_rejects_a_floor_above_the_frame_cap() {
+        let code = LdpcCode::paper_block(10, 1);
+        let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
+        let opts = BerSimOptions {
+            max_frames: 5,
+            ..BerSimOptions::default()
+        };
+        search_required_ebn0_with_threads(&target, 1e-2, &opts, &SearchConfig::default(), 1);
     }
 
     /// Every piece of a round as `(first, len)`.

@@ -147,13 +147,14 @@ pub struct DecodeStatus {
     pub converged: bool,
 }
 
-/// Reusable state for one-frame decoding: a one-lane
-/// [`BatchWorkspace`] and the frame's unpacked hard decisions.
+/// Reusable state for one-frame decoding, by [`BpDecoder::decode_in_place`]
+/// or [`WindowDecoder::decode_in_place`](crate::window::WindowDecoder::decode_in_place):
+/// a one-lane [`BatchWorkspace`] and the frame's unpacked hard decisions.
 ///
-/// Constructing the workspace performs every allocation the decoder will
-/// ever need for the code; [`BpDecoder::decode_in_place`] then runs
-/// allocation-free, so Monte-Carlo loops pay the heap cost once instead
-/// of per frame.
+/// Construct once per code shape and reuse across frames: the decoders
+/// then run allocation-free (after the first decode of each schedule
+/// sizes that schedule's buffers), so Monte-Carlo loops pay the heap cost
+/// once instead of per frame.
 #[derive(Clone, Debug, Default)]
 pub struct DecoderWorkspace {
     /// The lane engine's state at one lane.
@@ -179,6 +180,23 @@ impl DecoderWorkspace {
     /// Posterior LLRs of the last decode.
     pub fn posterior(&self) -> &[f64] {
         self.batch.posteriors()
+    }
+
+    /// Decodes `channel_llr` as a one-lane batch: loads it into lane 0,
+    /// runs `decode_batch` on the batch and unpacks the hard decisions.
+    pub(crate) fn decode_one(
+        &mut self,
+        code: &LdpcCode,
+        channel_llr: &[f64],
+        decode_batch: impl FnOnce(&mut BatchWorkspace),
+    ) -> &BatchWorkspace {
+        self.batch.ensure(code, 1);
+        self.batch.set_lane_llr(0, channel_llr);
+        decode_batch(&mut self.batch);
+        self.hard.clear();
+        self.hard
+            .extend((0..code.len()).map(|v| self.batch.hard_bit(v, 0)));
+        &self.batch
     }
 }
 
@@ -306,13 +324,8 @@ impl<'a> BpDecoder<'a> {
     ///
     /// Panics if `channel_llr.len()` differs from the code length.
     pub fn decode_in_place(&self, ws: &mut DecoderWorkspace, channel_llr: &[f64]) -> DecodeStatus {
-        ws.batch.ensure(self.code, 1);
-        ws.batch.set_lane_llr(0, channel_llr);
-        self.decode_batch(&mut ws.batch);
-        ws.hard.clear();
-        ws.hard
-            .extend((0..self.code.len()).map(|v| ws.batch.hard_bit(v, 0)));
-        ws.batch.status(0)
+        ws.decode_one(self.code, channel_llr, |batch| self.decode_batch(batch))
+            .status(0)
     }
 }
 

@@ -17,9 +17,9 @@
 //! * [`gf2`] — the dense GF(2) linear algebra behind the encoder.
 //! * [`decoder`] — flooding belief propagation over the CSR edge layout:
 //!   exact sum-product, table-driven sum-product or hardware-faithful
-//!   normalized min-sum ([`decoder::CheckRule`]); a one-frame decode
-//!   reuses a [`decoder::DecoderWorkspace`] and performs zero heap
-//!   allocation (the original nested-`Vec` engine survives as
+//!   normalized min-sum ([`decoder::CheckRule`]); a one-frame decode, BP
+//!   or window, reuses a [`decoder::DecoderWorkspace`] and performs zero
+//!   heap allocation (the original nested-`Vec` engine survives as
 //!   [`decoder::reference`], the correctness oracle).
 //! * [`kernel`] — the lane-array check-node update kernels behind every
 //!   rule: the exact `tanh`/`atanh` kernel, the φ-table kernel
@@ -27,15 +27,14 @@
 //!   tail, accuracy-tested rather than bit-identical) and the min-sum
 //!   kernel.
 //! * [`window`] — terminated coupled codes and the sliding-window decoder
-//!   of Fig. 9, with structural-latency accounting, a reusable
-//!   [`window::WindowWorkspace`] and the naive [`window::reference`]
-//!   oracle.
-//! * [`batch`] — the one decoder engine: [`batch::BatchWorkspace`] and
-//!   [`batch::WindowBatchWorkspace`] hold 1 to 8 frames of message state
-//!   in structure-of-arrays layout so the lane-array kernels
-//!   auto-vectorize the whole decode loop, with per-lane convergence
-//!   masking keeping every lane bit-identical to the oracles. A
-//!   one-frame decode is a one-lane batch.
+//!   of Fig. 9, with structural-latency accounting and the naive
+//!   [`window::reference`] oracle.
+//! * [`batch`] — the one decoder engine: one [`batch::BatchWorkspace`],
+//!   shared by the BP and window schedules, holds 1 to 8 frames of
+//!   message state in structure-of-arrays layout so the lane-array
+//!   kernels auto-vectorize the whole decode loop, with per-lane
+//!   convergence masking keeping every lane bit-identical to the
+//!   oracles. A one-frame decode is a one-lane batch.
 //! * [`ber`] — the BER evaluation and required-Eb/N0 search subsystem:
 //!   [`ber::BerTarget`] unifies block and coupled codes behind one
 //!   object-safe Monte-Carlo surface (fanned out over all cores with
@@ -106,7 +105,7 @@ pub mod kernel;
 pub mod protograph;
 pub mod window;
 
-pub use batch::{BatchWorkspace, WindowBatchWorkspace};
+pub use batch::BatchWorkspace;
 pub use ber::{
     ebn0_db_to_sigma, log_linear_required_ebn0, required_ebn0_db, search_required_ebn0,
     simulate_ber, BerEstimate, BerSimOptions, BerTarget, BerWorkspace, BlockBerTarget,
@@ -118,4 +117,9 @@ pub use decoder::{
 };
 pub use kernel::PhiTable;
 pub use protograph::{BaseMatrix, EdgeSpreading};
-pub use window::{block_latency_bits, CoupledCode, WindowDecoder, WindowWorkspace};
+pub use window::{block_latency_bits, CoupledCode, WindowDecoder};
+
+/// Former name of the window schedule's lane workspace: both schedules
+/// now decode in [`BatchWorkspace`]. Kept only because the `e2ebench`
+/// package still names it.
+pub type WindowBatchWorkspace = BatchWorkspace;

@@ -14,9 +14,8 @@
 //! [`WindowDecoder::decode_batch`]. The plain nested-`Vec` decoder in
 //! [`mod@reference`] is its correctness oracle.
 
-use crate::batch::WindowBatchWorkspace;
 use crate::code::LdpcCode;
-use crate::decoder::CheckRule;
+use crate::decoder::{CheckRule, DecoderWorkspace};
 use crate::protograph::EdgeSpreading;
 use serde::{Deserialize, Serialize};
 
@@ -124,32 +123,10 @@ pub fn block_latency_bits(lifting: usize, nv: usize, rate: f64) -> f64 {
     lifting as f64 * nv as f64 * rate
 }
 
-/// Reusable state for one-frame window decoding: a one-lane
-/// [`WindowBatchWorkspace`] and the frame's unpacked hard decisions.
-/// Construct once per code shape and reuse across frames:
-/// [`WindowDecoder::decode_in_place`] then runs without heap allocation.
-#[derive(Clone, Debug, Default)]
-pub struct WindowWorkspace {
-    /// The lane engine's state at one lane.
-    batch: WindowBatchWorkspace,
-    /// Hard decisions per variable.
-    hard: Vec<bool>,
-}
-
-impl WindowWorkspace {
-    /// Allocates buffers sized for `code`.
-    pub fn new(code: &LdpcCode) -> Self {
-        WindowWorkspace {
-            batch: WindowBatchWorkspace::new(code, 1),
-            hard: vec![false; code.len()],
-        }
-    }
-
-    /// Hard decisions of the last decode (true = bit 1).
-    pub fn hard(&self) -> &[bool] {
-        &self.hard
-    }
-}
+/// Former name of the one-frame window decoder's workspace: both
+/// one-frame decoders now decode in [`DecoderWorkspace`]. Kept only
+/// because the `e2ebench` package still names it.
+pub type WindowWorkspace = DecoderWorkspace;
 
 /// Sliding-window decoder (Fig. 9).
 ///
@@ -229,14 +206,14 @@ impl WindowDecoder {
     /// Panics if the LLR length does not match the code or if
     /// `window < mcc + 1` (the window cannot cover a check's neighborhood).
     pub fn decode(&self, code: &CoupledCode, channel_llr: &[f64]) -> Vec<bool> {
-        let mut ws = WindowWorkspace::new(code.code());
+        let mut ws = DecoderWorkspace::new(code.code());
         self.decode_in_place(&mut ws, code, channel_llr);
-        ws.hard.clone()
+        ws.hard().to_vec()
     }
 
     /// Decodes entirely inside `ws` — no heap allocation when the
     /// workspace is already sized for the code. Read the decisions from
-    /// [`WindowWorkspace::hard`].
+    /// [`DecoderWorkspace::hard`].
     ///
     /// The frame is a one-lane
     /// [`decode_batch`](WindowDecoder::decode_batch), so it runs the same
@@ -247,16 +224,13 @@ impl WindowDecoder {
     /// Panics as [`decode`](WindowDecoder::decode) does.
     pub fn decode_in_place(
         &self,
-        ws: &mut WindowWorkspace,
+        ws: &mut DecoderWorkspace,
         code: &CoupledCode,
         channel_llr: &[f64],
     ) {
-        ws.batch.ensure(code.code(), 1);
-        ws.batch.set_lane_llr(0, channel_llr);
-        self.decode_batch(&mut ws.batch, code);
-        ws.hard.clear();
-        ws.hard
-            .extend((0..channel_llr.len()).map(|v| ws.batch.hard_bit(v, 0)));
+        ws.decode_one(code.code(), channel_llr, |batch| {
+            self.decode_batch(batch, code)
+        });
     }
 }
 

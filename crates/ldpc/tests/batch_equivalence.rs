@@ -15,7 +15,7 @@
 //! (`cargo test --release -p wi-ldpc -- --ignored`).
 
 use proptest::prelude::*;
-use wi_ldpc::batch::{BatchWorkspace, WindowBatchWorkspace};
+use wi_ldpc::batch::BatchWorkspace;
 use wi_ldpc::ber::{
     ebn0_db_to_sigma, fill_frame_llrs, BerTarget, BerWorkspace, BlockBerTarget, CoupledBerTarget,
     FrameStats,
@@ -125,7 +125,7 @@ fn check_window_lanes(
     decoder: &WindowDecoder,
     frames: &[Vec<f64>],
 ) -> Result<(), TestCaseError> {
-    let mut bws = WindowBatchWorkspace::new(code.code(), frames.len());
+    let mut bws = BatchWorkspace::new(code.code(), frames.len());
     for (lane, llr) in frames.iter().enumerate() {
         bws.set_lane_llr(lane, llr);
     }
@@ -515,7 +515,7 @@ fn window_positions_with_masked_out_and_saturated_checks_match_reference() {
         ] {
             for decoder in [WindowDecoder::new(4, 20), WindowDecoder::with_reuse(4, 20)] {
                 let decoder = decoder.with_rule(rule);
-                let mut bws = WindowBatchWorkspace::new(code.code(), 8);
+                let mut bws = BatchWorkspace::new(code.code(), 8);
                 for (lane, llr) in frames.iter().enumerate() {
                     bws.set_lane_llr(lane, llr);
                 }

@@ -4,7 +4,6 @@
 //! `PairedGrid` matches the hand-rolled paired estimator that
 //! `tests/phi_table.rs` used before the library absorbed it.
 
-use std::ops::Range;
 use wi_ldpc::ber::{
     ber_curve_with_threads, log_linear_required_ebn0, required_ebn0_db,
     search_required_ebn0_with_threads, simulate_ber_with_threads, BerSimOptions, BerTarget,
@@ -32,15 +31,15 @@ impl BerTarget for MockTarget {
         0.5
     }
 
-    fn eval_frames(
+    fn eval_frames_each(
         &self,
         _ws: &mut BerWorkspace,
         ebn0_db: f64,
         seed: u64,
-        frames: Range<u64>,
-    ) -> FrameStats {
-        let mut stats = FrameStats::default();
-        for frame in frames {
+        first: u64,
+        out: &mut [FrameStats],
+    ) {
+        for (frame, slot) in (first..).zip(out.iter_mut()) {
             let ber = 10f64.powf(-ebn0_db / self.scale);
             let base = (self.bits as f64 * ber).round() as u64;
             // Seed/frame-dependent jitter keeps the variance machinery
@@ -53,9 +52,9 @@ impl BerTarget for MockTarget {
             } else {
                 (base as i64 + jitter).clamp(0, self.bits as i64) as u64
             };
-            stats.push_frame(self.bits, errors);
+            *slot = FrameStats::default();
+            slot.push_frame(self.bits, errors);
         }
-        stats
     }
 }
 

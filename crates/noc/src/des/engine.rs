@@ -43,7 +43,7 @@
 //! plug in through the same loop.
 
 use super::fault::corrupt_unit;
-use super::traffic::{TrafficCtx, TrafficPattern};
+use super::traffic::TrafficPattern;
 use super::{DesConfig, DesResult, ServiceDistribution};
 use crate::routing::{
     adaptive_network, assert_unit_steps, route_choice, RouteProgram, RouteTable, RoutingKind,
@@ -231,9 +231,10 @@ struct PacketSlot {
 
 /// A reusable simulation engine bound to one topology.
 ///
-/// Construction builds the traffic context and the arenas (allocations
-/// proportional to the topology's modules and links, never to router
-/// pairs); [`Engine::run`] recycles every buffer across calls.
+/// Construction builds the arenas (allocations proportional to the
+/// topology's modules and links, never to router pairs); traffic
+/// patterns read the topology itself. [`Engine::run`] recycles every
+/// buffer across calls.
 ///
 /// # Example
 ///
@@ -266,7 +267,6 @@ pub struct Engine {
     /// runs under its policy. Shared behind an [`Arc`]: sweep workers
     /// clone the prototype engine, and the table is read-only.
     table: Option<Arc<RouteTable>>,
-    ctx: TrafficCtx,
     num_links: usize,
     heap: EventHeap,
     packets: Vec<PacketSlot>,
@@ -353,7 +353,6 @@ impl Engine {
             topo: topo.clone(),
             routing,
             table,
-            ctx: TrafficCtx::new(topo),
             num_links: topo.num_links(),
             heap: EventHeap::default(),
             packets: Vec::new(),
@@ -392,7 +391,7 @@ impl Engine {
             config.injection_rate > 0.0,
             "injection rate must be positive"
         );
-        let n = self.ctx.num_modules();
+        let n = self.topo.num_modules();
         assert!(n >= 2, "need at least two modules");
         if let Some(problem) = config.traffic.problem(n) {
             panic!("invalid traffic pattern: {problem}");
@@ -419,7 +418,6 @@ impl Engine {
             topo,
             routing: _,
             table,
-            ctx,
             num_links,
             heap,
             packets,
@@ -523,7 +521,7 @@ impl Engine {
             if ev & READY_TAG == 0 {
                 // Injection at `module`.
                 let module = ev as usize;
-                let dst = config.traffic.dest(module, ctx, &mut rng);
+                let dst = config.traffic.dest(module, topo, &mut rng);
                 let measured = injected >= config.warmup_packets && injected < total_tracked;
                 let choice = route_choice(config.seed, injected as u64, module, dst, route_choices);
                 // A table-routed packet starts at its route's span in the

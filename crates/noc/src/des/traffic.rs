@@ -10,101 +10,20 @@
 //! [`TrafficPattern`] impl draws the destinations.
 //!
 //! Every pattern is **seed-deterministic**: destinations depend only on
-//! the source module, the precomputed [`TrafficCtx`], and draws from the
-//! caller's seeded RNG, so a simulation with a fixed seed is reproducible
-//! regardless of pattern. [`TrafficKind::Uniform`] consumes the RNG in
-//! exactly the order the pre-refactor simulator did, which is what lets
-//! the arena engine stay bit-identical to [`crate::des::reference`] under
-//! the default configuration.
+//! the source module, the [`Topology`] and draws from the caller's seeded
+//! RNG, so a simulation with a fixed seed is reproducible regardless of
+//! pattern. The topology already holds every index a pattern reads — the
+//! module→router map, grid coordinates and the router adjacency — so
+//! `dest()` is allocation-free and nothing is built per engine.
+//! [`TrafficKind::Uniform`] consumes the RNG in exactly the order the
+//! pre-refactor simulator did, which is what lets the arena engine stay
+//! bit-identical to [`crate::des::reference`] under the default
+//! configuration.
 
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Precomputed per-topology context for destination generation.
-///
-/// Built once per simulation (never inside the event loop), it holds the
-/// flat lookups the patterns need — module↔router maps, a modules-per-
-/// router CSR, a router-adjacency CSR and grid coordinates — so `dest()`
-/// is allocation-free.
-#[derive(Clone, Debug)]
-pub struct TrafficCtx {
-    dims: [usize; 3],
-    module_router: Vec<u32>,
-    /// Index of each module within its router's module list.
-    module_local: Vec<u32>,
-    /// CSR of module ids per router.
-    router_module_offsets: Vec<u32>,
-    router_modules: Vec<u32>,
-    /// CSR of neighbouring router ids per router.
-    neighbor_offsets: Vec<u32>,
-    neighbor_routers: Vec<u32>,
-    router_coords: Vec<[usize; 3]>,
-}
-
-impl TrafficCtx {
-    /// Builds the context for one topology.
-    pub fn new(topo: &Topology) -> Self {
-        let r = topo.num_routers();
-        let n = topo.num_modules();
-
-        let mut per_router: Vec<Vec<u32>> = vec![Vec::new(); r];
-        let mut module_local = vec![0u32; n];
-        for (m, local) in module_local.iter_mut().enumerate() {
-            let router = topo.router_of(m);
-            *local = per_router[router].len() as u32;
-            per_router[router].push(m as u32);
-        }
-        let mut router_module_offsets = Vec::with_capacity(r + 1);
-        router_module_offsets.push(0u32);
-        let mut router_modules = Vec::with_capacity(n);
-        for mods in &per_router {
-            router_modules.extend_from_slice(mods);
-            router_module_offsets.push(router_modules.len() as u32);
-        }
-
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); r];
-        for l in topo.links() {
-            adj[l.src].push(l.dst as u32);
-        }
-        let mut neighbor_offsets = Vec::with_capacity(r + 1);
-        neighbor_offsets.push(0u32);
-        let mut neighbor_routers = Vec::new();
-        for a in &adj {
-            neighbor_routers.extend_from_slice(a);
-            neighbor_offsets.push(neighbor_routers.len() as u32);
-        }
-
-        TrafficCtx {
-            dims: topo.dims(),
-            module_router: (0..n).map(|m| topo.router_of(m) as u32).collect(),
-            module_local,
-            router_module_offsets,
-            router_modules,
-            neighbor_offsets,
-            neighbor_routers,
-            router_coords: (0..r).map(|i| topo.coord(i)).collect(),
-        }
-    }
-
-    /// Number of modules.
-    pub fn num_modules(&self) -> usize {
-        self.module_router.len()
-    }
-
-    fn modules_of(&self, router: usize) -> &[u32] {
-        let lo = self.router_module_offsets[router] as usize;
-        let hi = self.router_module_offsets[router + 1] as usize;
-        &self.router_modules[lo..hi]
-    }
-
-    fn neighbors_of(&self, router: usize) -> &[u32] {
-        let lo = self.neighbor_offsets[router] as usize;
-        let hi = self.neighbor_offsets[router + 1] as usize;
-        &self.neighbor_routers[lo..hi]
-    }
-}
 
 /// A destination generator: maps a source module to a destination module,
 /// drawing any required randomness from the caller's seeded RNG.
@@ -112,10 +31,11 @@ pub trait TrafficPattern {
     /// Short lowercase name (CLI / table labels).
     fn name(&self) -> &'static str;
 
-    /// Picks the destination module for a packet injected at `src`.
+    /// Picks the destination module for a packet injected at `src` on
+    /// `topo`.
     ///
     /// Must return a module in range and different from `src`.
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize;
+    fn dest(&self, src: usize, topo: &Topology, rng: &mut StdRng) -> usize;
 }
 
 /// Uniform destination over all modules except the source — drawn with
@@ -220,8 +140,10 @@ impl TrafficPattern for TrafficKind {
         }
     }
 
-    fn dest(&self, src: usize, ctx: &TrafficCtx, rng: &mut StdRng) -> usize {
-        let n = ctx.num_modules();
+    fn dest(&self, src: usize, topo: &Topology, rng: &mut StdRng) -> usize {
+        let n = topo.num_modules();
+        // Modules attach in blocks: router `r` holds `r·c .. r·c + c`.
+        let c = topo.concentration();
         match *self {
             TrafficKind::Uniform => uniform_excluding(src, n, rng),
             TrafficKind::Hotspot { node, fraction } => {
@@ -235,10 +157,9 @@ impl TrafficPattern for TrafficKind {
                 }
             }
             TrafficKind::Transpose => {
-                let [nx, ny, _] = ctx.dims;
-                let [x, y, z] = ctx.router_coords[ctx.module_router[src] as usize];
-                let mods = ctx.modules_of((y % nx) + nx * ((x % ny) + ny * z));
-                let dst = mods[ctx.module_local[src] as usize % mods.len()] as usize;
+                let [nx, ny, _] = topo.dims();
+                let [x, y, z] = topo.coord(topo.router_of(src));
+                let dst = ((y % nx) + nx * ((x % ny) + ny * z)) * c + src % c;
                 if dst == src {
                     uniform_excluding(src, n, rng)
                 } else {
@@ -259,17 +180,16 @@ impl TrafficPattern for TrafficKind {
                 }
             }
             TrafficKind::NearestNeighbor => {
-                let neighbors = ctx.neighbors_of(ctx.module_router[src] as usize);
+                let neighbors = topo.neighbors(topo.router_of(src));
                 if neighbors.is_empty() {
                     return uniform_excluding(src, n, rng);
                 }
                 let router = neighbors[rng.gen_range(0..neighbors.len())] as usize;
-                let mods = ctx.modules_of(router);
                 // A second draw only when the router holds several modules.
-                if mods.len() == 1 {
-                    mods[0] as usize
+                if c == 1 {
+                    router
                 } else {
-                    mods[rng.gen_range(0..mods.len())] as usize
+                    router * c + rng.gen_range(0..c)
                 }
             }
         }
@@ -280,10 +200,6 @@ impl TrafficPattern for TrafficKind {
 mod tests {
     use super::*;
     use wi_num::rng::seeded_rng;
-
-    fn ctx(topo: &Topology) -> TrafficCtx {
-        TrafficCtx::new(topo)
-    }
 
     fn all_kinds() -> Vec<TrafficKind> {
         vec![
@@ -306,13 +222,12 @@ mod tests {
             Topology::star_mesh(3, 3, 4),
             Topology::mesh2d(5, 3),
         ] {
-            let c = ctx(&topo);
             let n = topo.num_modules();
             for kind in all_kinds() {
                 let mut rng = seeded_rng(17);
                 for src in 0..n {
                     for _ in 0..40 {
-                        let d = kind.dest(src, &c, &mut rng);
+                        let d = kind.dest(src, &topo, &mut rng);
                         assert!(d < n, "{} produced {d} >= {n}", kind.name());
                         assert_ne!(d, src, "{} produced self-send from {src}", kind.name());
                     }
@@ -324,12 +239,11 @@ mod tests {
     #[test]
     fn patterns_are_seed_deterministic() {
         let topo = Topology::mesh3d(3, 3, 3);
-        let c = ctx(&topo);
         for kind in all_kinds() {
             let mut a = seeded_rng(5);
             let mut b = seeded_rng(5);
             for src in 0..topo.num_modules() {
-                assert_eq!(kind.dest(src, &c, &mut a), kind.dest(src, &c, &mut b));
+                assert_eq!(kind.dest(src, &topo, &mut a), kind.dest(src, &topo, &mut b));
             }
         }
     }
@@ -339,12 +253,11 @@ mod tests {
         // The engine's bit-equivalence with des::reference hinges on this
         // exact draw order.
         let topo = Topology::mesh2d(4, 4);
-        let c = ctx(&topo);
         let n = topo.num_modules();
         let mut a = seeded_rng(11);
         let mut b = seeded_rng(11);
         for src in 0..n {
-            let got = TrafficKind::Uniform.dest(src, &c, &mut a);
+            let got = TrafficKind::Uniform.dest(src, &topo, &mut a);
             let mut want = b.gen_range(0..n - 1);
             if want >= src {
                 want += 1;
@@ -356,7 +269,6 @@ mod tests {
     #[test]
     fn hotspot_concentrates_traffic() {
         let topo = Topology::mesh2d(4, 4);
-        let c = ctx(&topo);
         let kind = TrafficKind::Hotspot {
             node: 5,
             fraction: 0.5,
@@ -364,7 +276,7 @@ mod tests {
         let mut rng = seeded_rng(23);
         let draws = 4_000;
         let hits = (0..draws)
-            .filter(|i| kind.dest((i * 7) % 16, &c, &mut rng) == 5)
+            .filter(|i| kind.dest((i * 7) % 16, &topo, &mut rng) == 5)
             .count();
         let frac = hits as f64 / draws as f64;
         // ~0.5 plus the uniform leak-through, minus src == node cases.
@@ -374,36 +286,33 @@ mod tests {
     #[test]
     fn transpose_swaps_coordinates() {
         let topo = Topology::mesh2d(4, 4);
-        let c = ctx(&topo);
         let mut rng = seeded_rng(3);
         // Module at (1, 2) is router 1 + 4·2 = 9; transpose is (2, 1) = 6.
-        assert_eq!(TrafficKind::Transpose.dest(9, &c, &mut rng), 6);
+        assert_eq!(TrafficKind::Transpose.dest(9, &topo, &mut rng), 6);
         // Diagonal module falls back to uniform (never self).
-        let d = TrafficKind::Transpose.dest(5, &c, &mut rng);
+        let d = TrafficKind::Transpose.dest(5, &topo, &mut rng);
         assert_ne!(d, 5);
     }
 
     #[test]
     fn bit_reversal_reverses_indices() {
         let topo = Topology::mesh2d(4, 4); // 16 modules, 4 bits
-        let c = ctx(&topo);
         let mut rng = seeded_rng(3);
         // 0b0001 -> 0b1000.
-        assert_eq!(TrafficKind::BitReversal.dest(1, &c, &mut rng), 8);
+        assert_eq!(TrafficKind::BitReversal.dest(1, &topo, &mut rng), 8);
         // 0b0011 -> 0b1100.
-        assert_eq!(TrafficKind::BitReversal.dest(3, &c, &mut rng), 12);
+        assert_eq!(TrafficKind::BitReversal.dest(3, &topo, &mut rng), 12);
         // Palindromic index falls back to uniform (never self).
-        assert_ne!(TrafficKind::BitReversal.dest(9, &c, &mut rng), 9);
+        assert_ne!(TrafficKind::BitReversal.dest(9, &topo, &mut rng), 9);
     }
 
     #[test]
     fn nearest_neighbor_stays_adjacent() {
         let topo = Topology::mesh3d(3, 3, 3);
-        let c = ctx(&topo);
         let mut rng = seeded_rng(29);
         for src in 0..topo.num_modules() {
             for _ in 0..20 {
-                let d = TrafficKind::NearestNeighbor.dest(src, &c, &mut rng);
+                let d = TrafficKind::NearestNeighbor.dest(src, &topo, &mut rng);
                 assert_eq!(
                     topo.router_distance(topo.router_of(src), topo.router_of(d)),
                     1

@@ -55,6 +55,12 @@ pub struct Topology {
     /// by one unit step along `axis`, `u32::MAX` when absent.
     #[serde(skip)]
     step: Vec<u32>,
+    /// Router-adjacency CSR in link-list order: the links leaving router
+    /// `r` lead to `neighbors[neighbor_offsets[r]..neighbor_offsets[r + 1]]`.
+    #[serde(skip)]
+    neighbor_offsets: Vec<u32>,
+    #[serde(skip)]
+    neighbors: Vec<u32>,
 }
 
 impl Topology {
@@ -106,9 +112,11 @@ impl Topology {
     /// radio links pass their own lists.
     ///
     /// The list is indexed once into the unit-step table behind
-    /// [`Topology::step_link`]. A link that is not a unit step (a radio
-    /// link spanning a board pitch) stays out of the table; of two links
-    /// making the same step, the later one wins.
+    /// [`Topology::step_link`] and into the router-adjacency CSR the
+    /// nearest-neighbour traffic pattern draws from. A link that is not a
+    /// unit step (a radio link spanning a board pitch) stays out of the
+    /// step table but not the adjacency; of two links making the same
+    /// step, the later one wins.
     ///
     /// # Panics
     ///
@@ -141,11 +149,13 @@ impl Topology {
             links.len()
         );
         let mut step = vec![u32::MAX; n_routers * 6];
+        let mut neighbor_offsets = vec![0u32; n_routers + 1];
         for (id, l) in links.iter().enumerate() {
             assert!(
                 l.src < n_routers && l.dst < n_routers,
                 "link {l:?} outside the {n_routers}-router raster"
             );
+            neighbor_offsets[l.src + 1] += 1;
             let (a, b) = (routers[l.src].coord, routers[l.dst].coord);
             let mut moved = (0..3).filter(|&axis| a[axis] != b[axis]);
             if let (Some(axis), None) = (moved.next(), moved.next()) {
@@ -153,6 +163,16 @@ impl Topology {
                     step[l.src * 6 + 2 * axis + usize::from(a[axis] < b[axis])] = id as u32;
                 }
             }
+        }
+        // The adjacency CSR, a counting sort of the links by source.
+        for r in 0..n_routers {
+            neighbor_offsets[r + 1] += neighbor_offsets[r];
+        }
+        let mut fill = neighbor_offsets.clone();
+        let mut neighbors = vec![0u32; links.len()];
+        for l in &links {
+            neighbors[fill[l.src] as usize] = l.dst as u32;
+            fill[l.src] += 1;
         }
         let module_router: Vec<usize> = (0..n_routers)
             .flat_map(|r| std::iter::repeat_n(r, concentration))
@@ -165,6 +185,8 @@ impl Topology {
             module_router,
             links,
             step,
+            neighbor_offsets,
+            neighbors,
         }
     }
 
@@ -208,13 +230,27 @@ impl Topology {
         &self.links
     }
 
-    /// Router that module `m` attaches to.
+    /// Router that module `m` attaches to. Modules attach in blocks of
+    /// [`concentration`](Topology::concentration): router `r` holds
+    /// modules `r·c .. r·c + c`.
     ///
     /// # Panics
     ///
     /// Panics if `m` is out of range.
     pub fn router_of(&self, m: usize) -> usize {
         self.module_router[m]
+    }
+
+    /// The routers `router`'s outgoing links lead to, one per link, in
+    /// link-list order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router is out of range.
+    pub(crate) fn neighbors(&self, router: usize) -> &[u32] {
+        let lo = self.neighbor_offsets[router] as usize;
+        let hi = self.neighbor_offsets[router + 1] as usize;
+        &self.neighbors[lo..hi]
     }
 
     /// Id of the link leaving `router` by one unit step along `axis`

@@ -21,20 +21,24 @@
 //! the closed-form icdb routes (`ExpandedGrid::route_into` over
 //! `ExpandedGrid::link_id`).
 //!
-//! Pinned routes: the pillar-mesh route tables are pinned link for link
-//! by digest, so a change to how those routes are built cannot move
-//! them silently.
+//! Workspace reuse: one LDPC lane workspace that alternates schedules,
+//! lane counts and codes, and one BER workspace that alternates target
+//! kinds, must give exactly what fresh workspaces give.
+//!
+//! Pinned routes and traffic: the pillar-mesh route tables are pinned
+//! link for link by digest, and so are the first destinations of every
+//! traffic pattern on five topologies, so a change to how routes or
+//! destinations are built cannot move them silently.
 //!
 //! Pinned φ table: the LDPC engine and its oracle share
 //! `PhiTable::eval`, so the engine ≡ oracle checks cannot see a change
 //! to it; its output bits are pinned by digest instead.
 
 use std::collections::BTreeSet;
-use std::ops::Range;
 use std::sync::Mutex;
 use wireless_interconnect::ldpc::ber::{
     simulate_ber_with_threads, BerEstimate, BerSimOptions, BerTarget, BerWorkspace, BlockBerTarget,
-    FrameStats,
+    CachedBerTarget, CoupledBerTarget, FrameStats, MemoryFrameCache,
 };
 use wireless_interconnect::ldpc::decoder::{
     awgn_llrs, reference as bp_reference, BpConfig, BpDecoder, CheckRule, DecodeStatus, LLR_CLAMP,
@@ -43,11 +47,12 @@ use wireless_interconnect::ldpc::kernel::{PhiTable, PHI_X_MAX};
 use wireless_interconnect::ldpc::window::{
     reference as window_reference, CoupledCode, WindowDecoder,
 };
-use wireless_interconnect::ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
+use wireless_interconnect::ldpc::{BatchWorkspace, LdpcCode};
+use wireless_interconnect::noc::des::traffic::{TrafficKind, TrafficPattern};
 use wireless_interconnect::noc::des::{
     reference as des_reference, sweep_with_threads, DesConfig, Engine, FaultConfig, SweepConfig,
 };
-use wireless_interconnect::noc::icdb::ExpandedGrid;
+use wireless_interconnect::noc::icdb::{ExpandedGrid, HybridBoards};
 use wireless_interconnect::noc::irregular::PillarMesh3d;
 use wireless_interconnect::noc::routing::{RouteTable, RoutingKind};
 use wireless_interconnect::noc::topology::Topology;
@@ -94,17 +99,6 @@ impl BerTarget for LoggingTarget<'_> {
 
     fn rate(&self) -> f64 {
         self.inner.rate()
-    }
-
-    fn eval_frames(
-        &self,
-        ws: &mut BerWorkspace,
-        ebn0_db: f64,
-        seed: u64,
-        frames: Range<u64>,
-    ) -> FrameStats {
-        self.frames.lock().unwrap().extend(frames.clone());
-        self.inner.eval_frames(ws, ebn0_db, seed, frames)
     }
 
     fn batch_width(&self) -> usize {
@@ -267,7 +261,7 @@ fn batched_window_decoder_matches_scalar_per_lane() {
     let code = CoupledCode::paper_cc(8, 5, 0xC0DE);
     let n = code.code().len();
     let frames = lane_frames(n, 0.5, 0x3A00);
-    let mut bws = WindowBatchWorkspace::new(code.code(), 8);
+    let mut bws = BatchWorkspace::new(code.code(), 8);
     for rule in RULES {
         for decoder in [WindowDecoder::new(4, 40), WindowDecoder::with_reuse(4, 40)] {
             let decoder = decoder.with_rule(rule);
@@ -321,6 +315,115 @@ fn batched_bp_decoder_matches_scalar_per_lane() {
             "{rule:?}: lanes must converge at different iterations, got {iterations:?}"
         );
     }
+}
+
+/// Sizes `ws` for `frames.len()` lanes of `code`, loads the frames, runs
+/// `decode` and reads back each lane's hard bits and posterior bits.
+fn decode_lanes(
+    ws: &mut BatchWorkspace,
+    code: &LdpcCode,
+    frames: &[Vec<f64>],
+    decode: impl FnOnce(&mut BatchWorkspace),
+) -> Vec<(Vec<bool>, Vec<u64>)> {
+    ws.ensure(code, frames.len());
+    for (lane, llr) in frames.iter().enumerate() {
+        ws.set_lane_llr(lane, llr);
+    }
+    decode(ws);
+    (0..frames.len())
+        .map(|lane| {
+            let hard = (0..code.len()).map(|v| ws.hard_bit(v, lane)).collect();
+            let posterior = (0..code.len())
+                .map(|v| ws.posterior_at(v, lane).to_bits())
+                .collect();
+            (hard, posterior)
+        })
+        .collect()
+}
+
+#[test]
+fn one_lane_workspace_serves_both_schedules_like_fresh_ones() {
+    // A block code for BP and a longer coupled code for the window
+    // decoder, so every switch of schedule also resizes the workspace.
+    let block = LdpcCode::paper_block(20, 77);
+    let coupled = CoupledCode::paper_cc(8, 5, 0xC0DE);
+    let bp_frames = lane_frames(block.len(), 0.7, 0x3D00);
+    let window_frames = lane_frames(coupled.code().len(), 0.8, 0x3E00);
+    let mut shared = BatchWorkspace::default();
+    for rule in RULES {
+        let bp = BpDecoder::new(
+            &block,
+            BpConfig {
+                max_iterations: 40,
+                check_rule: rule,
+            },
+        );
+        // `None` is a BP step. Few window iterations on noisy frames, so
+        // no position reaches a fixed point that stale state would reach
+        // too.
+        let steps = [
+            (None, 8),
+            (Some(WindowDecoder::new(4, 3)), 8),
+            (None, 1),
+            (Some(WindowDecoder::with_reuse(4, 3)), 4),
+        ];
+        for (window, lanes) in steps {
+            let window = window.map(|w| w.with_rule(rule));
+            let (code, frames) = match window {
+                Some(_) => (coupled.code(), &window_frames[..lanes]),
+                None => (&block, &bp_frames[..lanes]),
+            };
+            let decode = |ws: &mut BatchWorkspace| match &window {
+                Some(w) => w.decode_batch(ws, &coupled),
+                None => bp.decode_batch(ws),
+            };
+            let mut fresh = BatchWorkspace::default();
+            let got = decode_lanes(&mut shared, code, frames, decode);
+            let want = decode_lanes(&mut fresh, code, frames, decode);
+            assert_eq!(got, want, "{rule:?} {window:?} at {lanes} lanes");
+            if window.is_none() {
+                let status =
+                    |ws: &BatchWorkspace| (0..lanes).map(|l| ws.status(l)).collect::<Vec<_>>();
+                assert_eq!(
+                    status(&shared),
+                    status(&fresh),
+                    "{rule:?} BP at {lanes} lanes"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_ber_workspace_serves_every_target_kind_like_fresh_ones() {
+    let block_code = LdpcCode::paper_block(20, 77);
+    let coupled_code = CoupledCode::paper_cc(8, 5, 0xC0DE);
+    let config = BpConfig {
+        max_iterations: 30,
+        ..BpConfig::default()
+    };
+    let block = BlockBerTarget::new(&block_code, config, 0.5);
+    let coupled = CoupledBerTarget::new(&coupled_code, WindowDecoder::new(4, 20));
+    let cache = MemoryFrameCache::new();
+    let cached = CachedBerTarget::new(&coupled, &cache);
+    // Each target with the uncached target its frames must equal.
+    let targets: [(&dyn BerTarget, &dyn BerTarget); 3] =
+        [(&block, &block), (&coupled, &coupled), (&cached, &coupled)];
+    let mut shared = BerWorkspace::new();
+    // Eleven frames are a full batch of 8 and remainders of widths 2 and
+    // 1; overlapping ranges give the cached target hits and misses.
+    for round in 0..3u64 {
+        for (k, (target, reference)) in targets.iter().enumerate() {
+            let first = 5 * round + k as u64;
+            let mut got = [FrameStats::default(); 11];
+            target.eval_frames_each(&mut shared, 1.5, 0x5EED, first, &mut got);
+            let mut want = [FrameStats::default(); 11];
+            reference.eval_frames_each(&mut BerWorkspace::new(), 1.5, 0x5EED, first, &mut want);
+            assert_eq!(got, want, "target {k}, frames from {first}");
+        }
+    }
+    let (hits, misses) = cache.counters();
+    assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
 }
 
 #[test]
@@ -471,6 +574,84 @@ fn pillar_route_tables_are_pinned() {
             }
         }
         assert_eq!(hash, want, "{dims:?} at pitch {pitch}: {hash:#018x}");
+    }
+}
+
+#[test]
+fn traffic_destinations_are_pinned() {
+    // The first 2000 destinations of each pattern from one seeded stream,
+    // sources cycling over the modules. Every topology has 64 modules, so
+    // the patterns that read only the module count agree across them.
+    let topologies = [
+        ("mesh3d 4x4x4", Topology::mesh3d(4, 4, 4)),
+        ("star mesh 4x4 c4", Topology::star_mesh(4, 4, 4)),
+        ("ciliated 4x4x2 c2", Topology::ciliated_mesh3d(4, 4, 2, 2)),
+        (
+            "2 boards of 4x4x2",
+            HybridBoards::with_radio_count(2, [4, 4, 2], 2)
+                .topology()
+                .clone(),
+        ),
+        (
+            "pillars 4x4x4 pitch 2",
+            PillarMesh3d::new(4, 4, 4, 2).topology().clone(),
+        ),
+    ];
+    let want: [[u64; 5]; 5] = [
+        [
+            0x7370_aae9_13c6_d1a7,
+            0xca34_f379_0373_c0dc,
+            0xd14c_4909_6108_e560,
+            0x97d8_64ed_3bca_b4d7,
+            0xf42d_dc26_0394_4a05,
+        ],
+        [
+            0x7370_aae9_13c6_d1a7,
+            0xca34_f379_0373_c0dc,
+            0xab1f_29e1_4a14_faf2,
+            0x97d8_64ed_3bca_b4d7,
+            0xe2a5_80a2_6033_0d3d,
+        ],
+        [
+            0x7370_aae9_13c6_d1a7,
+            0xca34_f379_0373_c0dc,
+            0xf825_3846_abb3_7db0,
+            0x97d8_64ed_3bca_b4d7,
+            0xdf40_8b45_4e08_c4e5,
+        ],
+        [
+            0x7370_aae9_13c6_d1a7,
+            0xca34_f379_0373_c0dc,
+            0x28cd_c317_5e9d_41f0,
+            0x97d8_64ed_3bca_b4d7,
+            0xa296_a8f7_ce1f_40ca,
+        ],
+        [
+            0x7370_aae9_13c6_d1a7,
+            0xca34_f379_0373_c0dc,
+            0xd14c_4909_6108_e560,
+            0x97d8_64ed_3bca_b4d7,
+            0x81de_9144_637a_b7ab,
+        ],
+    ];
+    let patterns = [
+        "uniform",
+        "hotspot:5:0.3",
+        "transpose",
+        "bitrev",
+        "neighbor",
+    ];
+    for ((name, topo), want) in topologies.iter().zip(want) {
+        let n = topo.num_modules();
+        for (pattern, want) in patterns.iter().zip(want) {
+            let kind = TrafficKind::parse(pattern).expect("a known pattern");
+            let mut rng = seeded_rng(0x7AFF1C);
+            let hash = fnv1a_u32s(
+                0xcbf2_9ce4_8422_2325,
+                (0..2000).map(|i| kind.dest(i % n, topo, &mut rng) as u32),
+            );
+            assert_eq!(hash, want, "{pattern} on {name}: {hash:#018x}");
+        }
     }
 }
 

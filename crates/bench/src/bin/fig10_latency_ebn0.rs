@@ -30,9 +30,7 @@
 
 use std::path::PathBuf;
 use std::time::Instant;
-use wi_bench::{
-    batch_flag, die, flag_value, fmt, forbid_both, has_flag, help_flag, print_table, search_flag,
-};
+use wi_bench::{die, flag_value, fmt, forbid_both, has_flag, help_flag, print_table, search_flag};
 use wi_ldpc::ber::{
     search_required_ebn0, BerSimOptions, BerTarget, BlockBerTarget, CachedBerTarget,
     CoupledBerTarget, SearchConfig, SearchOutcome, SearchReport,
@@ -50,10 +48,11 @@ USAGE:
 
 FLAGS:
     --full               target the paper's BER 1e-5 instead of the 1e-3
-                         runtime preset (overnight run)
+                         runtime preset (~2 min at one thread); an
+                         overnight run
     --quick              reduced smoke preset: BER 1e-2, two code families,
-                         coarse bisection -- finishes in under a minute
-                         (used by CI; numbers are indicative only)
+                         coarse bisection -- finishes in ~3 s at one
+                         thread (used by CI; numbers are indicative only)
     --minsum             decode with normalized min-sum (alpha = 0.8) --
                          the hardware-faithful approximation, fastest,
                          costs a fraction of a dB
@@ -71,12 +70,6 @@ FLAGS:
                                        + log-linear interpolation
                          concurrent/paired are statistically equivalent to
                          bisect, not bit-identical, and markedly faster
-    --batch <width>      inter-frame decode batch width: how many Monte-
-                         Carlo frames each worker decodes in lockstep
-                         through the vectorized lane kernels (1, 2, 4 or
-                         8; default 8). Bit-identical per frame at every
-                         width -- a pure throughput knob (1 = one frame
-                         at a time)
     --store <dir>        persist every (seed, frame, Eb/N0) frame
                          evaluation in a wi_sweep result-store directory
                          and reuse any already stored -- a re-run of the
@@ -151,8 +144,8 @@ fn main() {
     // successors), so the error budget must cover several independent
     // failure events or the estimate degenerates to a frame-error rate.
     // The default preset (~2-4 burst events per estimate) sweeps all 19
-    // points in roughly half an hour; --full is an overnight run; --quick
-    // is a CI smoke preset that finishes in well under a minute.
+    // points in about two minutes at one thread; --full is an overnight
+    // run; --quick is a CI smoke preset that finishes in seconds.
     let opts = BerSimOptions {
         target_errors: if full { 600 } else { 120 },
         max_frames: if full {
@@ -165,7 +158,6 @@ fn main() {
         min_frames: if quick { 20 } else { 30 },
         seed: 0xF10,
     };
-    let batch = batch_flag();
     let term_length = 20;
     let iters = 50;
     let search = SearchConfig {
@@ -182,7 +174,7 @@ fn main() {
     println!("Fig. 10 — required Eb/N0 for BER {target_ber:.0e} vs structural latency");
     println!("(paper targets 1e-5; default preset 1e-3 for runtime, --full for 1e-5)");
     println!(
-        "decoder: {} | {} worker thread(s) | batch width {batch}",
+        "decoder: {} | {} worker thread(s) | batch width {}",
         match check_rule {
             CheckRule::SumProduct => "exact sum-product".to_string(),
             CheckRule::SumProductTable { bits } => {
@@ -191,6 +183,7 @@ fn main() {
             CheckRule::MinSum { alpha } => format!("normalized min-sum (alpha = {alpha})"),
         },
         wi_num::par::threads(),
+        wi_ldpc::batch::MAX_LANES,
     );
     println!(
         "search: {} over [{}, {}] dB",
@@ -225,7 +218,7 @@ fn main() {
         let code = CoupledCode::paper_cc(*n, term_length, 0xCC00 + *n as u64);
         for &w in windows {
             let wd = WindowDecoder::new(w, iters).with_rule(check_rule);
-            let target = CoupledBerTarget::new(&code, wd).with_batch(batch);
+            let target = CoupledBerTarget::new(&code, wd);
             let report = searched(
                 &target,
                 coupled_target_hash(*n, w, iters, &check_rule),
@@ -256,7 +249,7 @@ fn main() {
             max_iterations: iters,
             check_rule,
         };
-        let target = BlockBerTarget::new(&code, config, 0.5).with_batch(batch);
+        let target = BlockBerTarget::new(&code, config, 0.5);
         let report = searched(
             &target,
             block_target_hash(n, iters, &check_rule),

@@ -1,7 +1,7 @@
 //! Fig. 5: impulse responses of the four ISI filter designs.
 //!
 //! Default: prints the shipped pre-optimized filters. With `--optimize`,
-//! re-runs the three designers from scratch (tens of seconds) and prints
+//! re-runs the three designers from scratch (under a second) and prints
 //! fresh taps alongside their objective values.
 
 use wi_bench::{fmt, has_flag, help_flag, print_table};
@@ -20,7 +20,7 @@ USAGE:
 
 FLAGS:
     --optimize           re-run the three filter designers from scratch
-                         (tens of seconds) instead of printing the shipped
+                         (under a second) instead of printing the shipped
                          pre-optimized taps
     --help, -h           print this help";
 

@@ -72,14 +72,14 @@ FLAGS:
     --des                cross-validate every printed rate with the
                          discrete-event simulator (adds a `DES +-2se`
                          column per topology plus the measured saturation
-                         knee; ~1-2 min)
+                         knee; ~3 s at one thread)
     --traffic <kind>     DES traffic pattern: uniform (default),
                          hotspot[:node:frac], transpose, bitrev, neighbor
     --routing <policy>   routing policy of the DES sweeps (implies
                          --des): dor, o1turn, valiant[:k], rlb[:k],
                          adaptive; `all` prints the policy x traffic
                          saturation-knee matrix on the 4x4x4 3D mesh
-                         (~10-20 min)
+                         (~25 s at one thread)
     --reps <k>           DES replications per rate (default 3)
     --rates <csv>        override the injection-rate grid, e.g.
                          0.05,0.15,0.25 (the CI smoke grid)

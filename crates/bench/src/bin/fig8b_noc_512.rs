@@ -35,8 +35,8 @@ USAGE:
 FLAGS:
     --des                cross-validate every printed rate with the
                          discrete-event simulator (adds a `DES +-2se`
-                         column per topology; ~1.5 min at 512
-                         modules on 2 cores)
+                         column per topology; ~2 min at 512
+                         modules at one thread)
     --traffic <kind>     DES traffic pattern: uniform (default),
                          hotspot[:node:frac], transpose, bitrev, neighbor
     --routing <policy>   routing policy of the DES sweeps (implies

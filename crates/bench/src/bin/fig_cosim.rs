@@ -23,7 +23,7 @@
 //! complete — it exits nonzero otherwise.
 
 use std::time::Instant;
-use wi_bench::{batch_flag, die, fmt, has_flag, help_flag, print_table, rates_flag, reps_flag};
+use wi_bench::{die, fmt, has_flag, help_flag, print_table, rates_flag, reps_flag};
 use wi_ldpc::ber::{BerSimOptions, CoupledBerTarget};
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
 use wi_noc::des::{
@@ -42,25 +42,20 @@ USAGE:
 FLAGS:
     --quick        CI smoke preset: small uniform-error sweep; asserts that
                    retransmissions happened and every point completed
-                   (exits nonzero otherwise); seconds
+                   (exits nonzero otherwise); well under a second
     --error <p>    inject a uniform per-hop frame-error probability instead
                    of deriving per-link-class rates from the link budget +
                    measured LDPC FER curve (pure DES ablation)
     --rates <csv>  override the injection-rate grid,
                    e.g. 0.05,0.15,0.25
     --reps <k>     DES replications per rate (default 3)
-    --batch <w>    inter-frame decode batch width for the FER-curve
-                   Monte-Carlo (1, 2, 4 or 8; default 8) -- bit-identical
-                   per frame at every width, a pure throughput knob; only
-                   the full run measures a FER curve, so --quick and
-                   --error ignore it
     --help, -h     print this help
 
-The default run measures one LDPC-CC frame-error curve (~1 min), then
-sweeps the 4x4x4 3D mesh at four tx powers: the paper's 0 dBm operating
-point (error-free, reproduces Fig. 8 bit-for-bit) and three reduced
-powers that walk the edge links into the decoder's waterfall. Exact
-recipes: docs/REPRODUCING.md.";
+The default run (~15 s at one thread) measures one LDPC-CC frame-error
+curve, then sweeps the 4x4x4 3D mesh at four tx powers: the paper's
+0 dBm operating point (error-free, reproduces Fig. 8 bit-for-bit) and
+three reduced powers that walk the edge links into the decoder's
+waterfall. Exact recipes: docs/REPRODUCING.md.";
 
 /// Tx powers of the full co-sim sweep: the paper's operating point plus
 /// three backed-off points that walk the *edge* links (6.5 dB below the
@@ -204,9 +199,8 @@ fn main() {
     // ---- Layer 1: measure the LDPC-CC frame-error curve once. ----
     // The Fig. 10 code family at a moderate Monte-Carlo preset; the curve
     // is the reusable cache every tx-power point interpolates.
-    let batch = batch_flag();
     let code = CoupledCode::paper_cc(25, 20, 0xCC19);
-    let target = CoupledBerTarget::new(&code, WindowDecoder::new(6, 30)).with_batch(batch);
+    let target = CoupledBerTarget::new(&code, WindowDecoder::new(6, 30));
     let opts = BerSimOptions {
         target_errors: u64::MAX, // FER wants fixed frame counts, not a bit-error stop
         max_frames: 120,
@@ -215,8 +209,9 @@ fn main() {
     };
     let grid: Vec<f64> = (0..=6).map(|k| k as f64).collect();
     println!(
-        "measuring LDPC-CC FER curve (N=25, W=6, {} frames/point, batch width {batch})…",
-        opts.max_frames
+        "measuring LDPC-CC FER curve (N=25, W=6, {} frames/point, batch width {})…",
+        opts.max_frames,
+        wi_ldpc::batch::MAX_LANES,
     );
     let curve = FerCurve::measure(&target, &grid, &opts);
     let curve_rows: Vec<Vec<String>> = curve

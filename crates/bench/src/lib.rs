@@ -81,36 +81,57 @@ pub fn forbid_both(a: &str, b: &str) {
 }
 
 /// Prints `usage` and exits when the CLI was invoked with `--help` or
-/// `-h`; exits via [`die`], naming the argument, when an argument starts
-/// with `--` but is not a flag `usage` lists as a whole word. Call this
-/// before any expensive work so every bin answers `--help` instantly and
-/// a misspelled flag never starts a run with the defaults.
+/// `-h`; otherwise exits via [`die`], naming the argument, unless every
+/// argument is a flag `usage` lists, given once, or the value right
+/// after a flag `usage` lists as `--flag <…>`. Call this before any
+/// expensive work so every bin answers `--help` instantly and a
+/// misspelled, repeated or value-less flag or a stray word never starts
+/// a run with the defaults.
 pub fn help_flag(usage: &str) {
     if has_flag("--help") || has_flag("-h") {
         println!("{usage}");
         std::process::exit(0);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(flag) = unknown_flag(usage, &args) {
-        die(&format!("unknown flag {flag:?}"));
+    if let Some(problem) = arg_problem(usage, &args) {
+        die(&problem);
     }
 }
 
-/// The first argument starting with `--` that `usage` does not list, if
-/// any. A flag is listed when it appears in `usage` as a whole word, so a
-/// listed `--sum-product-table` does not admit `--sum-product`.
-/// `--help` always passes; values (`hotspot:0:0.2`, `0.05,0.15`, `-h`)
-/// are never checked.
-fn unknown_flag<'a>(usage: &str, args: &'a [String]) -> Option<&'a str> {
+/// The first argument that is not a flag `usage` lists, given once, or
+/// the value right after a flag that takes one, if any. A flag is listed
+/// when it appears in `usage` as a whole word, so a listed
+/// `--sum-product-table` does not admit `--sum-product`; it takes a value
+/// when `usage` lists it as `--flag <…>`, and the value must not start
+/// with `--`.
+fn arg_problem(usage: &str, args: &[String]) -> Option<String> {
     let word = |c: char| c.is_ascii_alphanumeric() || c == '-';
-    let listed = |flag: &str| {
-        usage
-            .match_indices(flag)
-            .any(|(i, _)| !usage[..i].ends_with(word) && !usage[i + flag.len()..].starts_with(word))
-    };
-    args.iter()
-        .map(String::as_str)
-        .find(|a| a.starts_with("--") && *a != "--help" && !listed(a))
+    let mut seen = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            return Some(format!("unexpected argument {arg:?}"));
+        }
+        // What follows each whole-word listing of `arg` in `usage`.
+        let listings: Vec<&str> = usage
+            .match_indices(arg)
+            .map(|(i, _)| (&usage[..i], &usage[i + arg.len()..]))
+            .filter(|(before, rest)| !before.ends_with(word) && !rest.starts_with(word))
+            .map(|(_, rest)| rest)
+            .collect();
+        if listings.is_empty() {
+            return Some(format!("unknown flag {arg:?}"));
+        }
+        if seen.contains(&arg) {
+            return Some(format!("flag {arg:?} given twice"));
+        }
+        seen.push(arg);
+        let takes_value = listings.iter().any(|rest| rest.starts_with(" <"));
+        if takes_value && args.next().is_none_or(|value| value.starts_with("--")) {
+            return Some(format!("flag {arg:?} takes a value"));
+        }
+    }
+    None
 }
 
 /// Value of a `--flag value` pair, if present.
@@ -210,23 +231,6 @@ pub fn reps_flag(default: usize) -> usize {
     }
 }
 
-/// The shared `--batch` flag: the inter-frame decode batch width the BER
-/// targets decode in lockstep ([`wi_ldpc::batch::DEFAULT_LANES`] when
-/// absent). Any width produces bit-identical per-frame results. Exits via
-/// [`die`] unless the value parses to one of 1, 2, 4, 8.
-pub fn batch_flag() -> usize {
-    match flag_value("--batch") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(batch) => match wi_ldpc::batch::lanes_problem(batch) {
-                None => batch,
-                Some(problem) => die(&format!("--batch: {problem}")),
-            },
-            Err(_) => die(&format!("--batch takes an integer (1, 2, 4, 8), got {s:?}")),
-        },
-        None => wi_ldpc::batch::DEFAULT_LANES,
-    }
-}
-
 /// Parses a comma-separated injection-rate grid that every DES sweep
 /// accepts: positive, finite and strictly ascending
 /// ([`rates_problem`]).
@@ -279,30 +283,47 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_named_and_values_pass() {
+    fn every_argument_is_a_listed_flag_once_or_its_value() {
         let usage = "\
 FLAGS:
-    --routing <policy>   dor, o1turn, ...
+    --routing <policy>   dor, o1turn, ... (implies --des)
+    --des                cross-validate with the DES
     --sum-product-table  phi-table kernel
     --rates <csv>        e.g. 0.05,0.15
     --help, -h           print this help";
-        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let ok = args(&[
+        let problem = |list: &[&str]| {
+            let args: Vec<String> = list.iter().map(|a| a.to_string()).collect();
+            arg_problem(usage, &args)
+        };
+        let named = |head: &str, arg: &str, tail: &str| Some(format!("{head}{arg:?}{tail}"));
+        let ok = [
             "--routing",
             "hotspot:0:0.2",
             "--rates",
             "0.05,0.15",
             "--sum-product-table",
+            "--des",
             "--help",
-            "-h",
-        ]);
-        assert_eq!(unknown_flag(usage, &ok), None);
-        let typo = args(&["--routing", "adaptive", "--routng", "adaptive"]);
-        assert_eq!(unknown_flag(usage, &typo), Some("--routng"));
-        let prefix = args(&["--sum-product"]);
-        assert_eq!(unknown_flag(usage, &prefix), Some("--sum-product"));
-        let suffix = args(&["--product-table"]);
-        assert_eq!(unknown_flag(usage, &suffix), Some("--product-table"));
+        ];
+        assert_eq!(problem(&ok), None);
+        assert_eq!(problem(&["--rates", "-0.1"]), None, "parsed later");
+        let unknown = |flag| named("unknown flag ", flag, "");
+        let typo = ["--routing", "adaptive", "--routng", "adaptive"];
+        assert_eq!(problem(&typo), unknown("--routng"));
+        assert_eq!(problem(&["--sum-product"]), unknown("--sum-product"));
+        assert_eq!(problem(&["--product-table"]), unknown("--product-table"));
+        // A value flag given last, or followed by a flag, has no value.
+        let no_value = |flag| named("flag ", flag, " takes a value");
+        assert_eq!(problem(&["--routing"]), no_value("--routing"));
+        assert_eq!(problem(&["--des", "--rates"]), no_value("--rates"));
+        assert_eq!(problem(&["--rates", "--des"]), no_value("--rates"));
+        let stray = |arg| named("unexpected argument ", arg, "");
+        assert_eq!(problem(&["adaptive"]), stray("adaptive"));
+        assert_eq!(problem(&["--des", "0.3"]), stray("0.3"));
+        let twice = |flag| named("flag ", flag, " given twice");
+        assert_eq!(problem(&["--des", "--des"]), twice("--des"));
+        let routing = ["--routing", "adaptive", "--routing", "dor"];
+        assert_eq!(problem(&routing), twice("--routing"));
     }
 
     #[test]
@@ -356,6 +377,5 @@ FLAGS:
         assert_eq!(routing_flag(), None);
         assert_eq!(rates_flag(), None);
         assert_eq!(search_flag(), SearchStrategy::Bisection);
-        assert_eq!(batch_flag(), wi_ldpc::batch::DEFAULT_LANES);
     }
 }

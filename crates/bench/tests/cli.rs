@@ -1,6 +1,7 @@
-//! A misspelled flag, or a flag value that parses but is invalid, must
-//! stop a figure binary before any work starts: exit 2 with the argument
-//! named, never a run with the defaults or a panic mid-run.
+//! A misspelled, repeated or value-less flag, a stray word, or a flag
+//! value that parses but is invalid must stop a figure binary before any
+//! work starts: exit 2 with the argument named, never a run with the
+//! defaults or a panic mid-run.
 //!
 //! The exhibits whose default run takes milliseconds are pinned byte for
 //! byte: a change that moves one digit of their tables fails here. The
@@ -141,5 +142,51 @@ fn fig8_hybrid_rejects_a_hotspot_outside_its_modules() {
         env!("CARGO_BIN_EXE_fig8_hybrid"),
         &["--des", "--traffic", "hotspot:999:0.1"],
         "hotspot:999:0.1",
+    );
+}
+
+#[test]
+fn fig10_and_fig_cosim_reject_the_removed_batch_flag() {
+    // Every batch width gave bit-identical output, so the flag is gone.
+    rejects(
+        env!("CARGO_BIN_EXE_fig10_latency_ebn0"),
+        &["--quick", "--batch", "8"],
+        "--batch",
+    );
+    rejects(
+        env!("CARGO_BIN_EXE_fig_cosim"),
+        &["--quick", "--batch", "8"],
+        "--batch",
+    );
+}
+
+#[test]
+fn a_value_flag_without_its_value_is_rejected() {
+    let bin = env!("CARGO_BIN_EXE_fig8a_noc_64");
+    rejects(bin, &["--routing"], "--routing");
+    rejects(bin, &["--des", "--traffic"], "--traffic");
+    rejects(bin, &["--rates", "--des"], "--rates");
+    rejects(
+        env!("CARGO_BIN_EXE_fig10_latency_ebn0"),
+        &["--quick", "--search"],
+        "--search",
+    );
+    rejects(env!("CARGO_BIN_EXE_fig8_hybrid"), &["--dims"], "--dims");
+}
+
+#[test]
+fn a_stray_word_or_a_repeated_flag_is_rejected() {
+    let bin = env!("CARGO_BIN_EXE_fig8a_noc_64");
+    rejects(bin, &["adaptive"], "adaptive");
+    rejects(bin, &["--des", "0.3"], "0.3");
+    rejects(
+        bin,
+        &["--routing", "adaptive", "--routing", "dor"],
+        "--routing",
+    );
+    rejects(
+        env!("CARGO_BIN_EXE_fig10_latency_ebn0"),
+        &["--quick", "--quick"],
+        "--quick",
     );
 }

@@ -9,12 +9,12 @@ use serde::{Deserialize, Serialize};
 use wi_ldpc::ber::{
     search_required_ebn0, BerSimOptions, CoupledBerTarget, SearchConfig, SearchReport,
 };
-use wi_ldpc::decoder::{BpConfig, CheckRule};
+use wi_ldpc::decoder::CheckRule;
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
 use wi_linkbudget::budget::Beamforming;
 use wi_linkbudget::datarate::Polarization;
 use wi_noc::des::traffic::TrafficKind;
-use wi_noc::des::{DesConfig, FaultConfig, ServiceDistribution, SweepConfig};
+use wi_noc::des::{DesConfig, FaultConfig, ServiceDistribution};
 use wi_noc::icdb::HybridBoards;
 use wi_noc::routing::RoutingKind;
 use wi_noc::topology::Topology;
@@ -205,11 +205,6 @@ impl NocWorkloadConfig {
             ..DesConfig::default()
         }
     }
-
-    /// A replication-sweep configuration over `rates` for this workload.
-    pub fn sweep_config(&self, rates: Vec<f64>, seed: u64) -> SweepConfig {
-        SweepConfig::new(rates, self.replications, self.des_config(seed))
-    }
 }
 
 /// Error-correction configuration (§V).
@@ -230,10 +225,6 @@ pub struct CodingConfig {
     /// (bisection ladder, CI-pruned concurrent bisection, or paired
     /// grid), bracket/grid, CI multiplier and frame cap.
     pub search: SearchConfig,
-    /// Inter-frame decode batch width (1, 2, 4 or 8): how many Monte-Carlo
-    /// frames the BER evaluation decodes in lockstep. Bit-identical per
-    /// frame at every width — a pure throughput knob.
-    pub batch: usize,
 }
 
 impl CodingConfig {
@@ -247,30 +238,6 @@ impl CodingConfig {
             iterations: 50,
             check_rule: CheckRule::SumProduct,
             search: SearchConfig::default(),
-            batch: wi_ldpc::batch::DEFAULT_LANES,
-        }
-    }
-
-    /// The same operating point decoded with normalized min-sum — what a
-    /// hardware implementation on the chip stack would actually run.
-    /// For the rule that keeps sum-product *accuracy* while dropping the
-    /// transcendentals, see [`CodingConfig::table_default`].
-    pub fn hardware_default() -> Self {
-        CodingConfig {
-            check_rule: CheckRule::min_sum(),
-            ..Self::paper_default()
-        }
-    }
-
-    /// The paper operating point decoded with the φ-table sum-product
-    /// rule: within 0.05 dB of [`CodingConfig::paper_default`]'s exact
-    /// sum-product on the paper's codes, at a multiple of its speed —
-    /// the preset the Fig. 10 regeneration uses for fast high-fidelity
-    /// sweeps (`fig10_latency_ebn0 --sum-product-table`).
-    pub fn table_default() -> Self {
-        CodingConfig {
-            check_rule: CheckRule::sum_product_table(),
-            ..Self::paper_default()
         }
     }
 
@@ -278,14 +245,6 @@ impl CodingConfig {
     /// (Eq. 4 with nv = 2, R = 1/2).
     pub fn structural_latency_bits(&self) -> f64 {
         self.window as f64 * self.lifting as f64 * 2.0 * 0.5
-    }
-
-    /// Block-decoder configuration implied by this coding setup.
-    pub fn bp_config(&self) -> BpConfig {
-        BpConfig {
-            max_iterations: self.iterations,
-            check_rule: self.check_rule,
-        }
     }
 
     /// Window decoder implied by this coding setup.
@@ -311,7 +270,7 @@ impl CodingConfig {
     /// Panics if the check rule or search configuration is invalid.
     pub fn required_ebn0(&self, target_ber: f64, opts: &BerSimOptions) -> SearchReport {
         let code = self.coupled_code();
-        let target = CoupledBerTarget::new(&code, self.window_decoder()).with_batch(self.batch);
+        let target = CoupledBerTarget::new(&code, self.window_decoder());
         search_required_ebn0(&target, target_ber, opts, &self.search)
     }
 }
@@ -418,9 +377,6 @@ impl SystemConfig {
         for problem in self.coding.search.problems() {
             problems.push(format!("Eb/N0 search: {problem}"));
         }
-        if let Some(problem) = wi_ldpc::batch::lanes_problem(self.coding.batch) {
-            problems.push(format!("decode batch: {problem}"));
-        }
         if self.noc.replications == 0 {
             problems.push("NoC workload needs at least one replication".into());
         }
@@ -508,23 +464,20 @@ mod tests {
     #[test]
     fn coding_config_builds_decoders() {
         let c = CodingConfig::paper_default();
-        let bp = c.bp_config();
-        assert_eq!(bp.max_iterations, 50);
-        assert_eq!(bp.check_rule, CheckRule::SumProduct);
         let wd = c.window_decoder();
         assert_eq!(wd.window, 5);
         assert_eq!(wd.iterations, 50);
+        assert_eq!(wd.check_rule, CheckRule::SumProduct);
         assert!(!wd.reuse_messages);
-        let hw = CodingConfig::hardware_default();
-        assert_eq!(hw.window_decoder().check_rule, CheckRule::min_sum());
-        assert_eq!(hw.structural_latency_bits(), c.structural_latency_bits());
-        let tbl = CodingConfig::table_default();
+        let minsum = CodingConfig {
+            check_rule: CheckRule::min_sum(),
+            ..c
+        };
+        assert_eq!(minsum.window_decoder().check_rule, CheckRule::min_sum());
         assert_eq!(
-            tbl.window_decoder().check_rule,
-            CheckRule::sum_product_table()
+            minsum.structural_latency_bits(),
+            c.structural_latency_bits()
         );
-        assert_eq!(tbl.bp_config().check_rule, CheckRule::sum_product_table());
-        assert_eq!(tbl.structural_latency_bits(), c.structural_latency_bits());
     }
 
     #[test]
@@ -567,7 +520,6 @@ mod tests {
                 tol_db: 1.0,
                 ..SearchConfig::default()
             },
-            batch: 8,
         };
         assert_eq!(coding.coupled_code().lifting(), 10);
         let opts = BerSimOptions {
@@ -650,10 +602,6 @@ mod tests {
             ..w
         };
         assert_eq!(adaptive.des_config(1).vcs, 6);
-        let sweep = w.sweep_config(vec![0.05, 0.1], 7);
-        assert_eq!(sweep.replications, 3);
-        assert_eq!(sweep.rates, vec![0.05, 0.1]);
-        assert_eq!(sweep.base.seed, 7);
     }
 
     #[test]
@@ -696,9 +644,5 @@ mod tests {
             ..NocWorkloadConfig::paper_default()
         };
         assert_eq!(w.des_config(1).fault, FaultConfig::uniform(0.05));
-        assert_eq!(
-            w.sweep_config(vec![0.1], 1).base.fault,
-            FaultConfig::uniform(0.05)
-        );
     }
 }

@@ -29,7 +29,7 @@
 use crate::config::SystemConfig;
 use crate::eval::extreme_links;
 use serde::{Deserialize, Serialize};
-use wi_ldpc::ber::{ber_curve, BerSimOptions, BerTarget, CachedBerTarget, FrameEvalCache};
+use wi_ldpc::ber::{ber_curve, BerSimOptions, BerTarget};
 use wi_noc::des::LinkErrorModel;
 
 /// Code rate of the paper's (4,8)-regular LDPC-CC — the rate at which
@@ -73,7 +73,9 @@ impl FerCurve {
     /// Measures the curve by Monte-Carlo over `grid` (ascending Eb/N0 in
     /// dB): one `ber_curve` pass with common random numbers per point,
     /// keeping the frame-error rates. Deterministic in `opts.seed` and
-    /// thread-count invariant (the `wi_ldpc::ber` contract).
+    /// thread-count invariant (the `wi_ldpc::ber` contract). Passing a
+    /// `wi_ldpc::ber::CachedBerTarget` reuses every frame its cache
+    /// already holds and gives the same curve bit for bit.
     ///
     /// # Panics
     ///
@@ -86,26 +88,6 @@ impl FerCurve {
                 .map(|(ebn0, est)| (ebn0, est.fer()))
                 .collect(),
         )
-    }
-
-    /// [`measure`](FerCurve::measure) through a [`FrameEvalCache`] — the
-    /// co-sim curve as a sweep-store client. Frames already in the cache
-    /// (from a previous curve, an Eb/N0 search, or another spec that
-    /// visited this operating point) are reused instead of re-simulated;
-    /// everything newly simulated is recorded. The returned curve is
-    /// bit-identical to the uncached [`measure`](FerCurve::measure) —
-    /// cached stats *are* the target's stats (the `CachedBerTarget`
-    /// contract).
-    ///
-    /// The cache must be scoped to `target` by the caller (the key does
-    /// not identify the target — see `wi_ldpc::ber::FrameEvalCache`).
-    pub fn measure_cached(
-        target: &dyn BerTarget,
-        cache: &dyn FrameEvalCache,
-        grid: &[f64],
-        opts: &BerSimOptions,
-    ) -> Self {
-        Self::measure(&CachedBerTarget::new(target, cache), grid, opts)
     }
 
     /// The measured `(ebn0_db, fer)` points, in grid order.
@@ -298,7 +280,7 @@ mod tests {
 
     #[test]
     fn cached_measure_reuses_frames_across_curves() {
-        use wi_ldpc::ber::MemoryFrameCache;
+        use wi_ldpc::ber::{CachedBerTarget, MemoryFrameCache};
         let code = CoupledCode::paper_cc(10, 8, 0xC051);
         let target = CoupledBerTarget::new(&code, wi_ldpc::window::WindowDecoder::new(3, 8));
         let opts = BerSimOptions {
@@ -310,12 +292,13 @@ mod tests {
         let grid = [0.0, 3.0, 6.0];
         let plain = FerCurve::measure(&target, &grid, &opts);
         let cache = MemoryFrameCache::new();
-        let cold = FerCurve::measure_cached(&target, &cache, &grid, &opts);
+        let cached = CachedBerTarget::new(&target, &cache);
+        let cold = FerCurve::measure(&cached, &grid, &opts);
         assert_eq!(plain, cold, "caching must not perturb the curve");
         let (_, misses) = cache.counters();
         // A second curve on an overlapping grid re-simulates only the
         // new operating point.
-        let warm = FerCurve::measure_cached(&target, &cache, &[0.0, 3.0, 4.5, 6.0], &opts);
+        let warm = FerCurve::measure(&cached, &[0.0, 3.0, 4.5, 6.0], &opts);
         let (_, misses2) = cache.counters();
         assert_eq!(misses2 - misses, 24, "only the 4.5 dB point is new");
         assert_eq!(warm.fer_at(0.0), plain.fer_at(0.0));

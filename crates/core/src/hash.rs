@@ -272,11 +272,6 @@ impl StableHash for CodingConfig {
             iterations,
             check_rule,
             search,
-            // Deliberately NOT hashed: every batch width produces
-            // bit-identical per-frame results (the wi_ldpc::batch
-            // contract), so two configs differing only in batch width
-            // share one cell.
-            batch: _,
         } = self;
         h.write_usize(*lifting);
         h.write_usize(*window);
@@ -473,16 +468,6 @@ mod tests {
                 assert_ne!(probes[i], probes[j], "probe {i} aliases probe {j}");
             }
         }
-    }
-
-    #[test]
-    fn batch_width_does_not_split_the_address_space() {
-        // Batch width is a pure throughput knob (bit-identical per
-        // frame); configs differing only in it must share a cell.
-        let a = SystemConfig::paper_default();
-        let mut b = a;
-        b.coding.batch = 1;
-        assert_eq!(a.config_hash(), b.config_hash());
     }
 
     #[test]

@@ -73,10 +73,6 @@ use crate::window::{CoupledCode, WindowDecoder};
 /// the widest f64 vector unit in sight.
 pub const MAX_LANES: usize = 8;
 
-/// Default lane count of the batched BER targets: full width — the
-/// bit-identity contract makes the batched path safe to prefer.
-pub const DEFAULT_LANES: usize = 8;
-
 /// Validates a lane count, [`None`] when usable. The batched decoders
 /// are compiled for lane counts 1, 2, 4 and 8 (monomorphized so the
 /// lane loops unroll); anything else is a configuration error.

@@ -67,7 +67,7 @@
 //! deterministic and thread-count invariant, but not bit-comparable to
 //! the ladder. `docs/ARCHITECTURE.md` tabulates the contract per path.
 
-use crate::batch::{lanes_problem, BatchWorkspace, DEFAULT_LANES, MAX_LANES};
+use crate::batch::{lanes_problem, BatchWorkspace, MAX_LANES};
 use crate::code::LdpcCode;
 use crate::decoder::{BpConfig, BpDecoder};
 use crate::window::{CoupledCode, WindowDecoder};
@@ -440,7 +440,7 @@ pub struct BlockBerTarget<'a> {
 impl<'a> BlockBerTarget<'a> {
     /// Creates a block-code target decoding with `config` at code `rate`.
     ///
-    /// Full-width batches of [`batch::DEFAULT_LANES`](crate::batch)
+    /// Full-width batches of [`batch::MAX_LANES`](crate::batch::MAX_LANES)
     /// frames are decoded in lockstep by default — bit-identical per
     /// frame to a one-frame decode; see [`with_batch`](Self::with_batch).
     ///
@@ -454,7 +454,7 @@ impl<'a> BlockBerTarget<'a> {
             code,
             config,
             rate,
-            batch: DEFAULT_LANES,
+            batch: MAX_LANES,
         }
     }
 
@@ -463,8 +463,9 @@ impl<'a> BlockBerTarget<'a> {
     /// supported width that fits (1 = one frame at a time, still on the
     /// lane engine).
     ///
-    /// Any width produces bit-identical per-frame results; the knob only
-    /// trades vector-lane utilization against per-frame latency.
+    /// Any width produces bit-identical per-frame results, so no
+    /// configuration or CLI flag sets it: only the width-invariance tests
+    /// and the benchmarks, which time one width against another, call it.
     ///
     /// # Panics
     ///
@@ -528,7 +529,7 @@ pub struct CoupledBerTarget<'a> {
 impl<'a> CoupledBerTarget<'a> {
     /// Creates a coupled-code target window-decoded by `decoder`.
     ///
-    /// Full-width batches of [`batch::DEFAULT_LANES`](crate::batch)
+    /// Full-width batches of [`batch::MAX_LANES`](crate::batch::MAX_LANES)
     /// frames are window-decoded in lockstep by default — bit-identical
     /// per frame to a one-frame decode; see
     /// [`with_batch`](Self::with_batch).
@@ -541,7 +542,7 @@ impl<'a> CoupledBerTarget<'a> {
         CoupledBerTarget {
             code,
             decoder,
-            batch: DEFAULT_LANES,
+            batch: MAX_LANES,
         }
     }
 
@@ -550,8 +551,9 @@ impl<'a> CoupledBerTarget<'a> {
     /// supported width that fits (1 = one frame at a time, still on the
     /// lane engine).
     ///
-    /// Any width produces bit-identical per-frame results; the knob only
-    /// trades vector-lane utilization against per-frame latency.
+    /// Any width produces bit-identical per-frame results, so no
+    /// configuration or CLI flag sets it: only the width-invariance tests
+    /// and the benchmarks, which time one width against another, call it.
     ///
     /// # Panics
     ///

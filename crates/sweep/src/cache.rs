@@ -21,6 +21,7 @@
 //! [`BerTarget`]: wi_ldpc::ber::BerTarget
 
 use crate::json::Json;
+use crate::store::read_jsonl;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -51,27 +52,9 @@ impl StoreFrameCache {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("frames-{target_hash:016x}.jsonl"));
         let mut map = HashMap::new();
-        if path.exists() {
-            let text = std::fs::read_to_string(&path)?;
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_frame_line(line) {
-                    Some((key, stats)) => {
-                        map.insert(key, stats);
-                    }
-                    None if i + 1 == lines.len() && !text.ends_with('\n') => {}
-                    None => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("corrupt frame record at {}:{}", path.display(), i + 1),
-                        ));
-                    }
-                }
-            }
-        }
+        read_jsonl(&path, "frame record", parse_frame_line, |(key, stats)| {
+            map.insert(key, stats);
+        })?;
         Ok(StoreFrameCache {
             inner: Mutex::new(Inner { map, writer: None }),
             path: Some(path),

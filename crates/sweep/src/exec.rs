@@ -67,18 +67,6 @@ pub struct RunSummary {
     pub frame_misses: u64,
 }
 
-impl RunSummary {
-    /// Frame-cache hit rate in `[0, 1]`; 0 when no frames were touched.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.frame_hits + self.frame_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.frame_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Why a [`run`] refused or failed.
 #[derive(Debug)]
 pub enum RunError {
@@ -199,8 +187,7 @@ fn evaluate(
             let cache = cache_for(cell)?;
             let coding = &cell.config.coding;
             let code = coding.coupled_code();
-            let target =
-                CoupledBerTarget::new(&code, coding.window_decoder()).with_batch(coding.batch);
+            let target = CoupledBerTarget::new(&code, coding.window_decoder());
             let cached = CachedBerTarget::new(&target, cache.as_ref());
             let opts = BerSimOptions {
                 target_errors: *target_errors,

@@ -9,6 +9,11 @@
 //! `SystemConfig::validate`), so a bad spec fails in one round trip,
 //! not one axis per rerun.
 //!
+//! Each eval kind owns the axes it reads ([`EvalSpec::axis_names`]):
+//! seven coding fields for `ebn0_search`, six NoC-workload fields for
+//! `noc_knee`. Any other axis would spend one evaluation per value to
+//! store one result under several keys, so `expand()` refuses it.
+//!
 //! Axis values are strings in the CLI spellings the bench bins already
 //! use (`routing=adaptive`, `traffic=hotspot:0:0.2`, `check_rule=minsum`),
 //! so a spec file reads like the command lines it replaces.
@@ -17,7 +22,7 @@ use crate::json::{obj, Json};
 use wi_ldpc::ber::BerSimOptions;
 use wi_ldpc::decoder::CheckRule;
 use wi_noc::des::traffic::TrafficKind;
-use wi_noc::des::{DesConfig, SweepConfig};
+use wi_noc::des::{DesConfig, LinkErrorModel, SweepConfig};
 use wi_noc::routing::RoutingKind;
 use wi_system::config::SystemConfig;
 use wi_system::hash::{StableHash, StableHasher};
@@ -25,7 +30,7 @@ use wi_system::hash::{StableHash, StableHasher};
 /// One named axis: a `SystemConfig` field and the values it sweeps.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Axis {
-    /// Field name (see [`apply_axis`] for the accepted set).
+    /// Field name: one of the eval kind's [`EvalSpec::axis_names`].
     pub field: String,
     /// Values in CLI spelling, visited in order.
     pub values: Vec<String>,
@@ -67,6 +72,39 @@ impl EvalSpec {
             EvalSpec::Ebn0Search { .. } => "ebn0_search",
             EvalSpec::NocKnee { .. } => "noc_knee",
         }
+    }
+
+    fn axes(&self) -> &'static [(&'static str, SetAxis)] {
+        match self {
+            EvalSpec::Ebn0Search { .. } => EBN0_SEARCH_AXES,
+            EvalSpec::NocKnee { .. } => NOC_KNEE_AXES,
+        }
+    }
+
+    /// The fields a spec with this eval may sweep: exactly the ones the
+    /// eval reads.
+    pub fn axis_names(&self) -> impl Iterator<Item = &'static str> {
+        self.axes().iter().map(|&(name, _)| name)
+    }
+
+    /// Applies one axis value to a configuration. Returns an error
+    /// string when this eval kind does not read the field or the value
+    /// does not parse; range problems are left to
+    /// `SystemConfig::validate` (which reports them all).
+    pub fn apply_axis(
+        &self,
+        config: &mut SystemConfig,
+        field: &str,
+        value: &str,
+    ) -> Result<(), String> {
+        let Some(&(_, set)) = self.axes().iter().find(|&&(name, _)| name == field) else {
+            return Err(format!(
+                "axis {field}: not read by {} evals, which sweep {}",
+                self.kind(),
+                self.axis_names().collect::<Vec<_>>().join(", ")
+            ));
+        };
+        set(config, value).ok_or_else(|| format!("axis {field}: bad value '{value}'"))
     }
 
     /// The DES sweep a `noc_knee` eval runs on a cell's `config` at
@@ -167,52 +205,59 @@ impl Cell {
     }
 }
 
-/// Applies one axis value to a configuration. Returns an error string
-/// when the field is unknown or the value does not parse; range problems
-/// are left to `SystemConfig::validate` (which reports them all).
-pub fn apply_axis(config: &mut SystemConfig, field: &str, value: &str) -> Result<(), String> {
-    fn num<T: std::str::FromStr>(field: &str, value: &str) -> Result<T, String> {
-        value
-            .parse()
-            .map_err(|_| format!("axis {field}: bad value '{value}'"))
-    }
-    match field {
-        "boards" => config.boards = num(field, value)?,
-        "board_spacing_m" => config.board_spacing_m = num(field, value)?,
-        "tx_power_dbm" => config.link.tx_power_dbm = num(field, value)?,
-        "bandwidth_hz" => config.link.bandwidth_hz = num(field, value)?,
-        "lifting" => config.coding.lifting = num(field, value)?,
-        "window" => config.coding.window = num(field, value)?,
-        "iterations" => config.coding.iterations = num(field, value)?,
-        "batch" => config.coding.batch = num(field, value)?,
-        "check_rule" => {
-            config.coding.check_rule = parse_check_rule(value)
-                .ok_or_else(|| format!("axis check_rule: bad value '{value}'"))?
-        }
-        "search_lo_db" => config.coding.search.lo_db = num(field, value)?,
-        "search_hi_db" => config.coding.search.hi_db = num(field, value)?,
-        "search_tol_db" => config.coding.search.tol_db = num(field, value)?,
-        "routing" => {
-            config.noc.routing = RoutingKind::parse(value)
-                .ok_or_else(|| format!("axis routing: bad value '{value}'"))?
-        }
-        "vcs" => config.noc.vcs = num(field, value)?,
-        "traffic" => {
-            config.noc.traffic = TrafficKind::parse(value)
-                .ok_or_else(|| format!("axis traffic: bad value '{value}'"))?
-        }
-        "injection_rate" => config.noc.injection_rate = num(field, value)?,
-        "replications" => config.noc.replications = num(field, value)?,
-        "stuck_fraction" => config.noc.fault.stuck_fraction = num(field, value)?,
-        "stuck_p" => config.noc.fault.stuck_p = num(field, value)?,
-        "link_error_p" => {
-            config.noc.fault.model = wi_noc::des::LinkErrorModel::Uniform {
-                p: num(field, value)?,
-            }
-        }
-        _ => return Err(format!("unknown axis '{field}'")),
-    }
-    Ok(())
+/// Sets one axis value on a configuration; `None` when the value does
+/// not parse.
+type SetAxis = fn(&mut SystemConfig, &str) -> Option<()>;
+
+/// The axes an `ebn0_search` eval reads: the coding fields that pick
+/// the searched target and the search bracket.
+const EBN0_SEARCH_AXES: &[(&str, SetAxis)] = &[
+    ("lifting", |c, v| parse_into(&mut c.coding.lifting, v)),
+    ("window", |c, v| parse_into(&mut c.coding.window, v)),
+    ("iterations", |c, v| parse_into(&mut c.coding.iterations, v)),
+    ("check_rule", |c, v| {
+        c.coding.check_rule = parse_check_rule(v)?;
+        Some(())
+    }),
+    ("search_lo_db", |c, v| {
+        parse_into(&mut c.coding.search.lo_db, v)
+    }),
+    ("search_hi_db", |c, v| {
+        parse_into(&mut c.coding.search.hi_db, v)
+    }),
+    ("search_tol_db", |c, v| {
+        parse_into(&mut c.coding.search.tol_db, v)
+    }),
+];
+
+/// The axes a `noc_knee` eval reads: the NoC-workload fields of its DES
+/// sweep. The eval sets its own injection rates, and every valid
+/// virtual-channel count gives the same knee, so neither is an axis.
+const NOC_KNEE_AXES: &[(&str, SetAxis)] = &[
+    ("routing", |c, v| {
+        c.noc.routing = RoutingKind::parse(v)?;
+        Some(())
+    }),
+    ("traffic", |c, v| {
+        c.noc.traffic = TrafficKind::parse(v)?;
+        Some(())
+    }),
+    ("replications", |c, v| {
+        parse_into(&mut c.noc.replications, v)
+    }),
+    ("stuck_fraction", |c, v| {
+        parse_into(&mut c.noc.fault.stuck_fraction, v)
+    }),
+    ("stuck_p", |c, v| parse_into(&mut c.noc.fault.stuck_p, v)),
+    ("link_error_p", |c, v| {
+        c.noc.fault.model = LinkErrorModel::Uniform { p: v.parse().ok()? };
+        Some(())
+    }),
+];
+
+fn parse_into<T: std::str::FromStr>(slot: &mut T, value: &str) -> Option<()> {
+    *slot = value.parse().ok()?;
+    Some(())
 }
 
 /// Parses a check rule in CLI spelling: `sum-product`, `table` /
@@ -300,7 +345,7 @@ impl SweepSpec {
             let mut axes = Vec::with_capacity(self.axes.len());
             for (axis, &i) in self.axes.iter().zip(&odometer) {
                 let value = &axis.values[i];
-                if let Err(e) = apply_axis(&mut config, &axis.field, value) {
+                if let Err(e) = self.eval.apply_axis(&mut config, &axis.field, value) {
                     push_unique(&mut problems, e);
                 }
                 axes.push((axis.field.clone(), value.clone()));
@@ -515,8 +560,7 @@ fn push_unique(problems: &mut Vec<String>, problem: String) {
 /// the fields that change a frame's simulated value: the code (lifting,
 /// the fig10 termination/seed conventions of
 /// `CodingConfig::coupled_code`), the window decoder (window,
-/// iterations, check rule) and nothing else — **not** the batch width
-/// (bit-identical per frame at any width) and **not** the search
+/// iterations, check rule) and nothing else — **not** the search
 /// budget (which frames run, never their values).
 pub fn coding_target_hash(coding: &wi_system::config::CodingConfig) -> u64 {
     coupled_target_hash(
@@ -632,6 +676,10 @@ mod tests {
 
     fn search_spec(target_ber: f64, max_frames: u64, min_frames: u64) -> SweepSpec {
         SweepSpec {
+            axes: vec![
+                axis("lifting", &["10", "15"]),
+                axis("check_rule", &["minsum", "exact"]),
+            ],
             eval: EvalSpec::Ebn0Search {
                 target_ber,
                 target_errors: 60,
@@ -773,13 +821,192 @@ mod tests {
     }
 
     #[test]
-    fn target_hash_ignores_throughput_knobs() {
+    fn target_hash_ignores_the_search_budget() {
         let mut a = SystemConfig::paper_default().coding;
         let mut b = a;
-        b.batch = 1;
         b.search.tol_db = 0.7;
         assert_eq!(coding_target_hash(&a), coding_target_hash(&b));
         a.iterations += 1;
         assert_ne!(coding_target_hash(&a), coding_target_hash(&b));
+    }
+
+    /// The seven axes no eval kind reads: they changed no stored result.
+    const DELETED_AXES: [&str; 7] = [
+        "batch",
+        "boards",
+        "board_spacing_m",
+        "tx_power_dbm",
+        "bandwidth_hz",
+        "injection_rate",
+        "vcs",
+    ];
+
+    #[test]
+    fn each_eval_kind_sweeps_only_the_axes_it_reads() {
+        let search = search_spec(0.02, 24, 8);
+        assert_eq!(
+            search.eval.axis_names().collect::<Vec<_>>(),
+            [
+                "lifting",
+                "window",
+                "iterations",
+                "check_rule",
+                "search_lo_db",
+                "search_hi_db",
+                "search_tol_db"
+            ]
+        );
+        let knee = tiny_spec();
+        assert_eq!(
+            knee.eval.axis_names().collect::<Vec<_>>(),
+            [
+                "routing",
+                "traffic",
+                "replications",
+                "stuck_fraction",
+                "stuck_p",
+                "link_error_p"
+            ]
+        );
+        // One expand call reports every deleted axis and the other
+        // kind's axis together, once each, naming the axis and the kind.
+        for (spec, foreign) in [(search, "routing"), (knee, "lifting")] {
+            let kind = spec.eval.kind();
+            let axes = DELETED_AXES.iter().chain([&foreign]).map(|&field| Axis {
+                field: field.into(),
+                values: vec!["1".into(), "2".into()],
+            });
+            let spec = SweepSpec {
+                axes: axes.collect(),
+                ..spec
+            };
+            let problems = spec.expand().unwrap_err();
+            assert_eq!(problems.len(), 8, "{problems:?}");
+            for (problem, field) in problems.iter().zip(DELETED_AXES.iter().chain([&foreign])) {
+                assert!(
+                    problem.starts_with(&format!("axis {field}: not read by {kind} evals")),
+                    "{problem}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_owned_axis_applies_and_rejects_a_bad_value() {
+        for (eval, field, value) in [
+            (search_spec(0.02, 24, 8).eval, "lifting", "25"),
+            (search_spec(0.02, 24, 8).eval, "search_tol_db", "0.3"),
+            (tiny_spec().eval, "replications", "2"),
+            (tiny_spec().eval, "link_error_p", "0.01"),
+        ] {
+            let mut config = SystemConfig::paper_default();
+            assert_eq!(eval.apply_axis(&mut config, field, value), Ok(()));
+            assert_ne!(config, SystemConfig::paper_default(), "{field}");
+        }
+        for eval in [search_spec(0.02, 24, 8).eval, tiny_spec().eval] {
+            for field in eval.axis_names() {
+                let mut config = SystemConfig::paper_default();
+                assert_eq!(
+                    eval.apply_axis(&mut config, field, "x"),
+                    Err(format!("axis {field}: bad value 'x'"))
+                );
+                assert_eq!(config, SystemConfig::paper_default(), "{field}");
+            }
+        }
+    }
+
+    fn axis(field: &str, values: &[&str]) -> Axis {
+        Axis {
+            field: field.into(),
+            values: values.iter().map(|v| v.to_string()).collect(),
+        }
+    }
+
+    /// `(cell count, labels, first cell's key)` of an expanded spec.
+    fn expansion(spec: &SweepSpec) -> (usize, Vec<String>, (u64, u64, u64)) {
+        let cells = spec.expand().unwrap();
+        let labels = cells.iter().map(Cell::label).collect();
+        (cells.len(), labels, cell_key(&cells[0], &spec.eval))
+    }
+
+    #[test]
+    fn committed_and_benchmark_specs_keep_their_cells_and_keys() {
+        // specs/ci_smoke.json, the sweep CI step's spec.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ci_smoke.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let ci = SweepSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let (count, labels, key) = expansion(&ci);
+        assert_eq!(count, 4);
+        assert_eq!(labels[3], "traffic=transpose routing=o1turn seed=0xde5");
+        assert_eq!(key, (0x5781_773f_ea4f_3d7f, 0xde5, 0xdacb_f8e3_e3ab_7a8f));
+
+        // The axes of the end-to-end benchmark's `ebn0_search` spec.
+        let ebn0 = SweepSpec {
+            name: "e2e-ebn0".into(),
+            base: "paper".into(),
+            axes: vec![
+                axis("lifting", &["10", "15"]),
+                axis("window", &["3"]),
+                axis("iterations", &["10"]),
+                axis("check_rule", &["minsum", "table", "exact"]),
+                axis("search_tol_db", &["0.5"]),
+            ],
+            seeds: vec![7, 8],
+            eval: EvalSpec::Ebn0Search {
+                target_ber: 0.02,
+                target_errors: 60,
+                max_frames: 24,
+                min_frames: 8,
+            },
+        };
+        let (count, labels, key) = expansion(&ebn0);
+        assert_eq!(count, 12);
+        assert_eq!(
+            labels[11],
+            "lifting=15 window=3 iterations=10 check_rule=exact search_tol_db=0.5 seed=0x8"
+        );
+        assert_eq!(key, (0x0c1d_ecc5_128f_294c, 7, 0xc060_46aa_a8c3_ff1f));
+
+        // The axes of the end-to-end benchmark's `noc_knee` spec.
+        let knee = SweepSpec {
+            name: "e2e-knee".into(),
+            base: "paper".into(),
+            axes: vec![
+                axis("routing", &["dor", "o1turn", "valiant", "adaptive"]),
+                axis("traffic", &["uniform", "transpose"]),
+            ],
+            seeds: vec![7],
+            eval: EvalSpec::NocKnee {
+                rates: vec![0.1, 0.3, 0.5],
+                warmup_packets: 500,
+                measured_packets: 3_000,
+                max_events: 600_000,
+            },
+        };
+        let (count, labels, key) = expansion(&knee);
+        assert_eq!(count, 8);
+        assert_eq!(labels[7], "routing=adaptive traffic=transpose seed=0x7");
+        assert_eq!(key, (0x5781_773f_ea4f_3d7f, 7, 0xbee4_63e1_9197_e690));
+
+        // The knee matrix of examples/noc_design_space.rs.
+        let design = SweepSpec {
+            name: "noc-design-space-knees".into(),
+            base: "paper".into(),
+            axes: vec![
+                axis("traffic", &["hotspot:0:0.2", "transpose", "bitrev"]),
+                axis("routing", &["dor", "o1turn", "valiant"]),
+            ],
+            seeds: vec![0xDE5],
+            eval: EvalSpec::NocKnee {
+                rates: vec![0.1, 0.2, 0.3, 0.4, 0.5],
+                warmup_packets: 500,
+                measured_packets: 4_000,
+                max_events: 1_000_000,
+            },
+        };
+        let (count, labels, key) = expansion(&design);
+        assert_eq!(count, 9);
+        assert_eq!(labels[8], "traffic=bitrev routing=valiant seed=0xde5");
+        assert_eq!(key, (0x0fc3_0985_73cf_6f84, 0xde5, 0xc1de_f3b5_721e_d063));
     }
 }

@@ -136,34 +136,12 @@ impl ResultStore {
             writers: (0..SHARDS).map(|_| None).collect(),
         };
         for shard in 0..SHARDS {
-            let path = shard_path(dir, shard);
-            if !path.exists() {
-                continue;
-            }
-            let text = fs::read_to_string(&path)?;
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match Json::parse(line)
-                    .ok()
-                    .as_ref()
-                    .and_then(CellRecord::from_json)
-                {
-                    Some(record) => store.insert(record),
-                    None if i + 1 == lines.len() && !text.ends_with('\n') => {
-                        // Torn tail from a killed writer: drop it; the
-                        // cell re-runs on resume.
-                    }
-                    None => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("corrupt record at {}:{}", path.display(), i + 1),
-                        ));
-                    }
-                }
-            }
+            read_jsonl(
+                &shard_path(dir, shard),
+                "record",
+                |line| CellRecord::from_json(&Json::parse(line).ok()?),
+                |record| store.insert(record),
+            )?;
         }
         Ok(store)
     }
@@ -247,6 +225,40 @@ impl ResultStore {
 
 fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("cells-{shard:x}.jsonl"))
+}
+
+/// Loads the JSONL file at `path`, if it exists: hands each line that
+/// `parse` accepts to `keep`, skipping blank lines. An unparsable last
+/// line in a file that does not end in `\n` is a torn tail from a killed
+/// writer and is dropped (its cell or frame re-runs on resume); any other
+/// unparsable line fails as a corrupt `what` at `path:line`.
+pub(crate) fn read_jsonl<T>(
+    path: &Path,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    mut keep: impl FnMut(T),
+) -> std::io::Result<()> {
+    if !path.exists() {
+        return Ok(());
+    }
+    let text = fs::read_to_string(path)?;
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse(line) {
+            Some(value) => keep(value),
+            None if i + 1 == lines.len() && !text.ends_with('\n') => {}
+            None => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("corrupt {what} at {}:{}", path.display(), i + 1),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

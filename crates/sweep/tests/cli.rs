@@ -34,6 +34,18 @@ fn run_search_spec(name: &str, budget: &str) -> (Option<i32>, String, usize) {
 /// the eval object `eval`, against a fresh store; returns the exit code,
 /// the stderr and the records the store holds afterwards.
 fn run_spec(name: &str, lifting: &str, eval: &str) -> (Option<i32>, String, usize) {
+    let axes = format!(
+        r#"{{"field": "lifting", "values": ["{lifting}"]}},
+           {{"field": "window", "values": ["3"]}},
+           {{"field": "iterations", "values": ["8"]}}"#
+    );
+    run_axes(name, &axes, eval)
+}
+
+/// Runs `sweep run` on a one-seed spec with the axis objects `axes` and
+/// the eval object `eval`, against a fresh store; returns the exit code,
+/// the stderr and the records the store holds afterwards.
+fn run_axes(name: &str, axes: &str, eval: &str) -> (Option<i32>, String, usize) {
     let dir = std::env::temp_dir().join(format!("wi_sweep_cli_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -41,11 +53,7 @@ fn run_spec(name: &str, lifting: &str, eval: &str) -> (Option<i32>, String, usiz
     std::fs::write(
         &spec,
         format!(
-            r#"{{"name": "{name}", "base": "paper",
-                "axes": [{{"field": "lifting", "values": ["{lifting}"]}},
-                         {{"field": "window", "values": ["3"]}},
-                         {{"field": "iterations", "values": ["8"]}}],
-                "seeds": [1],
+            r#"{{"name": "{name}", "base": "paper", "axes": [{axes}], "seeds": [1],
                 "eval": {eval}}}"#
         ),
     )
@@ -163,5 +171,38 @@ fn run_rejects_a_knee_eval_that_measures_no_packets_without_storing() {
         stderr.contains("noc_knee measured_packets must be at least 1"),
         "{stderr}"
     );
+    assert_eq!(records, 0, "a rejected spec must store nothing");
+}
+
+#[test]
+fn run_rejects_every_axis_its_eval_does_not_read_without_storing() {
+    // The seven axes no eval reads, and one axis of the other kind.
+    let fields = [
+        "batch",
+        "boards",
+        "board_spacing_m",
+        "tx_power_dbm",
+        "bandwidth_hz",
+        "injection_rate",
+        "vcs",
+        "routing",
+    ];
+    let axes: Vec<String> = fields
+        .iter()
+        .map(|field| format!(r#"{{"field": "{field}", "values": ["1"]}}"#))
+        .collect();
+    let (code, stderr, records) = run_axes(
+        "foreign_axes",
+        &axes.join(", "),
+        r#"{"kind": "ebn0_search", "target_ber": 0.05, "max_frames": 16, "min_frames": 4}"#,
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("(8 problems)"), "{stderr}");
+    for field in fields {
+        assert!(
+            stderr.contains(&format!("axis {field}: not read by ebn0_search evals")),
+            "{stderr}"
+        );
+    }
     assert_eq!(records, 0, "a rejected spec must store nothing");
 }

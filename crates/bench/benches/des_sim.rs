@@ -116,13 +116,8 @@ fn bench_des_routing(c: &mut Criterion) {
 }
 
 fn bench_des_vcs(c: &mut Criterion) {
-    // Virtual-channel pricing on the 8x8 2D mesh. `adaptive` is the
-    // headline congestion-aware run (auto VCs = its 4 virtual networks);
-    // `dor_vc8` pins the inert-VC guarantee — explicit VCs on an
-    // oblivious policy must cost nothing, because the engine never
-    // allocates or touches `vc_free` off the adaptive path (the run is
-    // bit-identical to `des_sim_engine_8x8_20k` above, and this bench
-    // keeps it wall-clock-identical too).
+    // Virtual-channel pricing on the 8x8 2D mesh: the congestion-aware
+    // run reads its 4 virtual networks' per-(link, VC) clocks each hop.
     let topo = Topology::mesh2d(8, 8);
     let adaptive = DesConfig {
         routing: RoutingKind::Adaptive,
@@ -131,14 +126,6 @@ fn bench_des_vcs(c: &mut Criterion) {
     let mut engine = Engine::with_routing(&topo, RoutingKind::Adaptive);
     c.bench_function("des_sim_adaptive_8x8_20k", |b| {
         b.iter(|| engine.run(black_box(&adaptive)))
-    });
-    let dor_vc8 = DesConfig {
-        vcs: 8,
-        ..DesConfig::default()
-    };
-    let mut engine = Engine::new(&topo);
-    c.bench_function("des_sim_engine_8x8_dor_vc8_20k", |b| {
-        b.iter(|| engine.run(black_box(&dor_vc8)))
     });
 }
 

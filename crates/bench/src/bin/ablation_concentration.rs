@@ -2,12 +2,23 @@
 //! trade of concentrating more modules on fewer routers, including the
 //! radix cost the paper attributes to inter-router-link multiplication.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_noc::analytic::{AnalyticModel, RouterParams};
 use wi_noc::metrics::topology_metrics;
 use wi_noc::topology::Topology;
 
+const USAGE: &str = "\
+ablation_concentration — star-mesh concentration factor: latency,
+saturation and router radix (§IV)
+
+USAGE:
+    ablation_concentration
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     // 64 modules arranged with increasing concentration.
     let configs: [(&str, Topology); 4] = [
         ("8x8 c=1", Topology::mesh2d(8, 8)),

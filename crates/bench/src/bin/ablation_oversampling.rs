@@ -5,14 +5,25 @@
 //! 4-ASK fails below M = 5 for the designed ramp-plus-bias family, and the
 //! symbolwise information rate grows with M.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_quantrx::design::{design_suboptimal, DesignOptions};
 use wi_quantrx::info_rate::{snr_db_to_sigma, symbolwise_information_rate};
 use wi_quantrx::modulation::AskModulation;
 use wi_quantrx::trellis::ChannelTrellis;
 use wi_quantrx::unique::unique_detection;
 
+const USAGE: &str = "\
+ablation_oversampling — oversampling factor of the 1-bit receiver: unique
+detection and information rate (§III)
+
+USAGE:
+    ablation_oversampling
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let modu = AskModulation::four_ask();
     let sigma = snr_db_to_sigma(25.0);
     let mut rows = Vec::new();

@@ -3,11 +3,22 @@
 //! vertical link". The analytic model prices each pillar mesh's detoured
 //! routes from its route table, as `fig8_hybrid` does for hybrid boards.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_noc::analytic::{AnalyticModel, RouterParams};
 use wi_noc::irregular::PillarMesh3d;
 
+const USAGE: &str = "\
+ablation_vertical_links — partial TSV pillars in a 3D mesh, priced by the
+analytic model (§IV)
+
+USAGE:
+    ablation_vertical_links
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let params = RouterParams::default();
     let rows: Vec<Vec<String>> = [1usize, 2, 4]
         .iter()

@@ -1,11 +1,22 @@
 //! Ablation: window-decoder message-passing schedule (ref \[19\]) — restart
 //! per position versus retained messages, at equal window size.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_ldpc::ber::{simulate_ber, BerSimOptions, CoupledBerTarget};
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
 
+const USAGE: &str = "\
+ablation_window_schedule — window-decoder schedule: restart per position
+versus retained messages (ref [19])
+
+USAGE:
+    ablation_window_schedule
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let code = CoupledCode::paper_cc(25, 20, 0xAB1);
     let restart_target = CoupledBerTarget::new(&code, WindowDecoder::new(8, 50));
     let reuse_target = CoupledBerTarget::new(&code, WindowDecoder::with_reuse(8, 10));

@@ -168,7 +168,6 @@ fn main() {
         // Paired grid: ~1 dB spacing resolves the waterfall after
         // log-linear interpolation; the quick preset stays coarser.
         grid_points: if quick { 7 } else { 9 },
-        ..SearchConfig::default()
     };
 
     println!("Fig. 10 — required Eb/N0 for BER {target_ber:.0e} vs structural latency");

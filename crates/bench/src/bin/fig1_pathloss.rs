@@ -6,12 +6,23 @@
 //! synthetic VNA "measurements" for both campaigns, and the bare free-space
 //! pathloss with the ±antenna-gain reference curves.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_channel::measurement::{copper_board_sweep, free_space_sweep};
 use wi_channel::pathloss::PathlossModel;
 use wi_channel::vna::SyntheticVna;
 
+const USAGE: &str = "\
+fig1_pathloss — theoretical pathloss versus synthetic measurements,
+board-to-board, 220–245 GHz (Fig. 1)
+
+USAGE:
+    fig1_pathloss
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let vna = SyntheticVna::paper_default();
     let distances: Vec<f64> = (1..=20).map(|i| 0.01 * i as f64).collect();
     let free = free_space_sweep(&vna, &distances);

@@ -5,11 +5,22 @@
 //! paper's headline conclusion: every reflection sits ≥ 15 dB below the
 //! line-of-sight path.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_channel::measurement::impulse_comparison;
 use wi_channel::vna::SyntheticVna;
 
+const USAGE: &str = "\
+fig2_impulse_50mm — impulse responses at 50 mm, free space versus
+parallel copper boards (Fig. 2)
+
+USAGE:
+    fig2_impulse_50mm
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let vna = SyntheticVna::paper_default();
     let cmp = impulse_comparison(&vna, 0.05, 1.5e-9);
 

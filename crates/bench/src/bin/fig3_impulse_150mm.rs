@@ -4,11 +4,22 @@
 //! The diagonal geometry brings the board-reflection images into view in
 //! addition to the equipment echoes of Fig. 2.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_channel::measurement::impulse_comparison;
 use wi_channel::vna::SyntheticVna;
 
+const USAGE: &str = "\
+fig3_impulse_150mm — impulse responses at 150 mm (diagonal link),
+free space versus parallel copper boards (Fig. 3)
+
+USAGE:
+    fig3_impulse_150mm
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let vna = SyntheticVna::paper_default();
     let cmp = impulse_comparison(&vna, 0.150, 2.0e-9);
 

@@ -1,10 +1,21 @@
 //! Fig. 4: required transmit power versus target SNR at the receiver, for
 //! the three link cases of §II.B.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_linkbudget::budget::LinkBudget;
 
+const USAGE: &str = "\
+fig4_tx_power — required transmit power versus target SNR for the
+three link cases of §II.B (Fig. 4)
+
+USAGE:
+    fig4_tx_power
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let shortest = LinkBudget::paper_shortest_link();
     let longest = LinkBudget::paper_longest_link();
     let butler = LinkBudget::paper_longest_link_butler();

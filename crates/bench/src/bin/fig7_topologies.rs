@@ -1,10 +1,20 @@
 //! Fig. 7: the four topology types, as a structural-metrics table
 //! (the quantitative counterpart of the paper's drawing).
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_noc::metrics::fig7_topologies;
 
+const USAGE: &str = "\
+fig7_topologies — structural metrics of the four topology types (Fig. 7)
+
+USAGE:
+    fig7_topologies
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let rows: Vec<Vec<String>> = fig7_topologies()
         .iter()
         .map(|(m, _)| {

@@ -2,10 +2,21 @@
 //! which received blocks each decoding position reads, which block it
 //! decides, and the resulting structural latency (Eq. 4).
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_ldpc::window::CoupledCode;
 
+const USAGE: &str = "\
+fig9_window_schedule — the window decoder's block schedule and structural
+latency (Fig. 9)
+
+USAGE:
+    fig9_window_schedule
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let n = 25;
     let l = 12;
     let w = 4;

@@ -1,10 +1,21 @@
 //! Table I: link budget parameters for board-to-board communications.
 
-use wi_bench::{fmt, print_table};
+use wi_bench::{fmt, help_flag, print_table};
 use wi_channel::pathloss::PathlossModel;
 use wi_linkbudget::budget::LinkBudget;
 
+const USAGE: &str = "\
+table1_link_budget — link budget parameters for board-to-board links
+(Table I)
+
+USAGE:
+    table1_link_budget
+
+FLAGS:
+    --help, -h           print this help";
+
 fn main() {
+    help_flag(USAGE);
     let model = PathlossModel::paper_free_space();
     let budget = LinkBudget::paper_longest_link_butler();
 

@@ -6,7 +6,9 @@
 //! The exhibits whose default run takes milliseconds are pinned byte for
 //! byte: a change that moves one digit of their tables fails here. The
 //! `fig10_latency_ebn0 --quick` tables are pinned too, under each check
-//! rule, in an ignored test that takes seconds in release:
+//! rule, and so are the four DES smoke runs CI makes (the fault and ARQ
+//! path, the adaptive VC clocks, Valiant route programs and the hybrid
+//! table engine), in ignored tests that take seconds in release:
 //! `cargo test --release -p wi-bench -- --ignored`.
 
 use std::process::Command;
@@ -80,12 +82,118 @@ fn fig10_quick_prints_its_pinned_tables_under_each_rule() {
     }
 }
 
+/// Runs `bin` with `args` at two workers and checks its stdout bytes as
+/// [`prints_pinned`] does, unmasked: the DES tables print no wall clock.
+fn des_prints_pinned(bin: &str, args: &[&str], len: usize, want: u64) {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).env("WI_TEST_THREADS", "2");
+    prints_pinned(&mut cmd, str::to_owned, len, want);
+}
+
+#[test]
+#[ignore = "DES smoke runs, under a second in release: cargo test --release -p wi-bench -- --ignored"]
+fn fig_cosim_fault_smoke_prints_its_pinned_table() {
+    // Per-hop corruption and ARQ retries on the 4×4×4 mesh.
+    let args = [
+        "--quick",
+        "--error",
+        "0.05",
+        "--reps",
+        "2",
+        "--rates",
+        "0.05,0.15,0.25",
+    ];
+    des_prints_pinned(
+        env!("CARGO_BIN_EXE_fig_cosim"),
+        &args,
+        449,
+        0x7078_272a_5ffe_66b6,
+    );
+}
+
+#[test]
+#[ignore = "DES smoke runs, under a second in release: cargo test --release -p wi-bench -- --ignored"]
+fn fig8a_hotspot_smokes_print_their_pinned_tables() {
+    // Adaptive runs read the per-(link, VC) clocks; valiant runs step
+    // two-leg route programs.
+    let bin = env!("CARGO_BIN_EXE_fig8a_noc_64");
+    for (routing, len, want) in [
+        ("adaptive", 865, 0xb961_290c_7702_b6c5),
+        ("valiant", 869, 0x7a3a_3038_55df_2108),
+    ] {
+        let args = [
+            "--routing",
+            routing,
+            "--traffic",
+            "hotspot",
+            "--reps",
+            "2",
+            "--rates",
+            "0.05,0.15,0.25",
+        ];
+        des_prints_pinned(bin, &args, len, want);
+    }
+}
+
+#[test]
+#[ignore = "DES smoke runs, under a second in release: cargo test --release -p wi-bench -- --ignored"]
+fn fig8_hybrid_des_smoke_prints_its_pinned_table() {
+    // Hybrid boards run the table engine.
+    let args = [
+        "--des",
+        "--boards",
+        "2",
+        "--dims",
+        "4,4,2",
+        "--reps",
+        "2",
+        "--rates",
+        "0.01,0.03,0.05",
+    ];
+    des_prints_pinned(
+        env!("CARGO_BIN_EXE_fig8_hybrid"),
+        &args,
+        1065,
+        0x5cc6_73c4_d33b_58a5,
+    );
+}
+
 fn rejects(bin: &str, args: &[&str], flag: &str) {
     let out = Command::new(bin).args(args).output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(stderr.contains(flag), "{bin} {args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{bin} {args:?} started work");
+}
+
+#[test]
+fn every_bin_answers_help_and_rejects_a_misspelled_flag() {
+    for bin in [
+        env!("CARGO_BIN_EXE_fig1_pathloss"),
+        env!("CARGO_BIN_EXE_fig2_impulse_50mm"),
+        env!("CARGO_BIN_EXE_fig3_impulse_150mm"),
+        env!("CARGO_BIN_EXE_fig4_tx_power"),
+        env!("CARGO_BIN_EXE_fig5_isi_filters"),
+        env!("CARGO_BIN_EXE_fig6_info_rates"),
+        env!("CARGO_BIN_EXE_fig7_topologies"),
+        env!("CARGO_BIN_EXE_fig8a_noc_64"),
+        env!("CARGO_BIN_EXE_fig8b_noc_512"),
+        env!("CARGO_BIN_EXE_fig8_hybrid"),
+        env!("CARGO_BIN_EXE_fig9_window_schedule"),
+        env!("CARGO_BIN_EXE_fig10_latency_ebn0"),
+        env!("CARGO_BIN_EXE_fig_cosim"),
+        env!("CARGO_BIN_EXE_table1_link_budget"),
+        env!("CARGO_BIN_EXE_ablation_concentration"),
+        env!("CARGO_BIN_EXE_ablation_oversampling"),
+        env!("CARGO_BIN_EXE_ablation_vertical_links"),
+        env!("CARGO_BIN_EXE_ablation_window_schedule"),
+    ] {
+        rejects(bin, &["--quik"], "--quik");
+        let out = Command::new(bin).arg("--help").output().unwrap();
+        assert!(out.status.success(), "{bin} --help: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE:"), "{bin} --help: {stdout}");
+    }
 }
 
 #[test]

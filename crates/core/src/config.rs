@@ -6,15 +6,13 @@
 //! board-to-board links instead of a backplane.
 
 use serde::{Deserialize, Serialize};
-use wi_ldpc::ber::{
-    search_required_ebn0, BerSimOptions, CoupledBerTarget, SearchConfig, SearchReport,
-};
+use wi_ldpc::ber::SearchConfig;
 use wi_ldpc::decoder::CheckRule;
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
 use wi_linkbudget::budget::Beamforming;
 use wi_linkbudget::datarate::Polarization;
 use wi_noc::des::traffic::TrafficKind;
-use wi_noc::des::{DesConfig, FaultConfig, ServiceDistribution};
+use wi_noc::des::{DesConfig, FaultConfig};
 use wi_noc::icdb::HybridBoards;
 use wi_noc::routing::RoutingKind;
 use wi_noc::topology::Topology;
@@ -150,8 +148,8 @@ pub enum ReceiverModel {
 }
 
 /// NoC simulation workload: how the discrete-event cross-validation of
-/// the §IV queueing results is driven (traffic pattern, service model,
-/// replication count).
+/// the §IV queueing results is driven (traffic pattern, routing policy,
+/// replication count, link faults).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NocWorkloadConfig {
     /// Destination pattern of injected packets.
@@ -159,14 +157,6 @@ pub struct NocWorkloadConfig {
     /// Routing policy (dimension-order, O1TURN, Valiant, minimal-quadrant
     /// RLB, or congestion-adaptive).
     pub routing: RoutingKind,
-    /// Virtual channels per link; 0 means "the policy's deadlock-safe
-    /// minimum" ([`RoutingKind::safe_vcs`]). Explicit values below that
-    /// minimum are rejected by [`SystemConfig::validate`] — the
-    /// channel-dependency-graph contract in `wi_noc::deadlock` only
-    /// covers the safe allocation.
-    pub vcs: usize,
-    /// Link service-time distribution.
-    pub service: ServiceDistribution,
     /// Independent DES replications per operating point (error bars).
     pub replications: usize,
     /// Injection rate for single-point cross-checks (packets/cycle/module).
@@ -184,8 +174,6 @@ impl NocWorkloadConfig {
         NocWorkloadConfig {
             traffic: TrafficKind::Uniform,
             routing: RoutingKind::DimensionOrder,
-            vcs: 0,
-            service: ServiceDistribution::Exponential,
             replications: 3,
             injection_rate: 0.1,
             fault: FaultConfig::default(),
@@ -198,8 +186,6 @@ impl NocWorkloadConfig {
             injection_rate: self.injection_rate,
             traffic: self.traffic,
             routing: self.routing,
-            vcs: self.vcs,
-            service: self.service,
             fault: self.fault,
             seed,
             ..DesConfig::default()
@@ -220,10 +206,8 @@ pub struct CodingConfig {
     /// (sum-product accuracy at a multiple of its speed), or the
     /// hardware-faithful normalized min-sum an on-chip decoder would run.
     pub check_rule: CheckRule,
-    /// Required-Eb/N0 search driving
-    /// [`required_ebn0`](CodingConfig::required_ebn0): strategy
-    /// (bisection ladder, CI-pruned concurrent bisection, or paired
-    /// grid), bracket/grid, CI multiplier and frame cap.
+    /// Required-Eb/N0 search: strategy (bisection ladder, CI-pruned
+    /// concurrent bisection, or paired grid), bracket and grid.
     pub search: SearchConfig,
 }
 
@@ -257,21 +241,6 @@ impl CodingConfig {
     /// seed `0xCC00 + N` — the same code `fig10_latency_ebn0` sweeps).
     pub fn coupled_code(&self) -> CoupledCode {
         CoupledCode::paper_cc(self.lifting, 20, 0xCC00 + self.lifting as u64)
-    }
-
-    /// Searches the Eb/N0 this operating point needs to reach
-    /// `target_ber` — the single Fig. 10 point this configuration
-    /// describes — using the configured [`SearchConfig`] strategy over
-    /// [`coupled_code`](CodingConfig::coupled_code) and
-    /// [`window_decoder`](CodingConfig::window_decoder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the check rule or search configuration is invalid.
-    pub fn required_ebn0(&self, target_ber: f64, opts: &BerSimOptions) -> SearchReport {
-        let code = self.coupled_code();
-        let target = CoupledBerTarget::new(&code, self.window_decoder());
-        search_required_ebn0(&target, target_ber, opts, &self.search)
     }
 }
 
@@ -389,9 +358,6 @@ impl SystemConfig {
         if let Some(problem) = self.noc.routing.problem() {
             problems.push(format!("NoC routing: {problem}"));
         }
-        if let Some(problem) = self.noc.routing.vc_problem(self.noc.vcs) {
-            problems.push(format!("NoC routing: {problem}"));
-        }
         for problem in self.noc.fault.problems() {
             problems.push(format!("NoC fault model: {problem}"));
         }
@@ -504,42 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn config_driven_required_ebn0_search() {
-        use wi_ldpc::ber::SearchStrategy;
-        // A deliberately tiny operating point so the search runs in
-        // milliseconds; the configured strategy must drive the search.
-        let coding = CodingConfig {
-            lifting: 10,
-            window: 3,
-            iterations: 8,
-            check_rule: CheckRule::min_sum(),
-            search: SearchConfig {
-                strategy: SearchStrategy::ConcurrentBisection,
-                lo_db: 0.5,
-                hi_db: 8.0,
-                tol_db: 1.0,
-                ..SearchConfig::default()
-            },
-        };
-        assert_eq!(coding.coupled_code().lifting(), 10);
-        let opts = BerSimOptions {
-            target_errors: 40,
-            max_frames: 16,
-            min_frames: 4,
-            seed: 0xC0DE,
-        };
-        let report = coding.required_ebn0(0.05, &opts);
-        assert!(report.probes > 0 && report.frames > 0);
-        assert!(
-            report.outcome.value().is_some(),
-            "tiny code should bracket BER 5e-2: {:?}",
-            report.outcome
-        );
-        // Determinism: the config-driven search is reproducible.
-        assert_eq!(report, coding.required_ebn0(0.05, &opts));
-    }
-
-    #[test]
     fn validation_catches_search_problems() {
         use wi_ldpc::ber::SearchStrategy;
         let mut cfg = SystemConfig::paper_default();
@@ -562,17 +492,15 @@ mod tests {
         let mut cfg = SystemConfig::paper_default();
         cfg.coding.search.tol_db = -1.0;
         cfg.coding.search.grid_points = 1;
-        cfg.coding.search.max_frames = 0;
         cfg.noc.routing = RoutingKind::Valiant { choices: 5000 };
-        cfg.noc.vcs = 1; // below valiant's safe minimum of 2
         cfg.noc.fault.stuck_fraction = 2.0;
         cfg.noc.fault.arq.backoff = 0.5;
         let problems = cfg.validate();
-        assert_eq!(problems.len(), 7, "{problems:?}");
+        assert_eq!(problems.len(), 5, "{problems:?}");
         let search = problems.iter().filter(|p| p.contains("Eb/N0")).count();
-        assert_eq!(search, 3, "{problems:?}");
+        assert_eq!(search, 2, "{problems:?}");
         let routing = problems.iter().filter(|p| p.contains("routing")).count();
-        assert_eq!(routing, 2, "all routing problems at once: {problems:?}");
+        assert_eq!(routing, 1, "{problems:?}");
         let fault = problems.iter().filter(|p| p.contains("fault")).count();
         assert_eq!(fault, 2, "all fault problems at once: {problems:?}");
     }
@@ -595,13 +523,6 @@ mod tests {
             ..w
         };
         assert_eq!(randomized.des_config(1).routing, RoutingKind::valiant());
-        assert_eq!(des.vcs, 0, "paper default lets the policy pick its VCs");
-        let adaptive = NocWorkloadConfig {
-            routing: RoutingKind::Adaptive,
-            vcs: 6,
-            ..w
-        };
-        assert_eq!(adaptive.des_config(1).vcs, 6);
     }
 
     #[test]
@@ -624,16 +545,11 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_undersized_vc_configs() {
+    fn adaptive_workload_is_valid() {
+        // The simulators size its VCs from the policy, so no count can
+        // be wrong.
         let mut cfg = SystemConfig::paper_default();
         cfg.noc.routing = RoutingKind::Adaptive;
-        cfg.noc.vcs = 2; // Adaptive needs its 4 Linder–Harden networks.
-        let problems = cfg.validate();
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("virtual channels"), "{problems:?}");
-        cfg.noc.vcs = 0; // auto: the policy's safe minimum
-        assert!(cfg.validate().is_empty(), "{:?}", cfg.validate());
-        cfg.noc.vcs = 8; // headroom above the minimum is fine
         assert!(cfg.validate().is_empty(), "{:?}", cfg.validate());
     }
 

@@ -25,7 +25,9 @@
 //! recomputed) instead of aliasing a different configuration. Every
 //! struct impl destructures `let Self { … }` without `..`, so a field
 //! added to a hashed type fails to compile here until it is hashed or
-//! skipped by name; the tests pin literal hash values.
+//! skipped by name; the tests pin literal hash values. A field removed
+//! because it had one value in use leaves that value written in its
+//! place, so the encoding — and every stored key — stays as it was.
 
 use crate::config::{
     BoardConfig, CodingConfig, NocWorkloadConfig, ReceiverModel, StackConfig, SystemConfig,
@@ -36,7 +38,7 @@ use wi_ldpc::decoder::CheckRule;
 use wi_linkbudget::budget::Beamforming;
 use wi_linkbudget::datarate::Polarization;
 use wi_noc::des::traffic::TrafficKind;
-use wi_noc::des::{ArqConfig, BurstModel, FaultConfig, LinkErrorModel, ServiceDistribution};
+use wi_noc::des::{ArqConfig, FaultConfig, LinkErrorModel};
 use wi_noc::routing::RoutingKind;
 
 /// Schema version folded into every hash; bump when any hashed type's
@@ -248,19 +250,19 @@ impl StableHash for SearchConfig {
             lo_db,
             hi_db,
             tol_db,
-            probes_per_round,
             grid_points,
-            ci_z,
-            max_frames,
         } = self;
         strategy.stable_hash(h);
         h.write_f64(*lo_db);
         h.write_f64(*hi_db);
         h.write_f64(*tol_db);
-        h.write_usize(*probes_per_round);
+        // The former probes per round, now fixed in `wi_ldpc::ber`.
+        h.write_usize(3);
         h.write_usize(*grid_points);
-        h.write_f64(*ci_z);
-        h.write_u64(*max_frames);
+        // The former CI multiplier, now fixed in `wi_ldpc::ber`, and the
+        // former search-level frame cap (none).
+        h.write_f64(2.576);
+        h.write_u64(u64::MAX);
     }
 }
 
@@ -315,15 +317,6 @@ impl StableHash for RoutingKind {
     }
 }
 
-impl StableHash for ServiceDistribution {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_discriminant(match self {
-            ServiceDistribution::Exponential => 0,
-            ServiceDistribution::Deterministic => 1,
-        });
-    }
-}
-
 impl StableHash for LinkErrorModel {
     fn stable_hash(&self, h: &mut StableHasher) {
         match *self {
@@ -336,26 +329,6 @@ impl StableHash for LinkErrorModel {
                 h.write_discriminant(2);
                 h.write_f64(edge_p);
                 h.write_f64(center_p);
-            }
-        }
-    }
-}
-
-impl StableHash for BurstModel {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        match *self {
-            BurstModel::Off => h.write_discriminant(0),
-            BurstModel::Periodic {
-                period,
-                duration,
-                fraction,
-                p,
-            } => {
-                h.write_discriminant(1);
-                h.write_f64(period);
-                h.write_f64(duration);
-                h.write_f64(fraction);
-                h.write_f64(p);
             }
         }
     }
@@ -380,13 +353,13 @@ impl StableHash for FaultConfig {
             model,
             stuck_fraction,
             stuck_p,
-            burst,
             arq,
         } = self;
         model.stable_hash(h);
         h.write_f64(*stuck_fraction);
         h.write_f64(*stuck_p);
-        burst.stable_hash(h);
+        // The former burst model: no bursts.
+        h.write_discriminant(0);
         arq.stable_hash(h);
     }
 }
@@ -396,16 +369,16 @@ impl StableHash for NocWorkloadConfig {
         let Self {
             traffic,
             routing,
-            vcs,
-            service,
             replications,
             injection_rate,
             fault,
         } = self;
         traffic.stable_hash(h);
         routing.stable_hash(h);
-        h.write_usize(*vcs);
-        service.stable_hash(h);
+        // The former VC count (0, the policy's own) and service
+        // distribution (exponential).
+        h.write_usize(0);
+        h.write_discriminant(0);
         h.write_usize(*replications);
         h.write_f64(*injection_rate);
         fault.stable_hash(h);

@@ -851,8 +851,7 @@ impl Round {
 }
 
 /// The frame-budget stop rules a single BER point runs under (the
-/// strategy-resolved view of [`BerSimOptions`] plus any search-level
-/// cap).
+/// strategy-resolved view of [`BerSimOptions`]).
 #[derive(Clone, Copy, Debug)]
 struct FrameBudget {
     min_frames: u64,
@@ -861,11 +860,11 @@ struct FrameBudget {
 }
 
 impl FrameBudget {
-    /// The options' own budget, with the search-level frame cap applied.
-    fn from_opts(opts: &BerSimOptions, cap: u64) -> Self {
+    /// The options' own budget.
+    fn from_opts(opts: &BerSimOptions) -> Self {
         FrameBudget {
             min_frames: opts.min_frames,
-            max_frames: opts.max_frames.min(cap),
+            max_frames: opts.max_frames,
             target_errors: opts.target_errors,
         }
     }
@@ -1013,7 +1012,7 @@ pub fn simulate_ber_with_threads(
         ebn0_db,
         opts.seed,
         threads,
-        FrameBudget::from_opts(opts, u64::MAX),
+        FrameBudget::from_opts(opts),
         &mut |_| false,
     )
 }
@@ -1252,19 +1251,9 @@ pub struct SearchConfig {
     /// Bisection resolution in dB (ignored by
     /// [`SearchStrategy::PairedGrid`], which interpolates instead).
     pub tol_db: f64,
-    /// Interior probes per [`SearchStrategy::ConcurrentBisection`] round
-    /// (the bracket shrinks by `probes_per_round + 1` per round).
-    pub probes_per_round: usize,
     /// Evenly spaced grid points of [`SearchStrategy::PairedGrid`]
     /// (including both bracket edges).
     pub grid_points: usize,
-    /// Confidence multiplier for CI pruning: a concurrent probe stops
-    /// early once `|BER − target| > ci_z · stderr`.
-    pub ci_z: f64,
-    /// Search-level cap on frames per BER point, applied on top of
-    /// [`BerSimOptions::max_frames`] (the smaller wins); `u64::MAX`
-    /// leaves the options in charge.
-    pub max_frames: u64,
 }
 
 impl Default for SearchConfig {
@@ -1274,10 +1263,7 @@ impl Default for SearchConfig {
             lo_db: 0.5,
             hi_db: 8.0,
             tol_db: 0.1,
-            probes_per_round: 3,
             grid_points: 7,
-            ci_z: 2.576,
-            max_frames: u64::MAX,
         }
     }
 }
@@ -1301,19 +1287,9 @@ impl SearchConfig {
             let tol = self.tol_db;
             problems.push(format!("search tolerance {tol} dB must be positive"));
         }
-        if self.probes_per_round == 0 {
-            problems.push("concurrent search needs at least one probe per round".into());
-        }
         if self.grid_points < 2 {
             let points = self.grid_points;
             problems.push(format!("paired grid needs at least 2 points, got {points}"));
-        }
-        if self.ci_z.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            let z = self.ci_z;
-            problems.push(format!("CI multiplier {z} must be positive"));
-        }
-        if self.max_frames == 0 {
-            problems.push("search frame cap must be at least 1".into());
         }
         problems
     }
@@ -1370,6 +1346,15 @@ impl SearchReport {
 /// frame-level variance estimate is too ragged to trust a classification.
 const MIN_CI_FRAMES: u64 = 8;
 
+/// Interior probes per [`SearchStrategy::ConcurrentBisection`] round: the
+/// bracket shrinks by `PROBES_PER_ROUND + 1` per round.
+const PROBES_PER_ROUND: usize = 3;
+
+/// Confidence multiplier of the CI pruning rule (the two-sided 99 %
+/// normal quantile): a concurrent probe stops early once
+/// `|BER − target| > CI_Z · stderr`.
+const CI_Z: f64 = 2.576;
+
 /// Midpoint probes a [`SearchStrategy::PairedGrid`] search may spend to
 /// pull a zero-error crossing back into interpolation range before
 /// settling for [`SearchOutcome::Unresolved`].
@@ -1385,7 +1370,7 @@ const PAIRED_REFINEMENTS: u32 = 3;
 /// the floor is what keeps a run of zero-error frames (measured
 /// variance 0) from claiming certainty before the bit budget could
 /// possibly resolve the target.
-fn ci_classified(fold: &FrameStats, target_ber: f64, ci_z: f64) -> bool {
+fn ci_classified(fold: &FrameStats, target_ber: f64) -> bool {
     if fold.frames < 2 || fold.bits == 0 {
         return false;
     }
@@ -1393,7 +1378,7 @@ fn ci_classified(fold: &FrameStats, target_ber: f64, ci_z: f64) -> bool {
     let bits = fold.bits as f64;
     let measured = est.frame_error_variance() * fold.frames as f64;
     let stderr = measured.max(target_ber * bits).sqrt() / bits;
-    (est.ber - target_ber).abs() > ci_z * stderr
+    (est.ber - target_ber).abs() > CI_Z * stderr
 }
 
 /// Searches the smallest Eb/N0 at which `target` reaches `target_ber`,
@@ -1436,7 +1421,7 @@ pub fn search_required_ebn0_with_threads(
                         ebn0_db,
                         opts.seed,
                         threads,
-                        FrameBudget::from_opts(opts, search.max_frames),
+                        FrameBudget::from_opts(opts),
                         &mut |_| false,
                     );
                     report.record(ebn0_db, est);
@@ -1458,7 +1443,7 @@ pub fn search_required_ebn0_with_threads(
                     ebn0_db,
                     opts.seed,
                     threads,
-                    FrameBudget::from_opts(opts, search.max_frames),
+                    FrameBudget::from_opts(opts),
                     &mut |_| false,
                 );
                 report.record(ebn0_db, est);
@@ -1514,7 +1499,7 @@ pub fn search_required_ebn0_with_threads(
 }
 
 /// [`SearchStrategy::ConcurrentBisection`]: bracket like bisection, but
-/// probe `probes_per_round` interior points per round — concurrently,
+/// probe [`PROBES_PER_ROUND`] interior points per round — concurrently,
 /// one thread share each — and prune every probe by CI as soon as it is
 /// classified against the target.
 fn concurrent_bisection(
@@ -1536,9 +1521,9 @@ fn concurrent_bisection(
             probe_threads,
             FrameBudget {
                 min_frames,
-                ..FrameBudget::from_opts(opts, search.max_frames)
+                ..FrameBudget::from_opts(opts)
             },
-            &mut |fold| ci_classified(fold, target_ber, search.ci_z),
+            &mut |fold| ci_classified(fold, target_ber),
         )
     };
 
@@ -1560,7 +1545,7 @@ fn concurrent_bisection(
     while hi - lo > search.tol_db {
         // No point probing finer than the remaining bracket needs.
         let useful = ((hi - lo) / search.tol_db).ceil() as usize;
-        let k = search.probes_per_round.min(useful.saturating_sub(1)).max(1);
+        let k = PROBES_PER_ROUND.min(useful.saturating_sub(1)).max(1);
         let points: Vec<f64> = (1..=k)
             .map(|i| lo + (hi - lo) * i as f64 / (k + 1) as f64)
             .collect();
@@ -1831,21 +1816,6 @@ mod tests {
             ..SearchConfig::default()
         };
         assert!(bad_grid.problem().unwrap().contains("grid"));
-        let bad_z = SearchConfig {
-            ci_z: 0.0,
-            ..SearchConfig::default()
-        };
-        assert!(bad_z.problem().unwrap().contains("CI"));
-        let bad_probes = SearchConfig {
-            probes_per_round: 0,
-            ..SearchConfig::default()
-        };
-        assert!(bad_probes.problem().is_some());
-        let bad_cap = SearchConfig {
-            max_frames: 0,
-            ..SearchConfig::default()
-        };
-        assert!(bad_cap.problem().is_some());
     }
 
     #[test]

@@ -118,7 +118,6 @@ fn search_report_is_invariant_under_batch_width() {
         hi_db: 8.0,
         tol_db: 0.25,
         grid_points: 7,
-        ..SearchConfig::default()
     };
 
     let cc = CoupledCode::paper_cc(12, 8, 0xCC0C);

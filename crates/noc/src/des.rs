@@ -17,8 +17,8 @@
 //!   no route table, unless the engine is built around one for an
 //!   irregular topology; zero allocation in the steady-state loop.
 //! * [`mod@reference`] — the original per-event-allocating simulator,
-//!   retained as the correctness oracle (bit-identical to the engine for
-//!   the default uniform/exponential configuration; pinned by tests).
+//!   retained as the correctness oracle (bit-identical to the engine
+//!   under uniform traffic; pinned by tests).
 //! * [`traffic`] — the destination patterns (uniform, hotspot,
 //!   transpose, bit-reversal, nearest-neighbour), one
 //!   [`traffic::TrafficKind`] variant each, all seed-deterministic.
@@ -40,32 +40,27 @@ pub mod reference;
 pub mod sweep;
 pub mod traffic;
 
-use crate::analytic::RouterParams;
 use crate::routing::RoutingKind;
 use serde::{Deserialize, Serialize};
 use traffic::TrafficKind;
 
 pub use engine::{simulate, Engine};
-pub use fault::{ArqConfig, BurstModel, FaultConfig, LinkErrorModel};
+pub use fault::{ArqConfig, FaultConfig, LinkErrorModel};
 pub use sweep::{
     sweep, sweep_engine, sweep_engine_with_threads, sweep_policies, sweep_with_threads, RatePoint,
     SweepConfig, SweepResult,
 };
 
-/// Service-time distribution of the link servers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServiceDistribution {
-    /// Exponential with the configured mean — matches the M/M/1 analytic
-    /// model exactly.
-    #[default]
-    Exponential,
-    /// Deterministic (every packet takes exactly the mean) — the more
-    /// hardware-realistic choice; queueing delays then follow M/D/1 and sit
-    /// below the analytic M/M/1 curve.
-    Deterministic,
-}
-
 /// Simulation configuration.
+///
+/// Router timing is
+/// [`RouterParams::default`](crate::analytic::RouterParams::default)
+/// (the analytic model's calibration) with exponential link service, so
+/// the simulated network is the M/M/1 network the analytic model prices.
+/// The adaptive policy's per-(link, VC) clocks hold the policy's
+/// deadlock-safe minimum of virtual channels
+/// ([`RoutingKind::safe_vcs`]); the deadlock-freedom contract for that
+/// count lives in `wi_noc::deadlock` and `tests/properties.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DesConfig {
     /// Packet injection rate per module (packets/cycle).
@@ -76,10 +71,6 @@ pub struct DesConfig {
     /// ([`crate::routing::RouteProgram`]); multi-route policies pick per
     /// packet via the deterministic [`crate::routing::route_choice`] hash.
     pub routing: RoutingKind,
-    /// Router timing (shared with the analytic model).
-    pub params: RouterParams,
-    /// Link service-time distribution.
-    pub service: ServiceDistribution,
     /// Packets to deliver before measurement starts.
     pub warmup_packets: usize,
     /// Packets measured after warmup.
@@ -93,17 +84,6 @@ pub struct DesConfig {
     /// and reproduces the fault-free simulation bit for bit (pinned by
     /// the `zero_error_model_is_bit_identical_to_baseline` test).
     pub fault: FaultConfig,
-    /// Virtual channels per link. `0` (the default) means auto: the
-    /// policy's deadlock-safe minimum
-    /// ([`crate::routing::RoutingKind::safe_vcs`]). Explicit counts below
-    /// that minimum are rejected at run time; counts at or above it are
-    /// *inert* for the unbounded-FIFO servers this DES models (VCs share
-    /// the physical wire, so timing never changes — pinned by the
-    /// `explicit_vc_config_is_bit_identical_to_auto` test). The adaptive
-    /// policy reads the per-(link, VC) queue state as its congestion
-    /// signal; the deadlock-freedom contract per count lives in
-    /// `wi_noc::deadlock` and `tests/properties.rs`.
-    pub vcs: usize,
 }
 
 impl Default for DesConfig {
@@ -112,14 +92,11 @@ impl Default for DesConfig {
             injection_rate: 0.1,
             traffic: TrafficKind::Uniform,
             routing: RoutingKind::DimensionOrder,
-            params: RouterParams::default(),
-            service: ServiceDistribution::Exponential,
             warmup_packets: 2_000,
             measured_packets: 20_000,
             seed: 0xDE5,
             max_events: 50_000_000,
             fault: FaultConfig::default(),
-            vcs: 0,
         }
     }
 }
@@ -140,7 +117,7 @@ pub struct DesResult {
     /// Retransmissions scheduled over the whole run, warmup included.
     pub retries: u64,
     /// Retransmissions charged to the single most-retried link — the
-    /// stuck-link / burst-episode signature.
+    /// stuck-link signature.
     pub worst_link_retries: u64,
     /// False when the event limit was hit before every measured packet
     /// resolved (delivered or dropped) — a saturation symptom.
@@ -150,7 +127,7 @@ pub struct DesResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analytic::AnalyticModel;
+    use crate::analytic::{AnalyticModel, RouterParams};
     use crate::topology::Topology;
 
     fn quick(rate: f64, seed: u64) -> DesConfig {
@@ -226,35 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_vc_config_is_bit_identical_to_auto() {
-        // VCs share the physical wire, so the per-link VC count must
-        // never change timing: an explicit (over-provisioned) count
-        // reproduces the auto-count run — and therefore the pre-VC
-        // engine — bit for bit, for every policy including adaptive.
-        for topo in [Topology::mesh2d(4, 4), Topology::mesh3d(3, 3, 3)] {
-            for kind in ALL_ROUTING {
-                for seed in [1u64, 42, 0xDE5] {
-                    let auto = DesConfig {
-                        routing: kind,
-                        ..quick(0.2, seed)
-                    };
-                    let explicit = DesConfig {
-                        vcs: kind.safe_vcs() + 2,
-                        ..auto
-                    };
-                    assert_eq!(
-                        simulate(&topo, &auto),
-                        simulate(&topo, &explicit),
-                        "{} seed {seed} diverged on {:?}",
-                        kind.name(),
-                        topo.kind()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn adaptive_routing_stays_minimal_at_low_load() {
         // With every queue idle the adaptive tie-break picks a fixed
         // productive link per hop, so routes stay minimal and low-load
@@ -273,19 +221,6 @@ mod tests {
         assert!(
             (ada - dor).abs() / dor < 0.10,
             "adaptive {ada} vs dor {dor} at low load"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid vc config")]
-    fn undersized_vc_config_panics() {
-        simulate(
-            &Topology::mesh2d(3, 3),
-            &DesConfig {
-                routing: RoutingKind::Adaptive,
-                vcs: 2,
-                ..DesConfig::default()
-            },
         );
     }
 
@@ -317,19 +252,6 @@ mod tests {
             (o1 - dor).abs() / dor < 0.10,
             "o1turn {o1} vs dor {dor} at low load"
         );
-    }
-
-    #[test]
-    fn engine_matches_reference_with_deterministic_service() {
-        let topo = Topology::mesh2d(4, 4);
-        for seed in [3u64, 8, 13] {
-            let cfg = DesConfig {
-                service: ServiceDistribution::Deterministic,
-                seed,
-                ..quick(0.3, seed)
-            };
-            assert_eq!(reference::simulate(&topo, &cfg), simulate(&topo, &cfg));
-        }
     }
 
     #[test]
@@ -365,54 +287,6 @@ mod tests {
         assert!(
             (got - want).abs() / want < 0.12,
             "DES {got:.2} vs analytic {want:.2}"
-        );
-    }
-
-    #[test]
-    fn deterministic_service_is_faster_than_exponential() {
-        // M/D/1 waits are half the M/M/1 waits, so deterministic service
-        // must reduce latency at meaningful load.
-        let topo = Topology::mesh2d(4, 4);
-        let exp = simulate(&topo, &quick(0.3, 3));
-        let det = simulate(
-            &topo,
-            &DesConfig {
-                service: ServiceDistribution::Deterministic,
-                ..quick(0.3, 3)
-            },
-        );
-        assert!(
-            det.mean_latency < exp.mean_latency,
-            "det {} vs exp {}",
-            det.mean_latency,
-            exp.mean_latency
-        );
-    }
-
-    #[test]
-    fn deterministic_service_matches_md1_model() {
-        // Quantitative M/D/1 check: the analytic model is M/M/1, whose
-        // waits are exactly twice the M/D/1 waits at equal utilization.
-        // The M/M/1 latency splits into a load-independent part (the
-        // zero-load latency) plus the queueing waits, so the expected
-        // M/D/1 latency is zero_load + (mm1 − zero_load)/2.
-        let topo = Topology::mesh2d(4, 4);
-        let analytic = AnalyticModel::new(&topo, RouterParams::default());
-        let rate = 0.25;
-        let mm1 = analytic.mean_latency(rate).expect("below saturation");
-        let want = analytic.zero_load_latency() + (mm1 - analytic.zero_load_latency()) / 2.0;
-        let got = simulate(
-            &topo,
-            &DesConfig {
-                service: ServiceDistribution::Deterministic,
-                measured_packets: 20_000,
-                ..quick(rate, 12)
-            },
-        )
-        .mean_latency;
-        assert!(
-            (got - want).abs() / want < 0.10,
-            "M/D/1 DES {got:.2} vs halved-wait model {want:.2}"
         );
     }
 
@@ -525,7 +399,7 @@ mod tests {
     ];
 
     /// A fault config exercising every mechanism at once: heterogeneous
-    /// link classes, stuck links, burst episodes, tight ARQ.
+    /// link classes, stuck links, tight ARQ.
     fn everything_fault() -> FaultConfig {
         FaultConfig {
             model: LinkErrorModel::EdgeCenter {
@@ -534,12 +408,6 @@ mod tests {
             },
             stuck_fraction: 0.1,
             stuck_p: 0.6,
-            burst: BurstModel::Periodic {
-                period: 500.0,
-                duration: 60.0,
-                fraction: 0.3,
-                p: 0.5,
-            },
             arq: ArqConfig {
                 max_retries: 3,
                 timeout: 5.0,

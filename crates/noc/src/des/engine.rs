@@ -36,15 +36,16 @@
 //! ([`mod@crate::des::sweep`]) allocate nothing per replication in the
 //! steady state, and a run under another policy rebuilds nothing.
 //!
-//! For the default uniform/exponential configuration the engine consumes
-//! the RNG in exactly the reference order and is therefore **bit-
-//! identical** to [`crate::des::reference::simulate`] — the `des` module
-//! tests pin this. Non-uniform patterns from [`crate::des::traffic`]
-//! plug in through the same loop.
+//! Under uniform traffic the engine consumes the RNG in exactly the
+//! reference order and is therefore **bit-identical** to
+//! [`crate::des::reference::simulate`] — the `des` module tests pin
+//! this. Non-uniform patterns from [`crate::des::traffic`] plug in
+//! through the same loop.
 
 use super::fault::corrupt_unit;
 use super::traffic::TrafficPattern;
-use super::{DesConfig, DesResult, ServiceDistribution};
+use super::{DesConfig, DesResult};
+use crate::analytic::RouterParams;
 use crate::routing::{
     adaptive_network, assert_unit_steps, route_choice, RouteProgram, RouteTable, RoutingKind,
 };
@@ -273,7 +274,8 @@ pub struct Engine {
     free: Vec<u32>,
     link_free: Vec<f64>,
     /// Per-(link, VC) earliest-free times — the queue-state the adaptive
-    /// policy reads per hop. Sized `num_links × vcs` per run; timing is
+    /// policy reads per hop. Sized `num_links ×`
+    /// [`safe_vcs`](RoutingKind::safe_vcs) per run; timing is
     /// still governed by the physical `link_free` server (VCs share the
     /// wire), so this is visibility + tie-break state, not extra servers.
     vc_free: Vec<f64>,
@@ -383,9 +385,9 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the injection rate is not positive, the traffic pattern
-    /// / routing policy / fault or VC config is invalid for this
-    /// topology, or a table engine's topology lacks a unit step the
-    /// requested policy needs.
+    /// / routing policy / fault config is invalid for this topology, or a
+    /// table engine's topology lacks a unit step the requested policy
+    /// needs.
     pub fn run(&mut self, config: &DesConfig) -> DesResult {
         assert!(
             config.injection_rate > 0.0,
@@ -401,9 +403,6 @@ impl Engine {
         }
         if let Some(problem) = config.routing.problem() {
             panic!("invalid routing policy: {problem}");
-        }
-        if let Some(problem) = config.routing.vc_problem(config.vcs) {
-            panic!("invalid vc config: {problem}");
         }
         if self
             .table
@@ -435,11 +434,8 @@ impl Engine {
             .as_deref()
             .filter(|t| !adaptive && t.kind() == config.routing);
         let dims = topo.dims();
-        let vcs = if config.vcs == 0 {
-            config.routing.safe_vcs()
-        } else {
-            config.vcs
-        };
+        let vcs = config.routing.safe_vcs();
+        let params = RouterParams::default();
 
         heap.clear();
         packets.clear();
@@ -577,7 +573,7 @@ impl Engine {
                 };
                 injected += 1;
                 // Traverse the source router pipeline, then queue.
-                let ready = entry(&mut seq, now + config.params.routing_delay, READY_TAG | pid);
+                let ready = entry(&mut seq, now + params.routing_delay, READY_TAG | pid);
                 heap.replace_top(ready);
                 // Keep offering load until measurement finishes (a
                 // measured packet resolves by delivery *or* drop).
@@ -589,12 +585,7 @@ impl Engine {
             } else {
                 // Packet ready for its next stage.
                 let pid = (ev & !READY_TAG) as usize;
-                let svc = match config.service {
-                    ServiceDistribution::Exponential => {
-                        exp_sample(&mut rng, config.params.service_time)
-                    }
-                    ServiceDistribution::Deterministic => config.params.service_time,
-                };
+                let svc = exp_sample(&mut rng, params.service_time);
                 let p = packets[pid];
                 if p.remaining > 0 {
                     // Inter-router link stage. A corrupted transmission
@@ -664,12 +655,10 @@ impl Engine {
                     // Pure-hash corruption decision — consumes no RNG, so
                     // the `faults` short-circuit (and any zero-probability
                     // config) leaves the event stream untouched.
-                    let corrupted = faults && {
-                        let p_err = config.fault.link_p_at(link_p[l], l, start, config.seed);
-                        p_err > 0.0
-                            && corrupt_unit(config.seed, p.pkt, p.hops - p.remaining, p.attempt)
-                                < p_err
-                    };
+                    let corrupted = faults
+                        && link_p[l] > 0.0
+                        && corrupt_unit(config.seed, p.pkt, p.hops - p.remaining, p.attempt)
+                            < link_p[l];
                     if !corrupted {
                         packets[pid].at = next_at;
                         packets[pid].program = program;
@@ -678,7 +667,7 @@ impl Engine {
                         // Next router pipeline, then next queue.
                         let ready = entry(
                             &mut seq,
-                            finish + config.params.routing_delay,
+                            finish + params.routing_delay,
                             READY_TAG | pid as u32,
                         );
                         heap.replace_top(ready);

@@ -6,9 +6,9 @@
 //! claim: a [`LinkErrorModel`] assigns every directed link a frame-error
 //! probability (uniform, or heterogeneous edge/center classes — boundary
 //! antennas see worse channels than center ones), [`FaultConfig`] adds
-//! degraded-link injection on top (stuck-bad links and transient burst
-//! episodes), and [`ArqConfig`] describes the recovery protocol (bounded
-//! retries with timeout + multiplicative backoff, then drop).
+//! stuck-bad links on top, and [`ArqConfig`] describes the recovery
+//! protocol (bounded retries with timeout + multiplicative backoff, then
+//! drop). A link's error probability is static for the whole run.
 //!
 //! # Determinism contract
 //!
@@ -17,8 +17,6 @@
 //! RNG stream is untouched by the fault layer:
 //!
 //! * whether link `l` is stuck-bad: hash of `(seed, l)`;
-//! * whether link `l` degrades during burst episode `k`: hash of
-//!   `(seed, l, k)`;
 //! * whether transmission attempt `a` of packet `p` on hop `h` is
 //!   corrupted: hash of `(seed, p, h, a)` compared against the link's
 //!   error probability.
@@ -44,8 +42,6 @@ use wi_num::rng::mix64;
 
 /// Salt for the stuck-link selection hash.
 const STUCK_SALT: u64 = 0x57C4_BAD0_57C4_BAD0;
-/// Salt for the burst-episode selection hash.
-const BURST_SALT: u64 = 0xB1A5_7000_B1A5_7001;
 /// Salt for the per-attempt corruption hash.
 const CORRUPT_SALT: u64 = 0xC0FF_EE00_BAD0_B175;
 
@@ -136,28 +132,6 @@ pub fn is_edge_link(topo: &Topology, link: usize) -> bool {
     is_boundary(dims, topo.coord(l.src)) || is_boundary(dims, topo.coord(l.dst))
 }
 
-/// Transient degradation episodes layered on top of the base model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum BurstModel {
-    /// No burst episodes.
-    #[default]
-    Off,
-    /// Periodic episodes: during the first `duration` cycles of every
-    /// `period`-cycle window, each link independently degrades to error
-    /// probability `p` (if above its base) with probability `fraction`
-    /// — decided by a pure hash of `(seed, link, episode index)`.
-    Periodic {
-        /// Episode recurrence period in cycles.
-        period: f64,
-        /// Degraded span at the start of each period, in cycles.
-        duration: f64,
-        /// Fraction of links affected per episode.
-        fraction: f64,
-        /// Error probability while degraded.
-        p: f64,
-    },
-}
-
 /// ARQ recovery parameters: how a corrupted hop is retried.
 ///
 /// A corrupted transmission still occupies its link for the full
@@ -190,8 +164,8 @@ impl Default for ArqConfig {
 
 /// The complete fault-injection configuration of a DES run.
 ///
-/// The default is fully inert ([`LinkErrorModel::Off`], no stuck links,
-/// no bursts) and reproduces the fault-free simulation bit for bit.
+/// The default is fully inert ([`LinkErrorModel::Off`], no stuck links)
+/// and reproduces the fault-free simulation bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Base per-link error model.
@@ -202,8 +176,6 @@ pub struct FaultConfig {
     /// Error probability of a stuck-bad link (applied when above the
     /// base model's probability).
     pub stuck_p: f64,
-    /// Transient burst-episode model.
-    pub burst: BurstModel,
     /// Retry / drop protocol.
     pub arq: ArqConfig,
 }
@@ -214,7 +186,6 @@ impl Default for FaultConfig {
             model: LinkErrorModel::Off,
             stuck_fraction: 0.0,
             stuck_p: 1.0,
-            burst: BurstModel::Off,
             arq: ArqConfig::default(),
         }
     }
@@ -238,9 +209,7 @@ impl FaultConfig {
     /// all probabilities zero still simulates bit-identically to an
     /// inactive one; this is only the engine's fast-path gate.
     pub fn active(&self) -> bool {
-        !matches!(self.model, LinkErrorModel::Off)
-            || self.stuck_fraction > 0.0
-            || !matches!(self.burst, BurstModel::Off)
+        !matches!(self.model, LinkErrorModel::Off) || self.stuck_fraction > 0.0
     }
 
     /// Validation (mirrors `TrafficKind::problem` / `RoutingKind::problem`),
@@ -262,25 +231,6 @@ impl FaultConfig {
                 "stuck-link probability {} outside [0, 1]",
                 self.stuck_p
             ));
-        }
-        if let BurstModel::Periodic {
-            period,
-            duration,
-            fraction,
-            p,
-        } = self.burst
-        {
-            if !(period > 0.0 && period.is_finite()) {
-                problems.push(format!("burst period {period} must be positive"));
-            } else if !(0.0..=period).contains(&duration) {
-                problems.push(format!("burst duration {duration} outside [0, period]"));
-            }
-            if !(0.0..=1.0).contains(&fraction) {
-                problems.push(format!("burst fraction {fraction} outside [0, 1]"));
-            }
-            if !(0.0..=1.0).contains(&p) {
-                problems.push(format!("burst probability {p} outside [0, 1]"));
-            }
         }
         if !(self.arq.timeout > 0.0 && self.arq.timeout.is_finite()) {
             problems.push(format!("ARQ timeout {} must be positive", self.arq.timeout));
@@ -321,31 +271,6 @@ impl FaultConfig {
         }
     }
 
-    /// Effective error probability of `link` at simulation time `t`,
-    /// given its precomputed [`static_link_p`](FaultConfig::static_link_p):
-    /// applies the burst model's episode degradation.
-    pub fn link_p_at(&self, static_p: f64, link: usize, t: f64, seed: u64) -> f64 {
-        match self.burst {
-            BurstModel::Off => static_p,
-            BurstModel::Periodic {
-                period,
-                duration,
-                fraction,
-                p,
-            } => {
-                let episode = (t / period).floor();
-                let phase = t - episode * period;
-                if phase < duration
-                    && unit_hash(seed ^ BURST_SALT, link as u64, episode as u64, 0) < fraction
-                {
-                    static_p.max(p)
-                } else {
-                    static_p
-                }
-            }
-        }
-    }
-
     /// Retransmission wait after the `attempt`-th failure of a hop
     /// (0-based): `timeout · backoff^attempt`.
     pub fn rto(&self, attempt: u32) -> f64 {
@@ -371,7 +296,7 @@ mod tests {
 
     #[test]
     fn unit_hash_is_pinned() {
-        // Literal values: every stuck-link, burst and corruption decision,
+        // Literal values: every stuck-link and corruption decision,
         // and so every faulty DES result, follows from these.
         assert_eq!(unit_hash(0, 1, 0, 0), 0.8833108082136426);
         assert_eq!(unit_hash(0xDE5, 1, 2, 3), 0.4793528931893296);
@@ -436,33 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn burst_degrades_only_inside_episodes() {
-        let cfg = FaultConfig {
-            burst: BurstModel::Periodic {
-                period: 100.0,
-                duration: 10.0,
-                fraction: 1.0,
-                p: 0.5,
-            },
-            ..FaultConfig::default()
-        };
-        assert_eq!(cfg.link_p_at(0.01, 3, 5.0, 1), 0.5); // inside episode 0
-        assert_eq!(cfg.link_p_at(0.01, 3, 50.0, 1), 0.01); // between episodes
-        assert_eq!(cfg.link_p_at(0.01, 3, 105.0, 1), 0.5); // episode 1
-                                                           // Zero fraction never degrades.
-        let none = FaultConfig {
-            burst: BurstModel::Periodic {
-                period: 100.0,
-                duration: 10.0,
-                fraction: 0.0,
-                p: 0.5,
-            },
-            ..FaultConfig::default()
-        };
-        assert_eq!(none.link_p_at(0.01, 3, 5.0, 1), 0.01);
-    }
-
-    #[test]
     fn rto_backs_off_multiplicatively() {
         let cfg = FaultConfig::default(); // timeout 20, backoff 2
         assert_eq!(cfg.rto(0), 20.0);
@@ -485,26 +383,6 @@ mod tests {
         cfg.arq.backoff = 0.5;
         assert!(cfg.problem().is_some());
         cfg.arq.backoff = 1.0;
-        cfg.burst = BurstModel::Periodic {
-            period: 0.0,
-            duration: 0.0,
-            fraction: 0.5,
-            p: 0.5,
-        };
-        assert!(cfg.problem().is_some());
-        cfg.burst = BurstModel::Periodic {
-            period: 100.0,
-            duration: 200.0,
-            fraction: 0.5,
-            p: 0.5,
-        };
-        assert!(cfg.problem().is_some());
-        cfg.burst = BurstModel::Periodic {
-            period: 100.0,
-            duration: 20.0,
-            fraction: 0.5,
-            p: 0.5,
-        };
         assert!(cfg.problem().is_none());
         assert!(cfg.active());
         assert!(!FaultConfig::off().active());

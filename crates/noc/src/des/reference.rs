@@ -7,9 +7,8 @@
 //! link `Vec`) for everything it schedules, and its event heap is keyed
 //! on raw `f64` time — exactly the behaviour
 //! [`crate::des::engine`] removes. The `des` module tests assert that the
-//! two simulators produce bit-identical [`DesResult`]s for the default
-//! uniform/exponential configuration, and the `des_sim` benches measure
-//! the speedup against it.
+//! two simulators produce bit-identical [`DesResult`]s, and the `des_sim`
+//! benches measure the speedup against it.
 //!
 //! Only uniform traffic is implemented here (the pre-refactor simulator
 //! knew nothing else): [`simulate`] panics, naming the pattern, when the
@@ -38,7 +37,8 @@
 
 use super::fault::corrupt_unit;
 use super::traffic::{TrafficKind, TrafficPattern};
-use super::{DesConfig, DesResult, ServiceDistribution};
+use super::{DesConfig, DesResult};
+use crate::analytic::RouterParams;
 use crate::routing::{adaptive_network, route_choice, walk_topology, RoutingKind};
 use crate::topology::Topology;
 use rand::Rng;
@@ -126,11 +126,8 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
     };
 
     let adaptive = config.routing == RoutingKind::Adaptive;
-    let vcs = if config.vcs == 0 {
-        config.routing.safe_vcs()
-    } else {
-        config.vcs
-    };
+    let vcs = config.routing.safe_vcs();
+    let params = RouterParams::default();
     let mut link_free = vec![0.0f64; topo.num_links()];
     let mut vc_free = vec![0.0f64; if adaptive { topo.num_links() * vcs } else { 0 }];
     let mut ej_free = vec![0.0f64; n];
@@ -216,7 +213,7 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                 push(
                     &mut heap,
                     &mut events,
-                    now + config.params.routing_delay,
+                    now + params.routing_delay,
                     Event::Ready { packet: pid },
                 );
                 // Keep offering load until measurement finishes.
@@ -226,12 +223,7 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                 }
             }
             Event::Ready { packet } => {
-                let svc = match config.service {
-                    ServiceDistribution::Exponential => {
-                        exp_sample(&mut rng, config.params.service_time)
-                    }
-                    ServiceDistribution::Deterministic => config.params.service_time,
-                };
+                let svc = exp_sample(&mut rng, params.service_time);
                 let stage = packets[packet].next_stage;
                 if stage < packets[packet].total_hops {
                     // Inter-router link stage. A corrupted transmission
@@ -274,11 +266,10 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                         vc_free[l * vcs + packets[packet].vc] = finish;
                     }
                     // Naive re-derivation of the per-hop error
-                    // probability (the engine precomputes the static
-                    // part per link); the corruption decision is the
-                    // shared pure hash, so no RNG is consumed.
-                    let static_p = config.fault.static_link_p(topo, l, config.seed);
-                    let p_err = config.fault.link_p_at(static_p, l, start, config.seed);
+                    // probability (the engine precomputes it per link);
+                    // the corruption decision is the shared pure hash, so
+                    // no RNG is consumed.
+                    let p_err = config.fault.static_link_p(topo, l, config.seed);
                     let attempt = packets[packet].attempt;
                     let corrupted = p_err > 0.0
                         && corrupt_unit(config.seed, packet as u64, stage as u32, attempt) < p_err;
@@ -292,7 +283,7 @@ pub fn simulate(topo: &Topology, config: &DesConfig) -> DesResult {
                         push(
                             &mut heap,
                             &mut events,
-                            finish + config.params.routing_delay,
+                            finish + params.routing_delay,
                             Event::Ready { packet },
                         );
                     } else if attempt >= config.fault.arq.max_retries {

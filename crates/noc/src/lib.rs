@@ -65,10 +65,7 @@ pub mod topology;
 pub use analytic::{AnalyticModel, RouterParams};
 pub use deadlock::ChannelDepGraph;
 pub use des::traffic::{TrafficKind, TrafficPattern};
-pub use des::{
-    simulate, sweep, DesConfig, DesResult, Engine, RatePoint, ServiceDistribution, SweepConfig,
-    SweepResult,
-};
+pub use des::{simulate, sweep, DesConfig, DesResult, Engine, RatePoint, SweepConfig, SweepResult};
 pub use icdb::{ExpandedGrid, HybridBoards};
 pub use metrics::{topology_metrics, TopologyMetrics};
 pub use routing::RouteTable;

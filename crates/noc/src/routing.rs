@@ -154,9 +154,9 @@ impl RoutingKind {
     }
 
     /// The minimum virtual-channel count under which the policy is
-    /// deadlock-free — the per-link VC count the simulators allocate when
-    /// the configured count is `0` (auto). One VC per independent acyclic
-    /// sub-relation of the channel-dependency graph:
+    /// deadlock-free — the per-link VC count the simulators allocate. One
+    /// VC per independent acyclic sub-relation of the channel-dependency
+    /// graph:
     ///
     /// * dimension-order: 1 — the classic DOR acyclicity argument;
     /// * O1TURN: 6 — one VC per permutation ([`O1TURN_ORDERS`]), each a
@@ -177,22 +177,6 @@ impl RoutingKind {
             RoutingKind::Valiant { .. } => 2,
             RoutingKind::RlbValiant { .. } => 2,
             RoutingKind::Adaptive => 4,
-        }
-    }
-
-    /// A human-readable problem with an explicit per-link VC count for
-    /// this policy (`None` when valid). `0` means auto
-    /// ([`RoutingKind::safe_vcs`]) and is always valid; an explicit count
-    /// below `safe_vcs()` would break the deadlock-freedom contract.
-    pub fn vc_problem(&self, vcs: usize) -> Option<String> {
-        if vcs != 0 && vcs < self.safe_vcs() {
-            Some(format!(
-                "{} routing needs at least {} virtual channels for deadlock freedom, got {vcs}",
-                self.name(),
-                self.safe_vcs()
-            ))
-        } else {
-            None
         }
     }
 
@@ -1249,26 +1233,12 @@ mod tests {
     }
 
     #[test]
-    fn safe_vc_counts_and_vc_validation() {
+    fn safe_vc_counts() {
         assert_eq!(RoutingKind::DimensionOrder.safe_vcs(), 1);
         assert_eq!(RoutingKind::O1Turn.safe_vcs(), 6);
         assert_eq!(RoutingKind::valiant().safe_vcs(), 2);
         assert_eq!(RoutingKind::rlb().safe_vcs(), 2);
         assert_eq!(RoutingKind::Adaptive.safe_vcs(), 4);
-        for kind in [
-            RoutingKind::DimensionOrder,
-            RoutingKind::O1Turn,
-            RoutingKind::valiant(),
-            RoutingKind::rlb(),
-            RoutingKind::Adaptive,
-        ] {
-            assert!(kind.vc_problem(0).is_none(), "{}: 0 is auto", kind.name());
-            assert!(kind.vc_problem(kind.safe_vcs()).is_none());
-            assert!(kind.vc_problem(kind.safe_vcs() + 2).is_none());
-            if kind.safe_vcs() > 1 {
-                assert!(kind.vc_problem(kind.safe_vcs() - 1).is_some());
-            }
-        }
     }
 
     #[test]

@@ -54,6 +54,9 @@ usage: sweep <run|status|query|diff|ingest> [options]
   ingest --bench <BENCH_*.json> --store <dir>
 ";
 
+/// Value flags that may be given more than once, each adding one value.
+const LIST_FLAGS: &[&str] = &["axis"];
+
 /// A tiny `--flag value` scanner; positional args collect separately.
 struct Opts {
     flags: Vec<(String, String)>,
@@ -62,7 +65,16 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String], value_flags: &[&str], switch_flags: &[&str]) -> Result<Opts, String> {
+    /// Scans `args` against the subcommand's flags. An unknown flag, a
+    /// flag given twice (except the [`LIST_FLAGS`]), a value flag without
+    /// its value, or more than `max_positional` other words is an error
+    /// naming the argument.
+    fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        switch_flags: &[&str],
+        max_positional: usize,
+    ) -> Result<Opts, String> {
         let mut opts = Opts {
             flags: Vec::new(),
             switches: Vec::new(),
@@ -71,6 +83,10 @@ impl Opts {
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
+                let repeated = opts.has(name) || opts.get(name).is_some();
+                if repeated && !LIST_FLAGS.contains(&name) {
+                    return Err(format!("--{name} given twice\n{USAGE}"));
+                }
                 if switch_flags.contains(&name) {
                     opts.switches.push(name.to_string());
                 } else if value_flags.contains(&name) {
@@ -79,8 +95,10 @@ impl Opts {
                 } else {
                     return Err(format!("unknown option --{name}\n{USAGE}"));
                 }
-            } else {
+            } else if opts.positional.len() < max_positional {
                 opts.positional.push(arg.clone());
+            } else {
+                return Err(format!("unexpected argument `{arg}`\n{USAGE}"));
             }
         }
         Ok(opts)
@@ -89,7 +107,6 @@ impl Opts {
     fn get(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
-            .rev()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
     }
@@ -163,6 +180,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         args,
         &["spec", "store", "threads", "max-cells", "out"],
         &["quick"],
+        0,
     )?;
     let run_opts = RunOptions {
         threads: match opts.parsed("threads")? {
@@ -198,7 +216,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, &["spec", "store"], &[])?;
+    let opts = Opts::parse(args, &["spec", "store"], &[], 0)?;
     let spec = load_spec(opts.require("spec")?, false)?;
     let store = open_store(&opts)?;
     let cells = spec.expand().map_err(|p| p.join("\n"))?;
@@ -219,7 +237,7 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, &["store", "kind", "axis"], &[])?;
+    let opts = Opts::parse(args, &["store", "kind", "axis"], &[], 0)?;
     let store =
         ResultStore::open(Path::new(opts.require("store")?)).map_err(|e| format!("store: {e}"))?;
     let kind = opts.get("kind");
@@ -257,7 +275,7 @@ fn cmd_query(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, &["threshold"], &["warn-only"])?;
+    let opts = Opts::parse(args, &["threshold"], &["warn-only"], 2)?;
     let [old, new] = opts.positional.as_slice() else {
         return Err(format!(
             "diff wants exactly two paths (store dir or BENCH_*.json)\n{USAGE}"
@@ -275,7 +293,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_ingest(args: &[String]) -> Result<ExitCode, String> {
-    let opts = Opts::parse(args, &["bench", "store"], &[])?;
+    let opts = Opts::parse(args, &["bench", "store"], &[], 0)?;
     let bench = opts.require("bench")?;
     let dir = opts.require("store")?;
     let mut store = ResultStore::open(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;

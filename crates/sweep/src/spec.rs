@@ -231,8 +231,8 @@ const EBN0_SEARCH_AXES: &[(&str, SetAxis)] = &[
 ];
 
 /// The axes a `noc_knee` eval reads: the NoC-workload fields of its DES
-/// sweep. The eval sets its own injection rates, and every valid
-/// virtual-channel count gives the same knee, so neither is an axis.
+/// sweep. The eval sets its own injection rates, so the workload's
+/// single-point rate is no axis.
 const NOC_KNEE_AXES: &[(&str, SetAxis)] = &[
     ("routing", |c, v| {
         c.noc.routing = RoutingKind::parse(v)?;

@@ -206,3 +206,59 @@ fn run_rejects_every_axis_its_eval_does_not_read_without_storing() {
     }
     assert_eq!(records, 0, "a rejected spec must store nothing");
 }
+
+/// Runs `sweep` with `args`; returns the exit code, the stderr and the
+/// stdout.
+fn sweep(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(args)
+        .output()
+        .expect("the sweep binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn a_stray_word_or_a_repeated_flag_stops_every_subcommand_before_any_work() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/ci_smoke.json");
+    let dir = std::env::temp_dir().join(format!("wi_sweep_cli_args_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for (args, named) in [
+        (&["run", "--spec", spec, "--quick", "stray"][..], "`stray`"),
+        (
+            &["run", "--spec", spec, "--store", a, "--store", b],
+            "--store given twice",
+        ),
+        (
+            &["status", "--spec", spec, "--store", a, "stray"],
+            "`stray`",
+        ),
+        (
+            &["query", "--store", a, "--kind", "x", "--kind", "y"],
+            "--kind given twice",
+        ),
+        (&["diff", a, b, "stray"], "`stray`"),
+        (
+            &[
+                "ingest", "--bench", "x.json", "--store", a, "--bench", "y.json",
+            ],
+            "--bench given twice",
+        ),
+    ] {
+        let (code, stderr, stdout) = sweep(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} started work");
+        assert!(!dir.exists(), "{args:?} opened a store");
+    }
+    // `--axis` is a list: each one narrows a query.
+    let (code, stderr, _) = sweep(&["query", "--store", a, "--axis", "x=1", "--axis", "y=2"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("0 of 0 records matched"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,19 +1,14 @@
-//! Criterion benches for the required-Eb/N0 search strategies of
-//! `wi_ldpc::ber` — the wall-clock term the `fig10_latency_ebn0` sweep is
-//! dominated by. One bench per [`SearchStrategy`] over the same reduced
-//! block-code search (φ-table rule, single worker thread so the numbers
-//! measure the *strategy's* frame budget, not the host's core count).
-//!
-//! `ber_search_bisect` is the pre-redesign ladder (the pinned oracle);
-//! `ber_search_concurrent` and `ber_search_paired` are the CI-pruned and
-//! common-random-numbers strategies the redesign added. The interesting
-//! figure is the ratio between them — it tracks the end-to-end speedup
-//! recorded in `docs/REPRODUCING.md`.
+//! Criterion bench for the required-Eb/N0 search of `wi_ldpc::ber` —
+//! the wall-clock term the `fig10_latency_ebn0` sweep is dominated by.
+//! `ber_search_bisect` runs the bisection ladder over a reduced
+//! block-code search at the `fig10 --quick` budget (φ-table rule,
+//! single worker thread, so the number measures the ladder's frame
+//! budget, not the host's core count).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wi_ldpc::ber::{
-    search_required_ebn0_with_threads, BerSimOptions, BlockBerTarget, SearchConfig, SearchStrategy,
+    search_required_ebn0_with_threads, BerSimOptions, BlockBerTarget, SearchConfig,
 };
 use wi_ldpc::decoder::{BpConfig, CheckRule};
 use wi_ldpc::LdpcCode;
@@ -32,25 +27,15 @@ fn bench_search(c: &mut Criterion) {
         min_frames: 20,
         seed: 0xF10,
     };
-    let base = SearchConfig {
+    let search = SearchConfig {
         lo_db: 0.5,
         hi_db: 8.0,
         tol_db: 0.25,
-        grid_points: 7,
         ..SearchConfig::default()
     };
-    for (name, strategy) in [
-        ("ber_search_bisect", SearchStrategy::Bisection),
-        ("ber_search_concurrent", SearchStrategy::ConcurrentBisection),
-        ("ber_search_paired", SearchStrategy::PairedGrid),
-    ] {
-        let search = SearchConfig { strategy, ..base };
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                search_required_ebn0_with_threads(&target, 1e-2, black_box(&opts), &search, 1)
-            })
-        });
-    }
+    c.bench_function("ber_search_bisect", |b| {
+        b.iter(|| search_required_ebn0_with_threads(&target, 1e-2, black_box(&opts), &search, 1))
+    });
 }
 
 criterion_group! {

@@ -12,14 +12,9 @@
 //! `tanh`/`atanh` inner loop with the φ lookup table — the recommended
 //! preset for fast high-fidelity sweeps.
 //!
-//! `--search <bisect|concurrent|paired>` selects the required-Eb/N0
-//! search strategy (`wi_ldpc::ber::SearchStrategy`): `bisect` is the
-//! pre-redesign serial ladder, retained bit-identical at fixed seed;
-//! `concurrent` probes several Eb/N0 points per round and prunes each by
-//! confidence interval; `paired` walks a fixed grid with common random
-//! numbers and log-linearly interpolates. The two fast strategies are
-//! statistically equivalent to the ladder, not bit-identical — measured
-//! speedups are recorded in `docs/REPRODUCING.md`.
+//! Each point is found by the serial bisection ladder of
+//! `wi_ldpc::ber::search_required_ebn0` over [0.5, 8] dB — the
+//! pre-redesign search, bit-identical at fixed seed.
 //!
 //! Absolute dB values are implementation-dependent; the reproduced
 //! *shape* is: required Eb/N0 falls with window size and lifting factor,
@@ -30,7 +25,7 @@
 
 use std::path::PathBuf;
 use std::time::Instant;
-use wi_bench::{die, flag_value, fmt, forbid_both, has_flag, help_flag, print_table, search_flag};
+use wi_bench::{die, flag_value, fmt, forbid_both, has_flag, help_flag, print_table};
 use wi_ldpc::ber::{
     search_required_ebn0, BerSimOptions, BerTarget, BlockBerTarget, CachedBerTarget,
     CoupledBerTarget, SearchConfig, SearchOutcome, SearchReport,
@@ -60,16 +55,6 @@ FLAGS:
                          sum-product accuracy (within 0.05 dB) without
                          the tanh/atanh inner loop; recommended for fast
                          high-fidelity sweeps (overrides --minsum)
-    --search <strategy>  required-Eb/N0 search strategy:
-                           bisect      serial bisection ladder (default;
-                                       bit-identical to the pre-redesign
-                                       search at fixed seed)
-                           concurrent  several probes per round, each
-                                       pruned early by confidence interval
-                           paired      fixed grid + common random numbers
-                                       + log-linear interpolation
-                         concurrent/paired are statistically equivalent to
-                         bisect, not bit-identical, and markedly faster
     --store <dir>        persist every (seed, frame, Eb/N0) frame
                          evaluation in a wi_sweep result-store directory
                          and reuse any already stored -- a re-run of the
@@ -79,10 +64,10 @@ FLAGS:
                          of docs/ARCHITECTURE.md)
     --help, -h           print this help
 
-Monte-Carlo frames are automatically fanned out over all available CPU
-cores; results are bit-identical to a serial run at any thread count for
-every strategy. Exact CLI recipes, expected runtimes and measured search
-speedups: docs/REPRODUCING.md.";
+Each point is found by bisection over [0.5, 8] dB. Monte-Carlo frames
+are automatically fanned out over all available CPU cores; results are
+bit-identical to a serial run at any thread count. Exact CLI recipes
+and expected runtimes: docs/REPRODUCING.md.";
 
 /// Formats a search outcome for the table: the sides of the bracket stay
 /// distinguishable instead of collapsing to "n/a".
@@ -161,13 +146,10 @@ fn main() {
     let term_length = 20;
     let iters = 50;
     let search = SearchConfig {
-        strategy: search_flag(),
         lo_db: 0.5,
         hi_db: 8.0,
         tol_db: if quick { 0.25 } else { 0.1 },
-        // Paired grid: ~1 dB spacing resolves the waterfall after
-        // log-linear interpolation; the quick preset stays coarser.
-        grid_points: if quick { 7 } else { 9 },
+        ..SearchConfig::default()
     };
 
     println!("Fig. 10 — required Eb/N0 for BER {target_ber:.0e} vs structural latency");
@@ -185,10 +167,8 @@ fn main() {
         wi_ldpc::batch::MAX_LANES,
     );
     println!(
-        "search: {} over [{}, {}] dB",
-        search.strategy.name(),
-        search.lo_db,
-        search.hi_db
+        "search: bisect over [{}, {}] dB",
+        search.lo_db, search.hi_db
     );
 
     let store_dir = flag_value("--store").map(PathBuf::from);
@@ -273,8 +253,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nsearch phase: {} strategy | {probes} BER probes | {frames} frames | {:.1} s",
-        search.strategy.name(),
+        "\nsearch phase: bisect strategy | {probes} BER probes | {frames} frames | {:.1} s",
         started.elapsed().as_secs_f64()
     );
     if store_dir.is_some() {

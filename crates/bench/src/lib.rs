@@ -10,7 +10,6 @@
 //! exists; the default presets finish in seconds to a few minutes.
 
 use std::fmt::Write as _;
-use wi_ldpc::ber::SearchStrategy;
 use wi_noc::des::sweep::rates_problem;
 use wi_noc::des::traffic::TrafficKind;
 use wi_noc::routing::RoutingKind;
@@ -182,20 +181,6 @@ pub fn routing_flag() -> Option<RoutingArg> {
         }
         arg
     })
-}
-
-/// The shared `--search` flag: the required-Eb/N0 search strategy
-/// ([`SearchStrategy::Bisection`] when absent — the bit-identical
-/// pre-redesign ladder). Exits via [`die`] on an unknown spelling.
-pub fn search_flag() -> SearchStrategy {
-    match flag_value("--search") {
-        Some(s) => SearchStrategy::parse(&s).unwrap_or_else(|| {
-            die(&format!(
-                "unknown search strategy {s:?} (try bisect, concurrent, paired)"
-            ))
-        }),
-        None => SearchStrategy::Bisection,
-    }
 }
 
 /// The shared `--traffic` flag ([`TrafficKind::Uniform`] when absent)
@@ -376,6 +361,5 @@ FLAGS:
         assert_eq!(reps_flag(3), 3);
         assert_eq!(routing_flag(), None);
         assert_eq!(rates_flag(), None);
-        assert_eq!(search_flag(), SearchStrategy::Bisection);
     }
 }

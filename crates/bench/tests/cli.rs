@@ -254,13 +254,12 @@ fn fig8_hybrid_rejects_a_hotspot_outside_its_modules() {
 }
 
 #[test]
-fn fig10_and_fig_cosim_reject_the_removed_batch_flag() {
-    // Every batch width gave bit-identical output, so the flag is gone.
-    rejects(
-        env!("CARGO_BIN_EXE_fig10_latency_ebn0"),
-        &["--quick", "--batch", "8"],
-        "--batch",
-    );
+fn fig10_and_fig_cosim_reject_the_removed_flags() {
+    // Every batch width gave bit-identical output, so `--batch` is gone;
+    // the bisection ladder is the only search, so `--search` is too.
+    let fig10 = env!("CARGO_BIN_EXE_fig10_latency_ebn0");
+    rejects(fig10, &["--quick", "--batch", "8"], "--batch");
+    rejects(fig10, &["--quick", "--search", "paired"], "--search");
     rejects(
         env!("CARGO_BIN_EXE_fig_cosim"),
         &["--quick", "--batch", "8"],
@@ -276,8 +275,8 @@ fn a_value_flag_without_its_value_is_rejected() {
     rejects(bin, &["--rates", "--des"], "--rates");
     rejects(
         env!("CARGO_BIN_EXE_fig10_latency_ebn0"),
-        &["--quick", "--search"],
-        "--search",
+        &["--quick", "--store"],
+        "--store",
     );
     rejects(env!("CARGO_BIN_EXE_fig8_hybrid"), &["--dims"], "--dims");
 }

@@ -206,8 +206,8 @@ pub struct CodingConfig {
     /// (sum-product accuracy at a multiple of its speed), or the
     /// hardware-faithful normalized min-sum an on-chip decoder would run.
     pub check_rule: CheckRule,
-    /// Required-Eb/N0 search: strategy (bisection ladder, CI-pruned
-    /// concurrent bisection, or paired grid), bracket and grid.
+    /// Required-Eb/N0 search: the bisection ladder's bracket and
+    /// tolerance.
     pub search: SearchConfig,
 }
 
@@ -471,17 +471,13 @@ mod tests {
 
     #[test]
     fn validation_catches_search_problems() {
-        use wi_ldpc::ber::SearchStrategy;
         let mut cfg = SystemConfig::paper_default();
-        assert_eq!(cfg.coding.search.strategy, SearchStrategy::Bisection);
-        cfg.coding.search.grid_points = 1;
+        cfg.coding.search.hi_db = f64::INFINITY;
         let problems = cfg.validate();
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("Eb/N0 search"), "{problems:?}");
-        cfg.coding.search = SearchConfig {
-            strategy: SearchStrategy::PairedGrid,
-            ..SearchConfig::default()
-        };
+        assert!(problems[0].contains("hi_db"), "{problems:?}");
+        cfg.coding.search = SearchConfig::default();
         assert!(cfg.validate().is_empty());
     }
 
@@ -491,7 +487,7 @@ mod tests {
         // listed in one shot, not one-per-rerun.
         let mut cfg = SystemConfig::paper_default();
         cfg.coding.search.tol_db = -1.0;
-        cfg.coding.search.grid_points = 1;
+        cfg.coding.search.lo_db = f64::NEG_INFINITY;
         cfg.noc.routing = RoutingKind::Valiant { choices: 5000 };
         cfg.noc.fault.stuck_fraction = 2.0;
         cfg.noc.fault.arq.backoff = 0.5;

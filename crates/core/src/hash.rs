@@ -33,7 +33,7 @@ use crate::config::{
     BoardConfig, CodingConfig, NocWorkloadConfig, ReceiverModel, StackConfig, SystemConfig,
     WirelessLinkConfig,
 };
-use wi_ldpc::ber::{SearchConfig, SearchStrategy};
+use wi_ldpc::ber::SearchConfig;
 use wi_ldpc::decoder::CheckRule;
 use wi_linkbudget::budget::Beamforming;
 use wi_linkbudget::datarate::Polarization;
@@ -233,34 +233,28 @@ impl StableHash for CheckRule {
     }
 }
 
-impl StableHash for SearchStrategy {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_discriminant(match self {
-            SearchStrategy::Bisection => 0,
-            SearchStrategy::ConcurrentBisection => 1,
-            SearchStrategy::PairedGrid => 2,
-        });
-    }
-}
-
 impl StableHash for SearchConfig {
     fn stable_hash(&self, h: &mut StableHasher) {
+        // `strategy` has one value and no code reads `grid_points`, so
+        // both are skipped and the values every stored key was made with
+        // are written in their places.
         let Self {
-            strategy,
+            strategy: _,
             lo_db,
             hi_db,
             tol_db,
-            grid_points,
+            grid_points: _,
         } = self;
-        strategy.stable_hash(h);
+        // The bisection ladder's strategy discriminant.
+        h.write_discriminant(0);
         h.write_f64(*lo_db);
         h.write_f64(*hi_db);
         h.write_f64(*tol_db);
-        // The former probes per round, now fixed in `wi_ldpc::ber`.
+        // The former probes per round and paired-grid points.
         h.write_usize(3);
-        h.write_usize(*grid_points);
-        // The former CI multiplier, now fixed in `wi_ldpc::ber`, and the
-        // former search-level frame cap (none).
+        h.write_usize(7);
+        // The former CI multiplier and the former search-level frame cap
+        // (none).
         h.write_f64(2.576);
         h.write_u64(u64::MAX);
     }

@@ -4,7 +4,7 @@
 //! structural decoding latency. This module provides the Monte-Carlo BER
 //! estimator (all-zero codeword — exact for linear codes on the
 //! output-symmetric AWGN channel with a sign-symmetric decoder) and the
-//! required-Eb/N0 search strategies that drive the Fig. 10 regeneration.
+//! required-Eb/N0 search that drives the Fig. 10 regeneration.
 //!
 //! # The three abstractions
 //!
@@ -21,15 +21,11 @@
 //!   side channel. Frame-level (not bit-level) variance is the honest
 //!   scale here: window decoding fails in bursts, so bits within a frame
 //!   are strongly correlated.
-//! * [`Ebn0Search`](SearchStrategy) — the strategy enum behind
-//!   [`search_required_ebn0`]: [`SearchStrategy::Bisection`] (the
-//!   retained oracle ladder, bit-identical to the pre-redesign search),
-//!   [`SearchStrategy::ConcurrentBisection`] (several probes per round
-//!   across threads, each pruned early once its confidence interval
-//!   excludes the target) and [`SearchStrategy::PairedGrid`] (fixed
-//!   shared grid + common random numbers + log-linear interpolation —
-//!   the right statistical design for *comparing* decoders, where
-//!   bisection's grid quantization would dominate small differences).
+//! * [`search_required_ebn0`] — the one required-Eb/N0 search: the
+//!   [`required_ebn0_db`] bisection ladder over [`SearchConfig`]'s
+//!   finite bracket, each probe a [`simulate_ber`] run under the
+//!   options' frame budget, returning a [`SearchReport`] with every
+//!   probe it took.
 //!
 //! The pre-redesign free functions (`simulate_{bc,cc}_ber*`) were thin
 //! deprecated wrappers over this API for one release and have been
@@ -43,9 +39,8 @@
 //! (a shared sampler's cached Box–Muller variate would leak state between
 //! frames and make results depend on simulation order). Frame batches are
 //! fanned out across threads by [`wi_num::par::ordered`] in rounds,
-//! while every stopping rule — the `target_errors` / `min_frames` /
-//! `max_frames` budget of [`BerSimOptions`] *and* the CI pruning of
-//! [`SearchStrategy::ConcurrentBisection`] — is applied by its serial
+//! while the stopping rule — the `target_errors` / `min_frames` /
+//! `max_frames` budget of [`BerSimOptions`] — is applied by its serial
 //! fold over the per-frame results **in frame order**. [`simulate_ber`]
 //! and [`search_required_ebn0`] therefore return bit-identical results
 //! for any thread count; extra frames speculatively simulated past a
@@ -58,14 +53,17 @@
 //! frames. Each worker reuses one [`BerWorkspace`], so the hot loop does
 //! not allocate.
 //!
-//! # Bit-identical vs statistically equivalent
+//! # Searching vs comparing
 //!
-//! [`SearchStrategy::Bisection`] reproduces the pre-redesign ladder probe
-//! for probe and is the pinned oracle. The other two strategies simulate
-//! *different frames* (CI-pruned budgets, interpolation instead of
-//! ladder quantization) and are therefore only statistically equivalent:
-//! deterministic and thread-count invariant, but not bit-comparable to
-//! the ladder. `docs/ARCHITECTURE.md` tabulates the contract per path.
+//! [`search_required_ebn0`] is [`required_ebn0_db`] over
+//! [`simulate_ber`], probe for probe, so its answer is quantized to the
+//! final bisection interval. That quantization dominates the difference
+//! between two nearly identical decoders, so comparisons take another
+//! path: [`ber_curve`] measures both decoders on one grid with every
+//! early stop disabled and the same noise per frame, and
+//! [`log_linear_required_ebn0`] interpolates each curve (the φ-table
+//! accuracy gate in `tests/phi_table.rs`). `docs/ARCHITECTURE.md`
+//! tabulates the contract per path.
 
 use crate::batch::{lanes_problem, BatchWorkspace, MAX_LANES};
 use crate::code::LdpcCode;
@@ -301,7 +299,7 @@ impl BerWorkspace {
 
 /// Anything a BER point can be Monte-Carlo-measured on.
 ///
-/// The contract that every search strategy builds on: frame `f` at a
+/// The contract the search and the curves build on: frame `f` at a
 /// given `ebn0_db` must be a pure function of `(seed, f)` — same noise
 /// realization whenever the same `(seed, f)` pair is evaluated,
 /// regardless of worker, chunking or which other frames run. That single
@@ -706,8 +704,8 @@ struct CachedScratch {
 /// [`FrameEvalCache`] first and records what it simulates.
 ///
 /// Cached hits reproduce the wrapped target's output bit for bit (the
-/// stats *are* the wrapped target's stats), so every search strategy,
-/// curve and report produced through the wrapper is byte-identical to an
+/// stats *are* the wrapped target's stats), so every search, curve and
+/// report produced through the wrapper is byte-identical to an
 /// uncached run — the property the sweep store's warm-run assertions
 /// pin.
 ///
@@ -850,50 +848,12 @@ impl Round {
     }
 }
 
-/// The frame-budget stop rules a single BER point runs under (the
-/// strategy-resolved view of [`BerSimOptions`]).
-#[derive(Clone, Copy, Debug)]
-struct FrameBudget {
-    min_frames: u64,
-    max_frames: u64,
-    target_errors: u64,
-}
-
-impl FrameBudget {
-    /// The options' own budget.
-    fn from_opts(opts: &BerSimOptions) -> Self {
-        FrameBudget {
-            min_frames: opts.min_frames,
-            max_frames: opts.max_frames,
-            target_errors: opts.target_errors,
-        }
-    }
-
-    /// Exactly `frames` frames: every early stop disabled (the
-    /// common-random-numbers mode of [`ber_curve`]).
-    fn exactly(frames: u64) -> Self {
-        FrameBudget {
-            min_frames: frames,
-            max_frames: frames,
-            target_errors: u64::MAX,
-        }
-    }
-}
-
-/// Whether the Monte-Carlo loop should simulate another frame.
-///
-/// `extra_stop` is the strategy-specific early-out (CI pruning); it is
-/// only consulted once the frame budget's own rules allow stopping, and
-/// always over the serial in-order fold — so any rule expressed here is
-/// automatically thread-count invariant.
-fn keep_going(
-    fold: &FrameStats,
-    budget: &FrameBudget,
-    extra_stop: &mut dyn FnMut(&FrameStats) -> bool,
-) -> bool {
-    fold.frames < budget.max_frames
-        && (fold.frames < budget.min_frames
-            || (fold.bit_errors < budget.target_errors && !extra_stop(fold)))
+/// Whether the Monte-Carlo loop should simulate another frame under
+/// the options' frame budget. Only the serial in-order fold consults it,
+/// so the stopping point is the same at every thread count.
+fn keep_going(fold: &FrameStats, opts: &BerSimOptions) -> bool {
+    fold.frames < opts.max_frames
+        && (fold.frames < opts.min_frames || fold.bit_errors < opts.target_errors)
 }
 
 /// Shared Monte-Carlo driver: runs `target` over frames `0, 1, 2, …`
@@ -911,17 +871,15 @@ fn keep_going(
 fn run_target(
     target: &dyn BerTarget,
     ebn0_db: f64,
-    seed: u64,
+    opts: &BerSimOptions,
     threads: usize,
-    budget: FrameBudget,
-    extra_stop: &mut dyn FnMut(&FrameStats) -> bool,
 ) -> BerEstimate {
     let mut fold = FrameStats::default();
     let width = target.batch_width().clamp(1, MAX_LANES) as u64;
     // More workers than the simulation can ever have frames is pure
     // workspace-allocation waste.
-    let threads = threads.clamp(1, budget.max_frames.max(1).try_into().unwrap_or(usize::MAX));
-    let floor = budget.min_frames.min(budget.max_frames);
+    let threads = threads.clamp(1, opts.max_frames.max(1).try_into().unwrap_or(usize::MAX));
+    let floor = opts.min_frames.min(opts.max_frames);
     let speculative = if threads == 1 {
         width
     } else {
@@ -931,13 +889,13 @@ fn run_target(
     // a decode fully reinitializes its workspace, so reuse cannot leak
     // state between frames.
     let mut workspaces: Vec<BerWorkspace> = (0..threads).map(|_| BerWorkspace::new()).collect();
-    let mut stopped = !keep_going(&fold, &budget, extra_stop);
+    let mut stopped = !keep_going(&fold, opts);
     while !stopped {
         let base = fold.frames;
         let end = if base < floor {
             floor
         } else {
-            base + speculative.min(budget.max_frames - base)
+            base + speculative.min(opts.max_frames - base)
         };
         let round = Round::new(base, end, threads as u64, width);
         // The fold checks the stop rules after every frame and skips the
@@ -949,7 +907,7 @@ fn run_target(
             |ws, k| {
                 let (first, len) = round.piece(k);
                 let mut out = [FrameStats::default(); MAX_LANES];
-                target.eval_frames_each(ws, ebn0_db, seed, first, &mut out[..len]);
+                target.eval_frames_each(ws, ebn0_db, opts.seed, first, &mut out[..len]);
                 (out, len)
             },
             |_, (out, len)| {
@@ -958,7 +916,7 @@ fn run_target(
                         break;
                     }
                     fold.merge(frame_stats);
-                    stopped = !keep_going(&fold, &budget, extra_stop);
+                    stopped = !keep_going(&fold, opts);
                 }
                 ControlFlow::Continue(())
             },
@@ -1007,14 +965,7 @@ pub fn simulate_ber_with_threads(
     threads: usize,
 ) -> BerEstimate {
     opts.validate();
-    run_target(
-        target,
-        ebn0_db,
-        opts.seed,
-        threads,
-        FrameBudget::from_opts(opts),
-        &mut |_| false,
-    )
+    run_target(target, ebn0_db, opts, threads)
 }
 
 /// Measures a full BER curve over `grid` with common random numbers:
@@ -1048,18 +999,14 @@ pub fn ber_curve_with_threads(
     threads: usize,
 ) -> Vec<(f64, BerEstimate)> {
     opts.validate();
+    // Exactly `max_frames` frames per point: every early stop disabled.
+    let exact = BerSimOptions {
+        min_frames: opts.max_frames,
+        target_errors: u64::MAX,
+        ..*opts
+    };
     grid.iter()
-        .map(|&ebn0_db| {
-            let est = run_target(
-                target,
-                ebn0_db,
-                opts.seed,
-                threads,
-                FrameBudget::exactly(opts.max_frames),
-                &mut |_| false,
-            );
-            (ebn0_db, est)
-        })
+        .map(|&ebn0_db| (ebn0_db, run_target(target, ebn0_db, &exact, threads)))
         .collect()
 }
 
@@ -1078,10 +1025,10 @@ pub enum SearchOutcome {
     /// The target BER is still missed at the bracket's high edge — the
     /// required Eb/N0 is above `hi_db` (or the code never reaches it).
     AboveHi,
-    /// The search bracketed the target but could not resolve it (e.g. a
-    /// paired-grid crossing into a zero-error point, below the frame
-    /// budget's resolution); `best` is the tightest defensible upper
-    /// bound.
+    /// The curve brackets the target but cannot place it: only
+    /// [`log_linear_required_ebn0`] returns this, for a crossing into a
+    /// zero-error point (below the frame budget's resolution); `best` is
+    /// the tightest defensible upper bound.
     Unresolved {
         /// Best available required-Eb/N0 estimate (an upper bound).
         best: f64,
@@ -1114,8 +1061,15 @@ impl SearchOutcome {
 ///
 /// BER is assumed monotone decreasing in Eb/N0 — true for these codes in
 /// the waterfall region. Probe order (hi, lo, then midpoints) is the
-/// pre-redesign ladder, retained as the bit-identical oracle that
-/// [`SearchStrategy::Bisection`] dispatches to.
+/// pre-redesign ladder, which [`search_required_ebn0`] runs probe for
+/// probe. The ladder stops once the bracket is no wider than `tol_db`,
+/// or once its midpoint no longer falls strictly inside it (a tolerance
+/// below the edges' float spacing), so it ends for every finite bracket.
+///
+/// # Panics
+///
+/// Panics if an edge is not finite, the bracket is empty or `tol_db` is
+/// not positive.
 pub fn required_ebn0_db<F: FnMut(f64) -> f64>(
     mut ber_at: F,
     target_ber: f64,
@@ -1123,6 +1077,10 @@ pub fn required_ebn0_db<F: FnMut(f64) -> f64>(
     hi_db: f64,
     tol_db: f64,
 ) -> SearchOutcome {
+    assert!(
+        lo_db.is_finite() && hi_db.is_finite(),
+        "bracket edges must be finite"
+    );
     assert!(lo_db < hi_db, "invalid bracket");
     assert!(tol_db > 0.0, "tolerance must be positive");
     if ber_at(hi_db) > target_ber {
@@ -1135,6 +1093,9 @@ pub fn required_ebn0_db<F: FnMut(f64) -> f64>(
     let mut hi = hi_db;
     while hi - lo > tol_db {
         let mid = 0.5 * (lo + hi);
+        if !(lo < mid && mid < hi) {
+            break;
+        }
         if ber_at(mid) <= target_ber {
             hi = mid;
         } else {
@@ -1147,11 +1108,13 @@ pub fn required_ebn0_db<F: FnMut(f64) -> f64>(
 /// Required Eb/N0 to reach `target_ber`, by log-linear interpolation of a
 /// measured `(ebn0_db, ber)` curve (ascending in Eb/N0).
 ///
-/// The estimator `tests/phi_table.rs` hand-rolled before this module
-/// absorbed it: find the first adjacent pair bracketing the target and
-/// interpolate linearly in `(Eb/N0, ln BER)`. Unlike bisection the
-/// answer is not quantized to a probe grid, which is why the paired
-/// strategies use it.
+/// Find the first adjacent pair bracketing the target and interpolate
+/// linearly in `(Eb/N0, ln BER)`. Unlike the bisection ladder the
+/// answer is not quantized to a probe grid, so two decoders measured by
+/// [`ber_curve`] on one grid can be compared far below the grid spacing:
+/// the φ-table accuracy gate (`tests/phi_table.rs`) does this. A
+/// crossing into a zero-error point is
+/// [`Unresolved`](SearchOutcome::Unresolved).
 pub fn log_linear_required_ebn0(curve: &[(f64, f64)], target_ber: f64) -> SearchOutcome {
     assert!(target_ber > 0.0, "target BER must be positive");
     match curve.first() {
@@ -1181,78 +1144,32 @@ pub fn log_linear_required_ebn0(curve: &[(f64, f64)], target_ber: f64) -> Search
     }
 }
 
-/// Required-Eb/N0 search strategy (the `Ebn0Search` dimension of
-/// [`SearchConfig`]).
+/// Required-Eb/N0 search strategy. The bisection ladder is the only
+/// one; the type is kept only because the `e2ebench` package still
+/// names it in its preset (see [`SearchConfig::strategy`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchStrategy {
-    /// The pre-redesign serial bisection ladder, retained as the
-    /// bit-identical oracle: full frame budget at every probe, answer
-    /// quantized to the final bisection interval.
+    /// The serial bisection ladder ([`required_ebn0_db`]): full frame
+    /// budget at every probe, answer quantized to the final bisection
+    /// interval.
     #[default]
     Bisection,
-    /// Bisection probing several interior points per round, each point
-    /// evaluated on its own thread share and pruned as soon as its
-    /// confidence interval excludes the target BER. Statistically
-    /// equivalent to [`Bisection`](SearchStrategy::Bisection) (same
-    /// bracket semantics, different frame budgets); deterministic and
-    /// thread-count invariant.
-    ConcurrentBisection,
-    /// Fixed shared Eb/N0 grid evaluated left to right with common
-    /// random numbers until the BER curve crosses the target, then
-    /// log-linear interpolation ([`log_linear_required_ebn0`]); a
-    /// crossing into a zero-error point is refined with a few midpoint
-    /// probes before reporting [`SearchOutcome::Unresolved`]. Frame `f`
-    /// of every grid point shares one noise realization, and the
-    /// interpolated answer is free of bisection's grid quantization.
-    ///
-    /// Each point still runs under the options' early-stop rules, so
-    /// two *different targets* searched this way may average different
-    /// frame *sets* per point. For comparison-grade pairing — where the
-    /// Monte-Carlo noise must cancel in the difference between two
-    /// decoders — measure full curves with [`ber_curve`] (which pins
-    /// every point to exactly `max_frames` frames), or disable the
-    /// early stops here by setting `min_frames == max_frames` and
-    /// `target_errors == u64::MAX`, as the φ-table accuracy gate in
-    /// `tests/phi_table.rs` does.
-    PairedGrid,
-}
-
-impl SearchStrategy {
-    /// Parses a CLI spelling (`bisect`, `concurrent`, `paired`; full
-    /// names accepted).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "bisect" | "bisection" => Some(SearchStrategy::Bisection),
-            "concurrent" | "concurrent-bisection" => Some(SearchStrategy::ConcurrentBisection),
-            "paired" | "paired-grid" => Some(SearchStrategy::PairedGrid),
-            _ => None,
-        }
-    }
-
-    /// Canonical CLI spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SearchStrategy::Bisection => "bisect",
-            SearchStrategy::ConcurrentBisection => "concurrent",
-            SearchStrategy::PairedGrid => "paired",
-        }
-    }
 }
 
 /// Configuration of a required-Eb/N0 search ([`search_required_ebn0`]).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SearchConfig {
-    /// Search strategy.
+    /// Search strategy: always [`SearchStrategy::Bisection`]. Kept only
+    /// because the `e2ebench` package sets it.
     pub strategy: SearchStrategy,
     /// Bracket low edge in dB.
     pub lo_db: f64,
     /// Bracket high edge in dB.
     pub hi_db: f64,
-    /// Bisection resolution in dB (ignored by
-    /// [`SearchStrategy::PairedGrid`], which interpolates instead).
+    /// Bisection resolution in dB.
     pub tol_db: f64,
-    /// Evenly spaced grid points of [`SearchStrategy::PairedGrid`]
-    /// (including both bracket edges).
+    /// Read by nothing. Kept only because the `e2ebench` package sets it
+    /// (to 7, the default).
     pub grid_points: usize,
 }
 
@@ -1274,8 +1191,17 @@ impl SearchConfig {
     /// offending fields at once instead of fixing them one rerun at a
     /// time. The single source of truth shared by
     /// [`search_required_ebn0`] and system-level config validation.
+    ///
+    /// Both bracket edges must be finite: the ladder's first two probes
+    /// are the edges themselves, and its midpoints never shrink an
+    /// infinite bracket.
     pub fn problems(&self) -> Vec<String> {
         let mut problems = Vec::new();
+        for (edge, db) in [("lo_db", self.lo_db), ("hi_db", self.hi_db)] {
+            if !db.is_finite() {
+                problems.push(format!("search bracket edge {edge} {db} dB must be finite"));
+            }
+        }
         // `cmp` spellings chosen so NaN fails validation too.
         if self.lo_db.partial_cmp(&self.hi_db) != Some(std::cmp::Ordering::Less) {
             problems.push(format!(
@@ -1286,10 +1212,6 @@ impl SearchConfig {
         if self.tol_db.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             let tol = self.tol_db;
             problems.push(format!("search tolerance {tol} dB must be positive"));
-        }
-        if self.grid_points < 2 {
-            let points = self.grid_points;
-            problems.push(format!("paired grid needs at least 2 points, got {points}"));
         }
         problems
     }
@@ -1324,67 +1246,10 @@ pub struct SearchReport {
     pub curve: Vec<(f64, BerEstimate)>,
 }
 
-impl SearchReport {
-    fn new() -> Self {
-        SearchReport {
-            outcome: SearchOutcome::AboveHi,
-            probes: 0,
-            frames: 0,
-            curve: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, ebn0_db: f64, est: BerEstimate) {
-        self.probes += 1;
-        self.frames += est.frames;
-        self.curve.push((ebn0_db, est));
-    }
-}
-
-/// Concurrent probes may stop on the CI rule this early; the options'
-/// own `min_frames` still applies when smaller. Below this the
-/// frame-level variance estimate is too ragged to trust a classification.
-const MIN_CI_FRAMES: u64 = 8;
-
-/// Interior probes per [`SearchStrategy::ConcurrentBisection`] round: the
-/// bracket shrinks by `PROBES_PER_ROUND + 1` per round.
-const PROBES_PER_ROUND: usize = 3;
-
-/// Confidence multiplier of the CI pruning rule (the two-sided 99 %
-/// normal quantile): a concurrent probe stops early once
-/// `|BER − target| > CI_Z · stderr`.
-const CI_Z: f64 = 2.576;
-
-/// Midpoint probes a [`SearchStrategy::PairedGrid`] search may spend to
-/// pull a zero-error crossing back into interpolation range before
-/// settling for [`SearchOutcome::Unresolved`].
-const PAIRED_REFINEMENTS: u32 = 3;
-
-/// CI classification rule of [`SearchStrategy::ConcurrentBisection`]:
-/// true once the probe's confidence interval excludes `target_ber`.
-///
-/// The variance of the total error count is the *measured* frame-level
-/// variance (window decoders fail in bursts — per-bit binomial bars
-/// would prune far too eagerly) floored by the Poisson variance
-/// `target_ber · bits` expected if the true BER equalled the target:
-/// the floor is what keeps a run of zero-error frames (measured
-/// variance 0) from claiming certainty before the bit budget could
-/// possibly resolve the target.
-fn ci_classified(fold: &FrameStats, target_ber: f64) -> bool {
-    if fold.frames < 2 || fold.bits == 0 {
-        return false;
-    }
-    let est = BerEstimate::from_stats(*fold);
-    let bits = fold.bits as f64;
-    let measured = est.frame_error_variance() * fold.frames as f64;
-    let stderr = measured.max(target_ber * bits).sqrt() / bits;
-    (est.ber - target_ber).abs() > CI_Z * stderr
-}
-
-/// Searches the smallest Eb/N0 at which `target` reaches `target_ber`,
-/// fanning work out over [`par::threads`] workers. See [`SearchConfig`] for
-/// the strategies; results are deterministic and thread-count invariant
-/// for every strategy.
+/// Searches the smallest Eb/N0 at which `target` reaches `target_ber` by
+/// the [`required_ebn0_db`] ladder over `search`'s bracket, each probe
+/// a Monte-Carlo run under `opts` fanned out over [`par::threads`]
+/// workers. The report is deterministic and thread-count invariant.
 ///
 /// # Panics
 ///
@@ -1411,168 +1276,24 @@ pub fn search_required_ebn0_with_threads(
     opts.validate();
     search.validate();
     assert!(target_ber > 0.0, "target BER must be positive");
-    let mut report = SearchReport::new();
-    match search.strategy {
-        SearchStrategy::Bisection => {
-            report.outcome = required_ebn0_db(
-                |ebn0_db| {
-                    let est = run_target(
-                        target,
-                        ebn0_db,
-                        opts.seed,
-                        threads,
-                        FrameBudget::from_opts(opts),
-                        &mut |_| false,
-                    );
-                    report.record(ebn0_db, est);
-                    est.ber
-                },
-                target_ber,
-                search.lo_db,
-                search.hi_db,
-                search.tol_db,
-            );
-        }
-        SearchStrategy::ConcurrentBisection => {
-            concurrent_bisection(target, target_ber, opts, search, threads, &mut report);
-        }
-        SearchStrategy::PairedGrid => {
-            let probe = |ebn0_db: f64, report: &mut SearchReport| -> f64 {
-                let est = run_target(
-                    target,
-                    ebn0_db,
-                    opts.seed,
-                    threads,
-                    FrameBudget::from_opts(opts),
-                    &mut |_| false,
-                );
-                report.record(ebn0_db, est);
-                est.ber
-            };
-            let step = (search.hi_db - search.lo_db) / (search.grid_points - 1) as f64;
-            let mut curve: Vec<(f64, f64)> = Vec::with_capacity(search.grid_points);
-            report.outcome = SearchOutcome::AboveHi;
-            for i in 0..search.grid_points {
-                // Hit the high edge exactly (no accumulated rounding).
-                let ebn0_db = if i + 1 == search.grid_points {
-                    search.hi_db
-                } else {
-                    search.lo_db + step * i as f64
-                };
-                let ber = probe(ebn0_db, &mut report);
-                curve.push((ebn0_db, ber));
-                // Stop as soon as the partial curve resolves the target:
-                // the points above the crossing — the expensive low-BER
-                // ones — are never simulated.
-                match log_linear_required_ebn0(&curve, target_ber) {
-                    SearchOutcome::AboveHi => continue,
-                    resolved => {
-                        report.outcome = resolved;
-                        break;
-                    }
-                }
-            }
-            // A crossing into a zero-error point means the frame budget
-            // could not see errors at that grid spacing — refine by
-            // probing midpoints of the unresolved pair (still common
-            // random numbers) until the interpolation has a positive
-            // right endpoint or the refinement budget runs out.
-            let mut refinements = 0;
-            while let SearchOutcome::Unresolved { best } = report.outcome {
-                if refinements >= PAIRED_REFINEMENTS {
-                    break;
-                }
-                refinements += 1;
-                let i = curve
-                    .iter()
-                    .position(|&(e, _)| e == best)
-                    .expect("unresolved endpoint came from the curve");
-                assert!(i > 0, "a crossing pair has a left endpoint");
-                let mid = 0.5 * (curve[i - 1].0 + best);
-                let ber = probe(mid, &mut report);
-                curve.insert(i, (mid, ber));
-                report.outcome = log_linear_required_ebn0(&curve, target_ber);
-            }
-        }
+    let mut curve = Vec::new();
+    let outcome = required_ebn0_db(
+        |ebn0_db| {
+            let est = run_target(target, ebn0_db, opts, threads);
+            curve.push((ebn0_db, est));
+            est.ber
+        },
+        target_ber,
+        search.lo_db,
+        search.hi_db,
+        search.tol_db,
+    );
+    SearchReport {
+        outcome,
+        probes: curve.len() as u64,
+        frames: curve.iter().map(|(_, est)| est.frames).sum(),
+        curve,
     }
-    report
-}
-
-/// [`SearchStrategy::ConcurrentBisection`]: bracket like bisection, but
-/// probe [`PROBES_PER_ROUND`] interior points per round — concurrently,
-/// one thread share each — and prune every probe by CI as soon as it is
-/// classified against the target.
-fn concurrent_bisection(
-    target: &dyn BerTarget,
-    target_ber: f64,
-    opts: &BerSimOptions,
-    search: &SearchConfig,
-    threads: usize,
-    report: &mut SearchReport,
-) {
-    // Probes may stop on the CI rule well before the options' min-frame
-    // budget — the CI already guards against lucky exits.
-    let min_frames = opts.min_frames.min(MIN_CI_FRAMES);
-    let classify = |ebn0_db: f64, probe_threads: usize| -> BerEstimate {
-        run_target(
-            target,
-            ebn0_db,
-            opts.seed,
-            probe_threads,
-            FrameBudget {
-                min_frames,
-                ..FrameBudget::from_opts(opts)
-            },
-            &mut |fold| ci_classified(fold, target_ber),
-        )
-    };
-
-    let hi_est = classify(search.hi_db, threads);
-    report.record(search.hi_db, hi_est);
-    if hi_est.ber > target_ber {
-        report.outcome = SearchOutcome::AboveHi;
-        return;
-    }
-    let lo_est = classify(search.lo_db, threads);
-    report.record(search.lo_db, lo_est);
-    if lo_est.ber <= target_ber {
-        report.outcome = SearchOutcome::BelowLo;
-        return;
-    }
-
-    let mut lo = search.lo_db;
-    let mut hi = search.hi_db;
-    while hi - lo > search.tol_db {
-        // No point probing finer than the remaining bracket needs.
-        let useful = ((hi - lo) / search.tol_db).ceil() as usize;
-        let k = PROBES_PER_ROUND.min(useful.saturating_sub(1)).max(1);
-        let points: Vec<f64> = (1..=k)
-            .map(|i| lo + (hi - lo) * i as f64 / (k + 1) as f64)
-            .collect();
-        par::ordered(
-            &mut vec![(); threads.clamp(1, k)],
-            k,
-            |_, i| classify(points[i], (threads / k).max(1)),
-            |i, est| {
-                report.record(points[i], est);
-                ControlFlow::Continue(())
-            },
-        );
-        // Monotone-BER bracket update: the leftmost at-or-below-target
-        // probe becomes the new hi; its left neighbour (above target by
-        // leftmost-ness) the new lo.
-        let round = &report.curve[report.curve.len() - k..];
-        match round.iter().position(|&(_, est)| est.ber <= target_ber) {
-            Some(i) => {
-                hi = round[i].0;
-                if i > 0 {
-                    lo = round[i - 1].0;
-                }
-            }
-            None => lo = round[k - 1].0,
-        }
-    }
-    report.outcome = SearchOutcome::Found(hi);
 }
 
 #[cfg(test)]
@@ -1785,24 +1506,6 @@ mod tests {
     }
 
     #[test]
-    fn search_strategy_parses_cli_spellings() {
-        assert_eq!(
-            SearchStrategy::parse("bisect"),
-            Some(SearchStrategy::Bisection)
-        );
-        assert_eq!(
-            SearchStrategy::parse("concurrent"),
-            Some(SearchStrategy::ConcurrentBisection)
-        );
-        assert_eq!(
-            SearchStrategy::parse("paired-grid"),
-            Some(SearchStrategy::PairedGrid)
-        );
-        assert_eq!(SearchStrategy::parse("nope"), None);
-        assert_eq!(SearchStrategy::PairedGrid.name(), "paired");
-    }
-
-    #[test]
     fn search_config_validation() {
         assert_eq!(SearchConfig::default().problem(), None);
         let bad_bracket = SearchConfig {
@@ -1811,11 +1514,24 @@ mod tests {
             ..SearchConfig::default()
         };
         assert!(bad_bracket.problem().unwrap().contains("bracket"));
-        let bad_grid = SearchConfig {
-            grid_points: 1,
+        // An infinite edge orders fine but is no bracket the ladder can
+        // shrink; each edge is named.
+        let open_above = SearchConfig {
+            hi_db: f64::INFINITY,
             ..SearchConfig::default()
         };
-        assert!(bad_grid.problem().unwrap().contains("grid"));
+        assert_eq!(
+            open_above.problems(),
+            ["search bracket edge hi_db inf dB must be finite"]
+        );
+        let open_below = SearchConfig {
+            lo_db: f64::NEG_INFINITY,
+            ..SearchConfig::default()
+        };
+        assert_eq!(
+            open_below.problems(),
+            ["search bracket edge lo_db -inf dB must be finite"]
+        );
     }
 
     #[test]
@@ -1861,12 +1577,53 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "search bracket edge hi_db inf dB must be finite")]
+    fn infinite_search_edge_panics() {
+        let code = LdpcCode::paper_block(10, 1);
+        let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
+        let search = SearchConfig {
+            hi_db: f64::INFINITY,
+            ..SearchConfig::default()
+        };
+        search_required_ebn0(&target, 1e-2, &BerSimOptions::default(), &search);
+    }
+
+    #[test]
+    #[should_panic(expected = "bracket edges must be finite")]
+    fn ladder_rejects_an_infinite_edge() {
+        required_ebn0_db(|x| 10f64.powf(-x), 1e-3, f64::NEG_INFINITY, 6.0, 0.5);
+    }
+
+    #[test]
+    fn ladder_ends_below_the_float_spacing() {
+        // A tolerance far below one ulp of the answer: the ladder stops
+        // once the bracket's edges are adjacent floats.
+        let mut probes = 0;
+        let found = required_ebn0_db(
+            |x| {
+                probes += 1;
+                assert!(probes <= 100, "the ladder did not stop");
+                if x >= 3.0 {
+                    0.0
+                } else {
+                    1.0
+                }
+            },
+            0.5,
+            0.5,
+            8.0,
+            1e-300,
+        );
+        assert_eq!(found, SearchOutcome::Found(3.0));
+        assert!(probes <= 100, "{probes} probes");
+    }
+
+    #[test]
     fn search_config_collects_every_problem() {
         let bad = SearchConfig {
             lo_db: 5.0,
-            hi_db: 1.0,
+            hi_db: f64::NEG_INFINITY,
             tol_db: -0.5,
-            grid_points: 1,
             ..SearchConfig::default()
         };
         let problems = bad.problems();

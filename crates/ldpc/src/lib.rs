@@ -39,9 +39,8 @@
 //!   [`ber::BerTarget`] unifies block and coupled codes behind one
 //!   object-safe Monte-Carlo surface (fanned out over all cores with
 //!   bit-identical results at any thread count), [`ber::BerEstimate`]
-//!   carries frame-level variance/CI, and [`ber::SearchConfig`] selects
-//!   between the retained bisection-ladder oracle, CI-pruned concurrent
-//!   bisection and the paired-grid common-random-numbers estimator used
+//!   carries frame-level variance/CI, and [`ber::search_required_ebn0`]
+//!   runs the one bisection ladder over a [`ber::SearchConfig`] bracket
 //!   to regenerate Fig. 10.
 //!
 //! # Performance

@@ -1,14 +1,13 @@
-//! Contract tests for the `wi_ldpc::ber` v2 API: the search strategies
-//! are deterministic and thread-count invariant,
-//! `Bisection` reproduces the pre-redesign ladder probe for probe, and
-//! `PairedGrid` matches the hand-rolled paired estimator that
+//! Contract tests for the `wi_ldpc::ber` v2 API: the required-Eb/N0
+//! search is deterministic and thread-count invariant and runs the
+//! pre-redesign ladder probe for probe, and `log_linear_required_ebn0`
+//! on a measured `ber_curve` matches the hand-rolled estimator that
 //! `tests/phi_table.rs` used before the library absorbed it.
 
 use wi_ldpc::ber::{
     ber_curve_with_threads, log_linear_required_ebn0, required_ebn0_db,
     search_required_ebn0_with_threads, simulate_ber_with_threads, BerSimOptions, BerTarget,
     BerWorkspace, BlockBerTarget, CoupledBerTarget, FrameStats, SearchConfig, SearchOutcome,
-    SearchStrategy,
 };
 use wi_ldpc::decoder::BpConfig;
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
@@ -58,9 +57,9 @@ impl BerTarget for MockTarget {
     }
 }
 
-/// The `Bisection` strategy dispatches to the same ladder as the closure
-/// form (`required_ebn0_db` over `simulate_ber`): same probes in the
-/// same order, same frames, same answer — the retained oracle contract.
+/// The search runs the same ladder as the closure form
+/// (`required_ebn0_db` over `simulate_ber`): same probes in the same
+/// order, same frames, same answer — the retained oracle contract.
 #[test]
 fn bisection_strategy_reproduces_the_closure_ladder() {
     let code = LdpcCode::paper_block(25, 9);
@@ -72,7 +71,6 @@ fn bisection_strategy_reproduces_the_closure_ladder() {
         seed: 0xF10,
     };
     let search = SearchConfig {
-        strategy: SearchStrategy::Bisection,
         lo_db: 0.5,
         hi_db: 8.0,
         tol_db: 0.25,
@@ -97,8 +95,8 @@ fn bisection_strategy_reproduces_the_closure_ladder() {
     assert_eq!(report_probes, ladder_probes, "probe order must match");
 }
 
-/// A fig10 `--quick`-style search (same seed, frame budget, tolerance
-/// and grid as the CI smoke preset, on miniature codes) must report
+/// A fig10 `--quick`-style search (same seed, frame budget and
+/// tolerance as the CI smoke preset, on miniature codes) must report
 /// byte-identically at every batch width: the batch-1 target decodes
 /// one frame at a time (on the one-lane engine, which
 /// `batch_equivalence.rs` pins to the naive oracles frame by frame),
@@ -113,11 +111,10 @@ fn search_report_is_invariant_under_batch_width() {
         seed: 0xF10,
     };
     let search = SearchConfig {
-        strategy: SearchStrategy::Bisection,
         lo_db: 0.5,
         hi_db: 8.0,
         tol_db: 0.25,
-        grid_points: 7,
+        ..SearchConfig::default()
     };
 
     let cc = CoupledCode::paper_cc(12, 8, 0xCC0C);
@@ -161,8 +158,10 @@ fn search_report_is_invariant_under_batch_width() {
     }
 }
 
+/// Any worker count, up to more workers (64) than a round has batches,
+/// gives the same probes, frame counts and answer.
 #[test]
-fn concurrent_bisection_is_thread_count_invariant() {
+fn bisection_search_is_thread_count_invariant() {
     let code = LdpcCode::paper_block(25, 9);
     let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
     let opts = BerSimOptions {
@@ -172,7 +171,6 @@ fn concurrent_bisection_is_thread_count_invariant() {
         seed: 0xF10,
     };
     let search = SearchConfig {
-        strategy: SearchStrategy::ConcurrentBisection,
         lo_db: 0.5,
         hi_db: 8.0,
         tol_db: 0.25,
@@ -186,30 +184,6 @@ fn concurrent_bisection_is_thread_count_invariant() {
     );
     for threads in [4usize, 64] {
         let par = search_required_ebn0_with_threads(&target, 1e-2, &opts, &search, threads);
-        assert_eq!(reference, par, "thread count {threads} changed the search");
-    }
-}
-
-#[test]
-fn paired_grid_is_thread_count_invariant() {
-    let code = CoupledCode::paper_cc(12, 8, 7);
-    let target = CoupledBerTarget::new(&code, WindowDecoder::new(3, 10));
-    let opts = BerSimOptions {
-        target_errors: u64::MAX,
-        max_frames: 24,
-        min_frames: 24,
-        seed: 0xAB,
-    };
-    let search = SearchConfig {
-        strategy: SearchStrategy::PairedGrid,
-        lo_db: 0.5,
-        hi_db: 8.0,
-        grid_points: 5,
-        ..SearchConfig::default()
-    };
-    let reference = search_required_ebn0_with_threads(&target, 1e-1, &opts, &search, 1);
-    for threads in [4usize, 64] {
-        let par = search_required_ebn0_with_threads(&target, 1e-1, &opts, &search, threads);
         assert_eq!(reference, par, "thread count {threads} changed the search");
     }
 }
@@ -229,10 +203,10 @@ fn hand_rolled_required_ebn0(curve: &[(f64, f64)], target: f64) -> f64 {
     panic!("target {target} not bracketed by curve {curve:?}");
 }
 
-/// `PairedGrid` on the paper's block-code family lands exactly where the
-/// hand-rolled estimator does on the same grid and seeds.
+/// `log_linear_required_ebn0` on a measured curve of the paper's
+/// block-code family lands exactly where the hand-rolled estimator does.
 #[test]
-fn paired_grid_matches_hand_rolled_estimator_on_block_code() {
+fn log_linear_estimator_matches_the_hand_rolled_formula_on_block_code() {
     let code = LdpcCode::paper_block(30, 13);
     let target = BlockBerTarget::new(&code, BpConfig::default(), 0.5);
     let opts = BerSimOptions {
@@ -241,13 +215,14 @@ fn paired_grid_matches_hand_rolled_estimator_on_block_code() {
         min_frames: 80,
         seed: 0x9A1D,
     };
-    assert_paired_grid_matches(&target, &opts, 1e-2);
+    assert_log_linear_matches_hand_rolled(&target, &opts, 1e-2);
 }
 
-/// `PairedGrid` on the paper's coupled-code family lands exactly where
-/// the hand-rolled estimator does on the same grid and seeds.
+/// `log_linear_required_ebn0` on a measured curve of the paper's
+/// coupled-code family lands exactly where the hand-rolled estimator
+/// does.
 #[test]
-fn paired_grid_matches_hand_rolled_estimator_on_coupled_code() {
+fn log_linear_estimator_matches_the_hand_rolled_formula_on_coupled_code() {
     let code = CoupledCode::paper_cc(15, 8, 6);
     let target = CoupledBerTarget::new(&code, WindowDecoder::new(4, 12));
     let opts = BerSimOptions {
@@ -259,25 +234,26 @@ fn paired_grid_matches_hand_rolled_estimator_on_coupled_code() {
     // Target 3e-2: the crossing pair of the 40-frame curve stays at
     // positive error counts (1e-2 would cross into a zero-error point,
     // which is the `Unresolved` path, covered in the module tests).
-    assert_paired_grid_matches(&target, &opts, 3e-2);
+    assert_log_linear_matches_hand_rolled(&target, &opts, 3e-2);
 }
 
-fn assert_paired_grid_matches(target: &dyn BerTarget, opts: &BerSimOptions, target_ber: f64) {
-    let search = SearchConfig {
-        strategy: SearchStrategy::PairedGrid,
-        lo_db: 0.5,
-        hi_db: 8.0,
-        grid_points: 7,
-        ..SearchConfig::default()
-    };
-    // The full CRN curve over the same grid the strategy walks.
-    let step = (search.hi_db - search.lo_db) / (search.grid_points - 1) as f64;
-    let grid: Vec<f64> = (0..search.grid_points)
+/// Measures `target`'s common-random-numbers curve over seven evenly
+/// spaced points of [0.5, 8] dB and checks that the library interpolator
+/// and the hand-rolled formula agree on it exactly.
+fn assert_log_linear_matches_hand_rolled(
+    target: &dyn BerTarget,
+    opts: &BerSimOptions,
+    target_ber: f64,
+) {
+    let (lo_db, hi_db, points) = (0.5, 8.0, 7);
+    let step = (hi_db - lo_db) / (points - 1) as f64;
+    let grid: Vec<f64> = (0..points)
         .map(|i| {
-            if i + 1 == search.grid_points {
-                search.hi_db
+            // Hit the high edge exactly (no accumulated rounding).
+            if i + 1 == points {
+                hi_db
             } else {
-                search.lo_db + step * i as f64
+                lo_db + step * i as f64
             }
         })
         .collect();
@@ -286,29 +262,14 @@ fn assert_paired_grid_matches(target: &dyn BerTarget, opts: &BerSimOptions, targ
         .map(|(e, est)| (e, est.ber))
         .collect();
     let hand = hand_rolled_required_ebn0(&curve, target_ber);
-
-    let report = search_required_ebn0_with_threads(target, target_ber, opts, &search, 1);
-    match report.outcome {
-        SearchOutcome::Found(v) => assert_eq!(v, hand, "paired grid diverged from hand-rolled"),
-        other => panic!("expected Found, got {other:?}"),
-    }
-    // The strategy stops at the crossing: never more points than the
-    // full grid, and the probes it did run followed the grid.
-    assert!(report.probes as usize <= search.grid_points);
-    for (probe, expect) in report.curve.iter().zip(&grid) {
-        assert_eq!(probe.0, *expect);
-    }
-    // And the library interpolator agrees with the hand-rolled formula
-    // on the full curve too.
     assert_eq!(
         log_linear_required_ebn0(&curve, target_ber),
         SearchOutcome::Found(hand)
     );
 }
 
-/// All three strategies agree on a deterministic analytic target to
-/// within the coarse of (tolerance, grid spacing): the strategies answer
-/// the same question, just with different budgets.
+/// The search finds a deterministic analytic target to within its
+/// tolerance plus the target's per-frame jitter.
 #[test]
 fn strategies_agree_on_analytic_target() {
     // BER = 10^(-e/4): hits 1e-2 at exactly 8 dB... out of bracket; use
@@ -323,85 +284,22 @@ fn strategies_agree_on_analytic_target() {
         min_frames: 16,
         seed: 0x5EED,
     };
-    let base = SearchConfig {
+    let search = SearchConfig {
         lo_db: 0.5,
         hi_db: 8.0,
         tol_db: 0.1,
-        grid_points: 9,
         ..SearchConfig::default()
     };
-    let mut answers = Vec::new();
-    for strategy in [
-        SearchStrategy::Bisection,
-        SearchStrategy::ConcurrentBisection,
-        SearchStrategy::PairedGrid,
-    ] {
-        let search = SearchConfig { strategy, ..base };
-        let report = search_required_ebn0_with_threads(&target, 1e-2, &opts, &search, 2);
-        let v = report
-            .outcome
-            .found()
-            .unwrap_or_else(|| panic!("{strategy:?}: {:?}", report.outcome));
-        assert!(
-            (v - 4.0).abs() < 0.5,
-            "{strategy:?} found {v}, expected ≈ 4.0"
-        );
-        answers.push((strategy, v, report.frames));
-    }
-    // CI pruning must make the concurrent ladder cheaper than the full
-    // oracle ladder on a clean analytic target.
-    let frames_of = |s: SearchStrategy| answers.iter().find(|a| a.0 == s).unwrap().2;
-    assert!(
-        frames_of(SearchStrategy::ConcurrentBisection) < frames_of(SearchStrategy::Bisection),
-        "concurrent {} vs bisect {} frames",
-        frames_of(SearchStrategy::ConcurrentBisection),
-        frames_of(SearchStrategy::Bisection)
-    );
-}
-
-/// A paired-grid crossing into a zero-error point triggers midpoint
-/// refinement: the coarse-grid `Unresolved` is pulled back to `Found` by
-/// probing inside the bracketing pair with the same random numbers.
-#[test]
-fn paired_grid_refines_zero_error_crossings() {
-    // bits = 200: BER 10^(-e/2) rounds to zero errors from ~5.2 dB on,
-    // so a coarse grid crosses straight into the zero-error tail, while
-    // the first midpoint (4.25 dB) still sees errors to interpolate on.
-    let target = MockTarget {
-        bits: 200,
-        scale: 2.0,
-    };
-    let opts = BerSimOptions {
-        target_errors: u64::MAX,
-        max_frames: 20,
-        min_frames: 20,
-        seed: 7,
-    };
-    let search = SearchConfig {
-        strategy: SearchStrategy::PairedGrid,
-        lo_db: 0.5,
-        hi_db: 8.0,
-        grid_points: 4, // 2.5 dB spacing: guarantees a zero-error crossing
-        ..SearchConfig::default()
-    };
-    let report = search_required_ebn0_with_threads(&target, 2e-2, &opts, &search, 1);
+    let report = search_required_ebn0_with_threads(&target, 1e-2, &opts, &search, 2);
     let v = report
         .outcome
         .found()
-        .unwrap_or_else(|| panic!("refinement should resolve: {:?}", report.outcome));
-    // True crossing of the analytic curve: 10^(-e/2) = 2e-2 at ≈ 3.4 dB.
-    assert!((v - 3.4).abs() < 1.0, "{v}");
-    // Refinement probes are off the original grid.
-    let step = (search.hi_db - search.lo_db) / (search.grid_points - 1) as f64;
-    let off_grid = report.curve.iter().any(|&(e, _)| {
-        let k = (e - search.lo_db) / step;
-        (k - k.round()).abs() > 1e-9
-    });
-    assert!(off_grid, "expected midpoint refinement probes");
+        .unwrap_or_else(|| panic!("{:?}", report.outcome));
+    assert!((v - 4.0).abs() < 0.5, "found {v}, expected ≈ 4.0");
 }
 
 /// Searches whose bracket misses the target report the side, not a bare
-/// `None` — on every strategy.
+/// `None`.
 #[test]
 fn outcomes_distinguish_the_unbracketed_sides() {
     let easy = MockTarget {
@@ -414,21 +312,14 @@ fn outcomes_distinguish_the_unbracketed_sides() {
         min_frames: 8,
         seed: 3,
     };
-    for strategy in [
-        SearchStrategy::Bisection,
-        SearchStrategy::ConcurrentBisection,
-        SearchStrategy::PairedGrid,
-    ] {
-        let search = SearchConfig {
-            strategy,
-            lo_db: 0.5,
-            hi_db: 8.0,
-            ..SearchConfig::default()
-        };
-        let above = search_required_ebn0_with_threads(&easy, 1e-4, &opts, &search, 1);
-        assert_eq!(above.outcome, SearchOutcome::AboveHi, "{strategy:?}");
-        // BER at the low edge is 10^(-0.5/8) ≈ 0.87, already under 0.9.
-        let below = search_required_ebn0_with_threads(&easy, 0.9, &opts, &search, 1);
-        assert_eq!(below.outcome, SearchOutcome::BelowLo, "{strategy:?}");
-    }
+    let search = SearchConfig {
+        lo_db: 0.5,
+        hi_db: 8.0,
+        ..SearchConfig::default()
+    };
+    let above = search_required_ebn0_with_threads(&easy, 1e-4, &opts, &search, 1);
+    assert_eq!(above.outcome, SearchOutcome::AboveHi);
+    // BER at the low edge is 10^(-0.5/8) ≈ 0.87, already under 0.9.
+    let below = search_required_ebn0_with_threads(&easy, 0.9, &opts, &search, 1);
+    assert_eq!(below.outcome, SearchOutcome::BelowLo);
 }

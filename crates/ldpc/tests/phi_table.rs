@@ -196,10 +196,10 @@ proptest! {
 /// Interpolating both rules' curves over the *same* grid with the *same*
 /// noise seeds makes the shared Monte-Carlo noise cancel in the
 /// difference, which is exactly what the 0.05 dB acceptance bound is
-/// about. (This harness predates `wi_ldpc::ber`'s `PairedGrid` search
-/// strategy, which promoted it into the library; the equivalence of the
-/// two is pinned in `tests/ber_search.rs`. The release-mode bisection
-/// numbers for the full Fig. 10 grid are in `docs/REPRODUCING.md`.)
+/// about. (`log_linear_required_ebn0` is the estimator this harness
+/// once hand-rolled; `tests/ber_search.rs` pins the two equal. The
+/// release-mode bisection numbers for the full Fig. 10 grid are in
+/// `docs/REPRODUCING.md`.)
 fn paired_required_ebn0(
     target: &dyn wi_ldpc::BerTarget,
     grid: &[f64],

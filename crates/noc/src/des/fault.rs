@@ -48,11 +48,10 @@ const CORRUPT_SALT: u64 = 0xC0FF_EE00_BAD0_B175;
 /// Maps arbitrary identifiers through the SplitMix64 finalizer
 /// ([`mix64`]) to a unit float in `[0, 1)` — the fault layer's no-RNG
 /// decision primitive (same mixing as [`crate::routing::route_choice`]).
-fn unit_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+fn unit_hash(seed: u64, a: u64, b: u64) -> f64 {
     let z = mix64(
         seed.wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(b.wrapping_mul(0xD1B5_4A32_D192_ED03))
-            .wrapping_add(c.wrapping_mul(0xA24B_AED4_963E_E407)),
+            .wrapping_add(b.wrapping_mul(0xD1B5_4A32_D192_ED03)),
     );
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -68,7 +67,6 @@ pub fn corrupt_unit(seed: u64, packet: u64, hop: u32, attempt: u32) -> f64 {
         seed ^ CORRUPT_SALT,
         packet,
         ((hop as u64) << 32) | attempt as u64,
-        0,
     )
 }
 
@@ -263,7 +261,7 @@ impl FaultConfig {
             }
         };
         if self.stuck_fraction > 0.0
-            && unit_hash(seed ^ STUCK_SALT, link as u64, 0, 0) < self.stuck_fraction
+            && unit_hash(seed ^ STUCK_SALT, link as u64, 0) < self.stuck_fraction
         {
             base.max(self.stuck_p)
         } else {
@@ -298,10 +296,8 @@ mod tests {
     fn unit_hash_is_pinned() {
         // Literal values: every stuck-link and corruption decision,
         // and so every faulty DES result, follows from these.
-        assert_eq!(unit_hash(0, 1, 0, 0), 0.8833108082136426);
-        assert_eq!(unit_hash(0xDE5, 1, 2, 3), 0.4793528931893296);
-        assert_eq!(unit_hash(u64::MAX, 7, (1 << 32) | 3, 0), 0.5502218784295961);
-        assert_eq!(unit_hash(0x5EED, 1000, 0, 9), 0.5127893094003801);
+        assert_eq!(unit_hash(0, 1, 0), 0.8833108082136426);
+        assert_eq!(unit_hash(u64::MAX, 7, (1 << 32) | 3), 0.5502218784295961);
     }
 
     #[test]

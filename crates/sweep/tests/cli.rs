@@ -113,6 +113,34 @@ fn run_accepts_a_valid_search_budget() {
 }
 
 #[test]
+fn run_rejects_an_infinite_search_edge_without_storing() {
+    // No bisection shrinks an infinite bracket, and an infinite edge
+    // probes the channel at zero or infinite noise.
+    for (field, value, edge) in [
+        ("search_hi_db", "inf", "hi_db inf"),
+        ("search_lo_db", "-inf", "lo_db -inf"),
+    ] {
+        let axes = format!(
+            r#"{{"field": "lifting", "values": ["10"]}},
+               {{"field": "window", "values": ["3"]}},
+               {{"field": "iterations", "values": ["8"]}},
+               {{"field": "{field}", "values": ["{value}"]}}"#
+        );
+        let (code, stderr, records) = run_axes(
+            &format!("open_{field}"),
+            &axes,
+            r#"{"kind": "ebn0_search", "target_ber": 0.05, "max_frames": 16, "min_frames": 4}"#,
+        );
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(
+            stderr.contains(&format!("search bracket edge {edge} dB must be finite")),
+            "{stderr}"
+        );
+        assert_eq!(records, 0, "a rejected spec must store nothing");
+    }
+}
+
+#[test]
 fn run_rejects_a_lifting_below_the_protograph_multiplicity_without_storing() {
     for lifting in ["0", "1"] {
         let (code, stderr, records) = run_spec(
